@@ -149,3 +149,95 @@ fn diff_renderer_pinpoints_first_divergence() {
     assert!(d.contains(" - "), "{d}");
     assert!(d.contains(" + "), "{d}");
 }
+
+/// Seeds of the schedule-digest table: the scheduler's default and one
+/// unrelated to it.
+const DIGEST_SEEDS: [u64; 2] = [0xD5A6E4, 77001];
+
+/// The first node hosting an instruction whose removal leaves a valid
+/// fabric — the PE the digest table takes away before `repair`.
+fn removable_placed_pe(
+    adg: &dsagen::adg::Adg,
+    problem: &dsagen::scheduler::Problem<'_>,
+    schedule: &dsagen::scheduler::Schedule,
+) -> Option<(dsagen::adg::NodeId, dsagen::adg::Adg)> {
+    problem
+        .entities
+        .iter()
+        .zip(&schedule.placement)
+        .filter(|(e, _)| matches!(e.kind, dsagen::scheduler::EntityKind::Op { .. }))
+        .filter_map(|(_, node)| *node)
+        .find_map(|node| {
+            let mut faulted = adg.clone();
+            faulted.remove_node(node).ok()?;
+            faulted.validate().ok()?;
+            Some((node, faulted))
+        })
+}
+
+/// One line per scheduler run: every Table-I kernel's fallback version on
+/// three fabrics under two seeds from `schedule`, and for each legal one
+/// the `repair` of that schedule after one placed PE is removed. The
+/// bitstream snapshots above pin two mappings; this pins the search itself,
+/// so a change to the scheduler's loop, RNG draw order or incumbent rule
+/// shows as the first (fabric, kernel, seed) it moves.
+fn schedule_digest_table() -> String {
+    use dsagen::adg::presets;
+    use dsagen::dfg::{compile_kernel, TransformConfig};
+    use dsagen::hwgen::schedule_digest;
+    use dsagen::scheduler::{repair, schedule, Problem};
+
+    let mut out = String::new();
+    for adg in [presets::softbrain(), presets::spu(), presets::dse_initial()] {
+        for w in dsagen::workloads::all() {
+            let ck = match compile_kernel(&w.kernel, &TransformConfig::fallback(), &adg.features()) {
+                Ok(ck) => ck,
+                Err(e) => {
+                    let _ = writeln!(out, "{} {} does not compile: {e}", adg.name(), w.name);
+                    continue;
+                }
+            };
+            for seed in DIGEST_SEEDS {
+                let cfg = SchedulerConfig {
+                    seed,
+                    ..SchedulerConfig::default()
+                };
+                let first = schedule(&adg, &ck, &cfg);
+                let _ = writeln!(
+                    out,
+                    "{} {} seed={seed} schedule digest={:016x} iterations={} feasible={}",
+                    adg.name(),
+                    w.name,
+                    schedule_digest(&first.schedule),
+                    first.iterations,
+                    first.is_legal(),
+                );
+                if !first.is_legal() {
+                    continue;
+                }
+                let problem = Problem::new(&adg, &ck);
+                let Some((removed, faulted)) = removable_placed_pe(&adg, &problem, &first.schedule)
+                else {
+                    continue;
+                };
+                let repaired = repair(&faulted, &ck, first.schedule.clone(), &cfg);
+                let _ = writeln!(
+                    out,
+                    "{} {} seed={seed} repair without {removed} digest={:016x} iterations={} feasible={} outcome={:?}",
+                    adg.name(),
+                    w.name,
+                    schedule_digest(&repaired.schedule),
+                    repaired.iterations,
+                    repaired.is_legal(),
+                    repaired.outcome,
+                );
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn schedule_digests_match_golden() {
+    check_golden("schedule_digests.txt", &schedule_digest_table());
+}
