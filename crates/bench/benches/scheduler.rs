@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dsagen_adg::presets;
 use dsagen_dfg::{compile_kernel, TransformConfig};
 use dsagen_scheduler::{repair, route, schedule, Problem, SchedulerConfig};
+use dsagen_telemetry::Telemetry;
 
 fn compiled_mm(unroll: u16) -> (dsagen_adg::Adg, dsagen_dfg::CompiledKernel) {
     let adg = presets::softbrain();
@@ -57,7 +58,7 @@ fn bench_repair_vs_remap(c: &mut Criterion) {
     adg.remove_node(victim).expect("victim exists");
 
     c.bench_function("repair/after-pe-removal", |b| {
-        b.iter(|| repair(&adg, &ck, first.schedule.clone(), &cfg))
+        b.iter(|| repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled()))
     });
     c.bench_function("repair/full-remap-baseline", |b| {
         b.iter(|| schedule(&adg, &ck, &cfg))

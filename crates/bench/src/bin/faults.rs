@@ -5,7 +5,7 @@
 //! Softbrain preset) and several fault seeds, a previously legal schedule
 //! is recovered in two ways under the same tight iteration budget:
 //!
-//! * **repair** — `repair_with_escalation` warm-starts from the surviving
+//! * **repair** — `repair` warm-starts from the surviving
 //!   placements of the pre-fault schedule (§V-A);
 //! * **re-map** — `schedule` rebuilds the mapping from scratch.
 //!
@@ -20,9 +20,8 @@ use dsagen_adg::presets;
 use dsagen_bench::rule;
 use dsagen_dfg::{compile_kernel, TransformConfig};
 use dsagen_faults::{inject, FaultPlan};
-use dsagen_scheduler::{
-    repair_with_escalation, schedule, Schedule, SchedulerConfig,
-};
+use dsagen_scheduler::{repair, schedule, Schedule, SchedulerConfig};
+use dsagen_telemetry::Telemetry;
 
 /// Seeds per severity level; more seeds smooth the recovery-rate estimate.
 const SEEDS: u64 = 10;
@@ -102,7 +101,7 @@ fn main() {
                 .count();
 
             let repaired =
-                repair_with_escalation(&faulty, &ck, &baseline.schedule, &cfg, ATTEMPTS);
+                repair(&faulty, &ck, &baseline.schedule, &cfg, ATTEMPTS, &Telemetry::disabled());
             rep_iters += u64::from(repaired.iterations);
             if repaired.is_legal() {
                 repair_ok += 1;

@@ -30,7 +30,7 @@ use dsagen_adg::{presets, Adg};
 use dsagen_bench::envelope::Envelope;
 use dsagen_bench::rule;
 use dsagen_faults::{FaultKind, FaultLifetime, FaultSchedule};
-use dsagen_sim::{try_simulate, RecoveryAction, RecoveryPolicy, SimConfig};
+use dsagen_sim::{simulate, RecoveryAction, RecoveryPolicy, SimConfig};
 use dsagen_telemetry::{log, Level, MetricsRegistry};
 use dsagen_workloads::{machsuite, polybench};
 
@@ -101,7 +101,7 @@ fn bench_one(
         Err(_) => return None, // kernel does not map onto this preset
     };
     let cfg = SimConfig::default();
-    let plain = try_simulate(
+    let plain = simulate(
         adg,
         &compiled.version,
         &compiled.schedule,

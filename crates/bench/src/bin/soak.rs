@@ -34,7 +34,7 @@ use dsagen_adg::{presets, Adg};
 use dsagen_bench::envelope::Envelope;
 use dsagen_bench::rule;
 use dsagen_faults::{FaultSchedule, StormConfig};
-use dsagen_sim::{try_simulate, RecoveryPolicy, SimConfig};
+use dsagen_sim::{simulate, RecoveryPolicy, SimConfig};
 use dsagen_telemetry::{log, Level, MetricsRegistry};
 use dsagen_workloads::{machsuite, polybench};
 
@@ -155,7 +155,7 @@ fn main() {
                 skipped += 1;
                 continue;
             };
-            let Ok(plain) = try_simulate(
+            let Ok(plain) = simulate(
                 &adg,
                 &compiled.version,
                 &compiled.schedule,
@@ -257,7 +257,7 @@ fn main() {
             compile(&adg, &k, &CompileOptions::default()).ok().map(|c| (k, c))
         }) {
             let (k, compiled) = kernel;
-            if let Ok(plain) = try_simulate(
+            if let Ok(plain) = simulate(
                 &adg,
                 &compiled.version,
                 &compiled.schedule,

@@ -212,7 +212,7 @@ impl Attribution {
 /// # Errors
 ///
 /// Propagates the simulator's typed error if the schedule references
-/// hardware absent from `adg` (see [`dsagen_sim::try_simulate`]).
+/// hardware absent from `adg` (see [`dsagen_sim::simulate`]).
 pub fn attribute(
     adg: &Adg,
     kernel_name: &str,

@@ -25,8 +25,8 @@ use dsagen_faults::FaultSchedule;
 use dsagen_hwgen::{generate_config_paths, verify_round_trip_timed};
 use dsagen_model::{objective, AreaPowerModel, HwCost, PerfModel};
 use dsagen_scheduler::{
-    evaluate as evaluate_schedule, repair_with_escalation_instrumented, schedule_instrumented,
-    Problem, Schedule, SchedulerConfig,
+    evaluate as evaluate_schedule, repair, schedule_instrumented, Problem, Schedule,
+    SchedulerConfig,
 };
 use dsagen_store::{Artifact, ArtifactKey, ArtifactStore};
 use dsagen_telemetry::{log, EventData, Level, Telemetry};
@@ -77,15 +77,6 @@ pub struct DseConfig {
     /// design reverted, so one pathological candidate cannot stall the
     /// whole exploration. `None` disables the budget.
     pub eval_budget_ms: Option<u64>,
-    /// Test hook: deliberately panic inside candidate evaluation at this
-    /// exploration step, to exercise the panic isolation without touching
-    /// library code. `None` (always, in production) disables it.
-    pub panic_at_iter: Option<u32>,
-    /// Test hook: report a configuration-integrity failure (as if bitstream
-    /// round-trip verification had rejected the candidate's config) at this
-    /// exploration step, to exercise the [`RejectReason::ConfigMismatch`]
-    /// path deterministically. `None` (always, in production) disables it.
-    pub fail_config_at_iter: Option<u32>,
     /// Score candidates by *recovered throughput* under a sampled runtime
     /// fault schedule instead of fault-free performance alone. `None`
     /// (the default) preserves the classic objective exactly.
@@ -166,8 +157,6 @@ impl Default for DseConfig {
             shards: 0,
             threads: env_threads(),
             eval_budget_ms: None,
-            panic_at_iter: None,
-            fail_config_at_iter: None,
             reliability: None,
         }
     }
@@ -459,6 +448,23 @@ pub struct Explorer {
     /// Cooperative cancellation/deadline control, checked at iteration
     /// boundaries. Shared (cloned) into every forked shard.
     control: RunControl,
+    /// The failure the unit tests force, and the exploration step at which
+    /// it strikes.
+    #[cfg(test)]
+    forced: Option<(u32, ForcedFailure)>,
+}
+
+/// A failure forced inside candidate evaluation, to exercise the rollback
+/// paths without a candidate that genuinely panics or an encoder that
+/// genuinely disagrees with its decoder.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ForcedFailure {
+    /// Panic inside the panic shield.
+    Panic,
+    /// Report the candidate's configuration as failing bitstream round-trip
+    /// verification.
+    ConfigMismatch,
 }
 
 /// A coherent snapshot of every explorer statistic, taken at one instant.
@@ -563,6 +569,8 @@ impl Explorer {
             telemetry: Telemetry::disabled(),
             store: None,
             control: RunControl::default(),
+            #[cfg(test)]
+            forced: None,
         }
     }
 
@@ -941,7 +949,7 @@ falling through to a full scheduling pass"
                         // fault- or mutation-degraded graph gets a second,
                         // doubled-budget attempt before the version is
                         // written off as illegal.
-                        Some(prev) => repair_with_escalation_instrumented(
+                        Some(prev) => repair(
                             &self.adg,
                             version,
                             &prev,
@@ -1131,7 +1139,7 @@ falling through to a full scheduling pass"
         }
         let sim_cfg = dsagen_sim::SimConfig::default();
         let Ok(fault_free) =
-            dsagen_sim::try_simulate(&self.adg, version, sched, &eval, config_len, &sim_cfg)
+            dsagen_sim::simulate(&self.adg, version, sched, &eval, config_len, &sim_cfg)
         else {
             return mode.failure_factor.clamp(0.0, 1.0);
         };
@@ -1240,17 +1248,20 @@ falling through to a full scheduling pass"
     /// [`DseConfig::eval_budget_ms`] are likewise rejected.
     fn evaluate_candidate(&mut self, iter: u32) -> Result<DsePoint, RejectReason> {
         let started = Instant::now();
-        // Test hook: stand in for a bitstream round-trip failure without
-        // needing a genuinely buggy encoder.
-        if self.cfg.fail_config_at_iter == Some(iter) {
-            self.config_rejections += 1;
-            return Err(RejectReason::ConfigMismatch);
+        #[cfg(test)]
+        {
+            if self.forced == Some((iter, ForcedFailure::ConfigMismatch)) {
+                self.config_rejections += 1;
+                return Err(RejectReason::ConfigMismatch);
+            }
         }
         let config_rejections_before = self.config_rejections;
-        let forced_panic = self.cfg.panic_at_iter;
         let point = match catch_unwind(AssertUnwindSafe(|| {
-            if forced_panic == Some(iter) {
-                panic!("dse test hook: forced panic at iteration {iter}");
+            #[cfg(test)]
+            {
+                if self.forced == Some((iter, ForcedFailure::Panic)) {
+                    panic!("forced panic at iteration {iter}");
+                }
             }
             self.evaluate()
         })) {
@@ -1526,6 +1537,8 @@ falling through to a full scheduling pass"
             // and each shard schedules under its own perturbed seed.
             store: self.store.clone(),
             control: self.control.clone(),
+            #[cfg(test)]
+            forced: self.forced,
         }
     }
 
@@ -1739,6 +1752,13 @@ pub(crate) mod tests {
         }
     }
 
+    /// [`explore`] with `failure` forced at exploration step `at`.
+    fn explore_forcing(at: u32, failure: ForcedFailure, cfg: DseConfig) -> DseResult {
+        let mut ex = Explorer::new(presets::dse_initial(), &small_kernels(), cfg);
+        ex.forced = Some((at, failure));
+        ex.run()
+    }
+
     #[test]
     fn initial_evaluation_is_feasible() {
         let mut ex = Explorer::new(presets::dse_initial(), &small_kernels(), quick_cfg());
@@ -1896,10 +1916,9 @@ pub(crate) mod tests {
         // continues through the remaining iterations.
         let cfg = DseConfig {
             max_iters: 6,
-            panic_at_iter: Some(2),
             ..serial_cfg()
         };
-        let result = explore(presets::dse_initial(), &small_kernels(), cfg);
+        let result = explore_forcing(2, ForcedFailure::Panic, cfg);
         let panicked: Vec<_> = result
             .trace
             .iter()
@@ -1922,11 +1941,7 @@ pub(crate) mod tests {
         // single serial shard: the comparison is about one search's
         // history, not about shard reduction.
         let clean = explore(presets::dse_initial(), &small_kernels(), serial_cfg());
-        let cfg = DseConfig {
-            panic_at_iter: Some(3),
-            ..serial_cfg()
-        };
-        let faulty = explore(presets::dse_initial(), &small_kernels(), cfg);
+        let faulty = explore_forcing(3, ForcedFailure::Panic, serial_cfg());
         assert_eq!(clean.trace.len(), faulty.trace.len());
         for (c, f) in clean.trace.iter().zip(&faulty.trace) {
             if f.rejected_reason == Some(RejectReason::Panicked) {
@@ -2006,15 +2021,14 @@ pub(crate) mod tests {
 
     #[test]
     fn forced_config_failure_is_a_first_class_rejection() {
-        // The fail_config_at_iter hook stands in for a round-trip
-        // verification failure: the step must be rejected with
-        // `ConfigMismatch`, the design reverted, and the search continue.
+        // The forced failure stands in for a round-trip verification
+        // failure: the step must be rejected with `ConfigMismatch`, the
+        // design reverted, and the search continue.
         let cfg = DseConfig {
             max_iters: 6,
-            fail_config_at_iter: Some(2),
             ..serial_cfg()
         };
-        let result = explore(presets::dse_initial(), &small_kernels(), cfg);
+        let result = explore_forcing(2, ForcedFailure::ConfigMismatch, cfg);
         let rejected: Vec<_> = result
             .trace
             .iter()
@@ -2034,11 +2048,7 @@ pub(crate) mod tests {
         // design, so the surviving iterations match a clean run's best
         // trajectory (the rejected step can only lose an acceptance).
         let clean = explore(presets::dse_initial(), &small_kernels(), serial_cfg());
-        let cfg = DseConfig {
-            fail_config_at_iter: Some(3),
-            ..serial_cfg()
-        };
-        let faulty = explore(presets::dse_initial(), &small_kernels(), cfg);
+        let faulty = explore_forcing(3, ForcedFailure::ConfigMismatch, serial_cfg());
         assert_eq!(clean.trace.len(), faulty.trace.len());
         for (c, f) in clean.trace.iter().zip(&faulty.trace) {
             if f.rejected_reason == Some(RejectReason::ConfigMismatch) {

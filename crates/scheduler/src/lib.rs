@@ -36,7 +36,6 @@ pub use problem::{op_rates, Entity, EntityKind, Problem, VirtEdge};
 pub use route::{delay_capacity, path_legal, route};
 pub use schedule::Schedule;
 pub use scheduler::{
-    repair, repair_instrumented, repair_regions, repair_regions_with_escalation,
-    repair_with_escalation, repair_with_escalation_instrumented, schedule, schedule_instrumented,
-    RepairOutcome, ScheduleResult, SchedulerConfig,
+    repair, repair_regions, schedule, schedule_instrumented, RepairOutcome, ScheduleResult,
+    SchedulerConfig,
 };

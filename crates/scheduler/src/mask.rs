@@ -24,7 +24,9 @@ use std::fmt;
 
 use dsagen_adg::{Adg, EdgeId, NodeId};
 
-use crate::scheduler::{repair_with_escalation, ScheduleResult, SchedulerConfig};
+use dsagen_telemetry::Telemetry;
+
+use crate::scheduler::{repair, repair_regions, ScheduleResult, SchedulerConfig};
 use crate::Schedule;
 
 /// A set of hardware capabilities to take offline, at three granularities:
@@ -178,9 +180,9 @@ impl fmt::Display for CapabilityMask {
     }
 }
 
-/// Applies `mask` to `adg` and runs [`repair_with_escalation`] on the
-/// masked fabric, returning the repair result together with the degraded
-/// graph it is legal against. The one-call form of a ladder rung.
+/// Applies `mask` to `adg` and runs [`repair`] on the masked fabric,
+/// returning the repair result together with the degraded graph it is
+/// legal against. The one-call form of a ladder rung.
 pub fn repair_with_mask(
     adg: &Adg,
     kernel: &dsagen_dfg::CompiledKernel,
@@ -190,16 +192,16 @@ pub fn repair_with_mask(
     mask: &CapabilityMask,
 ) -> Result<(ScheduleResult, Adg), MaskError> {
     let masked = mask.apply(adg)?;
-    let result = repair_with_escalation(&masked, kernel, previous, cfg, max_attempts);
+    let result = repair(&masked, kernel, previous, cfg, max_attempts, &Telemetry::disabled());
     Ok((result, masked))
 }
 
 /// [`repair_with_mask`] scoped to a fault-isolation domain: applies `mask`
-/// and runs [`crate::repair_regions_with_escalation`] so that only the
-/// entities of `regions` may move — every other domain's placements and
-/// routes are pinned bit-identically. With `from_scratch` the afflicted
-/// regions are re-placed from nothing (the partial re-placement rung);
-/// without it the repair is incremental.
+/// and runs [`repair_regions`] so that only the entities of `regions` may
+/// move — every other domain's placements and routes are pinned
+/// bit-identically. With `from_scratch` the afflicted regions are re-placed
+/// from nothing (the partial re-placement rung); without it the repair is
+/// incremental.
 ///
 /// A mask that takes out hardware a *pinned* domain depends on makes the
 /// rung structurally infeasible and returns [`MaskError::Invalid`], so the
@@ -216,7 +218,7 @@ pub fn repair_with_mask_scoped(
     from_scratch: bool,
 ) -> Result<(ScheduleResult, Adg), MaskError> {
     let masked = mask.apply(adg)?;
-    let result = crate::repair_regions_with_escalation(
+    let result = repair_regions(
         &masked,
         kernel,
         previous,
@@ -224,6 +226,7 @@ pub fn repair_with_mask_scoped(
         from_scratch,
         cfg,
         max_attempts,
+        &Telemetry::disabled(),
     )
     .ok_or_else(|| {
         MaskError::Invalid("mask invalidates placements or routes pinned by other domains".into())

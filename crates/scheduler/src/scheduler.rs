@@ -138,7 +138,8 @@ pub fn schedule_instrumented(
 ) -> ScheduleResult {
     let problem = Problem::new(adg, kernel);
     let initial = Schedule::empty(&problem);
-    run(&problem, initial, cfg, tel)
+    let everything = vec![true; problem.entities.len()];
+    search(&problem, initial, cfg, &everything, tel)
 }
 
 /// Repairs a previous schedule against a (possibly mutated or
@@ -147,115 +148,43 @@ pub fn schedule_instrumented(
 /// routes through severed links or newly-forbidden switch turns are
 /// rerouted, and everything else is reused. The result's
 /// [`ScheduleResult::outcome`] records what was lost.
+///
+/// Retry is bounded escalation: while the result is illegal, the iteration
+/// budget is doubled (and the seed perturbed) and the search re-run from
+/// the same invalidated schedule, up to `max_attempts` total attempts or a
+/// per-attempt budget of 4096 iterations. Returns the first legal result,
+/// or the best illegal one (lowest objective) if every attempt fails —
+/// never panics. With `max_attempts = 1` and `1 ≤ cfg.max_iters ≤ 4096`
+/// this is one search under exactly `cfg`.
+///
+/// The path search reports into `tel` as [`schedule_instrumented`] does.
 #[must_use]
 pub fn repair(
     adg: &Adg,
     kernel: &CompiledKernel,
-    previous: Schedule,
+    previous: &Schedule,
     cfg: &SchedulerConfig,
-) -> ScheduleResult {
-    repair_instrumented(adg, kernel, previous, cfg, &Telemetry::disabled())
-}
-
-/// [`repair`] with observability (see [`schedule_instrumented`]).
-#[must_use]
-pub fn repair_instrumented(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    mut previous: Schedule,
-    cfg: &SchedulerConfig,
+    max_attempts: u32,
     tel: &Telemetry,
 ) -> ScheduleResult {
     let problem = Problem::new(adg, kernel);
-    let routes_before = previous.routes.len();
-    let dropped = previous.invalidate_removed(&problem);
-    // `invalidate_removed` checks route *structure* (edges still chain);
-    // faults like a stuck switch keep every edge alive but forbid turns,
-    // so re-check route *semantics* too.
-    let placement = previous.placement.clone();
-    previous.routes.retain(|idx, path| {
-        problem
-            .edges
-            .get(*idx)
-            .and_then(|vedge| placement.get(vedge.src).copied().flatten())
-            .is_some_and(|src| crate::route::path_legal(adg, src, path))
-    });
-    let rerouted = routes_before.saturating_sub(previous.routes.len());
+    let mut start = previous.clone();
+    let (dropped, rerouted) = invalidate(&problem, &mut start);
     let outcome = if dropped == 0 && rerouted == 0 {
         RepairOutcome::Clean
     } else {
         RepairOutcome::Degraded { dropped, rerouted }
     };
-    let mut result = run(&problem, previous, cfg, tel);
-    result.outcome = outcome;
-    result
+    let everything = vec![true; problem.entities.len()];
+    escalate(&problem, &start, &everything, outcome, cfg, max_attempts, tel)
 }
 
-/// [`repair`] with bounded retry-with-escalation: if the repaired schedule
-/// is still illegal, the iteration budget is doubled (and the seed
-/// perturbed) and the repair re-run from the same previous schedule, up to
-/// `max_attempts` total attempts or an absolute per-attempt budget of
-/// 4096 iterations. Returns the first legal result, or the best illegal
-/// one (lowest objective) if every attempt fails — never panics.
-#[must_use]
-pub fn repair_with_escalation(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    previous: &Schedule,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-) -> ScheduleResult {
-    repair_with_escalation_instrumented(adg, kernel, previous, cfg, max_attempts, &Telemetry::disabled())
-}
-
-/// [`repair_with_escalation`] with observability (see
-/// [`schedule_instrumented`]).
-#[must_use]
-pub fn repair_with_escalation_instrumented(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    previous: &Schedule,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-    tel: &Telemetry,
-) -> ScheduleResult {
-    const ITER_CAP: u32 = 4096;
-    let mut best: Option<ScheduleResult> = None;
-    let mut iters = cfg.max_iters.max(1);
-    for attempt in 0..max_attempts.max(1) {
-        let attempt_cfg = SchedulerConfig {
-            max_iters: iters.min(ITER_CAP),
-            seed: cfg.seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..*cfg
-        };
-        let result = repair_instrumented(adg, kernel, previous.clone(), &attempt_cfg, tel);
-        let legal = result.is_legal();
-        let better = best
-            .as_ref()
-            .is_none_or(|b| result.eval.objective < b.eval.objective);
-        if legal || better {
-            best = Some(result);
-        }
-        if best.as_ref().is_some_and(ScheduleResult::is_legal) {
-            break;
-        }
-        if iters >= ITER_CAP {
-            break;
-        }
-        iters = iters.saturating_mul(2);
-    }
-    // The loop above always runs at least once, so `best` is set; the
-    // fallback keeps this function panic-free even if that invariant is
-    // ever broken by a refactor.
-    best.unwrap_or_else(|| repair_instrumented(adg, kernel, previous.clone(), cfg, tel))
-}
-
-/// Repairs `previous` against a (possibly masked) `adg` while touching
-/// **only** the entities of `regions` — every placement and route outside
-/// those regions is pinned bit-identically. This is the scheduling half of
-/// the partial re-placement recovery rung: the afflicted fault-isolation
-/// domain is re-placed while untouched domains keep their assignments (and
-/// therefore their timing).
+/// [`repair`] touching **only** the entities of `regions` — every placement
+/// and route outside those regions is pinned bit-identically. This is the
+/// scheduling half of the partial re-placement recovery rung: the afflicted
+/// fault-isolation domain is re-placed while untouched domains keep their
+/// assignments (and therefore their timing). With every region in scope
+/// and `from_scratch` off it is the same search as [`repair`].
 ///
 /// With `from_scratch` the afflicted regions' placements and routes are
 /// dropped entirely before the search runs, giving the packer maximum
@@ -266,6 +195,7 @@ pub fn repair_with_escalation_instrumented(
 /// caller's mask took out hardware a non-afflicted domain depends on, so
 /// this rung is structurally infeasible and the ladder must escalate.
 #[must_use]
+#[allow(clippy::too_many_arguments)] // `repair` plus the scope
 pub fn repair_regions(
     adg: &Adg,
     kernel: &CompiledKernel,
@@ -273,28 +203,19 @@ pub fn repair_regions(
     regions: &std::collections::BTreeSet<usize>,
     from_scratch: bool,
     cfg: &SchedulerConfig,
+    max_attempts: u32,
+    tel: &Telemetry,
 ) -> Option<ScheduleResult> {
     let problem = Problem::new(adg, kernel);
     if previous.placement.len() != problem.entities.len() {
         return None; // shape mismatch: nothing can be pinned meaningfully
     }
-    let mut sched = previous.clone();
-    let routes_before = sched.routes.len();
-    let dropped = sched.invalidate_removed(&problem);
-    // Route semantics (stuck turns) re-checked exactly as `repair` does.
-    let placement = sched.placement.clone();
-    sched.routes.retain(|idx, path| {
-        problem
-            .edges
-            .get(*idx)
-            .and_then(|vedge| placement.get(vedge.src).copied().flatten())
-            .is_some_and(|src| crate::route::path_legal(adg, src, path))
-    });
-    let rerouted = routes_before.saturating_sub(sched.routes.len());
+    let mut start = previous.clone();
+    let (dropped, rerouted) = invalidate(&problem, &mut start);
     // The pins must have survived the fabric: if invalidation touched
     // anything outside the afflicted regions, scoped repair cannot hold
     // its contract.
-    if !sched.agrees_outside(&problem, previous, regions) {
+    if !start.agrees_outside(&problem, previous, regions) {
         return None;
     }
     let allowed: Vec<bool> = problem
@@ -305,7 +226,7 @@ pub fn repair_regions(
     if from_scratch {
         for (i, &movable) in allowed.iter().enumerate() {
             if movable {
-                sched.unplace(&problem, i);
+                start.unplace(&problem, i);
             }
         }
     }
@@ -314,327 +235,121 @@ pub fn repair_regions(
     } else {
         RepairOutcome::Degraded { dropped, rerouted }
     };
-    let mut result = run_scoped(&problem, sched, cfg, &allowed, &Telemetry::disabled());
-    result.outcome = outcome;
-    Some(result)
+    Some(escalate(&problem, &start, &allowed, outcome, cfg, max_attempts, tel))
 }
 
-/// [`repair_regions`] with the same bounded retry-with-escalation as
-/// [`repair_with_escalation`]: budget doubled and seed perturbed per
-/// attempt, first legal result wins, best illegal one returned when every
-/// attempt fails. `None` exactly when [`repair_regions`] pins cannot hold.
-#[must_use]
-pub fn repair_regions_with_escalation(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    previous: &Schedule,
-    regions: &std::collections::BTreeSet<usize>,
-    from_scratch: bool,
+/// Drops from `sched` what `problem`'s fabric no longer supports and
+/// returns `(placements dropped, routes dropped)`.
+fn invalidate(problem: &Problem<'_>, sched: &mut Schedule) -> (usize, usize) {
+    let routes_before = sched.routes.len();
+    let dropped = sched.invalidate_removed(problem);
+    // `invalidate_removed` checks route *structure* (edges still chain);
+    // faults like a stuck switch keep every edge alive but forbid turns,
+    // so re-check route *semantics* too.
+    let placement = &sched.placement;
+    sched.routes.retain(|idx, path| {
+        problem
+            .edges
+            .get(*idx)
+            .and_then(|vedge| placement.get(vedge.src).copied().flatten())
+            .is_some_and(|src| crate::route::path_legal(problem.adg, src, path))
+    });
+    (dropped, routes_before.saturating_sub(sched.routes.len()))
+}
+
+/// Searches from `start` with bounded retry: each further attempt doubles
+/// the iteration budget (capped at 4096) and perturbs the seed. The first
+/// legal result wins; failing that, the lowest objective.
+fn escalate(
+    problem: &Problem<'_>,
+    start: &Schedule,
+    allowed: &[bool],
+    outcome: RepairOutcome,
     cfg: &SchedulerConfig,
     max_attempts: u32,
-) -> Option<ScheduleResult> {
+    tel: &Telemetry,
+) -> ScheduleResult {
     const ITER_CAP: u32 = 4096;
-    let mut best: Option<ScheduleResult> = None;
-    let mut iters = cfg.max_iters.max(1);
-    for attempt in 0..max_attempts.max(1) {
+    let attempt = |n: u32, iters: u32| {
         let attempt_cfg = SchedulerConfig {
             max_iters: iters.min(ITER_CAP),
-            seed: cfg.seed.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            seed: cfg.seed.wrapping_add(u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ..*cfg
         };
-        let result = repair_regions(adg, kernel, previous, regions, from_scratch, &attempt_cfg)?;
-        let legal = result.is_legal();
-        let better = best
-            .as_ref()
-            .is_none_or(|b| result.eval.objective < b.eval.objective);
-        if legal || better {
-            best = Some(result);
-        }
-        if best.as_ref().is_some_and(ScheduleResult::is_legal) {
-            break;
-        }
-        if iters >= ITER_CAP {
+        let mut result = search(problem, start.clone(), &attempt_cfg, allowed, tel);
+        result.outcome = outcome;
+        result
+    };
+    let mut iters = cfg.max_iters.max(1);
+    let mut best = attempt(0, iters);
+    for n in 1..max_attempts {
+        if best.is_legal() || iters >= ITER_CAP {
             break;
         }
         iters = iters.saturating_mul(2);
+        let result = attempt(n, iters);
+        if result.is_legal() || result.eval.objective < best.eval.objective {
+            best = result;
+        }
     }
     best
 }
 
-/// The improvement loop restricted to `allowed` entities: victims,
+/// Algorithm 1's improvement loop over the `allowed` entities: victims,
 /// re-placement, and rip-up only ever touch allowed entities and their
 /// (intra-region) routes, so everything else stays bit-identical to the
-/// starting schedule. With all entities allowed this degenerates to the
-/// same search as [`run`] (modulo RNG draw order).
+/// starting schedule. Scheduling a whole kernel allows every entity.
 ///
-/// Unlike [`run`], the incumbent here is tracked *feasibility-first*: a
-/// feasible schedule always beats an infeasible one, and the objective
-/// only breaks ties within the same feasibility class. Recovery rungs
-/// call this under full-fidelity weights, where a feasible-but-high-II
-/// mapping can cost more than an infeasible low-II one — pure
-/// cost-tracking would throw away the only mapping the rung is allowed
-/// to return.
-fn run_scoped(
+/// The incumbent is tracked *feasibility-first*: a feasible schedule
+/// always beats an infeasible one, and the objective only breaks ties
+/// within the same feasibility class. Recovery rungs run under
+/// full-fidelity weights, where a feasible-but-high-II mapping can cost
+/// more than an infeasible low-II one — pure cost-tracking would overwrite
+/// a legal incumbent with a cheaper illegal one and return
+/// `is_legal() == false` after having seen a legal mapping.
+fn search(
     problem: &Problem<'_>,
     mut sched: Schedule,
     cfg: &SchedulerConfig,
     allowed: &[bool],
     tel: &Telemetry,
 ) -> ScheduleResult {
-    let mut span = tel.span("sched", "path_search_scoped");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut expansions: u64 = 0;
-    let mut victims_total: u64 = 0;
     let allowed_idx: Vec<usize> = (0..problem.entities.len())
         .filter(|i| allowed[*i])
         .collect();
-
-    // Initial completion: place every unplaced allowed entity greedily.
-    let unplaced: Vec<usize> = allowed_idx
-        .iter()
-        .copied()
-        .filter(|i| sched.placement[*i].is_none())
-        .collect();
-    for v in unplaced {
-        expansions += place_best(problem, &mut sched, v, cfg, &mut rng);
-    }
-    route_missing_scoped(problem, &mut sched, cfg, allowed);
-
-    let mut best_eval = evaluate(problem, &sched, &cfg.weights);
-    let mut best = sched.clone();
-    let mut stale = 0u32;
-    let mut iterations = 0u32;
-
-    if allowed_idx.is_empty() {
-        span.end();
-        return ScheduleResult {
-            schedule: best,
-            eval: best_eval,
-            iterations,
-            outcome: RepairOutcome::Fresh,
-        };
-    }
-
-    for iter in 0..cfg.max_iters {
-        iterations = iter + 1;
-        let victims = pick_victims_scoped(problem, &sched, &mut rng, allowed, &allowed_idx);
-        victims_total += victims.len() as u64;
-        for v in &victims {
-            sched.unplace(problem, *v);
-        }
-        for v in victims {
-            expansions += place_best(problem, &mut sched, v, cfg, &mut rng);
-        }
-        ripup_congested_scoped(problem, &mut sched, &mut rng, allowed);
-        route_missing_scoped(problem, &mut sched, cfg, allowed);
-
-        let eval = evaluate(problem, &sched, &cfg.weights);
-        let better = (eval.feasible && !best_eval.feasible)
-            || (eval.feasible == best_eval.feasible && eval.objective < best_eval.objective);
-        if better {
-            best_eval = eval;
-            best = sched.clone();
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale.is_multiple_of(10) {
-                sched = best.clone();
-            }
-        }
-        if best_eval.feasible && stale >= cfg.patience {
-            break;
-        }
-    }
-
-    flush_search_metrics(tel, iterations, victims_total, expansions, best_eval.feasible);
-    span.arg("iterations", iterations);
-    span.arg("expansions", expansions);
-    span.arg("feasible", best_eval.feasible);
-    span.end();
-    ScheduleResult {
-        schedule: best,
-        eval: best_eval,
-        iterations,
-        outcome: RepairOutcome::Fresh,
-    }
-}
-
-/// [`route_missing`] restricted to routes whose virtual edge belongs to an
-/// allowed entity (virtual edges never cross regions, so `src` decides).
-fn route_missing_scoped(
-    problem: &Problem<'_>,
-    sched: &mut Schedule,
-    cfg: &SchedulerConfig,
-    allowed: &[bool],
-) {
-    for (i, e) in problem.edges.iter().enumerate() {
-        if !allowed[e.src] || sched.routes.contains_key(&i) {
-            continue;
-        }
-        let (Some(src), Some(dst)) = (sched.placement[e.src], sched.placement[e.dst]) else {
-            continue;
-        };
-        let values = sched.edge_values(problem);
-        let src_entity = e.src;
-        if let Some(path) = route(
-            problem.adg,
-            src,
-            dst,
-            |eid| {
-                values.get(&eid).map_or(0, |vals| {
-                    vals.iter().filter(|v| **v != src_entity).count() as u32
-                })
-            },
-            cfg.congestion,
-        ) {
-            sched.routes.insert(i, path);
-        }
-    }
-}
-
-/// [`ripup_congested`] restricted to allowed routes: congestion caused by
-/// pinned traffic can only be negotiated by moving the afflicted domain's
-/// own routes.
-fn ripup_congested_scoped(
-    problem: &Problem<'_>,
-    sched: &mut Schedule,
-    rng: &mut StdRng,
-    allowed: &[bool],
-) {
-    let values = sched.edge_values(problem);
-    let congested: std::collections::BTreeSet<_> = values
-        .iter()
-        .filter(|(_, vals)| vals.len() > 1)
-        .map(|(eid, _)| *eid)
-        .collect();
-    if congested.is_empty() {
-        return;
-    }
-    let mut crossing: Vec<usize> = sched
-        .routes
-        .iter()
-        .filter(|(i, path)| {
-            problem
-                .edges
-                .get(**i)
-                .is_some_and(|e| allowed[e.src])
-                && path.iter().any(|eid| congested.contains(eid))
-        })
-        .map(|(i, _)| *i)
-        .collect();
-    crossing.sort_unstable();
-    for i in crossing {
-        if rng.gen_bool(0.5) {
-            sched.routes.remove(&i);
-        }
-    }
-}
-
-/// [`pick_victims`] restricted to allowed entities.
-fn pick_victims_scoped(
-    problem: &Problem<'_>,
-    sched: &Schedule,
-    rng: &mut StdRng,
-    allowed: &[bool],
-    allowed_idx: &[usize],
-) -> Vec<usize> {
-    if allowed_idx.is_empty() {
-        return Vec::new();
-    }
-    let mut pool: Vec<usize> = Vec::new();
-    // Allowed entities on overused PEs (pinned co-tenants cannot move, so
-    // only the domain's own entities are candidates).
-    let mut pe_counts: std::collections::BTreeMap<_, Vec<usize>> = std::collections::BTreeMap::new();
-    for (i, p) in sched.placement.iter().enumerate() {
-        if let Some(node) = p {
-            pe_counts.entry(*node).or_default().push(i);
-        }
-    }
-    for (node, ents) in &pe_counts {
-        let slots = match problem.adg.kind(*node) {
-            Ok(dsagen_adg::NodeKind::Pe(pe)) => pe.sharing.instruction_slots() as usize,
-            Ok(dsagen_adg::NodeKind::Sync(_)) => 1,
-            _ => usize::MAX,
-        };
-        if ents.len() > slots {
-            pool.extend(ents.iter().copied().filter(|i| allowed[*i]));
-        }
-    }
-    // Allowed entities with unrouted edges.
-    for (i, e) in problem.edges.iter().enumerate() {
-        if allowed[e.src]
-            && !sched.routes.contains_key(&i)
-            && sched.placement[e.src].is_some()
-            && sched.placement[e.dst].is_some()
-        {
-            pool.push(e.src);
-            pool.push(e.dst);
-        }
-    }
-    // Allowed routes crossing congested links.
-    let values = sched.edge_values(problem);
-    let congested: std::collections::BTreeSet<_> = values
-        .iter()
-        .filter(|(_, vals)| vals.len() > 1)
-        .map(|(eid, _)| *eid)
-        .collect();
-    if !congested.is_empty() {
-        for (i, path) in &sched.routes {
-            if path.iter().any(|eid| congested.contains(eid)) {
-                if let Some(e) = problem.edges.get(*i) {
-                    if allowed[e.src] {
-                        pool.push(e.src);
-                        pool.push(e.dst);
-                    }
-                }
-            }
-        }
-    }
-    // Unplaced allowed entities always need attention.
-    pool.extend(allowed_idx.iter().copied().filter(|i| sched.placement[*i].is_none()));
-    pool.sort_unstable();
-
-    let count = rng.gen_range(1..=3usize.min(allowed_idx.len()));
-    let mut victims = Vec::with_capacity(count);
-    for _ in 0..count {
-        let v = if !pool.is_empty() && rng.gen_bool(0.8) {
-            pool[rng.gen_range(0..pool.len())]
-        } else {
-            allowed_idx[rng.gen_range(0..allowed_idx.len())]
-        };
-        if !victims.contains(&v) {
-            victims.push(v);
-        }
-    }
-    victims
-}
-
-fn run(
-    problem: &Problem<'_>,
-    mut sched: Schedule,
-    cfg: &SchedulerConfig,
-    tel: &Telemetry,
-) -> ScheduleResult {
-    let mut span = tel.span("sched", "path_search");
+    let whole = allowed_idx.len() == problem.entities.len();
+    let mut span = tel.span("sched", if whole { "path_search" } else { "path_search_scoped" });
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut expansions: u64 = 0;
     let mut victims_total: u64 = 0;
 
-    // Initial completion: place every unplaced entity greedily.
+    // Initial completion: place every unplaced allowed entity greedily
+    // (ports first, then ops in index order, which is topological within
+    // each region) and route everything.
     {
         let _init = tel.span("sched", "initial_place");
-        expansions += complete(problem, &mut sched, cfg, &mut rng);
+        for &v in &allowed_idx {
+            if sched.placement[v].is_none() {
+                expansions += place_best(problem, &mut sched, v, cfg, &mut rng);
+            }
+        }
+        route_missing(problem, &mut sched, cfg, allowed);
     }
     let mut best_eval = evaluate(problem, &sched, &cfg.weights);
     let mut best = sched.clone();
     let mut stale = 0u32;
     let mut iterations = 0u32;
 
-    for iter in 0..cfg.max_iters {
+    // A scope that pins every entity leaves nothing to search: the starting
+    // schedule is the answer. (A kernel with no entities pins nothing; it
+    // idles through the loop until `patience` calls it converged, which
+    // keeps its `iterations` what they have always been.)
+    let budget = if whole || !allowed_idx.is_empty() { cfg.max_iters } else { 0 };
+    for iter in 0..budget {
         iterations = iter + 1;
         // "Unmap one or more mapped instructions (or streams)" — victims
         // biased toward entities involved in violations.
-        let victims = pick_victims(problem, &sched, &mut rng);
+        let victims = pick_victims(problem, &sched, &mut rng, allowed, &allowed_idx);
         victims_total += victims.len() as u64;
         for v in &victims {
             sched.unplace(problem, *v);
@@ -645,12 +360,14 @@ fn run(
         // Rip-up-and-reroute: drop routes crossing congested links so the
         // congestion-aware router can find detours (PathFinder-style
         // negotiation, [51]).
-        ripup_congested(problem, &mut sched, &mut rng);
+        ripup_congested(problem, &mut sched, &mut rng, allowed);
         // Re-route anything whose route got dropped.
-        route_missing(problem, &mut sched, cfg);
+        route_missing(problem, &mut sched, cfg, allowed);
 
         let eval = evaluate(problem, &sched, &cfg.weights);
-        if eval.objective < best_eval.objective {
+        let better = (eval.feasible && !best_eval.feasible)
+            || (eval.feasible == best_eval.feasible && eval.objective < best_eval.objective);
+        if better {
             best_eval = eval;
             best = sched.clone();
             stale = 0;
@@ -705,26 +422,6 @@ fn flush_search_metrics(
     }
 }
 
-/// Places every unplaced entity (ports first, then ops in index order,
-/// which is topological within each region) and routes everything.
-/// Returns the number of candidate placements evaluated.
-fn complete(
-    problem: &Problem<'_>,
-    sched: &mut Schedule,
-    cfg: &SchedulerConfig,
-    rng: &mut StdRng,
-) -> u64 {
-    let mut expansions = 0u64;
-    let unplaced: Vec<usize> = (0..problem.entities.len())
-        .filter(|i| sched.placement[*i].is_none())
-        .collect();
-    for v in unplaced {
-        expansions += place_best(problem, sched, v, cfg, rng);
-    }
-    route_missing(problem, sched, cfg);
-    expansions
-}
-
 /// "For each compatible PE (or memory): route this instruction's operands
 /// and dependences …; compute the objective …; commit to the PE which
 /// yields the highest objective."
@@ -767,35 +464,41 @@ fn place_best(
     expanded
 }
 
+/// Routes virtual edge `i` if both its endpoints are placed and it has no
+/// route yet.
+fn route_edge(problem: &Problem<'_>, sched: &mut Schedule, i: usize, cfg: &SchedulerConfig) {
+    let e = &problem.edges[i];
+    if sched.routes.contains_key(&i) {
+        return;
+    }
+    let (Some(src), Some(dst)) = (sched.placement[e.src], sched.placement[e.dst]) else {
+        return;
+    };
+    let values = sched.edge_values(problem);
+    let path = route(
+        problem.adg,
+        src,
+        dst,
+        |eid| {
+            values.get(&eid).map_or(0, |vals| {
+                // Re-using a link that already carries this very value
+                // is free (broadcast); other values congest.
+                vals.iter().filter(|v| **v != e.src).count() as u32
+            })
+        },
+        cfg.congestion,
+    );
+    if let Some(path) = path {
+        sched.routes.insert(i, path);
+    }
+}
+
 /// Routes every virtual edge incident to `v` whose other endpoint is
 /// placed.
 fn route_incident(problem: &Problem<'_>, sched: &mut Schedule, v: usize, cfg: &SchedulerConfig) {
     for (i, e) in problem.edges.iter().enumerate() {
-        if e.src != v && e.dst != v {
-            continue;
-        }
-        let (Some(src), Some(dst)) = (sched.placement[e.src], sched.placement[e.dst]) else {
-            continue;
-        };
-        if sched.routes.contains_key(&i) {
-            continue;
-        }
-        let values = sched.edge_values(problem);
-        let src_entity = e.src;
-        if let Some(path) = route(
-            problem.adg,
-            src,
-            dst,
-            |eid| {
-                values.get(&eid).map_or(0, |vals| {
-                    // Re-using a link that already carries this very value
-                    // is free (broadcast); other values congest.
-                    vals.iter().filter(|v| **v != src_entity).count() as u32
-                })
-            },
-            cfg.congestion,
-        ) {
-            sched.routes.insert(i, path);
+        if e.src == v || e.dst == v {
+            route_edge(problem, sched, i, cfg);
         }
     }
 }
@@ -808,9 +511,32 @@ fn drop_incident_routes(problem: &Problem<'_>, sched: &mut Schedule, v: usize) {
     }
 }
 
-/// Drops a random subset of the routes that cross links carrying more than
-/// one distinct value, so they can be re-routed around the congestion.
-fn ripup_congested(problem: &Problem<'_>, sched: &mut Schedule, rng: &mut StdRng) {
+/// Routes every allowed edge whose endpoints are placed but which has no
+/// route yet (virtual edges never cross regions, so `src` decides whether
+/// an edge is allowed).
+fn route_missing(
+    problem: &Problem<'_>,
+    sched: &mut Schedule,
+    cfg: &SchedulerConfig,
+    allowed: &[bool],
+) {
+    for (i, e) in problem.edges.iter().enumerate() {
+        if allowed[e.src] {
+            route_edge(problem, sched, i, cfg);
+        }
+    }
+}
+
+/// Drops a random subset of the allowed routes that cross links carrying
+/// more than one distinct value, so they can be re-routed around the
+/// congestion. Congestion caused by pinned traffic can only be negotiated
+/// by moving the allowed routes.
+fn ripup_congested(
+    problem: &Problem<'_>,
+    sched: &mut Schedule,
+    rng: &mut StdRng,
+    allowed: &[bool],
+) {
     let values = sched.edge_values(problem);
     let congested: std::collections::BTreeSet<_> = values
         .iter()
@@ -820,15 +546,17 @@ fn ripup_congested(problem: &Problem<'_>, sched: &mut Schedule, rng: &mut StdRng
     if congested.is_empty() {
         return;
     }
-    // Deterministic order: HashMap iteration order must not leak into the
-    // RNG-coupled selection.
-    let mut crossing: Vec<usize> = sched
+    // `routes` iterates in edge order, so the RNG-coupled selection below
+    // is reproducible.
+    let crossing: Vec<usize> = sched
         .routes
         .iter()
-        .filter(|(_, path)| path.iter().any(|eid| congested.contains(eid)))
+        .filter(|(i, path)| {
+            problem.edges.get(**i).is_some_and(|e| allowed[e.src])
+                && path.iter().any(|eid| congested.contains(eid))
+        })
         .map(|(i, _)| *i)
         .collect();
-    crossing.sort_unstable();
     for i in crossing {
         if rng.gen_bool(0.5) {
             sched.routes.remove(&i);
@@ -836,38 +564,18 @@ fn ripup_congested(problem: &Problem<'_>, sched: &mut Schedule, rng: &mut StdRng
     }
 }
 
-/// Routes every edge whose endpoints are placed but which has no route yet.
-fn route_missing(problem: &Problem<'_>, sched: &mut Schedule, cfg: &SchedulerConfig) {
-    for (i, e) in problem.edges.iter().enumerate() {
-        if sched.routes.contains_key(&i) {
-            continue;
-        }
-        let (Some(src), Some(dst)) = (sched.placement[e.src], sched.placement[e.dst]) else {
-            continue;
-        };
-        let values = sched.edge_values(problem);
-        let src_entity = e.src;
-        if let Some(path) = route(
-            problem.adg,
-            src,
-            dst,
-            |eid| {
-                values.get(&eid).map_or(0, |vals| {
-                    vals.iter().filter(|v| **v != src_entity).count() as u32
-                })
-            },
-            cfg.congestion,
-        ) {
-            sched.routes.insert(i, path);
-        }
-    }
-}
-
-/// Chooses 1–3 victims, preferring entities implicated in violations:
-/// unrouted edges, overused PEs, or unplaced neighbors.
-fn pick_victims(problem: &Problem<'_>, sched: &Schedule, rng: &mut StdRng) -> Vec<usize> {
-    let n = problem.entities.len();
-    if n == 0 {
+/// Chooses 1–3 victims among the allowed entities, preferring those
+/// implicated in violations: overused PEs, unrouted edges, congested
+/// routes, or no placement at all. Pinned co-tenants cannot move, so only
+/// allowed entities are ever candidates.
+fn pick_victims(
+    problem: &Problem<'_>,
+    sched: &Schedule,
+    rng: &mut StdRng,
+    allowed: &[bool],
+    allowed_idx: &[usize],
+) -> Vec<usize> {
+    if allowed_idx.is_empty() {
         return Vec::new();
     }
     let mut pool: Vec<usize> = Vec::new();
@@ -885,12 +593,13 @@ fn pick_victims(problem: &Problem<'_>, sched: &Schedule, rng: &mut StdRng) -> Ve
             _ => usize::MAX,
         };
         if ents.len() > slots {
-            pool.extend_from_slice(ents);
+            pool.extend(ents.iter().copied().filter(|i| allowed[*i]));
         }
     }
     // Entities with unrouted edges.
     for (i, e) in problem.edges.iter().enumerate() {
-        if !sched.routes.contains_key(&i)
+        if allowed[e.src]
+            && !sched.routes.contains_key(&i)
             && sched.placement[e.src].is_some()
             && sched.placement[e.dst].is_some()
         {
@@ -910,25 +619,27 @@ fn pick_victims(problem: &Problem<'_>, sched: &Schedule, rng: &mut StdRng) -> Ve
         for (i, path) in &sched.routes {
             if path.iter().any(|eid| congested.contains(eid)) {
                 if let Some(e) = problem.edges.get(*i) {
-                    pool.push(e.src);
-                    pool.push(e.dst);
+                    if allowed[e.src] {
+                        pool.push(e.src);
+                        pool.push(e.dst);
+                    }
                 }
             }
         }
     }
     // Unplaced entities always need attention.
-    pool.extend((0..n).filter(|i| sched.placement[*i].is_none()));
-    // HashMap-sourced segments above make pool order run-dependent; sort so
-    // the seeded RNG yields reproducible schedules.
+    pool.extend(allowed_idx.iter().copied().filter(|i| sched.placement[*i].is_none()));
+    // The segments above arrive in unrelated orders; sort so the seeded RNG
+    // yields reproducible schedules.
     pool.sort_unstable();
 
-    let count = rng.gen_range(1..=3usize.min(n));
+    let count = rng.gen_range(1..=3usize.min(allowed_idx.len()));
     let mut victims = Vec::with_capacity(count);
     for _ in 0..count {
         let v = if !pool.is_empty() && rng.gen_bool(0.8) {
             pool[rng.gen_range(0..pool.len())]
         } else {
-            rng.gen_range(0..n)
+            allowed_idx[rng.gen_range(0..allowed_idx.len())]
         };
         if !victims.contains(&v) {
             victims.push(v);
@@ -1035,7 +746,7 @@ mod tests {
             .expect("some op is placed");
         adg.remove_node(victim).unwrap();
 
-        let repaired = repair(&adg, &ck, first.schedule.clone(), &cfg);
+        let repaired = repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
         // Nothing is placed on the deleted node.
         assert!(repaired
@@ -1056,9 +767,30 @@ mod tests {
         .unwrap();
         let cfg = SchedulerConfig::default();
         let first = schedule(&adg, &ck, &cfg);
-        let repaired = repair(&adg, &ck, first.schedule.clone(), &cfg);
+        let repaired = repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
         assert!(repaired.is_legal());
         assert!(repaired.eval.objective <= first.eval.objective + 1e-9);
+    }
+
+    #[test]
+    fn empty_scope_returns_the_input_and_is_counted() {
+        let (adg, ck, first) = scheduled_softbrain();
+        let tel = Telemetry::disabled().with_metrics(dsagen_telemetry::MetricsRegistry::enabled());
+        let invocations = || {
+            tel.metrics()
+                .snapshot()
+                .counter("scheduler.path_search.invocations")
+                .unwrap_or(0)
+        };
+        let before = invocations();
+        let nothing = std::collections::BTreeSet::new();
+        let cfg = SchedulerConfig::default();
+        let result = repair_regions(&adg, &ck, &first.schedule, &nothing, false, &cfg, 1, &tel)
+            .expect("an unchanged fabric keeps every pin");
+        assert_eq!(result.schedule, first.schedule);
+        assert_eq!(result.iterations, 0);
+        assert_eq!(result.outcome, RepairOutcome::Clean);
+        assert_eq!(invocations(), before + 1, "spans and counters must agree");
     }
 
     /// Schedules the dot kernel on softbrain and returns everything needed
@@ -1111,7 +843,7 @@ mod tests {
             patience: 5,
             ..SchedulerConfig::default()
         };
-        let repaired = repair(&degraded, &ck, first.schedule.clone(), &cfg);
+        let repaired = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
         let RepairOutcome::Degraded { dropped, rerouted } = repaired.outcome else {
             panic!("severing a used link must degrade: {:?}", repaired.outcome);
@@ -1137,7 +869,7 @@ mod tests {
         );
         // Same fault seed → identical degraded hardware → identical
         // scheduler outcome (end-to-end determinism of the fault pipeline).
-        let again = repair(&degraded, &ck, first.schedule.clone(), &cfg);
+        let again = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
         assert_eq!(repaired.schedule.placement, again.schedule.placement);
         assert_eq!(repaired.eval.objective, again.eval.objective);
         assert_eq!(repaired.outcome, again.outcome);
@@ -1165,7 +897,7 @@ mod tests {
             patience: 5,
             ..SchedulerConfig::default()
         };
-        let repaired = repair(&degraded, &ck, first.schedule.clone(), &cfg);
+        let repaired = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
         assert!(repaired.outcome.is_degraded());
         assert!(repaired.schedule.placement.iter().all(|p| *p != Some(dead)));
@@ -1195,8 +927,8 @@ mod tests {
             if !report.any_applied() {
                 continue;
             }
-            let repaired =
-                repair(&degraded, &ck, first.schedule.clone(), &SchedulerConfig::default());
+            let cfg = SchedulerConfig::default();
+            let repaired = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
             // Whatever the outcome, every surviving route must be legal
             // under the stuck routing matrix.
             for (idx, path) in &repaired.schedule.routes {
@@ -1221,7 +953,7 @@ mod tests {
             patience: 1,
             ..SchedulerConfig::default()
         };
-        let result = repair_with_escalation(&degraded, &ck, &first.schedule, &tiny, 6);
+        let result = repair(&degraded, &ck, &first.schedule, &tiny, 6, &Telemetry::disabled());
         assert!(result.is_legal(), "eval: {:?}", result.eval);
     }
 
@@ -1245,7 +977,7 @@ mod tests {
             max_iters: 4,
             ..SchedulerConfig::default()
         };
-        let result = repair_with_escalation(&gutted, &ck, &first.schedule, &cfg, 3);
+        let result = repair(&gutted, &ck, &first.schedule, &cfg, 3, &Telemetry::disabled());
         if gutted.pes().count() == 0 {
             assert!(!result.is_legal());
             assert!(result.eval.unplaced > 0);

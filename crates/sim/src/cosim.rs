@@ -131,7 +131,7 @@ pub struct CoSimReport {
 /// `inputs` maps array names to initial contents; arrays the kernel
 /// declares but the map omits are zero-filled (matching
 /// [`dsagen_dfg::interp::execute`]).
-#[allow(clippy::too_many_arguments)] // mirrors `try_simulate` plus the kernel/inputs
+#[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the kernel/inputs
 pub fn simulate_functional(
     adg: &Adg,
     kernel: &Kernel,

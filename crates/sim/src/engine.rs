@@ -8,10 +8,10 @@
 //!
 //! The engine is a **stateful, cloneable machine** ([`EngineCore`]) driven
 //! one cycle at a time by [`EngineCore::tick`]. Every public entry point —
-//! [`simulate`], [`simulate_instrumented`], [`try_simulate`], and the
-//! runtime fault path in [`crate::runtime`] — drives the *same* core, so a
-//! checkpointed-and-resumed run is bit-identical to an uninterrupted one
-//! by construction: checkpointing is just cloning the core.
+//! [`simulate`], [`simulate_instrumented`], and the runtime fault path in
+//! [`crate::runtime`] — drives the *same* core, so a checkpointed-and-resumed
+//! run is bit-identical to an uninterrupted one by construction:
+//! checkpointing is just cloning the core.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -699,10 +699,11 @@ fn flush_engine_metrics(
 /// Simulates one kernel version end to end, after checking that the
 /// schedule only references hardware that still exists in `adg`.
 ///
-/// This is the fault-tolerant entry point: a schedule minted against a
-/// healthy graph and then run against a fault-degraded one (dead PE,
-/// severed link) fails with a typed [`SimError`](crate::SimError) instead
-/// of producing nonsense or panicking deep inside the engine.
+/// A schedule minted against a healthy graph and then run against a
+/// fault-degraded one (dead PE, severed link) fails with a typed
+/// [`SimError`](crate::SimError) instead of producing nonsense or
+/// panicking deep inside the engine, so a stale schedule is an ordinary
+/// recoverable condition for the caller.
 ///
 /// # Errors
 ///
@@ -712,7 +713,7 @@ fn flush_engine_metrics(
 ///   references a node absent from the ADG (for example a dead PE);
 /// * [`SimError::MissingEdge`](crate::SimError::MissingEdge) — a route
 ///   references an edge absent from the ADG (for example a severed link).
-pub fn try_simulate(
+pub fn simulate(
     adg: &Adg,
     kernel: &CompiledKernel,
     schedule: &Schedule,
@@ -725,60 +726,19 @@ pub fn try_simulate(
     Ok(run_to_completion(adg, kernel, schedule, eval, config_path_len, cfg, &tel).0)
 }
 
-/// [`try_simulate`] plus full hardware counters.
-///
-/// # Errors
-///
-/// Same contract as [`try_simulate`].
-pub fn try_simulate_collect(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    schedule: &Schedule,
-    eval: &Evaluation,
-    config_path_len: u32,
-    cfg: &SimConfig,
-) -> Result<(SimReport, SimTelemetry), crate::SimError> {
-    validate_schedule(adg, schedule)?;
-    let tel = dsagen_telemetry::Telemetry::disabled();
-    Ok(run_to_completion(adg, kernel, schedule, eval, config_path_len, cfg, &tel))
-}
-
-/// Simulates one kernel version end to end.
-///
-/// Alias for [`try_simulate`], kept as the stable entry point: it
-/// returns the same typed [`SimError`](crate::SimError) instead of
-/// panicking, so a stale schedule over a degraded ADG is an ordinary
-/// recoverable condition for the caller.
-///
-/// # Errors
-///
-/// If the schedule references hardware absent from `adg` (see
-/// [`try_simulate`] for the cases).
-pub fn simulate(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    schedule: &Schedule,
-    eval: &Evaluation,
-    config_path_len: u32,
-    cfg: &SimConfig,
-) -> Result<SimReport, crate::SimError> {
-    try_simulate(adg, kernel, schedule, eval, config_path_len, cfg)
-}
-
 /// [`simulate`] plus full hardware counters, with telemetry events for
 /// the run emitted into `tel` (a span covering the engine, per-PE /
 /// per-stream counter instants, and a summary). The returned
 /// [`SimReport`] is **bit-identical** to what [`simulate`] produces for
 /// the same inputs — instrumentation never perturbs the simulation.
 ///
-/// Thin wrapper over the same fallible core as [`try_simulate`]; a
-/// failed run ends the telemetry span with the error before returning
+/// A failed run ends the telemetry span with the error before returning
 /// it, so traces stay well-formed even on the error path.
 ///
 /// # Errors
 ///
 /// If the schedule references hardware absent from `adg` (see
-/// [`try_simulate`]).
+/// [`simulate`]).
 pub fn simulate_instrumented(
     adg: &Adg,
     kernel: &CompiledKernel,

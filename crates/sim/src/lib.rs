@@ -56,7 +56,7 @@ pub mod telemetry;
 
 pub use cosim::{simulate_functional, CoSimError, CoSimReport};
 pub use domains::RecoveryDomains;
-pub use engine::{simulate, simulate_instrumented, try_simulate, try_simulate_collect};
+pub use engine::{simulate, simulate_instrumented};
 pub use recovery::{
     run_with_degradation, run_with_recovery, RecoveryAction, RecoveryError, RecoveryEvent,
     RecoveryOutcome, RecoveryPolicy, RecoveryReport, RepairRung,
@@ -130,7 +130,7 @@ but simulating digest {got:#018x}"
 
 impl std::error::Error for SimError {}
 
-/// [`try_simulate`] gated on a verified configuration: refuses to run
+/// [`simulate`] gated on a verified configuration: refuses to run
 /// unless `config` (a capability token minted by
 /// [`dsagen_hwgen::verify_round_trip`]) was verified against exactly the
 /// schedule being simulated. This is the trust boundary of §VII — an
@@ -139,8 +139,8 @@ impl std::error::Error for SimError {}
 /// # Errors
 ///
 /// [`SimError::UnverifiedConfig`] if the token does not match `schedule`,
-/// otherwise whatever [`try_simulate`] reports.
-#[allow(clippy::too_many_arguments)] // mirrors `try_simulate` plus the token
+/// otherwise whatever [`simulate`] reports.
+#[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the token
 pub fn try_simulate_verified(
     adg: &dsagen_adg::Adg,
     version: &dsagen_dfg::CompiledKernel,
@@ -156,7 +156,7 @@ pub fn try_simulate_verified(
             got: dsagen_hwgen::schedule_digest(schedule),
         });
     }
-    try_simulate(adg, version, schedule, eval, config_path_len, cfg)
+    simulate(adg, version, schedule, eval, config_path_len, cfg)
 }
 
 /// Simulator limits and switches.
@@ -369,7 +369,7 @@ mod tests {
         let direct =
             simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
         let checked =
-            try_simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
+            simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
         assert_eq!(direct, checked);
     }
 
@@ -389,7 +389,7 @@ mod tests {
             .next()
             .expect("something is placed");
         adg.remove_node(victim).unwrap();
-        let err = try_simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default())
+        let err = simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default())
             .expect_err("stale schedule must be rejected");
         match err {
             SimError::MissingNode { node, .. } => assert_eq!(node, victim),
@@ -415,7 +415,7 @@ mod tests {
             .next()
             .expect("something is routed");
         adg.remove_edge(used_edge).unwrap();
-        let err = try_simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default())
+        let err = simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default())
             .expect_err("stale route must be rejected");
         assert!(
             matches!(err, SimError::MissingEdge { edge, .. } if edge == used_edge),

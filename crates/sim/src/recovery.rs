@@ -10,7 +10,7 @@
 //!    checkpoint for residue-detected faults.
 //! 2. **Repair** — for permanent/intermittent faults the victim is
 //!    decommissioned from the ADG and the schedule repaired around it
-//!    with [`repair_with_escalation`]; transient faults skip this step
+//!    with [`dsagen_scheduler::repair`]; transient faults skip this step
 //!    (the hardware is healthy again by resume).
 //! 3. **Verify** — the (repaired or original) configuration is proven by
 //!    [`verify_round_trip_timed`] before it is allowed near the fabric.
@@ -103,7 +103,7 @@ pub struct RecoveryPolicy {
     pub session: SessionConfig,
     /// Maximum recoveries before [`RecoveryError::BudgetExhausted`].
     pub max_recoveries: usize,
-    /// Escalation attempts handed to [`repair_with_escalation`].
+    /// Escalation attempts handed to [`dsagen_scheduler::repair`].
     pub repair_attempts: u32,
     /// Parallel configuration paths regenerated after a repair.
     pub config_paths: usize,
@@ -414,7 +414,7 @@ impl RecoveryReport {
 ///
 /// A typed [`RecoveryError`] for every terminal failure mode; see the
 /// module docs for the ladder. Never panics.
-#[allow(clippy::too_many_arguments)] // mirrors `try_simulate` plus the fault plane
+#[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the fault plane
 pub fn run_with_recovery(
     adg: &Adg,
     kernel: &CompiledKernel,
@@ -882,7 +882,7 @@ surviving fabric reschedules legally ({spent} iterations spent)"
     // baseline on the pristine inputs (computed only when needed).
     let throughput_ratio = if degraded {
         let baseline =
-            crate::try_simulate(adg, kernel, schedule, eval, config_path_len, cfg)?;
+            crate::simulate(adg, kernel, schedule, eval, config_path_len, cfg)?;
         let ratio = if total_cycles == 0 {
             1.0
         } else {
@@ -1163,7 +1163,7 @@ mod tests {
     use dsagen_scheduler::{schedule, Evaluation};
 
     use super::*;
-    use crate::try_simulate;
+    use crate::simulate;
 
     fn dot(n: u64) -> dsagen_dfg::Kernel {
         let mut k = KernelBuilder::new("dot");
@@ -1213,7 +1213,7 @@ mod tests {
     fn fault_free_run_has_no_events_and_no_overhead() {
         let fx = fixture(1024);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let rep = recover(
             &fx,
             &FaultSchedule::new(1),
@@ -1233,7 +1233,7 @@ mod tests {
     fn transient_blocking_fault_recovers_with_rollback_only() {
         let fx = fixture(4096);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         // Long enough to trip the 64-cycle watchdog; transient, so recovery
         // is rollback-only (no repair).
         let faults = FaultSchedule::new(7).with(
@@ -1264,7 +1264,7 @@ mod tests {
     fn permanent_fault_repairs_or_fails_typed() {
         let fx = fixture(4096);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(11).with(
             200,
             dsagen_faults::FaultLifetime::Permanent,
@@ -1308,7 +1308,7 @@ mod tests {
     fn poison_fault_rolls_back_to_a_clean_timeline() {
         let fx = fixture(4096);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(13).with(
             300,
             dsagen_faults::FaultLifetime::Transient { duration: 100 },
@@ -1329,7 +1329,7 @@ mod tests {
     fn permanent_link_fault_repairs_at_port_granularity() {
         let fx = fixture(4096);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(23).with(
             200,
             dsagen_faults::FaultLifetime::Permanent,
@@ -1367,7 +1367,7 @@ mod tests {
     fn dead_port_fault_masks_only_the_port() {
         let fx = fixture(4096);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(29).with(
             200,
             dsagen_faults::FaultLifetime::Permanent,
@@ -1409,7 +1409,7 @@ mod tests {
     fn exhausted_structural_rungs_degrade_instead_of_aborting() {
         let fx = saturated_fixture(1024);
         let plain =
-            try_simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         // Both PEs are busy, so whichever the permanent fault hits,
         // node decommission cannot produce a legal repair. Before the
         // ladder this returned RecoveryError::Unrecoverable; now the

@@ -290,11 +290,11 @@ impl RuntimeSim {
     ///
     /// # Errors
     ///
-    /// * Whatever [`crate::try_simulate`] would reject (missing nodes /
+    /// * Whatever [`crate::simulate`] would reject (missing nodes /
     ///   edges / control core);
     /// * [`SimError::UnsupportedRuntimeFault`] if the schedule contains a
     ///   config-plane fault kind, which cannot strike mid-execution.
-    #[allow(clippy::too_many_arguments)] // mirrors `try_simulate` plus the fault plane
+    #[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the fault plane
     pub fn new(
         adg: &Adg,
         kernel: &CompiledKernel,
@@ -575,7 +575,7 @@ impl RuntimeSim {
     ///
     /// # Errors
     ///
-    /// Whatever [`crate::try_simulate`] would reject for the new pair —
+    /// Whatever [`crate::simulate`] would reject for the new pair —
     /// the repaired schedule must be valid on the repaired ADG.
     pub fn reprogram(
         &mut self,
@@ -878,7 +878,7 @@ mod tests {
     use dsagen_scheduler::{schedule, SchedulerConfig};
 
     use super::*;
-    use crate::{try_simulate, SimConfig};
+    use crate::{simulate, SimConfig};
 
     fn dot(n: u64) -> dsagen_dfg::Kernel {
         let mut k = KernelBuilder::new("dot");
@@ -927,7 +927,7 @@ mod tests {
     #[test]
     fn empty_schedule_matches_plain_simulation_exactly() {
         let (adg, ck, sch, ev) = fixture(1024);
-        let plain = try_simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
         let mut sim = runtime(&adg, &ck, &sch, &ev, &FaultSchedule::new(1));
         assert_eq!(sim.run_until_event(), StepOutcome::Finished);
         assert_eq!(sim.report(), plain);
@@ -983,7 +983,7 @@ mod tests {
     #[test]
     fn checkpoint_resume_is_bit_identical_to_uninterrupted_run() {
         let (adg, ck, sch, ev) = fixture(4096);
-        let plain = try_simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
         let mut sim = runtime(&adg, &ck, &sch, &ev, &FaultSchedule::new(2));
         assert!(sim.run_for(500).is_none(), "run finished inside the pause budget");
         let ckpt = sim.checkpoint();
@@ -1028,7 +1028,7 @@ mod tests {
     #[test]
     fn short_transient_clears_below_watchdog_bound() {
         let (adg, ck, sch, ev) = fixture(2048);
-        let plain = try_simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
         // Eight blocked cycles — far below the 64-cycle watchdog bound —
         // must ride through undetected and still complete all work.
         let faults = FaultSchedule::new(5).with(
@@ -1090,7 +1090,7 @@ mod tests {
     #[test]
     fn mildly_degraded_link_slows_the_run_without_detection() {
         let (adg, ck, sch, ev) = fixture(2048);
-        let plain = try_simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
         // 60% capacity blocks runs of 40 consecutive cycles — below the
         // 64-cycle watchdog bound, so the run completes slower but clean.
         let faults = FaultSchedule::new(13).with(

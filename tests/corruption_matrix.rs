@@ -247,7 +247,7 @@ fn zero_retry_budget_fails_loud_not_wrong() -> TestResult {
 
 use dsagen::adg::Adg;
 use dsagen::faults::{FaultLifetime, FaultSchedule};
-use dsagen::sim::{try_simulate, RecoveryAction, RecoveryPolicy, SimConfig};
+use dsagen::sim::{simulate, RecoveryAction, RecoveryPolicy, SimConfig};
 use dsagen::{compile, recover, CompileOptions, Compiled};
 
 fn rt_presets() -> Vec<(&'static str, Adg)> {
@@ -285,7 +285,7 @@ fn transient_runtime_pe_fault_recovers_on_every_preset() -> TestResult {
             for (kname, kernel) in rt_workloads() {
                 let compiled = rt_compile(&adg, &kernel, seed)?;
                 let cfg = SimConfig::default();
-                let plain = try_simulate(
+                let plain = simulate(
                     &adg,
                     &compiled.version,
                     &compiled.schedule,
@@ -359,7 +359,7 @@ fn residue_eager_column_detects_silent_corruption_faster() -> TestResult {
             for (kname, kernel) in rt_workloads() {
                 let compiled = rt_compile(&adg, &kernel, seed)?;
                 let cfg = SimConfig::default();
-                let plain = try_simulate(
+                let plain = simulate(
                     &adg,
                     &compiled.version,
                     &compiled.schedule,
@@ -450,7 +450,7 @@ fn permanent_runtime_pe_fault_repairs_or_fails_typed() -> TestResult {
             for (kname, kernel) in rt_workloads() {
                 let compiled = rt_compile(&adg, &kernel, seed)?;
                 let cfg = SimConfig::default();
-                let plain = try_simulate(
+                let plain = simulate(
                     &adg,
                     &compiled.version,
                     &compiled.schedule,

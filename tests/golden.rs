@@ -175,6 +175,23 @@ fn removable_placed_pe(
         })
 }
 
+/// The columns every row of the schedule-digest table shares.
+fn digest_row(
+    adg: &dsagen::adg::Adg,
+    kernel: &str,
+    seed: u64,
+    what: &str,
+    result: &dsagen::scheduler::ScheduleResult,
+) -> String {
+    format!(
+        "{} {kernel} seed={seed} {what} digest={:016x} iterations={} feasible={}",
+        adg.name(),
+        dsagen::hwgen::schedule_digest(&result.schedule),
+        result.iterations,
+        result.is_legal(),
+    )
+}
+
 /// One line per scheduler run: every Table-I kernel's fallback version on
 /// three fabrics under two seeds from `schedule`, and for each legal one
 /// the `repair` of that schedule after one placed PE is removed. The
@@ -184,34 +201,21 @@ fn removable_placed_pe(
 fn schedule_digest_table() -> String {
     use dsagen::adg::presets;
     use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::hwgen::schedule_digest;
     use dsagen::scheduler::{repair, schedule, Problem};
+    use dsagen::telemetry::Telemetry;
 
     let mut out = String::new();
     for adg in [presets::softbrain(), presets::spu(), presets::dse_initial()] {
         for w in dsagen::workloads::all() {
-            let ck = match compile_kernel(&w.kernel, &TransformConfig::fallback(), &adg.features()) {
-                Ok(ck) => ck,
-                Err(e) => {
-                    let _ = writeln!(out, "{} {} does not compile: {e}", adg.name(), w.name);
-                    continue;
-                }
-            };
+            let ck = compile_kernel(&w.kernel, &TransformConfig::fallback(), &adg.features())
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, adg.name()));
             for seed in DIGEST_SEEDS {
                 let cfg = SchedulerConfig {
                     seed,
                     ..SchedulerConfig::default()
                 };
                 let first = schedule(&adg, &ck, &cfg);
-                let _ = writeln!(
-                    out,
-                    "{} {} seed={seed} schedule digest={:016x} iterations={} feasible={}",
-                    adg.name(),
-                    w.name,
-                    schedule_digest(&first.schedule),
-                    first.iterations,
-                    first.is_legal(),
-                );
+                let _ = writeln!(out, "{}", digest_row(&adg, w.name, seed, "schedule", &first));
                 if !first.is_legal() {
                     continue;
                 }
@@ -220,15 +224,13 @@ fn schedule_digest_table() -> String {
                 else {
                     continue;
                 };
-                let repaired = repair(&faulted, &ck, first.schedule.clone(), &cfg);
+                let repaired =
+                    repair(&faulted, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+                let what = format!("repair without {removed}");
                 let _ = writeln!(
                     out,
-                    "{} {} seed={seed} repair without {removed} digest={:016x} iterations={} feasible={} outcome={:?}",
-                    adg.name(),
-                    w.name,
-                    schedule_digest(&repaired.schedule),
-                    repaired.iterations,
-                    repaired.is_legal(),
+                    "{} outcome={:?}",
+                    digest_row(&adg, w.name, seed, &what, &repaired),
                     repaired.outcome,
                 );
             }

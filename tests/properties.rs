@@ -6,6 +6,7 @@
 use dsagen::adg::{presets, Adg, BitWidth, OpSet, Opcode};
 use dsagen::dfg::{AffineExpr, LoopVar, StreamPattern, TripCount};
 use dsagen::hwgen::{generate_config_paths, Bitstream, InstrConfig, NodeConfig, RouteConfig, SyncConfig};
+use dsagen::telemetry::Telemetry;
 use proptest::prelude::*;
 
 proptest! {
@@ -194,7 +195,7 @@ proptest! {
             .expect("compiles");
         let cfg = SchedulerConfig { max_iters: 60, seed, ..SchedulerConfig::default() };
         let first = schedule(&adg, &ck, &cfg);
-        let again = repair(&adg, &ck, first.schedule.clone(), &cfg);
+        let again = repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
         prop_assert!(again.eval.objective <= first.eval.objective + 1e-9);
         if first.is_legal() {
             prop_assert!(again.is_legal());
@@ -280,8 +281,8 @@ proptest! {
     fn codesign_pipeline_never_panics_under_faults(seed in any::<u64>(), count in 1usize..8) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::{inject, FaultPlan};
-        use dsagen::scheduler::{repair_with_escalation, schedule, SchedulerConfig};
-        use dsagen::sim::{try_simulate, SimConfig};
+        use dsagen::scheduler::{repair, schedule, SchedulerConfig};
+        use dsagen::sim::{simulate, SimConfig};
 
         let adg = presets::softbrain();
         let kernel = dsagen::workloads::polybench::mvt();
@@ -295,18 +296,47 @@ proptest! {
 
         // Repair on degraded hardware must terminate without panicking,
         // legal or not.
-        let repaired = repair_with_escalation(&faulty, &ck, &first.schedule, &cfg, 2);
+        let repaired = repair(&faulty, &ck, &first.schedule, &cfg, 2, &Telemetry::disabled());
         if repaired.is_legal() {
             // A legal repaired schedule simulates cleanly on the degraded
             // hardware.
-            let sim = try_simulate(
+            let sim = simulate(
                 &faulty, &ck, &repaired.schedule, &repaired.eval, 4, &SimConfig::default(),
             );
             prop_assert!(sim.is_ok(), "legal schedule rejected: {:?}", sim.err());
         }
         // The *stale* pre-fault schedule must produce a typed result on the
         // degraded hardware — an error is fine, an index panic is not.
-        let _ = try_simulate(&faulty, &ck, &first.schedule, &first.eval, 4, &SimConfig::default());
+        let _ = simulate(&faulty, &ck, &first.schedule, &first.eval, 4, &SimConfig::default());
+    }
+
+    /// Whole-kernel repair is scoped repair whose scope is every region:
+    /// one search loop, one incumbent rule, so on the same faulted fabric
+    /// and seed the two entry points return the same mapping.
+    #[test]
+    fn repair_over_every_region_is_whole_kernel_repair(seed in any::<u64>(), count in 1usize..4) {
+        use dsagen::dfg::{compile_kernel, TransformConfig};
+        use dsagen::faults::{inject, FaultPlan};
+        use dsagen::hwgen::schedule_digest;
+        use dsagen::scheduler::{repair, repair_regions, schedule, SchedulerConfig};
+
+        let adg = presets::softbrain();
+        let kernel = dsagen::workloads::polybench::mvt();
+        let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
+            .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
+        let cfg = SchedulerConfig { max_iters: 40, seed, ..SchedulerConfig::default() };
+        let first = schedule(&adg, &ck, &cfg);
+        let (faulty, _report) = inject(&adg, &FaultPlan::random(seed, count));
+
+        let tel = Telemetry::disabled();
+        let whole = repair(&faulty, &ck, &first.schedule, &cfg, 2, &tel);
+        let every_region = (0..ck.regions.len()).collect();
+        let scoped =
+            repair_regions(&faulty, &ck, &first.schedule, &every_region, false, &cfg, 2, &tel)
+                .expect("with every region in scope nothing is pinned");
+        prop_assert_eq!(schedule_digest(&whole.schedule), schedule_digest(&scoped.schedule));
+        prop_assert_eq!(whole.iterations, scoped.iterations);
+        prop_assert_eq!(whole.outcome, scoped.outcome);
     }
 }
 
@@ -516,7 +546,7 @@ proptest! {
     /// pausing a run at an arbitrary wall cycle, snapshotting it with
     /// `checkpoint()`, and resuming the *snapshot* produces a final
     /// report bit-identical to (a) the paused original run continuing
-    /// and (b) a plain uninterrupted `try_simulate` of the same
+    /// and (b) a plain uninterrupted `simulate` of the same
     /// configuration — for random scheduling seeds across three presets.
     #[test]
     fn checkpoint_resume_is_identity_without_faults(
@@ -527,7 +557,7 @@ proptest! {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::FaultSchedule;
         use dsagen::scheduler::{schedule, SchedulerConfig};
-        use dsagen::sim::{try_simulate, RuntimeConfig, RuntimeSim, SimConfig, StepOutcome};
+        use dsagen::sim::{simulate, RuntimeConfig, RuntimeSim, SimConfig, StepOutcome};
 
         let all = [presets::softbrain(), presets::spu(), presets::revel()];
         let adg = &all[which];
@@ -543,7 +573,7 @@ proptest! {
         }
 
         let sim_cfg = SimConfig::default();
-        let plain = try_simulate(adg, &ck, &s.schedule, &s.eval, 4, &sim_cfg)
+        let plain = simulate(adg, &ck, &s.schedule, &s.eval, 4, &sim_cfg)
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
 
         let fresh = || {
@@ -770,7 +800,7 @@ proptest! {
         use dsagen::faults::{FaultKind, FaultLifetime, FaultSchedule};
         use dsagen::scheduler::{schedule, SchedulerConfig};
         use dsagen::sim::{
-            run_with_recovery, try_simulate, RecoveryDomains, RecoveryPolicy, RuntimeConfig,
+            run_with_recovery, simulate, RecoveryDomains, RecoveryPolicy, RuntimeConfig,
             RuntimeSim, SimConfig, StepOutcome,
         };
 
@@ -794,7 +824,7 @@ proptest! {
 
         let rt = RuntimeConfig { record_traces: true, ..RuntimeConfig::default() };
         let sim_cfg = SimConfig::default();
-        let plain = try_simulate(adg, &ck, &s.schedule, &s.eval, 4, &sim_cfg)
+        let plain = simulate(adg, &ck, &s.schedule, &s.eval, 4, &sim_cfg)
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
 
         // Fault-free baseline traces.
@@ -870,7 +900,7 @@ proptest! {
         use dsagen::adg::{PeSpec, Scheduling, Sharing};
         use dsagen::faults::{FaultKind, FaultLifetime, FaultSchedule};
         use dsagen::sim::{
-            run_with_degradation, try_simulate, RecoveryAction, RecoveryPolicy, SimConfig,
+            run_with_degradation, simulate, RecoveryAction, RecoveryPolicy, SimConfig,
         };
         use dsagen::dfg::{
             compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
@@ -904,7 +934,7 @@ proptest! {
         }
 
         let sim_cfg = SimConfig::default();
-        let plain = try_simulate(&adg, &ck, &s.schedule, &s.eval, 0, &sim_cfg)
+        let plain = simulate(&adg, &ck, &s.schedule, &s.eval, 0, &sim_cfg)
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         // Strike strictly inside the run so the checkpoint ring has
         // state to resume from.

@@ -69,7 +69,7 @@ fn build(adg: &Adg, kernel: &Kernel) -> Option<(Compiled, u64)> {
         ..CompileOptions::default()
     };
     let compiled = dsagen::compile(adg, kernel, &opts).ok()?;
-    let plain = dsagen::sim::try_simulate(
+    let plain = dsagen::sim::simulate(
         adg,
         &compiled.version,
         &compiled.schedule,
