@@ -194,14 +194,16 @@ fn digest_row(
 
 /// One line per scheduler run: every Table-I kernel's fallback version on
 /// three fabrics under two seeds from `schedule`, and for each legal one
-/// the `repair` of that schedule after one placed PE is removed. The
+/// the `repair` of that schedule after one placed PE is removed — plus, on
+/// multi-region kernels, `repair_regions` over region 0 alone on that same
+/// fabric, incrementally and from scratch (the recovery ladder's rungs). The
 /// bitstream snapshots above pin two mappings; this pins the search itself,
 /// so a change to the scheduler's loop, RNG draw order or incumbent rule
 /// shows as the first (fabric, kernel, seed) it moves.
 fn schedule_digest_table() -> String {
     use dsagen::adg::presets;
     use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::scheduler::{repair, schedule, Problem};
+    use dsagen::scheduler::{repair, repair_regions, schedule, Problem};
     use dsagen::telemetry::Telemetry;
 
     let mut out = String::new();
@@ -233,6 +235,33 @@ fn schedule_digest_table() -> String {
                     digest_row(&adg, w.name, seed, &what, &repaired),
                     repaired.outcome,
                 );
+                // The recovery ladder's entry point: the same faulted
+                // fabric, but only region 0 may move.
+                if ck.regions.len() < 2 {
+                    continue;
+                }
+                let scope = std::collections::BTreeSet::from([0]);
+                for (from_scratch, mode) in [(false, "incremental"), (true, "from-scratch")] {
+                    let what = format!("repair_regions {{0}} {mode} without {removed}");
+                    let row = match repair_regions(
+                        &faulted,
+                        &ck,
+                        &first.schedule,
+                        &scope,
+                        from_scratch,
+                        &cfg,
+                        2,
+                        &Telemetry::disabled(),
+                    ) {
+                        Some(scoped) => format!(
+                            "{} outcome={:?}",
+                            digest_row(&adg, w.name, seed, &what, &scoped),
+                            scoped.outcome,
+                        ),
+                        None => format!("{} {} seed={seed} {what} pinned-invalid", adg.name(), w.name),
+                    };
+                    let _ = writeln!(out, "{row}");
+                }
             }
         }
     }
