@@ -309,6 +309,14 @@ impl Adg {
         self.edges.iter().flatten().count()
     }
 
+    /// Upper bound on edge indices (length of the slot vector, tombstones
+    /// included); the twin of [`Adg::node_slots`] for dense side tables keyed
+    /// by [`EdgeId::index`].
+    #[must_use]
+    pub fn edge_slots(&self) -> usize {
+        self.edges.len()
+    }
+
     /// Outgoing edges of a node (empty for unknown nodes).
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> + '_ {
         self.out_adj
@@ -670,6 +678,14 @@ mod tests {
             OpSet::integer_alu(),
         ));
         assert_ne!(new, sy, "fresh ids are never recycled");
+    }
+
+    #[test]
+    fn slots_bound_indices_after_removal() {
+        let (mut adg, _, _, sy, _) = small();
+        adg.remove_node(sy).unwrap();
+        assert_eq!((adg.node_slots(), adg.edge_slots()), (4, 3));
+        assert_eq!((adg.node_count(), adg.edge_count()), (3, 1));
     }
 
     #[test]

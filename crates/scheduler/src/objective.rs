@@ -4,12 +4,11 @@
 //! minimizing: 1. overutilization of PEs and network, 2. maximum initiation
 //! interval of dedicated PEs, 3. latency of any recurrence paths."
 
-use std::collections::BTreeMap;
-
-use dsagen_adg::{NodeId, NodeKind, Opcode, Scheduling};
+use dsagen_adg::{EdgeId, NodeId, NodeKind, Opcode, Scheduling};
 use dsagen_dfg::DfgOp;
 
 use crate::route::delay_capacity;
+use crate::schedule::LinkTable;
 use crate::{EntityKind, Problem, Schedule};
 
 /// Extra cycles modeling a memory round trip, used for recurrences that
@@ -102,13 +101,32 @@ pub struct Evaluation {
 /// Evaluates `schedule` against `problem`.
 #[must_use]
 pub fn evaluate(problem: &Problem<'_>, schedule: &Schedule, weights: &Weights) -> Evaluation {
+    evaluate_with(problem, schedule, &LinkTable::of(problem, schedule), weights)
+}
+
+/// [`evaluate`] given `schedule`'s link table, which the search loop keeps
+/// in step with its edits instead of rebuilding it per evaluation.
+pub(crate) fn evaluate_with(
+    problem: &Problem<'_>,
+    schedule: &Schedule,
+    links: &LinkTable,
+    weights: &Weights,
+) -> Evaluation {
     let adg = problem.adg;
     let unplaced = schedule.placement.iter().filter(|p| p.is_none()).count();
 
     // ------------------------------------------------ resource accounting
-    let mut pe_count: BTreeMap<NodeId, u32> = BTreeMap::new();
-    let mut pe_rate: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut sync_groups: BTreeMap<NodeId, u32> = BTreeMap::new();
+    // Dense tables over node slots (a schedule may name nodes the fabric no
+    // longer has; they still count where the kind is not consulted).
+    let node_slots = schedule
+        .placement
+        .iter()
+        .flatten()
+        .fold(adg.node_slots(), |slots, node| slots.max(node.index() + 1));
+    let mut ops_on = vec![0u32; node_slots];
+    let mut rate_on = vec![0.0f64; node_slots];
+    let mut ports_on = vec![0u32; node_slots];
+    let mut streams_on = vec![0u32; node_slots];
     let mut lane_deficit = 0.0f64;
     let mut mem_missing = 0usize;
 
@@ -118,11 +136,11 @@ pub fn evaluate(problem: &Problem<'_>, schedule: &Schedule, weights: &Weights) -
         };
         match entity.kind {
             EntityKind::Op { .. } => {
-                *pe_count.entry(node).or_insert(0) += 1;
-                *pe_rate.entry(node).or_insert(0.0) += entity.rate;
+                ops_on[node.index()] += 1;
+                rate_on[node.index()] += entity.rate;
             }
             EntityKind::InPort { .. } | EntityKind::OutPort { .. } => {
-                *sync_groups.entry(node).or_insert(0) += 1;
+                ports_on[node.index()] += 1;
                 if let Ok(NodeKind::Sync(sy)) = adg.kind(node) {
                     lane_deficit += f64::from(entity.lanes.saturating_sub(u16::from(sy.lanes)));
                 }
@@ -143,43 +161,46 @@ pub fn evaluate(problem: &Problem<'_>, schedule: &Schedule, weights: &Weights) -
             }
         }
     }
-
-    let mut overuse = 0.0f64;
-    let mut max_ii = 1.0f64;
-    for (node, count) in &pe_count {
-        if let Ok(NodeKind::Pe(pe)) = adg.kind(*node) {
-            let slots = pe.sharing.instruction_slots();
-            overuse += f64::from(count.saturating_sub(slots));
-            let load = pe_rate.get(node).copied().unwrap_or(0.0);
-            // Dedicated PEs serialize everything mapped to them; shared PEs
-            // multiplex up to their slot count at rate cost.
-            max_ii = max_ii.max(load);
-        }
-    }
-    for count in sync_groups.values() {
-        overuse += f64::from(count.saturating_sub(1));
-    }
-    overuse += lane_deficit;
-
     // Memory stream-slot pressure.
-    let stream_mems = schedule.stream_memories(problem);
-    let mut mem_streams: BTreeMap<NodeId, u32> = BTreeMap::new();
-    for mem in stream_mems.values() {
-        *mem_streams.entry(*mem).or_insert(0) += 1;
-    }
-    for (mem, count) in &mem_streams {
-        if let Ok(NodeKind::Memory(spec)) = adg.kind(*mem) {
-            overuse += f64::from(count.saturating_sub(u32::from(spec.num_streams)));
+    schedule.each_stream_memory(problem, |_, memory| streams_on[memory.index()] += 1);
+
+    // Every addend of `overuse` is an integer-valued `f64`, so the sum is
+    // exact whatever order the resources are counted in.
+    let mut overuse = lane_deficit;
+    let mut max_ii = 1.0f64;
+    for idx in 0..node_slots {
+        overuse += f64::from(ports_on[idx].saturating_sub(1));
+        if ops_on[idx] == 0 && streams_on[idx] == 0 {
+            continue;
+        }
+        match adg.kind(NodeId::from_index(idx)) {
+            Ok(NodeKind::Pe(pe)) if ops_on[idx] > 0 => {
+                let slots = pe.sharing.instruction_slots();
+                overuse += f64::from(ops_on[idx].saturating_sub(slots));
+                // Dedicated PEs serialize everything mapped to them; shared
+                // PEs multiplex up to their slot count at rate cost.
+                max_ii = max_ii.max(rate_on[idx]);
+            }
+            Ok(NodeKind::Memory(spec)) => {
+                overuse += f64::from(streams_on[idx].saturating_sub(u32::from(spec.num_streams)));
+            }
+            _ => {}
         }
     }
 
     // ------------------------------------------------------------- routes
+    // `routed[i]` is virtual edge `i`'s path: one walk of the route map
+    // instead of a lookup per edge here and another in the timing pass.
+    let mut routed: Vec<Option<&[EdgeId]>> = vec![None; problem.edges.len()];
+    for (i, path) in schedule.routes.range(..routed.len()) {
+        routed[*i] = Some(path);
+    }
     let mut unrouted = 0usize;
     let mut hops = 0usize;
-    for (i, vedge) in problem.edges.iter().enumerate() {
+    for (vedge, path) in problem.edges.iter().zip(&routed) {
         let placed = schedule.placement[vedge.src].is_some()
             && schedule.placement[vedge.dst].is_some();
-        match schedule.routes.get(&i) {
+        match path {
             Some(path) => hops += path.len(),
             None if placed => unrouted += 1,
             None => {}
@@ -187,38 +208,42 @@ pub fn evaluate(problem: &Problem<'_>, schedule: &Schedule, weights: &Weights) -
     }
     // Network overutilization counts distinct *values* per link: fan-out of
     // one value over one physical link is a broadcast, not contention.
-    for (_, values) in schedule.edge_values(problem) {
-        overuse += (values.len().saturating_sub(1)) as f64;
-    }
+    overuse += links.overuse() as f64;
 
     // ------------------------------------------------------------- timing
-    let (arrivals, mismatch_by_entity, spread_by_entity) = compute_timing(problem, schedule);
+    let (arrivals, mismatch_by_entity, spread_by_entity) =
+        compute_timing(problem, schedule, &routed);
     let mismatch: f64 = mismatch_by_entity.iter().sum();
 
     // ------------------------------------------------------- region facts
-    let mut regions = Vec::with_capacity(problem.kernel.regions.len());
-    for (ri, region) in problem.kernel.regions.iter().enumerate() {
-        let mut region_ii = 1.0f64;
-        let mut region_mismatch = 0.0f64;
-        let mut crit = 0.0f64;
-        for (i, entity) in problem.entities.iter().enumerate() {
-            let in_region = match entity.kind {
-                EntityKind::Op { region, .. }
-                | EntityKind::InPort { region, .. }
-                | EntityKind::OutPort { region, .. } => region == ri,
-            };
-            if !in_region {
-                continue;
+    // One pass over the entities; each region still sees its own entities
+    // in index order, so its sums accumulate as they always have.
+    let mut regions: Vec<RegionEval> = problem
+        .kernel
+        .regions
+        .iter()
+        .map(|_| RegionEval {
+            max_ii: 1.0,
+            mismatch_excess: 0.0,
+            crit_path: 0.0,
+            recurrence_latencies: Vec::new(),
+        })
+        .collect();
+    for (i, entity) in problem.entities.iter().enumerate() {
+        let Some(facts) = regions.get_mut(entity.region()) else {
+            continue;
+        };
+        if let EntityKind::Op { .. } = entity.kind {
+            if let Some(node) = schedule.placement[i] {
+                facts.max_ii = facts.max_ii.max(rate_on[node.index()]);
             }
-            if let EntityKind::Op { .. } = entity.kind {
-                if let Some(node) = schedule.placement[i] {
-                    region_ii = region_ii.max(pe_rate.get(&node).copied().unwrap_or(0.0));
-                }
-                region_mismatch += mismatch_by_entity[i];
-            }
-            crit = crit.max(arrivals[i]);
+            facts.mismatch_excess += mismatch_by_entity[i];
         }
-        let recurrence_latencies = region
+        facts.crit_path = facts.crit_path.max(arrivals[i]);
+    }
+    for (facts, region) in regions.iter_mut().zip(&problem.kernel.regions) {
+        let crit = facts.crit_path;
+        facts.recurrence_latencies = region
             .dfg
             .recurrences()
             .iter()
@@ -229,12 +254,6 @@ pub fn evaluate(problem: &Problem<'_>, schedule: &Schedule, weights: &Weights) -
                 _ => crit + MEM_ROUNDTRIP,
             })
             .collect();
-        regions.push(RegionEval {
-            max_ii: region_ii,
-            mismatch_excess: region_mismatch,
-            crit_path: crit,
-            recurrence_latencies,
-        });
     }
 
     let total_rec: f64 = regions
@@ -294,37 +313,32 @@ fn memory_ok(adg: &dsagen_adg::Adg, node: NodeId, entity: &crate::Entity) -> boo
 fn compute_timing(
     problem: &Problem<'_>,
     schedule: &Schedule,
+    routed: &[Option<&[EdgeId]>],
 ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    /// What has arrived at an entity so far.
+    #[derive(Clone, Copy)]
+    struct Incoming {
+        operands: u32,
+        latest: f64,
+        earliest: f64,
+        /// The largest delay capacity among the operands' routes.
+        capacity: f64,
+    }
     let n = problem.entities.len();
     let mut arrival = vec![0.0f64; n];
     let mut mismatch = vec![0.0f64; n];
     let mut spreads = vec![0.0f64; n];
+    let nothing = Incoming { operands: 0, latest: 0.0, earliest: f64::INFINITY, capacity: 0.0 };
+    let mut incoming = vec![nothing; n];
 
-    // Kahn topological order over virtual edges.
-    let mut indeg = vec![0usize; n];
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, e) in problem.edges.iter().enumerate() {
-        indeg[e.dst] += 1;
-        succ[e.src].push(i);
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|i| indeg[*i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    // Incoming arrival times per entity: (time, delay capacity).
-    let mut incoming: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n];
-
-    while let Some(v) = queue.pop() {
-        order.push(v);
+    for &v in problem.timing_order() {
         // Node processing: compute departure.
         let entity = &problem.entities[v];
-        let (start, spread) = if incoming[v].is_empty() {
+        let arrived = incoming[v];
+        let (start, spread) = if arrived.operands == 0 {
             (0.0, 0.0)
         } else {
-            let max_t = incoming[v].iter().map(|(t, _)| *t).fold(0.0, f64::max);
-            let min_t = incoming[v]
-                .iter()
-                .map(|(t, _)| *t)
-                .fold(f64::INFINITY, f64::min);
-            (max_t, max_t - min_t)
+            (arrived.latest, arrived.latest - arrived.earliest)
         };
         arrival[v] = start;
         spreads[v] = spread;
@@ -333,12 +347,8 @@ fn compute_timing(
         if let EntityKind::Op { .. } = entity.kind {
             if let Some(node) = schedule.placement[v] {
                 if let Ok(NodeKind::Pe(pe)) = problem.adg.kind(node) {
-                    if pe.scheduling == Scheduling::Static && incoming[v].len() >= 2 {
-                        let capacity = incoming[v]
-                            .iter()
-                            .map(|(_, c)| *c)
-                            .fold(0.0, f64::max);
-                        mismatch[v] = (spread - capacity).max(0.0);
+                    if pe.scheduling == Scheduling::Static && arrived.operands >= 2 {
+                        mismatch[v] = (spread - arrived.capacity).max(0.0);
                     }
                 }
             }
@@ -346,20 +356,23 @@ fn compute_timing(
         let latency = entity.opcode.map_or(1.0, |oc: Opcode| f64::from(oc.latency()));
         let departure = start + latency;
 
-        for &ei in &succ[v] {
+        for &ei in problem.incident(v) {
             let e = &problem.edges[ei];
-            let (route_len, cap) = match schedule.routes.get(&ei) {
+            if e.src != v {
+                continue;
+            }
+            let (route_len, cap) = match routed[ei] {
                 Some(path) => (
                     path.len() as f64,
                     f64::from(delay_capacity(problem.adg, path)),
                 ),
                 None => (4.0, 0.0), // unrouted estimate
             };
-            incoming[e.dst].push((departure + route_len, cap));
-            indeg[e.dst] -= 1;
-            if indeg[e.dst] == 0 {
-                queue.push(e.dst);
-            }
+            let at = &mut incoming[e.dst];
+            at.operands += 1;
+            at.latest = at.latest.max(departure + route_len);
+            at.earliest = at.earliest.min(departure + route_len);
+            at.capacity = at.capacity.max(cap);
         }
     }
     (arrival, mismatch, spreads)

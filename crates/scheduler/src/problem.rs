@@ -96,6 +96,12 @@ pub struct Problem<'a> {
     /// For every (region, dfg op) → entity index (ops and ports; consts map
     /// to `usize::MAX`).
     pub op_entity: Vec<Vec<usize>>,
+    /// Entity `v`'s incident virtual edges are
+    /// `incident_edges[incident_start[v]..incident_start[v + 1]]`.
+    incident_start: Vec<usize>,
+    incident_edges: Vec<usize>,
+    /// See [`Problem::timing_order`].
+    timing_order: Vec<usize>,
 }
 
 impl<'a> Problem<'a> {
@@ -220,13 +226,61 @@ impl<'a> Problem<'a> {
         // spatial network and add no virtual edges here.
         let _ = (&in_port_entity, &out_port_entity);
 
-        Problem {
+        let (incident_start, incident_edges) = incidence(entities.len(), &edges);
+        let mut problem = Problem {
             adg,
             kernel,
             entities,
             edges,
             op_entity,
+            incident_start,
+            incident_edges,
+            timing_order: Vec::new(),
+        };
+        problem.timing_order = problem.kahn_order();
+        problem
+    }
+
+    /// Indices into `edges` of the virtual edges that start or end at entity
+    /// `v`, ascending, a self-edge listed once — the order a scan of `edges`
+    /// would visit them in, which the scheduler's routing order (and so its
+    /// schedules) depends on.
+    #[must_use]
+    pub fn incident(&self, v: usize) -> &[usize] {
+        &self.incident_edges[self.incident_start[v]..self.incident_start[v + 1]]
+    }
+
+    /// The entities in a topological order of the virtual edges — producers
+    /// before consumers — for the objective's arrival-time pass. It depends
+    /// on `edges` alone, so it is found once here rather than per
+    /// evaluation. Entities on a dependence cycle are left out.
+    #[must_use]
+    pub fn timing_order(&self) -> &[usize] {
+        &self.timing_order
+    }
+
+    /// Kahn's algorithm with a stack as the ready list.
+    fn kahn_order(&self) -> Vec<usize> {
+        let n = self.entities.len();
+        let mut indeg = vec![0usize; n];
+        for e in &self.edges {
+            indeg[e.dst] += 1;
         }
+        let mut ready: Vec<usize> = (0..n).filter(|i| indeg[*i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(v) = ready.pop() {
+            order.push(v);
+            for &i in self.incident(v) {
+                let e = &self.edges[i];
+                if e.src == v {
+                    indeg[e.dst] -= 1;
+                    if indeg[e.dst] == 0 {
+                        ready.push(e.dst);
+                    }
+                }
+            }
+        }
+        order
     }
 
     /// ADG nodes compatible with entity `e` (hard constraints only: node
@@ -279,6 +333,28 @@ impl<'a> Problem<'a> {
                 .collect(),
         }
     }
+}
+
+/// Per-entity incidence lists over `edges` in compressed-row form (see
+/// [`Problem::incident`]): a counting sort, so each list ascends.
+fn incidence(entities: usize, edges: &[VirtEdge]) -> (Vec<usize>, Vec<usize>) {
+    let ends = |e: &VirtEdge| [Some(e.src), (e.dst != e.src).then_some(e.dst)];
+    let mut start = vec![0usize; entities + 1];
+    for v in edges.iter().flat_map(ends).flatten() {
+        start[v + 1] += 1;
+    }
+    for v in 0..entities {
+        start[v + 1] += start[v];
+    }
+    let mut next = start.clone();
+    let mut list = vec![0usize; start[entities]];
+    for (i, e) in edges.iter().enumerate() {
+        for v in ends(e).into_iter().flatten() {
+            list[next[v]] = i;
+            next[v] += 1;
+        }
+    }
+    (start, list)
 }
 
 fn mem_matches(m: &dsagen_adg::MemSpec, e: &Entity) -> bool {
@@ -379,6 +455,23 @@ mod tests {
         assert_eq!(p.entities.len(), 5);
         // a→mul, b→mul, mul→accum, accum→out
         assert_eq!(p.edges.len(), 4);
+    }
+
+    #[test]
+    fn incidence_lists_match_a_scan_of_the_edges() {
+        let adg = presets::softbrain();
+        let ck = dot_compiled(4);
+        let mut p = Problem::new(&adg, &ck);
+        // No kernel today produces a self-edge; make one so "listed once"
+        // is exercised.
+        p.edges.push(VirtEdge { src: 0, dst: 0, operand: 0 });
+        (p.incident_start, p.incident_edges) = incidence(p.entities.len(), &p.edges);
+        for v in 0..p.entities.len() {
+            let scanned: Vec<usize> = (0..p.edges.len())
+                .filter(|i| p.edges[*i].src == v || p.edges[*i].dst == v)
+                .collect();
+            assert_eq!(p.incident(v), scanned, "entity {v}");
+        }
     }
 
     #[test]

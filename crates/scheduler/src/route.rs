@@ -9,17 +9,27 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dsagen_adg::{Adg, EdgeId, NodeId, NodeKind, Scheduling};
+use dsagen_adg::{Adg, EdgeId, NodeId, NodeKind, Routing, Scheduling};
 
 /// Maximum hops a single route may take (guards against degenerate paths).
 const MAX_HOPS: usize = 64;
 
-/// A candidate in the Dijkstra frontier: the last edge taken.
-#[derive(Debug, PartialEq)]
+/// A candidate in the Dijkstra frontier: the last edge taken, and the node
+/// it arrives at.
+#[derive(Debug)]
 struct Frontier {
     cost: f64,
     edge: EdgeId,
     hops: usize,
+    at: NodeId,
+}
+
+// Equality is the order's: a `BinaryHeap` assumes `a == b` exactly when
+// `a.cmp(&b)` is `Equal`, and the order ignores `hops` and `at`.
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
 impl Eq for Frontier {}
@@ -131,6 +141,9 @@ pub fn path_legal(adg: &Adg, src: NodeId, path: &[EdgeId]) -> bool {
 ///
 /// Returns the route as a sequence of ADG edge ids, or `None` when no legal
 /// path exists. A route between co-located entities is the empty sequence.
+///
+/// This is [`Router::route`] on a fresh router; the scheduler's search keeps
+/// one router for all its calls.
 #[must_use]
 pub fn route(
     adg: &Adg,
@@ -139,91 +152,184 @@ pub fn route(
     usage: impl Fn(EdgeId) -> u32,
     congestion_weight: f64,
 ) -> Option<Vec<EdgeId>> {
-    if from == to {
-        return Some(Vec::new());
+    Router::new(adg).route(from, to, usage, congestion_weight)
+}
+
+/// One out-hop of a node, flattened from the ADG so the router's inner loop
+/// reads a slice instead of asking the graph for node kinds per hop.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    edge: EdgeId,
+    dst: NodeId,
+    /// `dst` may appear in the interior of a route.
+    passable: bool,
+    /// The hop obeys the §III-B timing rules.
+    legal: bool,
+}
+
+/// A node's out-hops as a span of `Router::hops`, in `Adg::out_edges` order —
+/// so a hop's position in the span is its output-port index.
+#[derive(Debug, Clone, Copy)]
+struct NodeHops<'a> {
+    start: u32,
+    len: u32,
+    /// The routing matrix turns through this node must obey (switches that
+    /// are not full crossbars; everything else routes freely).
+    matrix: Option<&'a Routing>,
+}
+
+/// What the search knows about reaching an edge; meaningful only while
+/// `stamp` equals the router's current generation.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    stamp: u32,
+    dist: f64,
+    pred: Option<EdgeId>,
+}
+
+/// Congestion-aware Dijkstra over one ADG, with everything that can outlive
+/// a single query kept: the flattened graph (each node flattened the first
+/// time a query expands it), generation-stamped per-edge labels sized once
+/// from [`Adg::edge_slots`], and the frontier heap.
+#[derive(Debug)]
+pub(crate) struct Router<'a> {
+    adg: &'a Adg,
+    /// Per node slot; `None` until a query first expands the node.
+    nodes: Vec<Option<NodeHops<'a>>>,
+    hops: Vec<Hop>,
+    labels: Vec<Label>,
+    generation: u32,
+    heap: BinaryHeap<Frontier>,
+}
+
+impl<'a> Router<'a> {
+    pub(crate) fn new(adg: &'a Adg) -> Self {
+        let unreached = Label { stamp: 0, dist: f64::INFINITY, pred: None };
+        Router {
+            adg,
+            nodes: vec![None; adg.node_slots()],
+            hops: Vec::new(),
+            labels: vec![unreached; adg.edge_slots()],
+            generation: 0,
+            heap: BinaryHeap::new(),
+        }
     }
-    // Dense edge-indexed state.
-    let slots = adg.edges().map(|e| e.id().index()).max().map_or(0, |m| m + 1);
-    let mut dist = vec![f64::INFINITY; slots];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; slots];
-    let mut hops_of = vec![0usize; slots];
-    let mut heap = BinaryHeap::new();
-    let mut best_final: Option<(f64, EdgeId)> = None;
 
-    let step_cost =
-        |eid: EdgeId| 1.0 + congestion_weight * f64::from(usage(eid));
-
-    // Seed: every legal first hop out of `from`.
-    for edge in adg.out_edges(from) {
-        let next = edge.dst;
-        if next != to {
-            let Ok(kind) = adg.kind(next) else { continue };
-            if !passable(kind) {
-                continue;
-            }
+    /// The out-hops of `node`, flattened on first use.
+    fn flatten(&mut self, node: NodeId) -> NodeHops<'a> {
+        let adg = self.adg;
+        match self.nodes.get(node.index()) {
+            Some(Some(known)) => return *known,
+            Some(None) => {}
+            None => return NodeHops { start: 0, len: 0, matrix: None }, // not in this graph
         }
-        if !hop_legal(adg, from, next) {
-            continue;
-        }
-        let c = step_cost(edge.id());
-        if c < dist[edge.id().index()] {
-            dist[edge.id().index()] = c;
-            hops_of[edge.id().index()] = 1;
-            heap.push(Frontier {
-                cost: c,
-                edge: edge.id(),
-                hops: 1,
-            });
-        }
+        let start = self.hops.len();
+        self.hops.extend(adg.out_edges(node).map(|edge| Hop {
+            edge: edge.id(),
+            dst: edge.dst,
+            passable: adg.kind(edge.dst).is_ok_and(passable),
+            legal: hop_legal(adg, node, edge.dst),
+        }));
+        let flat = NodeHops {
+            start: start as u32,
+            len: (self.hops.len() - start) as u32,
+            matrix: match adg.kind(node) {
+                Ok(NodeKind::Switch(sw)) if !matches!(sw.routing, Routing::FullCrossbar) => {
+                    Some(&sw.routing)
+                }
+                _ => None,
+            },
+        };
+        self.nodes[node.index()] = Some(flat);
+        flat
     }
 
-    while let Some(Frontier { cost, edge, hops }) = heap.pop() {
-        if cost > dist[edge.index()] || hops >= MAX_HOPS {
-            continue;
+    /// [`route`], reusing this router's tables.
+    ///
+    /// The search stops at the first accepted pop whose edge ends at `to`
+    /// rather than draining the heap, and returns what draining it would:
+    /// with `congestion_weight ≥ 0` every step costs ≥ 1, so accepted pops
+    /// are non-decreasing in cost and a drained search — which replaces its
+    /// best final edge only on *strictly* lower cost — keeps exactly that
+    /// first one. Every edge on its predecessor chain was popped earlier at
+    /// its final distance, and a relaxation needs `ncost < dist`, which no
+    /// later (costlier) pop can produce, so the chain cannot be rewritten
+    /// afterwards either. The heap's order is total on (cost, edge index)
+    /// and one edge is never pushed twice at one cost, so heap internals
+    /// cannot leak into the result.
+    pub(crate) fn route(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        usage: impl Fn(EdgeId) -> u32,
+        congestion_weight: f64,
+    ) -> Option<Vec<EdgeId>> {
+        if from == to {
+            return Some(Vec::new());
         }
-        let Some(cur) = adg.edge(edge) else { continue };
-        if cur.dst == to {
-            if best_final.is_none_or(|(bc, _)| cost < bc) {
-                best_final = Some((cost, edge));
-            }
-            continue;
+        debug_assert!(congestion_weight >= 0.0, "the early exit needs steps that cost ≥ 1");
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps from 2³² queries ago would read as current.
+            self.labels.iter_mut().for_each(|l| l.stamp = 0);
+            self.generation = 1;
         }
-        for out in adg.out_edges(cur.dst) {
-            let next = out.dst;
-            if next != to {
-                let Ok(kind) = adg.kind(next) else { continue };
-                if !passable(kind) {
+        let generation = self.generation;
+        self.heap.clear();
+
+        let step_cost = |eid: EdgeId| 1.0 + congestion_weight * f64::from(usage(eid));
+
+        // Expand `at`, reached over `via` (nothing, at the source) for `cost`
+        // in `hops` hops; then move to the next accepted pop.
+        let (mut at, mut via, mut cost, mut hops) = (from, None, 0.0, 0);
+        let last = loop {
+            let flat = self.flatten(at);
+            // The matrix a turn through `at` must obey, with the port it
+            // enters by (none of either at the source).
+            let turn = flat.matrix.zip(via).map(|(m, e_in)| (m, self.adg.input_port_of(e_in)));
+            let span = flat.start as usize..(flat.start + flat.len) as usize;
+            for (out_port, hop) in self.hops[span].iter().enumerate() {
+                if !hop.legal || (hop.dst != to && !hop.passable) {
                     continue;
                 }
+                if let Some((matrix, in_port)) = turn {
+                    if !in_port.is_some_and(|ip| matrix.allows(ip, out_port)) {
+                        continue;
+                    }
+                }
+                let ncost = cost + step_cost(hop.edge);
+                let label = &mut self.labels[hop.edge.index()];
+                if label.stamp != generation || ncost < label.dist {
+                    *label = Label { stamp: generation, dist: ncost, pred: via };
+                    self.heap.push(Frontier {
+                        cost: ncost,
+                        edge: hop.edge,
+                        hops: hops + 1,
+                        at: hop.dst,
+                    });
+                }
             }
-            if !hop_legal(adg, cur.dst, next) || !turn_legal(adg, edge, out.id()) {
-                continue;
+            let next = loop {
+                let f = self.heap.pop()?;
+                if f.cost <= self.labels[f.edge.index()].dist && f.hops < MAX_HOPS {
+                    break f;
+                }
+            };
+            if next.at == to {
+                break next.edge;
             }
-            let ncost = cost + step_cost(out.id());
-            if ncost < dist[out.id().index()] {
-                dist[out.id().index()] = ncost;
-                pred[out.id().index()] = Some(edge);
-                hops_of[out.id().index()] = hops + 1;
-                heap.push(Frontier {
-                    cost: ncost,
-                    edge: out.id(),
-                    hops: hops + 1,
-                });
-            }
-        }
-    }
+            (at, via, cost, hops) = (next.at, Some(next.edge), next.cost, next.hops);
+        };
 
-    let (_, last) = best_final?;
-    // Walk predecessors back to the source.
-    let mut path = vec![last];
-    let mut cur = last;
-    while let Some(p) = pred[cur.index()] {
-        path.push(p);
-        cur = p;
+        // Walk predecessors back to the source.
+        let mut path = vec![last];
+        while let Some(p) = self.labels[path[path.len() - 1].index()].pred {
+            path.push(p);
+        }
+        path.reverse();
+        debug_assert_eq!(self.adg.edge(path[0])?.src, from);
+        Some(path)
     }
-    path.reverse();
-    debug_assert_eq!(adg.edge(path[0])?.src, from);
-    Some(path)
 }
 
 /// Total configurable delay capacity (cycles) of the delay elements along a
@@ -245,6 +351,160 @@ mod tests {
     use dsagen_adg::{presets, BitWidth, OpSet, PeSpec, Routing, Sharing, SwitchSpec};
 
     use super::*;
+
+    /// The router as it was before it learned to stop early: a fresh set of
+    /// tables per call, the graph asked per hop, and the heap drained to
+    /// exhaustion. Kept as the oracle for [`Router::route`].
+    fn route_reference(
+        adg: &Adg,
+        from: NodeId,
+        to: NodeId,
+        usage: impl Fn(EdgeId) -> u32,
+        congestion_weight: f64,
+    ) -> Option<Vec<EdgeId>> {
+        if from == to {
+            return Some(Vec::new());
+        }
+        let slots = adg.edges().map(|e| e.id().index()).max().map_or(0, |m| m + 1);
+        let mut dist = vec![f64::INFINITY; slots];
+        let mut pred: Vec<Option<EdgeId>> = vec![None; slots];
+        let mut heap = BinaryHeap::new();
+        let mut best_final: Option<(f64, EdgeId)> = None;
+
+        let step_cost = |eid: EdgeId| 1.0 + congestion_weight * f64::from(usage(eid));
+
+        // Seed: every legal first hop out of `from`.
+        for edge in adg.out_edges(from) {
+            let next = edge.dst;
+            if next != to {
+                let Ok(kind) = adg.kind(next) else { continue };
+                if !passable(kind) {
+                    continue;
+                }
+            }
+            if !hop_legal(adg, from, next) {
+                continue;
+            }
+            let c = step_cost(edge.id());
+            if c < dist[edge.id().index()] {
+                dist[edge.id().index()] = c;
+                heap.push(Frontier { cost: c, edge: edge.id(), hops: 1, at: next });
+            }
+        }
+
+        while let Some(Frontier { cost, edge, hops, .. }) = heap.pop() {
+            if cost > dist[edge.index()] || hops >= MAX_HOPS {
+                continue;
+            }
+            let Some(cur) = adg.edge(edge) else { continue };
+            if cur.dst == to {
+                if best_final.is_none_or(|(bc, _)| cost < bc) {
+                    best_final = Some((cost, edge));
+                }
+                continue;
+            }
+            for out in adg.out_edges(cur.dst) {
+                let next = out.dst;
+                if next != to {
+                    let Ok(kind) = adg.kind(next) else { continue };
+                    if !passable(kind) {
+                        continue;
+                    }
+                }
+                if !hop_legal(adg, cur.dst, next) || !turn_legal(adg, edge, out.id()) {
+                    continue;
+                }
+                let ncost = cost + step_cost(out.id());
+                if ncost < dist[out.id().index()] {
+                    dist[out.id().index()] = ncost;
+                    pred[out.id().index()] = Some(edge);
+                    heap.push(Frontier { cost: ncost, edge: out.id(), hops: hops + 1, at: next });
+                }
+            }
+        }
+
+        let (_, last) = best_final?;
+        let mut path = vec![last];
+        let mut cur = last;
+        while let Some(p) = pred[cur.index()] {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Every (from, to, usage) query answered by one long-lived router —
+    /// so a stale label or heap entry from an earlier query would show —
+    /// and by the reference, path for path.
+    fn assert_router_matches_reference(adg: &Adg, pairs: usize, seed: u64) -> (usize, usize) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let nodes: Vec<NodeId> = adg.nodes().map(|n| n.id()).collect();
+        let mut router = Router::new(adg);
+        let (mut routed, mut unreachable) = (0, 0);
+        for pair in 0..pairs {
+            let from = nodes[rng.gen_range(0..nodes.len())];
+            let to = nodes[rng.gen_range(0..nodes.len())];
+            let weight = [0.5, 1.0, 100.0][pair % 3];
+            // Three usage maps: none, sparse random, and heavy exactly on
+            // the path the empty fabric would give.
+            let sparse: Vec<u32> = (0..adg.edge_slots())
+                .map(|_| if rng.gen_bool(0.15) { rng.gen_range(1..4u32) } else { 0 })
+                .collect();
+            let free = route_reference(adg, from, to, |_| 0, weight).unwrap_or_default();
+            let usages: [Box<dyn Fn(EdgeId) -> u32>; 3] = [
+                Box::new(|_| 0),
+                Box::new(|e| sparse[e.index()]),
+                Box::new(|e| if free.contains(&e) { 7 } else { 0 }),
+            ];
+            for (which, usage) in usages.iter().enumerate() {
+                let expected = route_reference(adg, from, to, usage, weight);
+                let got = router.route(from, to, usage, weight);
+                assert_eq!(
+                    got, expected,
+                    "{}: {from} -> {to}, usage map {which}, weight {weight}",
+                    adg.name()
+                );
+                match expected {
+                    Some(_) => routed += 1,
+                    None => unreachable += 1,
+                }
+            }
+        }
+        (routed, unreachable)
+    }
+
+    #[test]
+    fn router_matches_the_exhaustive_reference_on_every_preset() {
+        for adg in [
+            presets::softbrain(),
+            presets::spu(),
+            presets::revel(),
+            presets::dse_initial(),
+        ] {
+            let (routed, unreachable) = assert_router_matches_reference(&adg, 200, 0xD5A6E4);
+            assert!(routed > 0 && unreachable > 0, "{}: {routed}/{unreachable}", adg.name());
+        }
+    }
+
+    #[test]
+    fn router_matches_the_reference_through_a_routing_matrix() {
+        for allow_second_output in [false, true] {
+            let (adg, src, a, b) = matrix_fixture(allow_second_output);
+            assert_router_matches_reference(&adg, 40, 7);
+            // The forbidden turn itself, on a router that has already
+            // answered the permitted one.
+            let mut router = Router::new(&adg);
+            for to in [a, b, a] {
+                assert_eq!(
+                    router.route(src, to, |_| 0, 0.5),
+                    route_reference(&adg, src, to, |_| 0, 0.5)
+                );
+            }
+            assert_eq!(router.route(src, b, |_| 0, 0.5).is_some(), allow_second_output);
+        }
+    }
 
     #[test]
     fn routes_exist_between_ports_and_pes() {

@@ -43,10 +43,8 @@ impl Schedule {
     /// Unmaps entity `e`, dropping its placement and all incident routes.
     pub fn unplace(&mut self, problem: &Problem<'_>, e: usize) {
         self.placement[e] = None;
-        for (i, edge) in problem.edges.iter().enumerate() {
-            if edge.src == e || edge.dst == e {
-                self.routes.remove(&i);
-            }
+        for i in problem.incident(e) {
+            self.routes.remove(i);
         }
     }
 
@@ -158,36 +156,28 @@ impl Schedule {
         usage
     }
 
-    /// The set of *values* (producing entities) carried by each ADG edge.
-    ///
-    /// Fan-out is free in hardware — a switch broadcasting one value to
-    /// several consumers uses each physical link once — so congestion is
-    /// counted per distinct value, not per route.
-    #[must_use]
-    pub fn edge_values(&self, problem: &Problem<'_>) -> BTreeMap<EdgeId, Vec<usize>> {
-        let mut values: BTreeMap<EdgeId, Vec<usize>> = BTreeMap::new();
-        for (idx, path) in &self.routes {
-            let Some(vedge) = problem.edges.get(*idx) else {
-                continue;
-            };
-            for e in path {
-                let entry = values.entry(*e).or_default();
-                if !entry.contains(&vedge.src) {
-                    entry.push(vedge.src);
-                }
-            }
-        }
-        values
-    }
-
     /// Resolves every stream of every region to a memory node: fabric
     /// streams bind to a compatible memory adjacent to their port's sync
     /// element; controller-side index streams bind to the first memory of
     /// their class. Returns `(region, in/out, stream_port) → memory`.
     #[must_use]
     pub fn stream_memories(&self, problem: &Problem<'_>) -> BTreeMap<(usize, bool, usize), NodeId> {
-        let adg = problem.adg;
         let mut out = BTreeMap::new();
+        self.each_stream_memory(problem, |stream, memory| {
+            out.insert(stream, memory);
+        });
+        out
+    }
+
+    /// Calls `bind` with every `(region, in/out, stream_port)` and the
+    /// memory it resolves to (see [`Schedule::stream_memories`]); each
+    /// stream is visited once.
+    pub(crate) fn each_stream_memory(
+        &self,
+        problem: &Problem<'_>,
+        mut bind: impl FnMut((usize, bool, usize), NodeId),
+    ) {
+        let adg = problem.adg;
         let mem_of_class = |mc: dsagen_dfg::MemClass| -> Option<NodeId> {
             adg.memories().find(|m| match adg.kind(*m) {
                 Ok(NodeKind::Memory(spec)) => match mc {
@@ -214,7 +204,7 @@ impl Schedule {
                             .find(|src| memory_matches(adg, *src, mc, entity))
                             .or_else(|| mem_of_class(mc));
                         if let Some(m) = mem {
-                            out.insert((region, true, port), m);
+                            bind((region, true, port), m);
                         }
                     }
                 }
@@ -226,7 +216,7 @@ impl Schedule {
                             .find(|dst| memory_matches(adg, *dst, mc, entity))
                             .or_else(|| mem_of_class(mc));
                         if let Some(m) = mem {
-                            out.insert((region, false, port), m);
+                            bind((region, false, port), m);
                         }
                     }
                 }
@@ -239,13 +229,122 @@ impl Schedule {
                 if !s.to_fabric {
                     if let StreamSource::Memory(mc) = s.source {
                         if let Some(m) = mem_of_class(mc) {
-                            out.insert((ri, true, s.port), m);
+                            bind((ri, true, s.port), m);
                         }
                     }
                 }
             }
         }
-        out
+    }
+}
+
+/// Which *values* (producing entities) each ADG link carries — the one
+/// definition of link congestion, shared by the router's usage costs, the
+/// rip-up and victim heuristics and the objective's network-overuse term.
+///
+/// Fan-out is free in hardware — a switch broadcasting one value to several
+/// consumers uses each physical link once — so congestion is counted per
+/// distinct value, not per route.
+///
+/// Invariant: `values[l]` holds `(v, n)` exactly when `n > 0` routes of
+/// virtual edges produced by entity `v` cross link `l`, and `overuse` is
+/// Σ over links of (distinct values − 1). [`LinkTable::of`] establishes it
+/// from a bare schedule; the search keeps it in step through `insert` and
+/// `remove` on every route edit instead of rebuilding it per routed edge.
+#[derive(Debug)]
+pub(crate) struct LinkTable {
+    /// Indexed by [`EdgeId::index`]; entries within a link are unordered.
+    values: Vec<Vec<(usize, u32)>>,
+    overuse: usize,
+}
+
+impl LinkTable {
+    /// The table of `schedule`'s routes (routes of virtual edges `problem`
+    /// does not have are ignored, as everywhere else).
+    pub(crate) fn of(problem: &Problem<'_>, schedule: &Schedule) -> Self {
+        let mut table = LinkTable {
+            values: vec![Vec::new(); problem.adg.edge_slots()],
+            overuse: 0,
+        };
+        table.reset(problem, schedule);
+        table
+    }
+
+    /// Makes this the table of `schedule`, keeping its allocations.
+    pub(crate) fn reset(&mut self, problem: &Problem<'_>, schedule: &Schedule) {
+        self.values.iter_mut().for_each(Vec::clear);
+        self.overuse = 0;
+        for (idx, path) in &schedule.routes {
+            if let Some(vedge) = problem.edges.get(*idx) {
+                self.insert(vedge.src, path);
+            }
+        }
+    }
+
+    /// Accounts for one more route of `value` along `path`.
+    pub(crate) fn insert(&mut self, value: usize, path: &[EdgeId]) {
+        for link in path {
+            // A schedule may name links the fabric never had (`evaluate`
+            // accepts any schedule); they are links like any other.
+            if link.index() >= self.values.len() {
+                self.values.resize(link.index() + 1, Vec::new());
+            }
+            let carried = &mut self.values[link.index()];
+            match carried.iter_mut().find(|(v, _)| *v == value) {
+                Some((_, routes)) => *routes += 1,
+                None => {
+                    carried.push((value, 1));
+                    self.overuse += usize::from(carried.len() > 1);
+                }
+            }
+        }
+    }
+
+    /// Undoes one [`LinkTable::insert`] of the same `value` and `path`.
+    pub(crate) fn remove(&mut self, value: usize, path: &[EdgeId]) {
+        for link in path {
+            let carried = &mut self.values[link.index()];
+            let at = carried
+                .iter()
+                .position(|(v, _)| *v == value)
+                .expect("a removed route was inserted");
+            carried[at].1 -= 1;
+            if carried[at].1 == 0 {
+                self.overuse -= usize::from(carried.len() > 1);
+                carried.swap_remove(at);
+            }
+        }
+    }
+
+    /// How many distinct values other than `value` cross `link`: re-using a
+    /// link that already carries this very value is free (broadcast), other
+    /// values congest.
+    pub(crate) fn others(&self, link: EdgeId, value: usize) -> u32 {
+        self.values.get(link.index()).map_or(0, |carried| {
+            carried.iter().filter(|(v, _)| *v != value).count() as u32
+        })
+    }
+
+    /// Whether `link` carries more than one distinct value.
+    pub(crate) fn congested(&self, link: EdgeId) -> bool {
+        self.values.get(link.index()).is_some_and(|carried| carried.len() > 1)
+    }
+
+    /// Network overutilization: Σ over links of (distinct values − 1).
+    pub(crate) fn overuse(&self) -> usize {
+        self.overuse
+    }
+
+    /// The distinct values per link, sorted, for comparing two tables
+    /// whatever order their edits arrived in.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn normalized(&self) -> (Vec<Vec<(usize, u32)>>, usize) {
+        let mut values = self.values.clone();
+        values.iter_mut().for_each(|carried| carried.sort_unstable());
+        while values.last().is_some_and(Vec::is_empty) {
+            values.pop();
+        }
+        (values, self.overuse)
     }
 }
 
@@ -296,6 +395,72 @@ mod tests {
             compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap(),
             (),
         )
+    }
+
+    /// The definition [`LinkTable`] replaced, kept as its oracle: the
+    /// distinct values per link, rebuilt from the routes.
+    fn edge_values(schedule: &Schedule, problem: &Problem<'_>) -> BTreeMap<EdgeId, Vec<usize>> {
+        let mut values: BTreeMap<EdgeId, Vec<usize>> = BTreeMap::new();
+        for (idx, path) in &schedule.routes {
+            let Some(vedge) = problem.edges.get(*idx) else {
+                continue;
+            };
+            for e in path {
+                let entry = values.entry(*e).or_default();
+                if !entry.contains(&vedge.src) {
+                    entry.push(vedge.src);
+                }
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn link_table_agrees_with_edge_values_through_edits() {
+        let adg = presets::softbrain();
+        let (ck, ()) = problem_fixture(&adg);
+        let p = Problem::new(&adg, &ck);
+        let mut s = crate::schedule(&adg, &ck, &crate::SchedulerConfig::default()).schedule;
+        // Pile every route's value onto route 0's links too, so some link
+        // carries several values and one value twice; and name a virtual
+        // edge the problem does not have.
+        let shared = s.routes[&0].clone();
+        for path in s.routes.values_mut().skip(1) {
+            path.extend(&shared);
+        }
+        s.routes.insert(p.edges.len() + 3, shared.clone());
+        let mut table = LinkTable::of(&p, &s);
+        let check = |table: &LinkTable, s: &Schedule| {
+            let oracle = edge_values(s, &p);
+            for link in adg.edges().map(dsagen_adg::Edge::id) {
+                let carried = oracle.get(&link).map_or(&[][..], Vec::as_slice);
+                assert_eq!(table.congested(link), carried.len() > 1, "{link}");
+                for v in 0..p.entities.len() {
+                    let others = carried.iter().filter(|c| **c != v).count() as u32;
+                    assert_eq!(table.others(link, v), others, "{link} value {v}");
+                }
+            }
+            let overuse: usize = oracle.values().map(|c| c.len() - 1).sum();
+            assert_eq!(table.overuse(), overuse);
+            assert_eq!(table.normalized(), LinkTable::of(&p, s).normalized());
+        };
+        check(&table, &s);
+        assert!(table.overuse() > 0, "the fixture must congest something");
+        // Remove the routes one by one, then put them back in reverse.
+        let routed: Vec<usize> = s.routes.keys().copied().filter(|i| *i < p.edges.len()).collect();
+        let mut taken = Vec::new();
+        for i in routed {
+            let path = s.routes.remove(&i).unwrap();
+            table.remove(p.edges[i].src, &path);
+            check(&table, &s);
+            taken.push((i, path));
+        }
+        assert_eq!(table.overuse(), 0);
+        for (i, path) in taken.into_iter().rev() {
+            table.insert(p.edges[i].src, &path);
+            s.routes.insert(i, path);
+            check(&table, &s);
+        }
     }
 
     #[test]

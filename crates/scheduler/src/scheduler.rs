@@ -5,11 +5,14 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use dsagen_adg::Adg;
+use dsagen_adg::{Adg, EdgeId};
 use dsagen_dfg::CompiledKernel;
 use dsagen_telemetry::Telemetry;
 
-use crate::{evaluate, route, Evaluation, Problem, Schedule, Weights};
+use crate::objective::evaluate_with;
+use crate::route::Router;
+use crate::schedule::LinkTable;
+use crate::{Evaluation, Problem, Schedule, Weights};
 
 /// Tunables for the stochastic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +142,7 @@ pub fn schedule_instrumented(
     let problem = Problem::new(adg, kernel);
     let initial = Schedule::empty(&problem);
     let everything = vec![true; problem.entities.len()];
-    search(&problem, initial, cfg, &everything, tel)
+    search(&problem, &mut Router::new(adg), initial, cfg, &everything, tel)
 }
 
 /// Repairs a previous schedule against a (possibly mutated or
@@ -259,7 +262,8 @@ fn invalidate(problem: &Problem<'_>, sched: &mut Schedule) -> (usize, usize) {
 
 /// Searches from `start` with bounded retry: each further attempt doubles
 /// the iteration budget (capped at 4096) and perturbs the seed. The first
-/// legal result wins; failing that, the lowest objective.
+/// legal result wins; failing that, the lowest objective. One router (its
+/// flattened fabric and tables) serves every attempt.
 fn escalate(
     problem: &Problem<'_>,
     start: &Schedule,
@@ -270,13 +274,14 @@ fn escalate(
     tel: &Telemetry,
 ) -> ScheduleResult {
     const ITER_CAP: u32 = 4096;
-    let attempt = |n: u32, iters: u32| {
+    let mut router = Router::new(problem.adg);
+    let mut attempt = |n: u32, iters: u32| {
         let attempt_cfg = SchedulerConfig {
             max_iters: iters.min(ITER_CAP),
             seed: cfg.seed.wrapping_add(u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ..*cfg
         };
-        let mut result = search(problem, start.clone(), &attempt_cfg, allowed, tel);
+        let mut result = search(problem, &mut router, start.clone(), &attempt_cfg, allowed, tel);
         result.outcome = outcome;
         result
     };
@@ -307,9 +312,10 @@ fn escalate(
 /// more than an infeasible low-II one — pure cost-tracking would overwrite
 /// a legal incumbent with a cheaper illegal one and return
 /// `is_legal() == false` after having seen a legal mapping.
-fn search(
-    problem: &Problem<'_>,
-    mut sched: Schedule,
+fn search<'a>(
+    problem: &Problem<'a>,
+    router: &mut Router<'a>,
+    start: Schedule,
     cfg: &SchedulerConfig,
     allowed: &[bool],
     tel: &Telemetry,
@@ -322,6 +328,14 @@ fn search(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut expansions: u64 = 0;
     let mut victims_total: u64 = 0;
+    let mut work = Working {
+        links: LinkTable::of(problem, &start),
+        sched: start,
+        problem,
+        cfg,
+        allowed,
+        router,
+    };
 
     // Initial completion: place every unplaced allowed entity greedily
     // (ports first, then ops in index order, which is topological within
@@ -329,14 +343,14 @@ fn search(
     {
         let _init = tel.span("sched", "initial_place");
         for &v in &allowed_idx {
-            if sched.placement[v].is_none() {
-                expansions += place_best(problem, &mut sched, v, cfg, &mut rng);
+            if work.sched.placement[v].is_none() {
+                expansions += work.place_best(v, &mut rng);
             }
         }
-        route_missing(problem, &mut sched, cfg, allowed);
+        work.route_missing();
     }
-    let mut best_eval = evaluate(problem, &sched, &cfg.weights);
-    let mut best = sched.clone();
+    let mut best_eval = work.evaluate();
+    let mut best = work.sched.clone();
     let mut stale = 0u32;
     let mut iterations = 0u32;
 
@@ -349,33 +363,39 @@ fn search(
         iterations = iter + 1;
         // "Unmap one or more mapped instructions (or streams)" — victims
         // biased toward entities involved in violations.
-        let victims = pick_victims(problem, &sched, &mut rng, allowed, &allowed_idx);
+        let victims = work.pick_victims(&mut rng, &allowed_idx);
         victims_total += victims.len() as u64;
         for v in &victims {
-            sched.unplace(problem, *v);
+            work.unplace(*v);
         }
         for v in victims {
-            expansions += place_best(problem, &mut sched, v, cfg, &mut rng);
+            expansions += work.place_best(v, &mut rng);
         }
         // Rip-up-and-reroute: drop routes crossing congested links so the
         // congestion-aware router can find detours (PathFinder-style
         // negotiation, [51]).
-        ripup_congested(problem, &mut sched, &mut rng, allowed);
+        work.ripup_congested(&mut rng);
         // Re-route anything whose route got dropped.
-        route_missing(problem, &mut sched, cfg, allowed);
+        work.route_missing();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            work.links.normalized(),
+            LinkTable::of(problem, &work.sched).normalized(),
+            "the link table fell out of step with the routes"
+        );
 
-        let eval = evaluate(problem, &sched, &cfg.weights);
+        let eval = work.evaluate();
         let better = (eval.feasible && !best_eval.feasible)
             || (eval.feasible == best_eval.feasible && eval.objective < best_eval.objective);
         if better {
             best_eval = eval;
-            best = sched.clone();
+            best = work.sched.clone();
             stale = 0;
         } else {
             stale += 1;
             // Restart from the best known schedule after a bad streak.
             if stale.is_multiple_of(10) {
-                sched = best.clone();
+                work.reset_to(&best);
             }
         }
         // "Stop if the objective converges": legal and stable.
@@ -422,230 +442,247 @@ fn flush_search_metrics(
     }
 }
 
-/// "For each compatible PE (or memory): route this instruction's operands
-/// and dependences …; compute the objective …; commit to the PE which
-/// yields the highest objective."
-///
-/// Returns the number of candidate placements expanded (evaluated), the
-/// unit the `scheduler.path_search.expansions` metric counts in.
-fn place_best(
-    problem: &Problem<'_>,
-    sched: &mut Schedule,
-    v: usize,
-    cfg: &SchedulerConfig,
-    rng: &mut StdRng,
-) -> u64 {
-    let mut candidates = problem.candidates(&problem.entities[v]);
-    if candidates.is_empty() {
-        return 0; // stays unplaced; priced by the objective
-    }
-    candidates.shuffle(rng);
-    candidates.truncate(cfg.candidates.max(1));
-    let expanded = candidates.len() as u64;
-
-    let mut best_node = None;
-    let mut best_obj = f64::INFINITY;
-    for node in candidates {
-        sched.placement[v] = Some(node);
-        route_incident(problem, sched, v, cfg);
-        let eval = evaluate(problem, sched, &cfg.weights);
-        if eval.objective < best_obj {
-            best_obj = eval.objective;
-            best_node = Some(node);
-        }
-        // Drop this candidate's routes before trying the next.
-        drop_incident_routes(problem, sched, v);
-        sched.placement[v] = None;
-    }
-    if let Some(node) = best_node {
-        sched.placement[v] = Some(node);
-        route_incident(problem, sched, v, cfg);
-    }
-    expanded
+/// The search's working state: the schedule being edited plus what the loop
+/// derives from it. `links` is always the link table of `sched`'s routes —
+/// every route edit goes through [`Working::insert_route`],
+/// [`Working::remove_route`] or [`Working::reset_to`], which keep the two in
+/// step — so routing, rip-up, victim picking and the objective read link
+/// congestion instead of recomputing it from the whole schedule.
+struct Working<'s, 'a> {
+    problem: &'s Problem<'a>,
+    cfg: &'s SchedulerConfig,
+    allowed: &'s [bool],
+    router: &'s mut Router<'a>,
+    sched: Schedule,
+    links: LinkTable,
 }
 
-/// Routes virtual edge `i` if both its endpoints are placed and it has no
-/// route yet.
-fn route_edge(problem: &Problem<'_>, sched: &mut Schedule, i: usize, cfg: &SchedulerConfig) {
-    let e = &problem.edges[i];
-    if sched.routes.contains_key(&i) {
-        return;
+impl Working<'_, '_> {
+    fn insert_route(&mut self, i: usize, path: Vec<EdgeId>) {
+        self.links.insert(self.problem.edges[i].src, &path);
+        self.sched.routes.insert(i, path);
     }
-    let (Some(src), Some(dst)) = (sched.placement[e.src], sched.placement[e.dst]) else {
-        return;
-    };
-    let values = sched.edge_values(problem);
-    let path = route(
-        problem.adg,
-        src,
-        dst,
-        |eid| {
-            values.get(&eid).map_or(0, |vals| {
-                // Re-using a link that already carries this very value
-                // is free (broadcast); other values congest.
-                vals.iter().filter(|v| **v != e.src).count() as u32
-            })
-        },
-        cfg.congestion,
-    );
-    if let Some(path) = path {
-        sched.routes.insert(i, path);
-    }
-}
 
-/// Routes every virtual edge incident to `v` whose other endpoint is
-/// placed.
-fn route_incident(problem: &Problem<'_>, sched: &mut Schedule, v: usize, cfg: &SchedulerConfig) {
-    for (i, e) in problem.edges.iter().enumerate() {
-        if e.src == v || e.dst == v {
-            route_edge(problem, sched, i, cfg);
-        }
+    fn remove_route(&mut self, i: usize) -> Option<Vec<EdgeId>> {
+        let path = self.sched.routes.remove(&i)?;
+        self.links.remove(self.problem.edges[i].src, &path);
+        Some(path)
     }
-}
 
-fn drop_incident_routes(problem: &Problem<'_>, sched: &mut Schedule, v: usize) {
-    for (i, e) in problem.edges.iter().enumerate() {
-        if e.src == v || e.dst == v {
-            sched.routes.remove(&i);
-        }
+    /// Continues from `incumbent` instead of the current schedule.
+    fn reset_to(&mut self, incumbent: &Schedule) {
+        self.sched = incumbent.clone();
+        self.links.reset(self.problem, &self.sched);
     }
-}
 
-/// Routes every allowed edge whose endpoints are placed but which has no
-/// route yet (virtual edges never cross regions, so `src` decides whether
-/// an edge is allowed).
-fn route_missing(
-    problem: &Problem<'_>,
-    sched: &mut Schedule,
-    cfg: &SchedulerConfig,
-    allowed: &[bool],
-) {
-    for (i, e) in problem.edges.iter().enumerate() {
-        if allowed[e.src] {
-            route_edge(problem, sched, i, cfg);
-        }
+    fn evaluate(&self) -> Evaluation {
+        evaluate_with(self.problem, &self.sched, &self.links, &self.cfg.weights)
     }
-}
 
-/// Drops a random subset of the allowed routes that cross links carrying
-/// more than one distinct value, so they can be re-routed around the
-/// congestion. Congestion caused by pinned traffic can only be negotiated
-/// by moving the allowed routes.
-fn ripup_congested(
-    problem: &Problem<'_>,
-    sched: &mut Schedule,
-    rng: &mut StdRng,
-    allowed: &[bool],
-) {
-    let values = sched.edge_values(problem);
-    let congested: std::collections::BTreeSet<_> = values
-        .iter()
-        .filter(|(_, vals)| vals.len() > 1)
-        .map(|(eid, _)| *eid)
-        .collect();
-    if congested.is_empty() {
-        return;
+    /// Unmaps entity `v`, dropping its placement and all incident routes.
+    fn unplace(&mut self, v: usize) {
+        self.take_incident_routes(v);
+        self.sched.placement[v] = None;
     }
-    // `routes` iterates in edge order, so the RNG-coupled selection below
-    // is reproducible.
-    let crossing: Vec<usize> = sched
-        .routes
-        .iter()
-        .filter(|(i, path)| {
-            problem.edges.get(**i).is_some_and(|e| allowed[e.src])
-                && path.iter().any(|eid| congested.contains(eid))
-        })
-        .map(|(i, _)| *i)
-        .collect();
-    for i in crossing {
-        if rng.gen_bool(0.5) {
-            sched.routes.remove(&i);
-        }
-    }
-}
 
-/// Chooses 1–3 victims among the allowed entities, preferring those
-/// implicated in violations: overused PEs, unrouted edges, congested
-/// routes, or no placement at all. Pinned co-tenants cannot move, so only
-/// allowed entities are ever candidates.
-fn pick_victims(
-    problem: &Problem<'_>,
-    sched: &Schedule,
-    rng: &mut StdRng,
-    allowed: &[bool],
-    allowed_idx: &[usize],
-) -> Vec<usize> {
-    if allowed_idx.is_empty() {
-        return Vec::new();
+    /// Removes every route incident to `v` and returns them.
+    fn take_incident_routes(&mut self, v: usize) -> Vec<(usize, Vec<EdgeId>)> {
+        let problem = self.problem;
+        problem
+            .incident(v)
+            .iter()
+            .filter_map(|&i| Some((i, self.remove_route(i)?)))
+            .collect()
     }
-    let mut pool: Vec<usize> = Vec::new();
-    // Entities on overused PEs.
-    let mut pe_counts: std::collections::BTreeMap<_, Vec<usize>> = std::collections::BTreeMap::new();
-    for (i, p) in sched.placement.iter().enumerate() {
-        if let Some(node) = p {
-            pe_counts.entry(*node).or_default().push(i);
+
+    /// "For each compatible PE (or memory): route this instruction's operands
+    /// and dependences …; compute the objective …; commit to the PE which
+    /// yields the highest objective."
+    ///
+    /// `v` arrives unplaced and so without incident routes. Every candidate
+    /// is tried on that same fabric state, and routing draws no random
+    /// numbers, so the routes found while scoring the winner are exactly the
+    /// ones routing it again at commit time would find: they are kept and
+    /// put back instead.
+    ///
+    /// Returns the number of candidate placements expanded (evaluated), the
+    /// unit the `scheduler.path_search.expansions` metric counts in.
+    fn place_best(&mut self, v: usize, rng: &mut StdRng) -> u64 {
+        let mut candidates = self.problem.candidates(&self.problem.entities[v]);
+        if candidates.is_empty() {
+            return 0; // stays unplaced; priced by the objective
         }
+        candidates.shuffle(rng);
+        candidates.truncate(self.cfg.candidates.max(1));
+        let expanded = candidates.len() as u64;
+
+        let mut best = None;
+        let mut best_obj = f64::INFINITY;
+        for node in candidates {
+            self.sched.placement[v] = Some(node);
+            self.route_incident(v);
+            let objective = self.evaluate().objective;
+            // Take this candidate's routes off the fabric before trying the
+            // next.
+            let routes = self.take_incident_routes(v);
+            self.sched.placement[v] = None;
+            if objective < best_obj {
+                best_obj = objective;
+                best = Some((node, routes));
+            }
+        }
+        if let Some((node, routes)) = best {
+            self.sched.placement[v] = Some(node);
+            for (i, path) in routes {
+                self.insert_route(i, path);
+            }
+        }
+        expanded
     }
-    for (node, ents) in &pe_counts {
-        let slots = match problem.adg.kind(*node) {
-            Ok(dsagen_adg::NodeKind::Pe(pe)) => pe.sharing.instruction_slots() as usize,
-            Ok(dsagen_adg::NodeKind::Sync(_)) => 1,
-            _ => usize::MAX,
+
+    /// Routes virtual edge `i` if both its endpoints are placed and it has no
+    /// route yet.
+    fn route_edge(&mut self, i: usize) {
+        let e = &self.problem.edges[i];
+        if self.sched.routes.contains_key(&i) {
+            return;
+        }
+        let (Some(src), Some(dst)) = (self.sched.placement[e.src], self.sched.placement[e.dst])
+        else {
+            return;
         };
-        if ents.len() > slots {
-            pool.extend(ents.iter().copied().filter(|i| allowed[*i]));
+        let links = &self.links;
+        let usage = |link| links.others(link, e.src);
+        if let Some(path) = self.router.route(src, dst, usage, self.cfg.congestion) {
+            self.insert_route(i, path);
         }
     }
-    // Entities with unrouted edges.
-    for (i, e) in problem.edges.iter().enumerate() {
-        if allowed[e.src]
-            && !sched.routes.contains_key(&i)
-            && sched.placement[e.src].is_some()
-            && sched.placement[e.dst].is_some()
-        {
-            pool.push(e.src);
-            pool.push(e.dst);
+
+    /// Routes every virtual edge incident to `v` whose other endpoint is
+    /// placed.
+    fn route_incident(&mut self, v: usize) {
+        let problem = self.problem;
+        for &i in problem.incident(v) {
+            self.route_edge(i);
         }
     }
-    // Entities whose routes cross congested links (more than one distinct
-    // value on a physical link).
-    let values = sched.edge_values(problem);
-    let congested: std::collections::BTreeSet<_> = values
-        .iter()
-        .filter(|(_, vals)| vals.len() > 1)
-        .map(|(eid, _)| *eid)
-        .collect();
-    if !congested.is_empty() {
-        for (i, path) in &sched.routes {
-            if path.iter().any(|eid| congested.contains(eid)) {
-                if let Some(e) = problem.edges.get(*i) {
-                    if allowed[e.src] {
-                        pool.push(e.src);
-                        pool.push(e.dst);
+
+    /// Routes every allowed edge whose endpoints are placed but which has no
+    /// route yet (virtual edges never cross regions, so `src` decides whether
+    /// an edge is allowed).
+    fn route_missing(&mut self) {
+        for i in 0..self.problem.edges.len() {
+            if self.allowed[self.problem.edges[i].src] {
+                self.route_edge(i);
+            }
+        }
+    }
+
+    /// Whether `path` crosses a link carrying more than one distinct value.
+    fn crosses_congestion(&self, path: &[EdgeId]) -> bool {
+        path.iter().any(|link| self.links.congested(*link))
+    }
+
+    /// Drops a random subset of the allowed routes that cross links carrying
+    /// more than one distinct value, so they can be re-routed around the
+    /// congestion. Congestion caused by pinned traffic can only be negotiated
+    /// by moving the allowed routes.
+    fn ripup_congested(&mut self, rng: &mut StdRng) {
+        if self.links.overuse() == 0 {
+            return;
+        }
+        // `routes` iterates in edge order, so the RNG-coupled selection below
+        // is reproducible.
+        let crossing: Vec<usize> = self
+            .sched
+            .routes
+            .iter()
+            .filter(|(i, path)| {
+                self.problem.edges.get(**i).is_some_and(|e| self.allowed[e.src])
+                    && self.crosses_congestion(path)
+            })
+            .map(|(i, _)| *i)
+            .collect();
+        for i in crossing {
+            if rng.gen_bool(0.5) {
+                self.remove_route(i);
+            }
+        }
+    }
+
+    /// Chooses 1–3 victims among the allowed entities, preferring those
+    /// implicated in violations: overused PEs, unrouted edges, congested
+    /// routes, or no placement at all. Pinned co-tenants cannot move, so only
+    /// allowed entities are ever candidates.
+    fn pick_victims(&self, rng: &mut StdRng, allowed_idx: &[usize]) -> Vec<usize> {
+        if allowed_idx.is_empty() {
+            return Vec::new();
+        }
+        let (problem, sched, allowed) = (self.problem, &self.sched, self.allowed);
+        let mut pool: Vec<usize> = Vec::new();
+        // Entities on overused PEs.
+        let mut pe_counts: std::collections::BTreeMap<_, Vec<usize>> =
+            std::collections::BTreeMap::new();
+        for (i, p) in sched.placement.iter().enumerate() {
+            if let Some(node) = p {
+                pe_counts.entry(*node).or_default().push(i);
+            }
+        }
+        for (node, ents) in &pe_counts {
+            let slots = match problem.adg.kind(*node) {
+                Ok(dsagen_adg::NodeKind::Pe(pe)) => pe.sharing.instruction_slots() as usize,
+                Ok(dsagen_adg::NodeKind::Sync(_)) => 1,
+                _ => usize::MAX,
+            };
+            if ents.len() > slots {
+                pool.extend(ents.iter().copied().filter(|i| allowed[*i]));
+            }
+        }
+        // Entities with unrouted edges.
+        for (i, e) in problem.edges.iter().enumerate() {
+            if allowed[e.src]
+                && !sched.routes.contains_key(&i)
+                && sched.placement[e.src].is_some()
+                && sched.placement[e.dst].is_some()
+            {
+                pool.push(e.src);
+                pool.push(e.dst);
+            }
+        }
+        // Entities whose routes cross congested links (more than one distinct
+        // value on a physical link).
+        if self.links.overuse() > 0 {
+            for (i, path) in &sched.routes {
+                if self.crosses_congestion(path) {
+                    if let Some(e) = problem.edges.get(*i) {
+                        if allowed[e.src] {
+                            pool.push(e.src);
+                            pool.push(e.dst);
+                        }
                     }
                 }
             }
         }
-    }
-    // Unplaced entities always need attention.
-    pool.extend(allowed_idx.iter().copied().filter(|i| sched.placement[*i].is_none()));
-    // The segments above arrive in unrelated orders; sort so the seeded RNG
-    // yields reproducible schedules.
-    pool.sort_unstable();
+        // Unplaced entities always need attention.
+        pool.extend(allowed_idx.iter().copied().filter(|i| sched.placement[*i].is_none()));
+        // The segments above arrive in unrelated orders; sort so the seeded RNG
+        // yields reproducible schedules.
+        pool.sort_unstable();
 
-    let count = rng.gen_range(1..=3usize.min(allowed_idx.len()));
-    let mut victims = Vec::with_capacity(count);
-    for _ in 0..count {
-        let v = if !pool.is_empty() && rng.gen_bool(0.8) {
-            pool[rng.gen_range(0..pool.len())]
-        } else {
-            allowed_idx[rng.gen_range(0..allowed_idx.len())]
-        };
-        if !victims.contains(&v) {
-            victims.push(v);
+        let count = rng.gen_range(1..=3usize.min(allowed_idx.len()));
+        let mut victims = Vec::with_capacity(count);
+        for _ in 0..count {
+            let v = if !pool.is_empty() && rng.gen_bool(0.8) {
+                pool[rng.gen_range(0..pool.len())]
+            } else {
+                allowed_idx[rng.gen_range(0..allowed_idx.len())]
+            };
+            if !victims.contains(&v) {
+                victims.push(v);
+            }
         }
+        victims
     }
-    victims
 }
 
 #[cfg(test)]

@@ -779,6 +779,65 @@ single-domain link — the refinement claim was never exercised"
     );
 }
 
+/// The search scores its schedules against a link table it keeps in step
+/// with every route edit; public `evaluate` builds that table from the bare
+/// schedule. Whatever entry point produced a result, the evaluation it
+/// carries must be the one `evaluate` gives for its schedule, field for
+/// field — the in-loop path and the public path are one definition.
+#[test]
+fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
+    use std::collections::BTreeSet;
+
+    use dsagen::dfg::{compile_kernel, TransformConfig};
+    use dsagen::scheduler::{
+        evaluate, repair, repair_regions, schedule, EntityKind, Problem, ScheduleResult,
+        SchedulerConfig,
+    };
+
+    let mut scoped = 0usize;
+    for adg in [presets::softbrain(), presets::spu(), presets::revel(), presets::dse_initial()] {
+        for kernel in [dsagen::workloads::polybench::mvt(), dsagen::workloads::machsuite::mm()] {
+            let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
+                .expect("fallback versions compile everywhere");
+            for seed in [3u64, 77001] {
+                let cfg = SchedulerConfig { max_iters: 60, seed, ..SchedulerConfig::default() };
+                let agrees = |on: &Adg, what: &str, result: &ScheduleResult| {
+                    let public = evaluate(&Problem::new(on, &ck), &result.schedule, &cfg.weights);
+                    assert_eq!(public, result.eval, "{} {} seed {seed}: {what}", on.name(), kernel.name);
+                };
+                let first = schedule(&adg, &ck, &cfg);
+                agrees(&adg, "schedule", &first);
+                // Take away a PE the mapping uses, as the digest table does.
+                let problem = Problem::new(&adg, &ck);
+                let Some(faulted) = problem
+                    .entities
+                    .iter()
+                    .zip(&first.schedule.placement)
+                    .filter(|(e, _)| matches!(e.kind, EntityKind::Op { .. }))
+                    .filter_map(|(_, node)| *node)
+                    .find_map(|node| {
+                        let mut faulted = adg.clone();
+                        faulted.remove_node(node).ok()?;
+                        faulted.validate().ok().map(|()| faulted)
+                    })
+                else {
+                    continue;
+                };
+                let tel = Telemetry::disabled();
+                agrees(&faulted, "repair", &repair(&faulted, &ck, &first.schedule, &cfg, 2, &tel));
+                let scope = BTreeSet::from([0]);
+                if let Some(result) =
+                    repair_regions(&faulted, &ck, &first.schedule, &scope, true, &cfg, 2, &tel)
+                {
+                    agrees(&faulted, "repair_regions from scratch", &result);
+                    scoped += 1;
+                }
+            }
+        }
+    }
+    assert!(scoped > 0, "no scoped repair kept its pins: repair_regions was never exercised");
+}
+
 proptest! {
     // Each case runs two cycle-accurate timelines (fault-free and
     // recovered) per preset draw; keep the count small.
