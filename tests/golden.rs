@@ -272,3 +272,125 @@ fn schedule_digest_table() -> String {
 fn schedule_digests_match_golden() {
     check_golden("schedule_digests.txt", &schedule_digest_table());
 }
+
+/// Every preset accelerator, in a fixed order.
+fn all_presets() -> Vec<dsagen::adg::Adg> {
+    use dsagen::adg::presets;
+    vec![
+        presets::softbrain(),
+        presets::maeri(),
+        presets::triggered(),
+        presets::spu(),
+        presets::revel(),
+        presets::cca(),
+        presets::diannao_tree(),
+        presets::dse_initial(),
+        presets::plasticine(),
+        presets::tabla(),
+    ]
+}
+
+/// A PE with no links at all.
+fn lone_pe(adg: &mut dsagen::adg::Adg) -> dsagen::adg::NodeId {
+    adg.add_pe(PeSpec::new(
+        Scheduling::Static,
+        Sharing::Dedicated,
+        OpSet::integer_alu(),
+    ))
+}
+
+/// The two fabrics whose configurable subgraph is disconnected: two PEs
+/// with no link between them, and Softbrain with one unlinked PE added.
+fn disconnected_fixtures() -> Vec<dsagen::adg::Adg> {
+    let mut split = dsagen::adg::Adg::new("split");
+    lone_pe(&mut split);
+    lone_pe(&mut split);
+    let mut island = dsagen::adg::presets::softbrain();
+    island.set_name("softbrain-island");
+    lone_pe(&mut island);
+    vec![split, island]
+}
+
+/// 64-bit FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// One row of the config-path digest table: the longest path, every
+/// path's length, an FNV-1a over the node indices of every path (each
+/// path closed by `u32::MAX`), the nodes the lenient run entered off-walk
+/// (a step to a node not adjacent in the configurable subgraph), and the
+/// strict variant's verdict.
+fn config_path_row(adg: &dsagen::adg::Adg, what: &str, p: usize, seed: u64) -> String {
+    use dsagen::hwgen::{generate_config_paths, try_generate_config_paths, ConfigPathError};
+
+    let configurable = |id| adg.kind(id).is_ok_and(|k| k.is_configurable());
+    let adjacent: std::collections::BTreeSet<_> = adg
+        .edges()
+        .filter(|e| configurable(e.src) && configurable(e.dst))
+        .flat_map(|e| [(e.src, e.dst), (e.dst, e.src)])
+        .collect();
+    let cp = generate_config_paths(adg, p, seed);
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut off_walk = Vec::new();
+    for path in &cp.paths {
+        for node in path {
+            hash = fnv1a(hash, &(node.index() as u32).to_le_bytes());
+        }
+        hash = fnv1a(hash, &u32::MAX.to_le_bytes());
+        off_walk.extend(
+            path.windows(2)
+                .filter(|w| !adjacent.contains(&(w[0], w[1])))
+                .map(|w| w[1].to_string()),
+        );
+    }
+    let lens: Vec<String> = cp.paths.iter().map(|path| path.len().to_string()).collect();
+    let strict = match try_generate_config_paths(adg, p, seed) {
+        Ok(strict) => {
+            assert_eq!(strict, cp, "strict and lenient disagree on {what}");
+            "ok".to_string()
+        }
+        Err(ConfigPathError::NoConfigurableNodes) => "no-configurable-nodes".to_string(),
+        Err(ConfigPathError::DisconnectedNode { node }) => format!("disconnected({node})"),
+    };
+    format!(
+        "{what} p={p} seed={seed} longest={} lens=[{}] fnv={hash:016x} off_walk=[{}] strict={strict}",
+        cp.longest(),
+        lens.join(","),
+        off_walk.join(","),
+    )
+}
+
+/// One line per `generate_config_paths` run: every preset and both
+/// disconnected fixtures at five path counts and two seeds, then each
+/// step of a 40-step `mutate` chain from `dse_initial` and from
+/// `softbrain` at four paths. Pins the generator's output path for path,
+/// so a rewrite of it shows the first input it moves.
+fn config_path_digest_table() -> String {
+    const SEEDS: [u64; 2] = [7, 20200530];
+    let mut out = String::new();
+    for adg in all_presets().iter().chain(&disconnected_fixtures()) {
+        for p in [1, 3, 4, 6, 9] {
+            for seed in SEEDS {
+                let _ = writeln!(out, "{}", config_path_row(adg, adg.name(), p, seed));
+            }
+        }
+    }
+    let used = OpSet::integer_alu().union(OpSet::floating_point());
+    for start in [dsagen::adg::presets::dse_initial(), dsagen::adg::presets::softbrain()] {
+        let mut adg = start;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(20200530);
+        for step in 1..=40 {
+            let applied = dsagen::dse::mutate(&mut adg, &mut rng, &used)
+                .map_or_else(|| "none".to_string(), |m| format!("{m:?}"));
+            let what = format!("{} mutate step={step:02} {applied}", adg.name());
+            let _ = writeln!(out, "{}", config_path_row(&adg, &what, 4, SEEDS[0]));
+        }
+    }
+    out
+}
+
+#[test]
+fn config_path_digests_match_golden() {
+    check_golden("config_path_digests.txt", &config_path_digest_table());
+}
