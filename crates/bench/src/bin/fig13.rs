@@ -3,51 +3,11 @@
 //! The path generator receives mesh spatial architectures from 2×2 to 5×5
 //! PEs under constraints of 3, 6, and 9 configuration paths; the ideal
 //! longest path is ⌈n/p⌉ for n configurable nodes. The paper reports a
-//! mean 1.4× overhead versus ideal.
+//! mean 1.4× overhead versus ideal. The report is
+//! [`dsagen_bench::figures::fig13`], pinned against `results/fig13.txt`.
 //!
 //! Run with: `cargo run --release -p dsagen-bench --bin fig13`
 
-use dsagen_adg::presets::{mesh, MeshConfig};
-use dsagen_adg::{OpSet, PeSpec, Scheduling, Sharing};
-use dsagen_bench::rule;
-use dsagen_hwgen::{generate_config_paths, ConfigPaths};
-
 fn main() {
-    println!("FIGURE 13: Configuration-Path Length (generated vs ideal ceil(n/p))");
-    rule(74);
-    println!(
-        "{:<8} {:>7} {:>6}  {:>9} {:>9} {:>9}",
-        "mesh", "nodes", "paths", "ideal", "generated", "overhead"
-    );
-    rule(74);
-
-    let mut overheads = Vec::new();
-    for dim in 2..=5usize {
-        let pe = PeSpec::new(
-            Scheduling::Static,
-            Sharing::Dedicated,
-            OpSet::integer_alu(),
-        );
-        let adg = mesh(&MeshConfig::new(format!("{dim}x{dim}"), dim, dim, pe));
-        let nodes = adg.nodes().filter(|n| n.kind.is_configurable()).count();
-        for paths in [3usize, 6, 9] {
-            let cp = generate_config_paths(&adg, paths, 0xF16);
-            let ideal = ConfigPaths::ideal(nodes, cp.paths.len());
-            let over = cp.longest() as f64 / ideal as f64;
-            overheads.push(over);
-            println!(
-                "{:<8} {:>7} {:>6}  {:>9} {:>9} {:>9.2}",
-                format!("{dim}x{dim}"),
-                nodes,
-                paths,
-                ideal,
-                cp.longest(),
-                over
-            );
-        }
-    }
-    rule(74);
-    let mean = overheads.iter().sum::<f64>() / overheads.len() as f64;
-    println!("mean overhead vs ideal: {mean:.2}x");
-    println!("paper: the path generator introduces mean 1.4x overhead versus the ideal");
+    print!("{}", dsagen_bench::figures::fig13());
 }

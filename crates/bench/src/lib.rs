@@ -5,6 +5,7 @@
 
 pub mod artifact;
 pub mod envelope;
+pub mod figures;
 pub mod json;
 
 use dsagen::{compile, Compiled, CompileOptions};
