@@ -13,6 +13,7 @@
 //! that leave a kernel's mapped footprint untouched rebase the previous
 //! schedule instead of re-running the stochastic search.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -750,7 +751,9 @@ impl Explorer {
     pub fn evaluate(&mut self) -> DsePoint {
         let features = self.adg.features();
         let cost = self.area_model.estimate_adg(&self.adg);
-        let config_len = generate_config_paths(&self.adg, 4, self.cfg.seed).longest() as u32;
+        // Built on first use: an evaluation that only replays exact cache
+        // hits never reads it.
+        let config_len = OnceCell::new();
         let adg_fp = self.adg.fingerprint();
 
         let sched_cfg = SchedulerConfig {
@@ -833,7 +836,7 @@ impl Explorer {
                                 version,
                                 &art.schedule,
                                 &eval,
-                                config_len,
+                                self.longest_config_path(&config_len),
                             );
                             let perf = est.perf();
                             let fp = schedule_footprint(&self.adg, &art.schedule);
@@ -906,7 +909,7 @@ falling through to a full scheduling pass"
                                     version,
                                     prev,
                                     &eval,
-                                    config_len,
+                                    self.longest_config_path(&config_len),
                                 );
                                 Some((prev.clone(), est.perf(), want))
                             }
@@ -986,7 +989,7 @@ falling through to a full scheduling pass"
                                 version,
                                 &result.schedule,
                                 &result.eval,
-                                config_len,
+                                self.longest_config_path(&config_len),
                             )
                         };
                         let perf = est.perf();
@@ -1058,7 +1061,8 @@ falling through to a full scheduling pass"
             if let Some((vi, perf)) = *entry {
                 let mult = match self.cfg.reliability {
                     Some(mode) => {
-                        self.reliability_multiplier(ki, vi, config_len, &sched_cfg, mode, adg_fp)
+                        let len = self.longest_config_path(&config_len);
+                        self.reliability_multiplier(ki, vi, len, &sched_cfg, mode, adg_fp)
                     }
                     None => 1.0,
                 };
@@ -1085,6 +1089,16 @@ falling through to a full scheduling pass"
             cost,
             per_kernel,
         }
+    }
+
+    /// Longest configuration path of the current design (§VI, the
+    /// configuration latency the perf model charges), generated once per
+    /// [`Explorer::evaluate`] on first use and memoised in `memo`.
+    fn longest_config_path(&self, memo: &OnceCell<u32>) -> u32 {
+        *memo.get_or_init(|| {
+            let _span = self.telemetry.span("hwgen", "config_paths");
+            generate_config_paths(&self.adg, 4, self.cfg.seed).longest() as u32
+        })
     }
 
     /// The reliability-mode scoring multiplier for kernel `ki`'s winning

@@ -803,6 +803,7 @@ surviving fabric reschedules legally ({spent} iterations spent)"
                     });
                 }
                 if needs_repair {
+                    let _paths_span = tel.span("hwgen", "config_paths");
                     cpl_now = generate_config_paths(
                         &adg_now,
                         policy.config_paths.max(1),

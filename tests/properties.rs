@@ -154,6 +154,66 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Config paths over a `mutate` chain, with 0–2 unlinked PEs added
+    /// afterwards so the disconnected case is drawn too (no chain from
+    /// these presets disconnects the configurable subgraph on its own):
+    /// every step of every path is a link of the configurable undirected
+    /// adjacency except where a node was placed off-walk; the paths cover
+    /// exactly the configurable nodes; the output is a function of the
+    /// seed; and the strict variant reports `DisconnectedNode` — the first
+    /// off-walk node — exactly when the lenient run placed one.
+    #[test]
+    fn config_paths_walk_the_configurable_fabric(
+        seed in any::<u64>(),
+        start in 0usize..3,
+        steps in 0usize..40,
+        islands in 0usize..3,
+        p in 1usize..9,
+    ) {
+        use dsagen::adg::{NodeId, PeSpec, Scheduling, Sharing};
+        use dsagen::hwgen::{try_generate_config_paths, ConfigPathError};
+        use std::collections::BTreeSet;
+
+        let mut adg = [presets::dse_initial(), presets::softbrain(), presets::spu()][start].clone();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let used = OpSet::integer_alu().union(OpSet::floating_point());
+        for _ in 0..steps {
+            let _ = dsagen::dse::mutate(&mut adg, &mut rng, &used);
+        }
+        for _ in 0..islands {
+            adg.add_pe(PeSpec::new(Scheduling::Static, Sharing::Dedicated, OpSet::integer_alu()));
+        }
+        let configurable = |id: NodeId| adg.kind(id).is_ok_and(|k| k.is_configurable());
+        let adjacent: BTreeSet<(NodeId, NodeId)> = adg
+            .edges()
+            .filter(|e| configurable(e.src) && configurable(e.dst))
+            .flat_map(|e| [(e.src, e.dst), (e.dst, e.src)])
+            .collect();
+        let mut nodes: Vec<NodeId> = adg.nodes().map(|n| n.id()).filter(|&id| configurable(id)).collect();
+        nodes.sort();
+
+        let cp = generate_config_paths(&adg, p, seed);
+        prop_assert_eq!(&cp, &generate_config_paths(&adg, p, seed));
+        prop_assert_eq!(cp.covered(), nodes);
+        let off_walk: BTreeSet<NodeId> = cp
+            .paths
+            .iter()
+            .flat_map(|path| path.windows(2))
+            .filter(|w| !adjacent.contains(&(w[0], w[1])))
+            .map(|w| w[1])
+            .collect();
+        let strict = try_generate_config_paths(&adg, p, seed);
+        match off_walk.first() {
+            None => prop_assert_eq!(strict, Ok(cp)),
+            Some(&node) => prop_assert_eq!(strict, Err(ConfigPathError::DisconnectedNode { node })),
+        }
+        prop_assert_eq!(off_walk.is_empty(), islands == 0);
+    }
+}
+
 #[test]
 fn regression_model_underestimates_synthesis_by_a_few_percent() {
     // The deterministic heart of Fig 15's validation claim.
