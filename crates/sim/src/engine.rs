@@ -12,8 +12,17 @@
 //! [`crate::runtime`] — drives the *same* core, so a checkpointed-and-resumed
 //! run is bit-identical to an uninterrupted one by construction:
 //! checkpointing is just cloning the core.
+//!
+//! A cycle allocates nothing and visits each stream once. Every stream
+//! carries a dense slot into its group's table of distinct memories, whose
+//! per-cycle budgets live in one small vector kept at `1.0` between
+//! cycles. One pass per region moves each stream's data (memory, forwarded
+//! and control-core streams alike), folds the stream into the region's
+//! operand / output-space / drain readiness, and then decides the region's
+//! firing. A count of unfinished regions and a region→slot table make the
+//! all-done check and [`EngineCore::region_live`] O(1).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dsagen_adg::{Adg, CtrlSpec, NodeId, NodeKind};
 use dsagen_dfg::{CompiledKernel, CompiledRegion, StreamDir, StreamSource};
@@ -37,12 +46,27 @@ const MEM_LATENCY: u64 = 12;
 /// exhausted (fractional per-firing accounting leaves residues).
 const EPS: f64 = 1e-6;
 
+/// Where a stream's elements come from (reads) or go to (writes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Feed {
+    /// Bound to `mem`; `slot` indexes the group's per-cycle budget table.
+    Memory { mem: NodeId, slot: usize },
+    /// Moves without memory involvement (forwarded between regions, or a
+    /// memory stream the schedule left unbound).
+    Forwarded,
+    /// Served element by element by the control core.
+    Control,
+}
+
+/// [`EngineCore::slot_of`] entry of a region outside the current group.
+const NO_SLOT: usize = usize::MAX;
+
 #[derive(Debug, Clone)]
-pub(crate) struct StreamState {
+struct StreamState {
     /// Elements still to deliver/drain across the whole region execution.
-    pub(crate) remaining: f64,
+    remaining: f64,
     /// Elements buffered in the port FIFO (fabric side).
-    pub(crate) fifo: f64,
+    fifo: f64,
     /// FIFO capacity in elements.
     fifo_cap: f64,
     /// Elements consumed (reads) / produced (writes) per firing.
@@ -54,14 +78,12 @@ pub(crate) struct StreamState {
     /// Whether the initial command has been issued and the memory latency
     /// elapsed.
     active_at: u64,
-    /// Memory this stream is bound to (None for forwarded / control-core).
-    pub(crate) mem: Option<NodeId>,
+    /// Memory binding, forwarding, or control-core service.
+    feed: Feed,
     /// Whether the stream pays per-element (strided/indirect) or per-line.
-    pub(crate) elems_per_cycle: f64,
+    elems_per_cycle: f64,
     /// Read (memory→fabric) or write.
     is_read: bool,
-    /// Served by the control core element-by-element.
-    ctrl_fed: bool,
     // ---- hardware counters (always tallied; plain increments) ----
     /// Cycles in which the stream delivered at least one element.
     issued: u64,
@@ -74,14 +96,14 @@ pub(crate) struct StreamState {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct RegionState {
-    pub(crate) firings_left: f64,
+struct RegionState {
+    firings_left: f64,
     next_fire: f64,
-    pub(crate) ii: f64,
-    pub(crate) rec_gate: f64,
+    ii: f64,
+    rec_gate: f64,
     fired: u64,
-    pub(crate) done_at: Option<u64>,
-    pub(crate) streams: Vec<StreamState>,
+    done_at: Option<u64>,
+    streams: Vec<StreamState>,
     /// The region cannot complete before the control core has executed its
     /// scalar fallback work (1 op/cycle).
     ctrl_floor: u64,
@@ -194,6 +216,15 @@ pub(crate) struct EngineCore {
     /// Per-region state of the current group (None = initialize on the
     /// next tick).
     regions: Option<Vec<(usize, RegionState)>>,
+    /// Index of each kernel region in `regions` ([`NO_SLOT`] outside the
+    /// current group).
+    slot_of: Vec<usize>,
+    /// Regions of the current group that have not finished.
+    unfinished: usize,
+    /// Per-cycle budget of each distinct memory the current group's
+    /// streams are bound to, indexed by their [`Feed::Memory`] slot. Every
+    /// entry is `1.0` between cycles.
+    mem_budget: Vec<f64>,
     region_cycles: Vec<u64>,
     firings: Vec<u64>,
     active_cycles: Vec<u64>,
@@ -215,6 +246,9 @@ impl EngineCore {
             cycle: 0,
             total_before: config_cycles,
             regions: None,
+            slot_of: vec![NO_SLOT; n_regions],
+            unfinished: 0,
+            mem_budget: Vec::new(),
             region_cycles: vec![0; n_regions],
             firings: vec![0; n_regions],
             active_cycles: vec![0; n_regions],
@@ -237,15 +271,16 @@ impl EngineCore {
     /// it is part of the currently-executing group, not done, and still has
     /// firings to execute.
     pub(crate) fn region_live(&self, ctx: EngineCtx<'_>, ri: usize) -> bool {
-        if self.group_idx >= ctx.groups.len() || !ctx.groups[self.group_idx].contains(&ri) {
-            return false;
-        }
         match &self.regions {
-            // Group not initialized yet: it will run, so the region is live.
-            None => true,
-            Some(regions) => regions
-                .iter()
-                .find(|(i, _)| *i == ri)
+            // Group not initialized yet: its regions will run, so are live.
+            None => ctx
+                .groups
+                .get(self.group_idx)
+                .is_some_and(|g| g.contains(&ri)),
+            Some(regions) => self
+                .slot_of
+                .get(ri)
+                .and_then(|&slot| regions.get(slot))
                 .is_some_and(|(_, rs)| rs.done_at.is_none() && rs.firings_left > 0.0),
         }
     }
@@ -258,11 +293,7 @@ impl EngineCore {
         if self.regions.is_none() {
             self.init_group(ctx);
         }
-        let all_done = self
-            .regions
-            .as_ref()
-            .is_some_and(|rs| rs.iter().all(|(_, r)| r.done_at.is_some()));
-        if all_done || self.cycle >= ctx.cfg.max_cycles {
+        if self.unfinished == 0 || self.cycle >= ctx.cfg.max_cycles {
             self.finish_group(ctx);
             return if self.group_idx >= ctx.groups.len() {
                 Tick::Finished
@@ -273,6 +304,35 @@ impl EngineCore {
         self.cycle += 1;
         self.step_cycle(effects);
         Tick::Cycle
+    }
+
+    /// Rebuilds the indices derived from the current group's region state:
+    /// the region→slot table, the unfinished count, and each memory
+    /// stream's slot among the group's distinct memories (first-bound
+    /// order) with a budget table to match. Runs once per group, rebind
+    /// and splice — never per cycle.
+    fn index_group(&mut self) {
+        self.slot_of.fill(NO_SLOT);
+        self.unfinished = 0;
+        let mut mems: Vec<NodeId> = Vec::new();
+        for (at, (ri, rs)) in self.regions.iter_mut().flatten().enumerate() {
+            if let Some(entry) = self.slot_of.get_mut(*ri) {
+                *entry = at;
+            }
+            if rs.done_at.is_none() {
+                self.unfinished += 1;
+            }
+            for s in &mut rs.streams {
+                if let Feed::Memory { mem, slot } = &mut s.feed {
+                    *slot = mems.iter().position(|m| m == mem).unwrap_or_else(|| {
+                        mems.push(*mem);
+                        mems.len() - 1
+                    });
+                }
+            }
+        }
+        self.mem_budget.clear();
+        self.mem_budget.resize(mems.len(), 1.0);
     }
 
     /// Builds the per-region state of the current group and issues every
@@ -303,6 +363,7 @@ impl EngineCore {
         }
         self.cycle = 0;
         self.regions = Some(regions);
+        self.index_group();
     }
 
     /// Harvests the finished (or capped) group and advances to the next.
@@ -323,7 +384,7 @@ impl EngineCore {
                         region: ri,
                         index: si,
                         is_read: s.is_read,
-                        ctrl_fed: s.ctrl_fed,
+                        ctrl_fed: s.feed == Feed::Control,
                         issued: s.issued,
                         stalled: s.stalled,
                         elems: s.moved,
@@ -342,103 +403,49 @@ impl EngineCore {
         self.cycle = 0;
     }
 
-    /// One cycle of the current group: memory arbitration, control-core
-    /// delivery, then fabric firing — with per-region fault `effects`
-    /// overlaid (empty slice = fault-free).
+    /// One cycle of the current group — memory arbitration, forwarding and
+    /// control-core delivery, then fabric firing — with per-region fault
+    /// `effects` overlaid (empty slice = fault-free). One pass per region:
+    /// its streams move and fold into its readiness, then it fires or
+    /// stalls. Regions share only the memory budgets (arbitrated in region
+    /// then stream order, as if every stream moved before any region fired)
+    /// and integer stall counters, and a firing touches only its own
+    /// region's FIFOs, so interleaving regions this way changes nothing.
     fn step_cycle(&mut self, effects: &[Effect]) {
         let cycle = self.cycle;
         let Some(regions) = self.regions.as_mut() else {
             return;
         };
-
-        // ---- memory arbitration: each memory serves one line request (or
-        // a bank-parallel gather batch) per cycle, round-robin over the
-        // streams bound to it.
-        let mut mem_budget: HashMap<NodeId, f64> = HashMap::new();
-        for (_, rs) in regions.iter_mut() {
-            for s in rs.streams.iter_mut() {
-                if s.remaining <= EPS || cycle < s.active_at {
-                    continue;
-                }
-                let Some(mem) = s.mem else {
-                    // Forwarded streams move without memory involvement,
-                    // but writes can only drain what the fabric produced
-                    // and reads only fill available FIFO space.
-                    if !s.ctrl_fed {
-                        let amount = s.remaining.min(s.elems_per_cycle).min(if s.is_read {
-                            (s.fifo_cap - s.fifo).max(0.0)
-                        } else {
-                            s.fifo
-                        });
-                        if amount > 0.0 {
-                            deliver(s, amount);
-                        } else {
-                            s.stalled += 1; // blocked on the fabric-side FIFO
-                        }
-                    }
-                    continue;
-                };
-                let budget = mem_budget.entry(mem).or_insert(1.0);
-                if *budget <= 0.0 {
-                    self.stalls.memory += 1;
-                    s.stalled += 1; // lost memory-port arbitration
-                    continue;
-                }
-                let amount = s
-                    .remaining
-                    .min(s.elems_per_cycle)
-                    .min(if s.is_read {
-                        (s.fifo_cap - s.fifo).max(0.0)
-                    } else {
-                        s.fifo // writes drain what the fabric produced
-                    });
-                if amount > 0.0 {
-                    *budget -= 1.0;
-                    deliver(s, amount);
-                } else {
-                    s.stalled += 1; // port FIFO full (read) / empty (write)
-                }
-            }
-        }
-
-        // ---- control core: scalar fallback work feeds ControlCore
-        // streams at the scalar rate (their `elems_per_cycle` was derived
-        // from the region's total control work).
-        for (_, rs) in regions.iter_mut() {
-            for s in rs.streams.iter_mut() {
-                if s.ctrl_fed && s.remaining > EPS && cycle >= s.active_at {
-                    let amount = s.remaining.min(s.elems_per_cycle).min(if s.is_read {
-                        (s.fifo_cap - s.fifo).max(0.0)
-                    } else {
-                        s.fifo
-                    });
-                    if amount > 0.0 {
-                        deliver(s, amount);
-                    } else {
-                        self.stalls.ctrl += 1;
-                        s.stalled += 1; // control core could not feed
-                    }
-                }
-            }
-        }
-
-        // ---- fabric firing.
         for (ri, rs) in regions.iter_mut() {
+            let mut inputs_ready = true;
+            let mut outputs_ready = true;
+            let mut drained = true;
+            for s in &mut rs.streams {
+                if s.remaining > EPS && cycle >= s.active_at {
+                    s.transfer(&mut self.mem_budget, &mut self.stalls);
+                }
+                // Operand availability, output space, and drain state.
+                // A write FIFO may hold a sub-element residue when the
+                // rounded firing count slightly over-produces; tolerate it.
+                if s.is_read {
+                    inputs_ready &= s.fifo + 1e-9 >= s.firing_need();
+                } else {
+                    outputs_ready &= s.fifo_cap - s.fifo + 1e-9 >= s.per_firing;
+                    drained &= s.remaining <= EPS && s.fifo <= 0.01;
+                }
+            }
+
+            // ---- fabric firing.
             if rs.done_at.is_some() {
                 continue;
             }
             if rs.firings_left <= 0.0 {
                 // Drain: done once write streams are empty and the control
                 // core has retired its scalar fallback work.
-                // A write FIFO may hold a sub-element residue when the
-                // rounded firing count slightly over-produces; tolerate it.
-                let drained = rs
-                    .streams
-                    .iter()
-                    .all(|s| s.is_read || (s.remaining <= EPS && s.fifo <= 0.01));
                 if drained && cycle >= rs.ctrl_floor {
                     rs.done_at = Some(cycle);
                     self.region_cycles[*ri] = cycle;
+                    self.unfinished -= 1;
                 }
                 continue;
             }
@@ -454,17 +461,6 @@ impl EngineCore {
                 rs.tally.ii += 1;
                 continue;
             }
-            // Operand availability & output space.
-            let inputs_ready = rs
-                .streams
-                .iter()
-                .filter(|s| s.is_read)
-                .all(|s| s.fifo + 1e-9 >= s.firing_need());
-            let outputs_ready = rs
-                .streams
-                .iter()
-                .filter(|s| !s.is_read)
-                .all(|s| s.fifo_cap - s.fifo + 1e-9 >= s.per_firing);
             if !inputs_ready {
                 self.stalls.operands += 1;
                 rs.tally.operands += 1;
@@ -476,7 +472,7 @@ impl EngineCore {
                 continue;
             }
             // Fire one instance.
-            for s in rs.streams.iter_mut() {
+            for s in &mut rs.streams {
                 if s.is_read {
                     let need = s.firing_need();
                     s.fifo = (s.fifo - need).max(0.0);
@@ -500,6 +496,7 @@ impl EngineCore {
                 self.poisoned[*ri] += 1;
             }
         }
+        self.mem_budget.fill(1.0);
     }
 
     /// Rebinds the schedule-derived fields of the current group's state to
@@ -522,10 +519,11 @@ impl EngineCore {
             rs.ii = fresh.ii;
             rs.rec_gate = fresh.rec_gate;
             for (s, fs) in rs.streams.iter_mut().zip(fresh.streams) {
-                s.mem = fs.mem;
+                s.feed = fs.feed;
                 s.elems_per_cycle = fs.elems_per_cycle;
             }
         }
+        self.index_group();
     }
 
     /// Total poisoned firings currently accounted (rolls back with the
@@ -560,21 +558,17 @@ impl EngineCore {
         if cur.len() != old.len() || cur.iter().map(|(i, _)| i).ne(old.iter().map(|(i, _)| i)) {
             return false;
         }
-        let spliced: Vec<(usize, RegionState)> = self
-            .regions
-            .as_ref()
-            .expect("checked above")
+        let spliced: Vec<(usize, RegionState)> = cur
             .iter()
-            .zip(old.iter())
+            .zip(old)
             .map(|((ri, rs), (_, old_rs))| {
-                if regions.contains(ri) {
-                    (*ri, old_rs.clone())
-                } else {
-                    (*ri, rs.clone())
-                }
+                let rs = if regions.contains(ri) { old_rs } else { rs };
+                (*ri, rs.clone())
             })
             .collect();
         self.regions = Some(spliced);
+        // The spliced regions' memory slots index `from`'s memory table.
+        self.index_group();
         for &ri in regions {
             if ri < self.firings.len() {
                 self.firings[ri] = from.firings[ri];
@@ -775,6 +769,45 @@ impl StreamState {
     fn firing_need(&self) -> f64 {
         self.per_firing.min(self.fifo + self.remaining)
     }
+
+    /// This cycle's data movement of an active stream. Reads only fill
+    /// available FIFO space and writes only drain what the fabric
+    /// produced. A memory serves one line request (or a bank-parallel
+    /// gather batch) per cycle, first come first served in region then
+    /// stream order; forwarded streams move without memory involvement;
+    /// control-core streams move at the scalar rate (their
+    /// `elems_per_cycle` was derived from the region's total control
+    /// work).
+    fn transfer(&mut self, mem_budget: &mut [f64], stalls: &mut StallBreakdown) {
+        let amount = self
+            .remaining
+            .min(self.elems_per_cycle)
+            .min(if self.is_read {
+                (self.fifo_cap - self.fifo).max(0.0)
+            } else {
+                self.fifo
+            });
+        match self.feed {
+            Feed::Memory { slot, .. } => {
+                let budget = &mut mem_budget[slot];
+                if *budget <= 0.0 {
+                    stalls.memory += 1;
+                    self.stalled += 1; // lost memory-port arbitration
+                } else if amount > 0.0 {
+                    *budget -= 1.0;
+                    deliver(self, amount);
+                } else {
+                    self.stalled += 1; // port FIFO full (read) / empty (write)
+                }
+            }
+            _ if amount > 0.0 => deliver(self, amount),
+            Feed::Forwarded => self.stalled += 1, // blocked on the fabric-side FIFO
+            Feed::Control => {
+                stalls.ctrl += 1;
+                self.stalled += 1; // control core could not feed
+            }
+        }
+    }
 }
 
 fn deliver(s: &mut StreamState, amount: f64) {
@@ -841,7 +874,12 @@ fn region_state(
         }
         let total = s.pattern.total_elems();
         let mem = stream_mems.get(&(ri, is_input, s.port)).copied();
-        let ctrl_fed = matches!(s.source, StreamSource::ControlCore);
+        let feed = match (&s.source, mem) {
+            (StreamSource::ControlCore, _) => Feed::Control,
+            // The slot is assigned once the whole group is known.
+            (StreamSource::Memory(_), Some(mem)) => Feed::Memory { mem, slot: 0 },
+            _ => Feed::Forwarded,
+        };
         let elems_per_cycle = match (&s.source, mem) {
             (StreamSource::ControlCore, _) => {
                 // The core spreads its scalar work across the elements it
@@ -873,14 +911,9 @@ fn region_state(
             until_reissue: s.pattern.elems_per_command,
             per_command: s.pattern.elems_per_command,
             active_at: 0,
-            mem: if matches!(s.source, StreamSource::Memory(_)) {
-                mem
-            } else {
-                None
-            },
+            feed,
             elems_per_cycle,
             is_read: is_input,
-            ctrl_fed,
             issued: 0,
             stalled: 0,
             highwater: 0.0,
@@ -922,4 +955,442 @@ pub(crate) fn control_spec(adg: &Adg) -> CtrlSpec {
             _ => None,
         })
         .unwrap_or_default()
+}
+
+/// The engine's previous cycle loop, kept as the oracle the lockstep test
+/// steps beside [`EngineCore::tick`]: a scan for the all-done check, a
+/// per-cycle `HashMap` of memory budgets keyed by node, three passes over
+/// every stream, and a scan per [`EngineCore::region_live`] query. Its
+/// only change is keeping [`EngineCore::unfinished`] current, so the two
+/// cores' states stay comparable field for field.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    pub(super) fn region_live(core: &EngineCore, ctx: EngineCtx<'_>, ri: usize) -> bool {
+        if core.group_idx >= ctx.groups.len() || !ctx.groups[core.group_idx].contains(&ri) {
+            return false;
+        }
+        match &core.regions {
+            // Group not initialized yet: it will run, so the region is live.
+            None => true,
+            Some(regions) => regions
+                .iter()
+                .find(|(i, _)| *i == ri)
+                .is_some_and(|(_, rs)| rs.done_at.is_none() && rs.firings_left > 0.0),
+        }
+    }
+
+    pub(super) fn tick(core: &mut EngineCore, ctx: EngineCtx<'_>, effects: &[Effect]) -> Tick {
+        if core.group_idx >= ctx.groups.len() {
+            return Tick::Finished;
+        }
+        if core.regions.is_none() {
+            core.init_group(ctx);
+        }
+        let all_done = core
+            .regions
+            .as_ref()
+            .is_some_and(|rs| rs.iter().all(|(_, r)| r.done_at.is_some()));
+        if all_done || core.cycle >= ctx.cfg.max_cycles {
+            core.finish_group(ctx);
+            return if core.group_idx >= ctx.groups.len() {
+                Tick::Finished
+            } else {
+                Tick::GroupDone
+            };
+        }
+        core.cycle += 1;
+        step_cycle(core, effects);
+        Tick::Cycle
+    }
+
+    fn step_cycle(core: &mut EngineCore, effects: &[Effect]) {
+        let cycle = core.cycle;
+        let Some(regions) = core.regions.as_mut() else {
+            return;
+        };
+
+        // ---- memory arbitration: each memory serves one line request (or
+        // a bank-parallel gather batch) per cycle, round-robin over the
+        // streams bound to it.
+        let mut mem_budget: HashMap<NodeId, f64> = HashMap::new();
+        for (_, rs) in regions.iter_mut() {
+            for s in rs.streams.iter_mut() {
+                if s.remaining <= EPS || cycle < s.active_at {
+                    continue;
+                }
+                let Feed::Memory { mem, .. } = s.feed else {
+                    // Forwarded streams move without memory involvement,
+                    // but writes can only drain what the fabric produced
+                    // and reads only fill available FIFO space.
+                    if s.feed != Feed::Control {
+                        let amount = s.remaining.min(s.elems_per_cycle).min(if s.is_read {
+                            (s.fifo_cap - s.fifo).max(0.0)
+                        } else {
+                            s.fifo
+                        });
+                        if amount > 0.0 {
+                            deliver(s, amount);
+                        } else {
+                            s.stalled += 1; // blocked on the fabric-side FIFO
+                        }
+                    }
+                    continue;
+                };
+                let budget = mem_budget.entry(mem).or_insert(1.0);
+                if *budget <= 0.0 {
+                    core.stalls.memory += 1;
+                    s.stalled += 1; // lost memory-port arbitration
+                    continue;
+                }
+                let amount = s
+                    .remaining
+                    .min(s.elems_per_cycle)
+                    .min(if s.is_read {
+                        (s.fifo_cap - s.fifo).max(0.0)
+                    } else {
+                        s.fifo // writes drain what the fabric produced
+                    });
+                if amount > 0.0 {
+                    *budget -= 1.0;
+                    deliver(s, amount);
+                } else {
+                    s.stalled += 1; // port FIFO full (read) / empty (write)
+                }
+            }
+        }
+
+        // ---- control core: scalar fallback work feeds ControlCore
+        // streams at the scalar rate (their `elems_per_cycle` was derived
+        // from the region's total control work).
+        for (_, rs) in regions.iter_mut() {
+            for s in rs.streams.iter_mut() {
+                if s.feed == Feed::Control && s.remaining > EPS && cycle >= s.active_at {
+                    let amount = s.remaining.min(s.elems_per_cycle).min(if s.is_read {
+                        (s.fifo_cap - s.fifo).max(0.0)
+                    } else {
+                        s.fifo
+                    });
+                    if amount > 0.0 {
+                        deliver(s, amount);
+                    } else {
+                        core.stalls.ctrl += 1;
+                        s.stalled += 1; // control core could not feed
+                    }
+                }
+            }
+        }
+
+        // ---- fabric firing.
+        for (ri, rs) in regions.iter_mut() {
+            if rs.done_at.is_some() {
+                continue;
+            }
+            if rs.firings_left <= 0.0 {
+                // Drain: done once write streams are empty and the control
+                // core has retired its scalar fallback work.
+                // A write FIFO may hold a sub-element residue when the
+                // rounded firing count slightly over-produces; tolerate it.
+                let drained = rs
+                    .streams
+                    .iter()
+                    .all(|s| s.is_read || (s.remaining <= EPS && s.fifo <= 0.01));
+                if drained && cycle >= rs.ctrl_floor {
+                    rs.done_at = Some(cycle);
+                    core.region_cycles[*ri] = cycle;
+                    core.unfinished -= 1;
+                }
+                continue;
+            }
+            let effect = effects.get(*ri).copied().unwrap_or(Effect::Normal);
+            if effect == Effect::Blocked {
+                // A blocking fault holds the fabric: no firing, no II
+                // progress. The progress watchdog in `runtime` observes
+                // exactly these cycles.
+                continue;
+            }
+            if (cycle as f64) < rs.next_fire {
+                core.stalls.ii += 1;
+                rs.tally.ii += 1;
+                continue;
+            }
+            // Operand availability & output space.
+            let inputs_ready = rs
+                .streams
+                .iter()
+                .filter(|s| s.is_read)
+                .all(|s| s.fifo + 1e-9 >= s.firing_need());
+            let outputs_ready = rs
+                .streams
+                .iter()
+                .filter(|s| !s.is_read)
+                .all(|s| s.fifo_cap - s.fifo + 1e-9 >= s.per_firing);
+            if !inputs_ready {
+                core.stalls.operands += 1;
+                rs.tally.operands += 1;
+                continue;
+            }
+            if !outputs_ready {
+                core.stalls.backpressure += 1;
+                rs.tally.backpressure += 1;
+                continue;
+            }
+            // Fire one instance.
+            for s in rs.streams.iter_mut() {
+                if s.is_read {
+                    let need = s.firing_need();
+                    s.fifo = (s.fifo - need).max(0.0);
+                } else {
+                    s.fifo += s.per_firing;
+                    if s.fifo > s.highwater {
+                        s.highwater = s.fifo;
+                    }
+                }
+            }
+            rs.firings_left -= 1.0;
+            rs.fired += 1;
+            rs.tally.fired_cycles += 1;
+            core.firings[*ri] += 1;
+            core.active_cycles[*ri] += 1;
+            rs.next_fire = cycle as f64 + rs.ii.max(rs.rec_gate);
+            if effect == Effect::Poisoned {
+                // The firing happened, but a stuck switch delivered wrong
+                // operands: the produced results are corrupt. The residue
+                // checker in `runtime` observes this counter.
+                core.poisoned[*ri] += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dsagen_adg::presets;
+    use dsagen_dfg::{compile_kernel, enumerate_configs, TransformConfig};
+    use dsagen_scheduler::{repair, schedule, EntityKind, ScheduleResult, SchedulerConfig};
+    use dsagen_telemetry::Telemetry;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+
+    /// A hardware view plus what `run_to_completion` derives from it.
+    struct Mapping {
+        adg: Adg,
+        eval: Evaluation,
+        stream_mems: BTreeMap<(usize, bool, usize), NodeId>,
+        ctrl: CtrlSpec,
+    }
+
+    impl Mapping {
+        fn new(adg: Adg, kernel: &CompiledKernel, result: ScheduleResult) -> Self {
+            let stream_mems = result.schedule.stream_memories(&Problem::new(&adg, kernel));
+            let ctrl = control_spec(&adg);
+            Mapping {
+                adg,
+                eval: result.eval,
+                stream_mems,
+                ctrl,
+            }
+        }
+
+        fn ctx<'a>(
+            &'a self,
+            kernel: &'a CompiledKernel,
+            cfg: &'a SimConfig,
+            groups: &'a [Vec<usize>],
+        ) -> EngineCtx<'a> {
+            EngineCtx {
+                adg: &self.adg,
+                kernel,
+                eval: &self.eval,
+                cfg,
+                stream_mems: &self.stream_mems,
+                ctrl: &self.ctrl,
+                groups,
+            }
+        }
+    }
+
+    /// The most capable unroll-1 version of `kernel` whose requirements
+    /// `adg` satisfies, else the fallback version (which then schedules
+    /// illegally and leaves streams unbound — also worth stepping).
+    fn version(adg: &Adg, kernel: &dsagen_dfg::Kernel) -> CompiledKernel {
+        let features = adg.features();
+        enumerate_configs(kernel, &features, 1)
+            .into_iter()
+            .filter_map(|config| compile_kernel(kernel, &config, &features).ok())
+            .find(|v| v.requires.satisfied_by(&features))
+            .unwrap_or_else(|| {
+                compile_kernel(kernel, &TransformConfig::fallback(), &features).unwrap()
+            })
+    }
+
+    /// The mapping after a repair around the first removable placed PE (a
+    /// reschedule at another seed when no PE can go).
+    fn repaired(adg: &Adg, kernel: &CompiledKernel, first: &ScheduleResult) -> Mapping {
+        let problem = Problem::new(adg, kernel);
+        let faulted = problem
+            .entities
+            .iter()
+            .zip(&first.schedule.placement)
+            .filter(|(e, _)| matches!(e.kind, EntityKind::Op { .. }))
+            .filter_map(|(_, node)| *node)
+            .find_map(|node| {
+                let mut faulted = adg.clone();
+                faulted.remove_node(node).ok()?;
+                faulted.validate().ok()?;
+                Some(faulted)
+            });
+        let cfg = SchedulerConfig::default();
+        match faulted {
+            Some(faulted) => {
+                let result = repair(
+                    &faulted,
+                    kernel,
+                    &first.schedule,
+                    &cfg,
+                    1,
+                    &Telemetry::disabled(),
+                );
+                Mapping::new(faulted, kernel, result)
+            }
+            None => {
+                let cfg = SchedulerConfig { seed: 77001, ..cfg };
+                Mapping::new(adg.clone(), kernel, schedule(adg, kernel, &cfg))
+            }
+        }
+    }
+
+    /// Moves every memory-bound stream of `m` to the next of the fabric's
+    /// memories (in id order), so that rebinding to `m` renumbers memory
+    /// slots and regroups the streams that share a budget.
+    fn rotate_memories(m: &mut Mapping) {
+        let mems: Vec<NodeId> = m.adg.memories().collect();
+        for mem in m.stream_mems.values_mut() {
+            if let Some(i) = mems.iter().position(|x| x == mem) {
+                *mem = mems[(i + 1) % mems.len()];
+            }
+        }
+    }
+
+    /// Steps a core through [`EngineCore::tick`] and another through the
+    /// reference cycle, every group capped at `cap` cycles, and asserts
+    /// after every tick that both returned the same [`Tick`] and have the
+    /// same `Debug` state, and before it that both agree on every region's
+    /// liveness. With an `effect_seed`, each region's effect switches
+    /// between normal, blocked and poisoned at random (about once per 32
+    /// cycles). Both are checkpointed at `cap / 8`; at `cap / 4` both are
+    /// rebound to `second` and, inside a multi-region group, the group's
+    /// first region is spliced back from the checkpoint — whose memory
+    /// bindings predate the rebind.
+    fn lockstep(
+        case: &str,
+        kernel: &CompiledKernel,
+        first: &Mapping,
+        second: &Mapping,
+        cap: u64,
+        effect_seed: Option<u64>,
+    ) {
+        let cfg = SimConfig { max_cycles: cap };
+        let groups = pipeline_groups(kernel);
+        let n = kernel.regions.len();
+        let mut new = EngineCore::new(n, 17);
+        let mut old = new.clone();
+        let mut rng = effect_seed.map(StdRng::seed_from_u64);
+        let mut effects = vec![Effect::Normal; n];
+        let mut mapping = first;
+        let mut checkpoint = None;
+        for t in 0u64.. {
+            if t == cap / 8 {
+                checkpoint = Some((new.clone(), old.clone()));
+            }
+            if t == cap / 4 {
+                mapping = second;
+                let ctx = mapping.ctx(kernel, &cfg, &groups);
+                new.rebind(ctx);
+                old.rebind(ctx);
+                let group = groups.get(new.group_idx()).filter(|g| g.len() > 1);
+                if let (Some(group), Some((new_ckpt, old_ckpt))) = (group, &checkpoint) {
+                    let spliced = new.splice_regions_from(new_ckpt, &group[..1]);
+                    assert_eq!(
+                        spliced,
+                        old.splice_regions_from(old_ckpt, &group[..1]),
+                        "{case}"
+                    );
+                }
+            }
+            let ctx = mapping.ctx(kernel, &cfg, &groups);
+            for ri in 0..n {
+                assert_eq!(
+                    new.region_live(ctx, ri),
+                    reference::region_live(&old, ctx, ri),
+                    "{case}: liveness of region {ri} before tick {t}"
+                );
+            }
+            let effects: &[Effect] = match &mut rng {
+                Some(rng) => {
+                    for e in &mut effects {
+                        if rng.gen_range(0..32) == 0 {
+                            *e = [Effect::Normal, Effect::Blocked, Effect::Poisoned]
+                                [rng.gen_range(0..3usize)];
+                        }
+                    }
+                    &effects
+                }
+                None => &[],
+            };
+            let ticked = new.tick(ctx, effects);
+            assert_eq!(
+                ticked,
+                reference::tick(&mut old, ctx, effects),
+                "{case}: tick {t}"
+            );
+            let (new_state, old_state) = (format!("{new:?}"), format!("{old:?}"));
+            assert!(
+                new_state == old_state,
+                "{case}: states diverge after tick {t}\n new: {new_state}\n ref: {old_state}"
+            );
+            if ticked == Tick::Finished {
+                return;
+            }
+        }
+    }
+
+    /// The fused, allocation-free cycle is the reference cycle, state for
+    /// state: every Table-I kernel on three fabrics, fault-free and under
+    /// random effects, with a mid-run rebind to a repaired mapping (its
+    /// memory bindings rotated) and a splice. A debug build steps every
+    /// fourth case for 512 cycles per group;
+    /// `cargo test --release -p dsagen-sim --lib engine` steps every case
+    /// for 8192 cycles per group.
+    #[test]
+    fn cycles_match_the_reference_in_lockstep() {
+        let (stride, cap) = if cfg!(debug_assertions) {
+            (4, 512)
+        } else {
+            (1, 8192)
+        };
+        let mut case = 0u64;
+        for adg in [presets::softbrain(), presets::spu(), presets::dse_initial()] {
+            for w in dsagen_workloads::all() {
+                case += 1;
+                if !case.is_multiple_of(stride) {
+                    continue;
+                }
+                let kernel = version(&adg, &w.kernel);
+                let first = schedule(&adg, &kernel, &SchedulerConfig::default());
+                let mut second = repaired(&adg, &kernel, &first);
+                rotate_memories(&mut second);
+                let first = Mapping::new(adg.clone(), &kernel, first);
+                for effect_seed in [None, Some(case)] {
+                    let what = format!("{} {} effects={effect_seed:?}", adg.name(), w.name);
+                    lockstep(&what, &kernel, &first, &second, cap, effect_seed);
+                }
+            }
+        }
+    }
 }

@@ -453,7 +453,13 @@ pub fn run_with_recovery(
     let mut domains = RecoveryDomains::derive(adg, kernel, schedule);
 
     loop {
-        match sim.run_until_event() {
+        // Each engine segment between events is a child span, so a trace
+        // tells the tick loop apart from the ladder's own time.
+        let outcome = {
+            let _tick_span = tel.span("sim", "tick_loop");
+            sim.run_until_event()
+        };
+        match outcome {
             StepOutcome::Finished => break,
             StepOutcome::Detected(fault) => {
                 let fault = *fault;
