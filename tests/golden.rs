@@ -21,6 +21,10 @@ use std::path::PathBuf;
 
 use dsagen::prelude::*;
 
+#[path = "seeded_inputs.rs"]
+mod seeded_inputs;
+use seeded_inputs::seeded_inputs;
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
@@ -547,4 +551,38 @@ fn sim_digest_table() -> String {
 #[test]
 fn sim_digests_match_golden() {
     check_golden("sim_digests.txt", &sim_digest_table());
+}
+
+/// Pins the reference interpreter run for run: every Table-I kernel on two
+/// seeded input sets, each row an FNV-1a over every output array's name,
+/// length and element bits, or the `ExecError` text. A rewrite of
+/// `interp::execute` shows the first kernel whose values or error it moves.
+fn interp_digest_table() -> String {
+    let mut out = String::new();
+    for w in dsagen::workloads::all() {
+        for salt in [0, 1] {
+            let inputs = seeded_inputs(&w.kernel.name, salt);
+            let row = match dsagen::dfg::interp::execute(&w.kernel, &inputs) {
+                Ok(arrays) => {
+                    let mut hash = 0xCBF2_9CE4_8422_2325;
+                    for (name, data) in &arrays {
+                        hash = fnv1a(hash, name.as_bytes());
+                        hash = fnv1a(hash, &(data.len() as u64).to_le_bytes());
+                        for x in data {
+                            hash = fnv1a(hash, &x.to_bits().to_le_bytes());
+                        }
+                    }
+                    format!("arrays={} fnv={hash:016x}", arrays.len())
+                }
+                Err(e) => format!("error={e}"),
+            };
+            let _ = writeln!(out, "{} inputs={salt} {row}", w.kernel.name);
+        }
+    }
+    out
+}
+
+#[test]
+fn interp_digests_match_golden() {
+    check_golden("interp_digests.txt", &interp_digest_table());
 }
