@@ -67,6 +67,8 @@ mod expr;
 pub mod interp;
 mod source;
 mod stream;
+#[cfg(test)]
+mod testgen;
 mod transform;
 
 pub use compile::{compile_kernel, CompiledKernel, CompiledRegion};
