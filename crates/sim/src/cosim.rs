@@ -18,8 +18,13 @@
 //!    accelerator execution must match.
 //!
 //! [`simulate_functional`] returns both: the timing report and the
-//! functional outputs. The differential test harness compares those
-//! outputs against an independent reference execution per workload.
+//! functional outputs. [`CoSimReport::outputs`] *is* `interp::execute`'s
+//! result — the engine computes no values — so when the differential test
+//! harness compares those outputs with its own `interp::execute` run, it
+//! compares `execute` with `execute`: that shows the report carries the
+//! interpreter's arrays untouched, not that they are right. The independent
+//! value oracle is `tests/functional.rs`, which checks the interpreter
+//! against hand-written reference implementations.
 
 use std::collections::BTreeMap;
 
