@@ -586,3 +586,144 @@ fn interp_digest_table() -> String {
 fn interp_digests_match_golden() {
     check_golden("interp_digests.txt", &interp_digest_table());
 }
+
+/// FNV-1a over every `IterRecord` field except `wall_ms`, across every
+/// shard's trace (each trace closed by `u64::MAX`).
+fn trace_hash(shard_traces: &[Vec<dsagen::dse::IterRecord>]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    for trace in shard_traces {
+        for rec in trace {
+            let reason = rec.rejected_reason.map_or_else(String::new, |r| r.to_string());
+            for word in [
+                u64::from(rec.iter),
+                rec.area_mm2.to_bits(),
+                rec.power_mw.to_bits(),
+                rec.objective.to_bits(),
+                rec.perf.to_bits(),
+                u64::from(rec.accepted),
+                rec.sched_passes,
+                rec.cache_hits,
+                rec.cache_misses,
+            ] {
+                hash = fnv1a(hash, &word.to_le_bytes());
+            }
+            hash = fnv1a(hash, reason.as_bytes());
+            hash = fnv1a(hash, &[0xFF]);
+        }
+        hash = fnv1a(hash, &u64::MAX.to_le_bytes());
+    }
+    hash
+}
+
+/// A design point as bits: objective, perf, area, power, then each
+/// kernel's chosen version and IPC (`-` when none mapped).
+fn point_text(p: &dsagen::dse::DsePoint) -> String {
+    let per_kernel: Vec<String> = p
+        .per_kernel
+        .iter()
+        .map(|k| k.map_or_else(|| "-".to_string(), |(v, ipc)| format!("{v}:{:x}", ipc.to_bits())))
+        .collect();
+    format!(
+        "{:x}/{:x}/{:x}/{:x}[{}]",
+        p.objective.to_bits(),
+        p.perf.to_bits(),
+        p.cost.area_mm2.to_bits(),
+        p.cost.power_mw.to_bits(),
+        per_kernel.join(","),
+    )
+}
+
+/// One row of the DSE digest table: the explorer's whole observable
+/// outcome after one `run` — traces, best and initial points, both final
+/// designs' fingerprints and the statistics snapshot.
+fn dse_row(what: &str, ex: &dsagen::dse::Explorer, res: &dsagen::dse::DseResult) -> String {
+    let snap = ex.telemetry_snapshot();
+    let c = snap.cache;
+    format!(
+        "{what} iters={} trace={:016x} best={} initial={} best_adg={:016x} adg={:016x} \
+sched={} rejections={} exact={} footprint={} store={} misses={} insertions={} stopped={:?}",
+        res.shard_traces.iter().map(Vec::len).sum::<usize>(),
+        trace_hash(&res.shard_traces),
+        point_text(&res.best),
+        point_text(&res.initial),
+        res.best_adg.fingerprint(),
+        ex.adg().fingerprint(),
+        snap.sched_invocations,
+        snap.config_rejections,
+        c.exact_hits,
+        c.footprint_hits,
+        c.store_hits,
+        c.misses,
+        c.insertions,
+        res.stopped,
+    )
+}
+
+/// Pins the explorer exploration for exploration: two small PolyBench
+/// kernel sets from `dse_initial` under two seeds, each run serial, as
+/// three shards on one and on two threads, without repair, without the
+/// cache, in reliability mode, and against an artifact store cold and
+/// then warm. Every row fixes `shards` and `threads`, so
+/// `DSAGEN_DSE_THREADS` cannot move it. A rewrite of the explorer shows
+/// the first (set, seed, configuration) it moves.
+fn dse_digest_table() -> String {
+    use dsagen::adg::presets;
+    use dsagen::dse::{DseConfig, Explorer, ReliabilityMode};
+    use dsagen::workloads::polybench;
+
+    let sets: [(&str, Vec<dsagen::dfg::Kernel>); 2] = [
+        ("atax", vec![polybench::atax()]),
+        ("mvt+bicg", vec![polybench::mvt(), polybench::bicg()]),
+    ];
+    let mut out = String::new();
+    for (set, kernels) in &sets {
+        for seed in DIGEST_SEEDS {
+            let base = DseConfig {
+                seed,
+                max_iters: 7,
+                patience: 7,
+                sched_iters: 30,
+                max_unroll: 2,
+                shards: 1,
+                threads: 1,
+                ..DseConfig::default()
+            };
+            let reliability = ReliabilityMode {
+                faults: 1,
+                horizon: 512,
+                ..ReliabilityMode::default()
+            };
+            let configs = [
+                ("serial", base),
+                ("shards=3 threads=1", DseConfig { shards: 3, ..base }),
+                ("shards=3 threads=2", DseConfig { shards: 3, threads: 2, ..base }),
+                ("no-repair", DseConfig { use_repair: false, ..base }),
+                ("no-cache", DseConfig { use_cache: false, ..base }),
+                ("reliability", DseConfig { reliability: Some(reliability), ..base }),
+            ];
+            for (what, cfg) in configs {
+                let mut ex = Explorer::new(presets::dse_initial(), kernels, cfg);
+                let res = ex.run();
+                let _ = writeln!(out, "{}", dse_row(&format!("{set} seed={seed} {what}"), &ex, &res));
+            }
+            let root = std::env::temp_dir().join(format!(
+                "dsagen-golden-dse-{}-{set}-{seed}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            for what in ["store-cold", "store-warm"] {
+                let store = dsagen::store::open_default(&root).expect("open a scratch store");
+                let mut ex = Explorer::new(presets::dse_initial(), kernels, base).with_store(store);
+                let res = ex.run();
+                let _ = writeln!(out, "{}", dse_row(&format!("{set} seed={seed} {what}"), &ex, &res));
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+    out
+}
+
+#[test]
+fn dse_digests_match_golden() {
+    check_golden("dse_digests.txt", &dse_digest_table());
+}
