@@ -8,25 +8,11 @@
 //! scheduler seed)`, so the result of a previous run can be replayed.
 //!
 //! [`ScheduleCache`] memoizes scheduling outcomes keyed by
-//! `(Adg::fingerprint, CompiledKernel::content_hash)`:
-//!
-//! * **Exact hits** — the `(hardware, kernel)` pair was scheduled before
-//!   (typically after a reverted mutation). The cached schedule *and* the
-//!   cached modeled performance are reused wholesale. This is sound
-//!   because both the scheduler and the performance/config-path models are
-//!   deterministic functions of the fingerprinted inputs and the
-//!   explorer-fixed seed.
-//! * **Footprint hits** — the ADG changed, but the subgraph the previous
-//!   schedule occupies ([`schedule_footprint`]) is byte-identical
-//!   ([`Adg::footprint_fingerprint`]). The placement/routing decision is
-//!   *rebased* onto the mutated graph and its evaluation and performance
-//!   are recomputed honestly; only the stochastic search is skipped. If
-//!   the rebased schedule turns out infeasible the explorer falls back to
-//!   a full scheduling pass, so footprint reuse can never mask a broken
-//!   schedule.
-//! * **Misses** — a genuinely new design point; the stochastic scheduler
-//!   runs and its outcome (legal or not — negative results are cached too)
-//!   is inserted for the future.
+//! `(Adg::fingerprint, CompiledKernel::content_hash)`. The explorer
+//! answers each version lookup from the first [`Tier`] that can — exact
+//! replay, artifact store, footprint rebase, fresh pass — then records the
+//! tier with [`ScheduleCache::note`] and inserts the entry (an exact hit is
+//! already there).
 //!
 //! Caches are per-explorer (and per-shard in parallel runs): the scheduler
 //! seed participates in the memoized computation, so entries must not leak
@@ -51,7 +37,8 @@ pub struct CacheStats {
     pub store_hits: u64,
     /// Lookups that fell through to a full stochastic scheduling pass.
     pub misses: u64,
-    /// Entries written (one per miss or footprint rebase).
+    /// Entries written: one per miss, store hit or footprint rebase (an
+    /// exact hit writes nothing).
     pub insertions: u64,
 }
 
@@ -96,6 +83,32 @@ impl CacheStats {
     }
 }
 
+/// Which tier of the explorer's schedule lookup answered a version, in
+/// the order the tiers are tried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// The `(hardware, kernel)` pair was scheduled before (typically after
+    /// a reverted mutation); the cached schedule *and* modeled performance
+    /// are replayed wholesale. Sound because the scheduler and the
+    /// performance/config-path models are deterministic functions of the
+    /// fingerprinted inputs and the explorer-fixed seed.
+    Exact,
+    /// An earlier process persisted the schedule for the same `(hardware,
+    /// kernel, scheduler seed)` in an artifact store; it is re-checked on
+    /// this design before it counts.
+    Store,
+    /// The ADG changed, but the subgraph the previous schedule occupies
+    /// ([`schedule_footprint`]) is byte-identical
+    /// ([`Adg::footprint_fingerprint`]): the schedule is *rebased* onto the
+    /// mutated graph and re-checked, skipping only the stochastic search.
+    /// A rebase that fails the check falls through to a fresh pass, so
+    /// footprint reuse can never mask a broken schedule.
+    Footprint,
+    /// A full stochastic scheduling pass (a cache miss); its outcome, legal
+    /// or not, is cached for the future.
+    Fresh,
+}
+
 /// One memoized scheduling outcome.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
@@ -126,34 +139,22 @@ impl ScheduleCache {
         ScheduleCache::default()
     }
 
-    /// Looks up the outcome memoized for `(adg_fp, kernel_hash)`,
-    /// recording an exact hit when present. A `None` return records
-    /// nothing — the caller decides between
-    /// [`ScheduleCache::note_footprint_hit`] and
-    /// [`ScheduleCache::note_miss`].
-    pub fn lookup(&mut self, adg_fp: u64, kernel_hash: u64) -> Option<&CacheEntry> {
-        let entry = self.entries.get(&(adg_fp, kernel_hash));
-        if entry.is_some() {
-            self.stats.exact_hits += 1;
-        }
-        entry
+    /// The outcome memoized for `(adg_fp, kernel_hash)`, if any. Counts
+    /// nothing: the explorer records whichever tier answered the lookup.
+    #[must_use]
+    pub fn lookup(&self, adg_fp: u64, kernel_hash: u64) -> Option<&CacheEntry> {
+        self.entries.get(&(adg_fp, kernel_hash))
     }
 
-    /// Records that a lookup was answered by rebasing a footprint-intact
-    /// previous schedule instead of a full scheduling pass.
-    pub fn note_footprint_hit(&mut self) {
-        self.stats.footprint_hits += 1;
-    }
-
-    /// Records that a lookup was answered from the disk-backed artifact
-    /// store (a warm start from a previous process).
-    pub fn note_store_hit(&mut self) {
-        self.stats.store_hits += 1;
-    }
-
-    /// Records that a lookup fell through to the stochastic scheduler.
-    pub fn note_miss(&mut self) {
-        self.stats.misses += 1;
+    /// Records that `tier` answered one lookup.
+    pub(crate) fn note(&mut self, tier: Tier) {
+        let counter = match tier {
+            Tier::Exact => &mut self.stats.exact_hits,
+            Tier::Store => &mut self.stats.store_hits,
+            Tier::Footprint => &mut self.stats.footprint_hits,
+            Tier::Fresh => &mut self.stats.misses,
+        };
+        *counter += 1;
     }
 
     /// Inserts (or overwrites) the outcome for `(adg_fp, kernel_hash)`.
@@ -171,18 +172,6 @@ impl ScheduleCache {
     /// Folds another cache's counters into this one (shard reduction).
     pub fn absorb_stats(&mut self, other: &CacheStats) {
         self.stats.absorb(other);
-    }
-
-    /// Number of memoized entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -232,7 +221,7 @@ mod tests {
     fn lookup_insert_roundtrip_counts() {
         let mut c = ScheduleCache::new();
         assert!(c.lookup(1, 2).is_none());
-        c.note_miss();
+        c.note(Tier::Fresh);
         c.insert(
             1,
             2,
@@ -244,12 +233,11 @@ mod tests {
         );
         let hit = c.lookup(1, 2).expect("entry just inserted");
         assert_eq!(hit.perf, Some(1.5));
+        c.note(Tier::Exact);
         let stats = c.stats();
         assert_eq!(stats.exact_hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.insertions, 1);
-        assert_eq!(c.len(), 1);
-        assert!(!c.is_empty());
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! step-for-step, and the merged outcome depends only on `(seed, shards)`,
 //! never on thread scheduling.
 //!
-//! Candidate evaluation memoizes scheduling work in a [`ScheduleCache`]:
-//! revisited designs (reverted mutations) replay wholesale, and mutations
-//! that leave a kernel's mapped footprint untouched rebase the previous
-//! schedule instead of re-running the stochastic search.
+//! Candidate evaluation answers each kernel version from the first of four
+//! [`Tier`]s that can: an exact replay from the [`ScheduleCache`], a
+//! schedule an earlier process left in the artifact store, a rebase of the
+//! previous schedule when the mutation left its footprint intact, or a
+//! fresh scheduling pass. Every tier but the exact replay re-checks what it
+//! found on the current design (feasibility, bitstream round trip, then the
+//! perf model), and every answer is adopted the same way: into the mapping
+//! state, the cache and the tier's counter.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -23,10 +27,10 @@ use std::time::{Duration, Instant};
 use dsagen_adg::{Adg, FeatureSet, OpSet};
 use dsagen_dfg::{compile_kernel, enumerate_configs, CompiledKernel, Kernel};
 use dsagen_faults::FaultSchedule;
-use dsagen_hwgen::{generate_config_paths, verify_round_trip_timed};
+use dsagen_hwgen::{generate_config_paths, verify_round_trip_timed, VerifiedConfig};
 use dsagen_model::{objective, AreaPowerModel, HwCost, PerfModel};
 use dsagen_scheduler::{
-    evaluate as evaluate_schedule, repair, schedule_instrumented, Problem, Schedule,
+    evaluate as evaluate_schedule, repair, schedule_instrumented, Evaluation, Problem, Schedule,
     SchedulerConfig,
 };
 use dsagen_store::{Artifact, ArtifactKey, ArtifactStore};
@@ -34,7 +38,7 @@ use dsagen_telemetry::{log, EventData, Level, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{schedule_footprint, CacheEntry, CacheStats, ScheduleCache};
+use crate::cache::{schedule_footprint, CacheEntry, CacheStats, ScheduleCache, Tier};
 use crate::mutate::mutate;
 
 /// Explorer tunables.
@@ -348,16 +352,6 @@ impl PartialEq for IterRecord {
     }
 }
 
-/// Work-counter snapshot taken at the top of a step; see
-/// [`Explorer::mark`] / [`Explorer::since`].
-#[derive(Clone, Copy)]
-struct StepMark {
-    at: Instant,
-    sched: u64,
-    hits: u64,
-    misses: u64,
-}
-
 /// Final result of an exploration run.
 #[derive(Debug, Clone)]
 pub struct DseResult {
@@ -408,20 +402,16 @@ pub struct DsePoint {
     pub per_kernel: Vec<Option<(usize, f64)>>,
 }
 
-/// The design-space explorer: owns the evolving ADG, the compiled kernel
-/// versions, the persistent schedules being repaired, and the schedule
+/// The design-space explorer: owns the evolving design and the schedules
+/// mapped onto it, the compiled kernel versions, and the schedule
 /// memoization cache.
 #[derive(Debug)]
 pub struct Explorer {
     cfg: DseConfig,
-    adg: Adg,
-    versions: Vec<Vec<CompiledKernel>>,
-    /// `CompiledKernel::content_hash` per version — half the cache key.
-    version_hashes: Vec<Vec<u64>>,
-    schedules: HashMap<(usize, usize), Schedule>,
-    /// Footprint fingerprint of the last *legal* schedule per version,
-    /// minted on the ADG it was scheduled against.
-    footprints: HashMap<(usize, usize), u64>,
+    /// The current design and its mapping state.
+    design: Design,
+    /// Every kernel's compiled versions, shared by all forked shards.
+    versions: Arc<Versions>,
     cache: ScheduleCache,
     /// Stochastic scheduling passes actually executed (cache misses).
     sched_invocations: u64,
@@ -434,7 +424,6 @@ pub struct Explorer {
     rng: StdRng,
     area_model: AreaPowerModel,
     perf_model: PerfModel,
-    used_ops: OpSet,
     /// Which shard this explorer is (0 for the serial / root explorer);
     /// stamped onto telemetry events.
     shard_index: usize,
@@ -452,19 +441,59 @@ pub struct Explorer {
     /// The failure the unit tests force, and the exploration step at which
     /// it strikes.
     #[cfg(test)]
-    forced: Option<(u32, ForcedFailure)>,
+    forced: Option<(u32, tests::ForcedFailure)>,
 }
 
-/// A failure forced inside candidate evaluation, to exercise the rollback
-/// paths without a candidate that genuinely panics or an encoder that
-/// genuinely disagrees with its decoder.
-#[cfg(test)]
+/// A design and the schedules mapped onto it: what a rejected step
+/// reverts to and what the best design remembers.
+#[derive(Debug, Clone)]
+struct Design {
+    adg: Adg,
+    /// The outcome each `(kernel, version)` last adopted: its schedule
+    /// (kept even when illegal, so repair can start from it) and, when
+    /// legal, its footprint on the ADG it was adopted on.
+    mapped: HashMap<(usize, usize), CacheEntry>,
+}
+
+/// Every kernel's compiled versions and what the explorer derives from
+/// them once.
+#[derive(Debug)]
+struct Versions {
+    /// Per kernel, the versions compiled against [`compile_features`].
+    compiled: Vec<Vec<CompiledKernel>>,
+    /// `CompiledKernel::content_hash` per version — half the cache key.
+    hashes: Vec<Vec<u64>>,
+    /// Every opcode some version uses: what mutation and the opening trim
+    /// must keep.
+    used_ops: OpSet,
+}
+
+/// What every version lookup of one [`Explorer::evaluate`] shares.
+struct Lookup {
+    adg_fp: u64,
+    sched_cfg: SchedulerConfig,
+    /// The design's longest configuration path, built on first use: an
+    /// evaluation that only replays exact hits never reads it.
+    config_len: OnceCell<u32>,
+}
+
+impl Lookup {
+    /// The artifact-store key of the version whose content hash is `hash`.
+    fn store_key(&self, hash: u64) -> ArtifactKey {
+        ArtifactKey {
+            adg_fp: self.adg_fp,
+            kernel_hash: hash,
+            sched_seed: self.sched_cfg.seed,
+        }
+    }
+}
+
+/// Why a schedule failed [`Explorer::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ForcedFailure {
-    /// Panic inside the panic shield.
-    Panic,
-    /// Report the candidate's configuration as failing bitstream round-trip
-    /// verification.
+enum Unfit {
+    /// It does not evaluate feasible on the current design.
+    Infeasible,
+    /// Its encoded bitstream does not decode back to it.
     ConfigMismatch,
 }
 
@@ -509,12 +538,13 @@ impl std::fmt::Display for TelemetrySnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "sched passes {} · cache {:.1}% hit ({} exact + {} footprint / {} lookups) · \
-config rejections {}",
+            "sched passes {} · cache {:.1}% hit ({} exact + {} footprint + {} store / {} \
+lookups) · config rejections {}",
             self.sched_invocations,
             self.cache.hit_rate() * 100.0,
             self.cache.exact_hits,
             self.cache.footprint_hits,
+            self.cache.store_hits,
             self.cache.lookups(),
             self.config_rejections
         )
@@ -527,45 +557,50 @@ impl Explorer {
     /// prepares the explorer.
     #[must_use]
     pub fn new(adg: Adg, kernels: &[Kernel], cfg: DseConfig) -> Self {
-        let mut max_features = adg.features();
-        max_features.indirect_memory = true;
-        max_features.atomic_update = true;
-        max_features.banked_memory = true;
-        max_features.stream_join_pes = max_features.stream_join_pes.max(8);
-        max_features.op_union = OpSet::all();
-
-        let mut versions = Vec::with_capacity(kernels.len());
-        let mut used_ops = OpSet::new();
-        for kernel in kernels {
-            let mut vs = Vec::new();
-            for config in enumerate_configs(kernel, &max_features, cfg.max_unroll) {
-                if let Ok(ck) = compile_kernel(kernel, &config, &max_features) {
-                    used_ops = used_ops.union(ck.requires.ops);
-                    vs.push(ck);
-                }
-            }
-            versions.push(vs);
-        }
-        let version_hashes = versions
+        let features = compile_features(&adg);
+        let compiled: Vec<Vec<CompiledKernel>> = kernels
             .iter()
-            .map(|vs| vs.iter().map(CompiledKernel::content_hash).collect())
+            .map(|kernel| {
+                enumerate_configs(kernel, &features, cfg.max_unroll)
+                    .into_iter()
+                    .filter_map(|config| compile_kernel(kernel, &config, &features).ok())
+                    .collect()
+            })
             .collect();
+        let versions = Versions {
+            hashes: compiled
+                .iter()
+                .map(|vs| vs.iter().map(CompiledKernel::content_hash).collect())
+                .collect(),
+            used_ops: compiled
+                .iter()
+                .flatten()
+                .fold(OpSet::new(), |ops, ck| ops.union(ck.requires.ops)),
+            compiled,
+        };
+        Explorer::fresh(cfg, adg, Arc::new(versions))
+    }
 
+    /// An explorer over `versions` about to search from `adg`: nothing
+    /// mapped, an empty cache, zeroed counters and `cfg.seed` in the
+    /// mutation RNG. It is shard 0, with telemetry disabled, no store and
+    /// no run control, until a builder or [`Explorer::fork_shard`] says
+    /// otherwise.
+    fn fresh(cfg: DseConfig, adg: Adg, versions: Arc<Versions>) -> Explorer {
         Explorer {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
-            adg,
+            design: Design {
+                adg,
+                mapped: HashMap::new(),
+            },
             versions,
-            version_hashes,
-            schedules: HashMap::new(),
-            footprints: HashMap::new(),
             cache: ScheduleCache::new(),
             sched_invocations: 0,
             config_rejections: 0,
             reliability_cache: HashMap::new(),
             area_model: AreaPowerModel::default(),
             perf_model: PerfModel::default(),
-            used_ops,
             shard_index: 0,
             telemetry: Telemetry::disabled(),
             store: None,
@@ -579,11 +614,6 @@ impl Explorer {
     /// forked shard, so events from a sharded run share one sink (Chrome
     /// traces get one lane per worker thread). Instrumentation never
     /// changes exploration results — only observes them.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.telemetry = tel;
-    }
-
-    /// Builder-style [`Explorer::set_telemetry`].
     #[must_use]
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.telemetry = tel;
@@ -596,11 +626,6 @@ impl Explorer {
     /// Entries are keyed by `(adg fingerprint, kernel hash, scheduler
     /// seed)`, so determinism in `(seed, shards)` is preserved — a store
     /// can never replay a schedule minted under a different seed.
-    pub fn attach_store(&mut self, store: ArtifactStore) {
-        self.store = Some(store);
-    }
-
-    /// Builder-style [`Explorer::attach_store`].
     #[must_use]
     pub fn with_store(mut self, store: ArtifactStore) -> Self {
         self.store = Some(store);
@@ -609,11 +634,6 @@ impl Explorer {
 
     /// Installs cooperative run control (cancellation token and/or
     /// deadline), checked at iteration boundaries of every shard.
-    pub fn set_control(&mut self, control: RunControl) {
-        self.control = control;
-    }
-
-    /// Builder-style [`Explorer::set_control`].
     #[must_use]
     pub fn with_control(mut self, control: RunControl) -> Self {
         self.control = control;
@@ -623,13 +643,13 @@ impl Explorer {
     /// The current (accepted) design.
     #[must_use]
     pub fn adg(&self) -> &Adg {
-        &self.adg
+        &self.design.adg
     }
 
     /// Schedule-cache hit/miss counters — cumulative since
     /// [`Explorer::new`], aggregated across shards after a sharded
     /// [`Explorer::run`] (see [`TelemetrySnapshot`] for the exact
-    /// semantics shared by all three getters).
+    /// semantics shared with the other getters).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -642,16 +662,6 @@ impl Explorer {
     #[must_use]
     pub fn sched_invocations(&self) -> u64 {
         self.sched_invocations
-    }
-
-    /// Schedules rejected by bitstream round-trip verification —
-    /// cumulative since [`Explorer::new`], aggregated across shards after
-    /// a sharded run. Always zero unless the encoder/decoder pair
-    /// disagrees — every count here is a design the explorer refused to
-    /// simulate on integrity grounds.
-    #[must_use]
-    pub fn config_rejections(&self) -> u64 {
-        self.config_rejections
     }
 
     /// All explorer statistics read at one instant, with one shared
@@ -668,61 +678,59 @@ impl Explorer {
         }
     }
 
-    /// Marks the current instant and deterministic work counters, so a
-    /// step's [`IterRecord`] deltas can be computed with
-    /// [`Explorer::since`].
-    fn mark(&self) -> StepMark {
-        let s = self.cache.stats();
-        StepMark {
-            at: Instant::now(),
-            sched: self.sched_invocations,
-            hits: s.exact_hits + s.footprint_hits,
-            misses: s.misses,
-        }
-    }
-
-    /// `(sched_passes, cache_hits, cache_misses, wall_ms)` accrued since
-    /// `mark` was taken. The first three are deterministic; `wall_ms` is
-    /// wall-clock and excluded from trace equality.
-    fn since(&self, mark: StepMark) -> (u64, u64, u64, f64) {
-        let s = self.cache.stats();
-        (
-            self.sched_invocations - mark.sched,
-            (s.exact_hits + s.footprint_hits) - mark.hits,
-            s.misses - mark.misses,
-            mark.at.elapsed().as_secs_f64() * 1e3,
-        )
-    }
-
-    /// Emits one `dse/iteration` event for a completed step. Free when
-    /// telemetry is disabled (a single branch; the closure never runs).
-    fn emit_iter(&self, rec: &IterRecord) {
+    /// The record of step `iter`: `best` is the best point after it, the
+    /// step was accepted unless `rejected` says why not, and its work
+    /// counters are those accrued since `mark`, the instant and statistics
+    /// at its top (deterministic, except
+    /// `wall_ms`, which trace equality ignores). Emits the record as a
+    /// `dse/iteration` event — free when telemetry is disabled — and
+    /// returns it.
+    fn record(
+        &self,
+        iter: u32,
+        best: &DsePoint,
+        rejected: Option<RejectReason>,
+        (at, before): (Instant, TelemetrySnapshot),
+    ) -> IterRecord {
+        let step = self.telemetry_snapshot().delta_since(&before);
+        let rec = IterRecord {
+            iter,
+            area_mm2: best.cost.area_mm2,
+            power_mw: best.cost.power_mw,
+            objective: best.objective,
+            perf: best.perf,
+            accepted: rejected.is_none(),
+            rejected_reason: rejected,
+            sched_passes: step.sched_invocations,
+            cache_hits: step.cache.exact_hits + step.cache.footprint_hits,
+            cache_misses: step.cache.misses,
+            wall_ms: at.elapsed().as_secs_f64() * 1e3,
+        };
         let m = self.telemetry.metrics();
         if m.is_enabled() {
             m.add("dse.iterations", 1);
-            if rec.accepted {
-                m.add("dse.accepted", 1);
-            }
-            if let Some(reason) = rec.rejected_reason {
-                m.add(&format!("dse.rejections.{reason}"), 1);
-            }
+            m.add(
+                &rejected.map_or("dse.accepted".to_string(), |r| {
+                    format!("dse.rejections.{r}")
+                }),
+                1,
+            );
         }
-        if let Some(reason) = rec.rejected_reason {
+        if let Some(reason) = rejected {
             self.telemetry.recorder().record("dse", || {
                 (
                     "rejected".to_string(),
                     format!(
-                        "iter={} shard={} reason={reason} objective={:.6}",
-                        rec.iter, self.shard_index, rec.objective
+                        "iter={iter} shard={} reason={reason} objective={:.6}",
+                        self.shard_index, rec.objective
                     ),
                 )
             });
         }
-        let shard = self.shard_index;
         self.telemetry.emit(|| {
             let mut ev = EventData::new("dse", "iteration")
                 .arg("iter", u64::from(rec.iter))
-                .arg("shard", shard as u64)
+                .arg("shard", self.shard_index as u64)
                 .arg("accepted", rec.accepted)
                 .arg("objective", rec.objective)
                 .arg("area_mm2", rec.area_mm2)
@@ -731,11 +739,12 @@ impl Explorer {
                 .arg("cache_hits", rec.cache_hits)
                 .arg("cache_misses", rec.cache_misses)
                 .arg("wall_ms", rec.wall_ms);
-            if let Some(reason) = rec.rejected_reason {
+            if let Some(reason) = rejected {
                 ev = ev.arg("rejected", reason.to_string());
             }
             ev
         });
+        rec
     }
 
     /// Evaluates the current design: schedules every satisfiable version
@@ -743,342 +752,78 @@ impl Explorer {
     /// the best legal version per kernel by modeled performance, and
     /// computes perf²/mm² (§V steps 2b–2d).
     ///
-    /// Scheduling work is memoized (see [`ScheduleCache`]): a revisited
-    /// `(hardware, kernel)` pair replays its cached outcome, and a
-    /// mutation that leaves a kernel's mapped footprint byte-identical
-    /// rebases the previous schedule (recomputing its evaluation and
-    /// modeled performance honestly) instead of re-running the search.
+    /// Each version is answered by the first tier that can — exact
+    /// replay, artifact store, footprint rebase, fresh pass; the first
+    /// three only with the cache on — and every answer is adopted the
+    /// same way: into the mapping state, the cache and the tier's
+    /// [`CacheStats`] counter.
     pub fn evaluate(&mut self) -> DsePoint {
-        let features = self.adg.features();
-        let cost = self.area_model.estimate_adg(&self.adg);
-        // Built on first use: an evaluation that only replays exact cache
-        // hits never reads it.
-        let config_len = OnceCell::new();
-        let adg_fp = self.adg.fingerprint();
-
-        let sched_cfg = SchedulerConfig {
-            max_iters: self.cfg.sched_iters,
-            seed: self.cfg.seed ^ 0x5EED,
-            ..SchedulerConfig::default()
+        let features = self.design.adg.features();
+        let cost = self.area_model.estimate_adg(&self.design.adg);
+        let lookup = Lookup {
+            adg_fp: self.design.adg.fingerprint(),
+            sched_cfg: SchedulerConfig {
+                max_iters: self.cfg.sched_iters,
+                seed: self.cfg.seed ^ 0x5EED,
+                ..SchedulerConfig::default()
+            },
+            config_len: OnceCell::new(),
         };
 
-        let mut per_kernel = Vec::with_capacity(self.versions.len());
-        let mut log_perf_sum = 0.0;
-        let mut any_unmapped = false;
-        for (ki, versions) in self.versions.iter().enumerate() {
+        let versions = Arc::clone(&self.versions);
+        let mut per_kernel = Vec::with_capacity(versions.compiled.len());
+        for (ki, kernel_versions) in versions.compiled.iter().enumerate() {
             let mut best: Option<(usize, f64)> = None;
-            for (vi, version) in versions.iter().enumerate() {
+            for (vi, version) in kernel_versions.iter().enumerate() {
                 if !version.requires.satisfied_by(&features) {
                     continue;
                 }
                 let key = (ki, vi);
-                let ck_hash = self.version_hashes[ki][vi];
-
-                // 1) Exact replay: this (hardware, kernel) pair has been
-                //    scheduled before — typically right after a reverted
-                //    mutation restored the previous fingerprint.
-                if self.cfg.use_cache {
-                    if let Some(entry) = self.cache.lookup(adg_fp, ck_hash) {
-                        self.telemetry.metrics().add("dse.cache.hits", 1);
-                        self.telemetry.recorder().record("dse", || {
-                            (
-                                "cache_hit".to_string(),
-                                format!("kernel={ki} version={vi} kind=exact"),
-                            )
-                        });
-                        let cached_sched = entry.schedule.clone();
-                        let cached_perf = entry.perf;
-                        let cached_fp = entry.footprint;
-                        self.schedules.insert(key, cached_sched);
-                        match cached_fp {
-                            Some(f) => {
-                                self.footprints.insert(key, f);
-                            }
-                            None => {
-                                self.footprints.remove(&key);
-                            }
-                        }
-                        if let Some(perf) = cached_perf {
-                            if best.is_none_or(|(_, p)| perf > p) {
-                                best = Some((vi, perf));
-                            }
-                        }
-                        continue;
-                    }
-                }
-
-                // 2) Store tier: a previous *process* scheduled this exact
-                //    (hardware, kernel, scheduler seed) triple and
-                //    persisted the result. Nothing loaded is trusted:
-                //    the store already re-verified framing, key, and
-                //    schedule digest, and here the schedule must still
-                //    evaluate feasible and round-trip its bitstream on
-                //    this ADG before it counts. Anything less falls
-                //    through to the normal tiers.
-                if self.cfg.use_cache && self.store.is_some() {
-                    let store_key = ArtifactKey {
-                        adg_fp,
-                        kernel_hash: ck_hash,
-                        sched_seed: sched_cfg.seed,
-                    };
-                    let loaded = self
-                        .store
-                        .as_ref()
-                        .and_then(|s| s.get(store_key).ok().flatten());
-                    if let Some(art) = loaded {
-                        let problem = Problem::new(&self.adg, version);
-                        let eval = evaluate_schedule(&problem, &art.schedule, &sched_cfg.weights);
-                        if eval.feasible
-                            && verify_round_trip_timed(&problem, &art.schedule, &eval).is_ok()
-                        {
-                            let est = self.perf_model.estimate(
-                                &self.adg,
-                                version,
-                                &art.schedule,
-                                &eval,
-                                self.longest_config_path(&config_len),
-                            );
-                            let perf = est.perf();
-                            let fp = schedule_footprint(&self.adg, &art.schedule);
-                            self.cache.note_store_hit();
-                            self.telemetry.metrics().add("dse.cache.store_hits", 1);
-                            self.telemetry.recorder().record("dse", || {
-                                (
-                                    "cache_hit".to_string(),
-                                    format!("kernel={ki} version={vi} kind=store"),
-                                )
-                            });
-                            self.cache.insert(
-                                adg_fp,
-                                ck_hash,
-                                CacheEntry {
-                                    schedule: art.schedule.clone(),
-                                    perf: Some(perf),
-                                    footprint: fp,
-                                },
-                            );
-                            match fp {
-                                Some(f) => {
-                                    self.footprints.insert(key, f);
-                                }
-                                None => {
-                                    self.footprints.remove(&key);
-                                }
-                            }
-                            self.schedules.insert(key, art.schedule);
-                            if best.is_none_or(|(_, p)| perf > p) {
-                                best = Some((vi, perf));
-                            }
-                            continue;
-                        }
-                        log(
-                            Level::Warn,
-                            format!(
-                                "dse: store artifact for {store_key} failed re-verification; \
-falling through to a full scheduling pass"
-                            ),
-                        );
-                    }
-                }
-
-                // 3) Footprint rebase: the hardware changed, but every
-                //    node/edge this version's previous legal schedule
-                //    occupies is byte-identical. Skip the stochastic
-                //    search; re-check legality and recompute the modeled
-                //    performance honestly on the mutated graph.
-                if self.cfg.use_cache {
-                    let rebased = match (self.schedules.get(&key), self.footprints.get(&key)) {
-                        (Some(prev), Some(&want))
-                            if schedule_footprint(&self.adg, prev) == Some(want) =>
-                        {
-                            let problem = Problem::new(&self.adg, version);
-                            let eval = evaluate_schedule(&problem, prev, &sched_cfg.weights);
-                            if !eval.feasible {
-                                None
-                            } else if verify_round_trip_timed(&problem, prev, &eval).is_err() {
-                                // Encoder/decoder disagreement on the rebased
-                                // schedule: refuse the fast path and fall
-                                // through to a full pass (whose result is
-                                // verified again below).
-                                self.config_rejections += 1;
-                                self.telemetry.metrics().add("dse.config_rejections", 1);
-                                None
-                            } else {
-                                let est = self.perf_model.estimate(
-                                    &self.adg,
-                                    version,
-                                    prev,
-                                    &eval,
-                                    self.longest_config_path(&config_len),
-                                );
-                                Some((prev.clone(), est.perf(), want))
-                            }
-                        }
-                        _ => None,
-                    };
-                    if let Some((sched, perf, fp)) = rebased {
-                        self.cache.note_footprint_hit();
-                        self.telemetry.metrics().add("dse.cache.hits", 1);
-                        self.telemetry.recorder().record("dse", || {
-                            (
-                                "cache_hit".to_string(),
-                                format!("kernel={ki} version={vi} kind=footprint"),
-                            )
-                        });
-                        self.cache.insert(
-                            adg_fp,
-                            ck_hash,
-                            CacheEntry {
-                                schedule: sched,
-                                perf: Some(perf),
-                                footprint: Some(fp),
-                            },
-                        );
-                        if best.is_none_or(|(_, p)| perf > p) {
-                            best = Some((vi, perf));
-                        }
-                        continue;
-                    }
-                    self.cache.note_miss();
-                    self.telemetry.metrics().add("dse.cache.misses", 1);
-                }
-
-                // 4) Full stochastic scheduling pass.
-                self.sched_invocations += 1;
-                self.telemetry.metrics().add("dse.sched_invocations", 1);
-                let result = if self.cfg.use_repair {
-                    match self.schedules.remove(&key) {
-                        // Repair with bounded retry-with-escalation: a
-                        // fault- or mutation-degraded graph gets a second,
-                        // doubled-budget attempt before the version is
-                        // written off as illegal.
-                        Some(prev) => repair(
-                            &self.adg,
-                            version,
-                            &prev,
-                            &sched_cfg,
-                            2,
-                            &self.telemetry,
-                        ),
-                        None => {
-                            schedule_instrumented(&self.adg, version, &sched_cfg, &self.telemetry)
-                        }
-                    }
-                } else {
-                    schedule_instrumented(&self.adg, version, &sched_cfg, &self.telemetry)
-                };
-                let mut perf_out = None;
-                let mut config_words: Option<Vec<u64>> = None;
-                if result.is_legal() {
-                    // Integrity gate (§VI): the schedule may only count if
-                    // its encoded bitstream decodes back to exactly this
-                    // configuration. A disagreement writes the version off
-                    // as a first-class config rejection, never an undefined
-                    // simulation.
-                    let problem = Problem::new(&self.adg, version);
-                    let verified = {
-                        let _vs = self.telemetry.span("config", "verify");
-                        verify_round_trip_timed(&problem, &result.schedule, &result.eval)
-                    };
-                    if let Ok(vc) = verified {
-                        config_words = Some(vc.words().to_vec());
-                        let est = {
-                            let _ms = self.telemetry.span("model", "estimate");
-                            self.perf_model.estimate(
-                                &self.adg,
-                                version,
-                                &result.schedule,
-                                &result.eval,
-                                self.longest_config_path(&config_len),
-                            )
-                        };
-                        let perf = est.perf();
-                        perf_out = Some(perf);
-                        if best.is_none_or(|(_, p)| perf > p) {
-                            best = Some((vi, perf));
-                        }
-                    } else {
-                        self.config_rejections += 1;
-                        self.telemetry.metrics().add("dse.config_rejections", 1);
-                    }
-                }
-                let fp = if perf_out.is_some() {
-                    schedule_footprint(&self.adg, &result.schedule)
+                let hash = versions.hashes[ki][vi];
+                let found = if self.cfg.use_cache {
+                    let exact = self.cache.lookup(lookup.adg_fp, hash).cloned();
+                    exact
+                        .map(|entry| (Tier::Exact, entry))
+                        .or_else(|| Some((Tier::Store, self.load_stored(version, hash, &lookup)?)))
+                        .or_else(|| Some((Tier::Footprint, self.rebase(key, version, &lookup)?)))
                 } else {
                     None
                 };
-                match fp {
-                    Some(f) => {
-                        self.footprints.insert(key, f);
-                    }
-                    None => {
-                        self.footprints.remove(&key);
-                    }
-                }
-                if self.cfg.use_cache {
-                    self.cache.insert(
-                        adg_fp,
-                        ck_hash,
-                        CacheEntry {
-                            schedule: result.schedule.clone(),
-                            perf: perf_out,
-                            footprint: fp,
-                        },
-                    );
-                }
-                // Persist verified outcomes so a future process warm-starts
-                // from them. Best-effort: a store failure (including an
-                // injected crash) costs only the warm start, never the run.
-                if let (Some(store), Some(words), Some(_)) =
-                    (&self.store, &config_words, perf_out)
-                {
-                    let art = Artifact {
-                        key: ArtifactKey {
-                            adg_fp,
-                            kernel_hash: ck_hash,
-                            sched_seed: sched_cfg.seed,
-                        },
-                        schedule: result.schedule.clone(),
-                        perf: perf_out,
-                        footprint: fp,
-                        config_words: words.clone(),
-                    };
-                    if let Err(e) = store.put(&art) {
-                        log(Level::Warn, format!("dse: artifact put failed: {e}"));
+                let (tier, entry) = found.unwrap_or_else(|| {
+                    (
+                        Tier::Fresh,
+                        self.schedule_afresh(key, version, hash, &lookup),
+                    )
+                });
+                if let Some(perf) = self.adopt(key, hash, tier, entry, &lookup) {
+                    if best.is_none_or(|(_, p)| perf > p) {
+                        best = Some((vi, perf));
                     }
                 }
-                self.schedules.insert(key, result.schedule);
-            }
-            if best.is_none() {
-                any_unmapped = true;
             }
             per_kernel.push(best);
         }
 
         // Aggregate after the version loop so reliability scoring (which
         // needs `&mut self` for its memo cache) can run per winner.
+        let mut log_perf_sum = 0.0;
         for (ki, entry) in per_kernel.iter().enumerate() {
             if let Some((vi, perf)) = *entry {
                 let mult = match self.cfg.reliability {
-                    Some(mode) => {
-                        let len = self.longest_config_path(&config_len);
-                        self.reliability_multiplier(ki, vi, len, &sched_cfg, mode, adg_fp)
-                    }
+                    Some(mode) => self.reliability_multiplier((ki, vi), mode, &lookup),
                     None => 1.0,
                 };
                 log_perf_sum += (perf * mult).max(1e-9).ln();
             }
         }
 
-        let n = self.versions.len().max(1) as f64;
-        let perf = if any_unmapped {
+        let n = per_kernel.len().max(1) as f64;
+        let perf = if per_kernel.iter().any(Option::is_none) {
             1e-6 // unmappable kernels make the design essentially worthless
         } else {
             (log_perf_sum / n).exp()
         };
-        let obj = if cost.area_mm2 > self.cfg.area_budget_mm2
-            || cost.power_mw > self.cfg.power_budget_mw
-        {
+        let obj = if self.over_budget(&cost) {
             0.0 // over budget: never accepted
         } else {
             objective(perf, cost.area_mm2)
@@ -1091,38 +836,235 @@ falling through to a full scheduling pass"
         }
     }
 
+    /// Adopts `entry` as version `key`'s outcome on the current design and
+    /// returns its modeled performance (`None` when it does not map): the
+    /// mapping state takes it, and with the cache on the cache memoizes it
+    /// (an exact hit is already there) and `tier`'s counter and
+    /// `dse.cache.*` metric count it.
+    fn adopt(
+        &mut self,
+        key: (usize, usize),
+        hash: u64,
+        tier: Tier,
+        entry: CacheEntry,
+        lookup: &Lookup,
+    ) -> Option<f64> {
+        if self.cfg.use_cache {
+            self.cache.note(tier);
+            let (metric, kind) = match tier {
+                Tier::Exact => ("dse.cache.hits", "exact"),
+                Tier::Store => ("dse.cache.store_hits", "store"),
+                Tier::Footprint => ("dse.cache.hits", "footprint"),
+                Tier::Fresh => ("dse.cache.misses", "fresh"),
+            };
+            self.telemetry.metrics().add(metric, 1);
+            if tier != Tier::Fresh {
+                self.telemetry.recorder().record("dse", || {
+                    (
+                        "cache_hit".to_string(),
+                        format!("kernel={} version={} kind={kind}", key.0, key.1),
+                    )
+                });
+            }
+            if tier != Tier::Exact {
+                self.cache.insert(lookup.adg_fp, hash, entry.clone());
+            }
+        }
+        let perf = entry.perf;
+        self.design.mapped.insert(key, entry);
+        perf
+    }
+
+    /// The store tier: an earlier process scheduled this exact (hardware,
+    /// kernel, scheduler seed) triple and persisted the result. The store
+    /// has re-verified framing, key and schedule digest; here the schedule
+    /// must still pass [`Explorer::check`] on this design. An artifact
+    /// that does not is logged and falls through to the next tier.
+    fn load_stored(
+        &self,
+        version: &CompiledKernel,
+        hash: u64,
+        lookup: &Lookup,
+    ) -> Option<CacheEntry> {
+        let key = lookup.store_key(hash);
+        let art = self.store.as_ref()?.get(key).ok().flatten()?;
+        if let Ok((perf, _)) = self.check(version, &art.schedule, None, lookup) {
+            return Some(CacheEntry {
+                footprint: schedule_footprint(&self.design.adg, &art.schedule),
+                schedule: art.schedule,
+                perf: Some(perf),
+            });
+        }
+        let why = "failed re-verification; falling through to a full scheduling pass";
+        log(Level::Warn, format!("dse: store artifact for {key} {why}"));
+        None
+    }
+
+    /// The footprint tier: the hardware changed, but every node and edge
+    /// this version's previous legal schedule occupies is byte-identical,
+    /// so the schedule is re-checked on the mutated graph instead of
+    /// searched for again. A bitstream mismatch counts as a config
+    /// rejection; either failure falls through to a fresh pass.
+    fn rebase(
+        &mut self,
+        key: (usize, usize),
+        version: &CompiledKernel,
+        lookup: &Lookup,
+    ) -> Option<CacheEntry> {
+        let prev = self.design.mapped.get(&key)?;
+        let footprint = prev.footprint?;
+        if schedule_footprint(&self.design.adg, &prev.schedule) != Some(footprint) {
+            return None;
+        }
+        match self.check(version, &prev.schedule, None, lookup) {
+            Ok((perf, _)) => Some(CacheEntry {
+                schedule: prev.schedule.clone(),
+                perf: Some(perf),
+                footprint: Some(footprint),
+            }),
+            Err(unfit) => {
+                self.count_unfit(unfit);
+                None
+            }
+        }
+    }
+
+    /// The fresh tier: a full stochastic scheduling pass — a repair of the
+    /// version's last schedule when repair is on and one exists — checked
+    /// like the other tiers. A bitstream mismatch counts as a config
+    /// rejection and the version maps nowhere. A verified outcome is
+    /// persisted so a future process warm-starts from it; a store failure
+    /// (including an injected crash) costs only the warm start.
+    fn schedule_afresh(
+        &mut self,
+        key: (usize, usize),
+        version: &CompiledKernel,
+        hash: u64,
+        lookup: &Lookup,
+    ) -> CacheEntry {
+        self.sched_invocations += 1;
+        self.telemetry.metrics().add("dse.sched_invocations", 1);
+        let prev = self
+            .cfg
+            .use_repair
+            .then(|| self.design.mapped.remove(&key))
+            .flatten();
+        let (adg, sched_cfg) = (&self.design.adg, &lookup.sched_cfg);
+        let result = match prev {
+            // Repair with bounded retry-with-escalation: a fault- or
+            // mutation-degraded graph gets a second, doubled-budget attempt
+            // before the version is written off as illegal.
+            Some(prev) => repair(adg, version, &prev.schedule, sched_cfg, 2, &self.telemetry),
+            None => schedule_instrumented(adg, version, sched_cfg, &self.telemetry),
+        };
+        let (perf, footprint) =
+            match self.check(version, &result.schedule, Some(&result.eval), lookup) {
+                Ok((perf, verified)) => {
+                    let footprint = schedule_footprint(&self.design.adg, &result.schedule);
+                    if let Some(store) = &self.store {
+                        let art = Artifact {
+                            key: lookup.store_key(hash),
+                            schedule: result.schedule.clone(),
+                            perf: Some(perf),
+                            footprint,
+                            config_words: verified.words().to_vec(),
+                        };
+                        if let Err(e) = store.put(&art) {
+                            log(Level::Warn, format!("dse: artifact put failed: {e}"));
+                        }
+                    }
+                    (Some(perf), footprint)
+                }
+                Err(unfit) => {
+                    self.count_unfit(unfit);
+                    (None, None)
+                }
+            };
+        CacheEntry {
+            schedule: result.schedule,
+            perf,
+            footprint,
+        }
+    }
+
+    /// The re-check every tier but an exact replay passes before its
+    /// schedule may count (§VI integrity gate): the schedule must evaluate
+    /// feasible on the current design (under `eval` when the scheduler
+    /// already evaluated it), its encoded bitstream must decode back to
+    /// exactly it, and then the perf model prices it.
+    fn check(
+        &self,
+        version: &CompiledKernel,
+        schedule: &Schedule,
+        eval: Option<&Evaluation>,
+        lookup: &Lookup,
+    ) -> Result<(f64, VerifiedConfig), Unfit> {
+        let problem = Problem::new(&self.design.adg, version);
+        let evaluated;
+        let eval = match eval {
+            Some(eval) => eval,
+            None => {
+                evaluated = evaluate_schedule(&problem, schedule, &lookup.sched_cfg.weights);
+                &evaluated
+            }
+        };
+        if !eval.feasible {
+            return Err(Unfit::Infeasible);
+        }
+        let verified = {
+            let _span = self.telemetry.span("config", "verify");
+            verify_round_trip_timed(&problem, schedule, eval)
+        }
+        .map_err(|_| Unfit::ConfigMismatch)?;
+        let perf = {
+            let _span = self.telemetry.span("model", "estimate");
+            let config_len = self.longest_config_path(&lookup.config_len);
+            self.perf_model
+                .estimate(&self.design.adg, version, schedule, eval, config_len)
+                .perf()
+        };
+        Ok((perf, verified))
+    }
+
+    /// Counts `unfit` as a config rejection when the bitstream did not
+    /// round-trip: a design we cannot provably program is one we refuse to
+    /// score (see [`Explorer::evaluate_candidate`]).
+    fn count_unfit(&mut self, unfit: Unfit) {
+        if unfit == Unfit::ConfigMismatch {
+            self.config_rejections += 1;
+            self.telemetry.metrics().add("dse.config_rejections", 1);
+        }
+    }
+
     /// Longest configuration path of the current design (§VI, the
     /// configuration latency the perf model charges), generated once per
     /// [`Explorer::evaluate`] on first use and memoised in `memo`.
     fn longest_config_path(&self, memo: &OnceCell<u32>) -> u32 {
         *memo.get_or_init(|| {
             let _span = self.telemetry.span("hwgen", "config_paths");
-            generate_config_paths(&self.adg, 4, self.cfg.seed).longest() as u32
+            generate_config_paths(&self.design.adg, 4, self.cfg.seed).longest() as u32
         })
     }
 
-    /// The reliability-mode scoring multiplier for kernel `ki`'s winning
-    /// version `vi`: `(1 − weight) + weight × factor`, where `factor` is
-    /// the recovered-throughput fraction
+    /// The reliability-mode scoring multiplier for the winning version
+    /// `key`: `(1 − weight) + weight × factor`, where `factor` is the
+    /// recovered-throughput fraction
     /// `fault-free cycles / recovered total cycles` of the design under a
     /// sampled fault schedule ([`ReliabilityMode::failure_factor`] when
     /// recovery fails). Memoized by `(adg fingerprint, kernel hash)`;
     /// deterministic regardless of shard/thread layout.
     fn reliability_multiplier(
         &mut self,
-        ki: usize,
-        vi: usize,
-        config_len: u32,
-        sched_cfg: &SchedulerConfig,
+        key: (usize, usize),
         mode: ReliabilityMode,
-        adg_fp: u64,
+        lookup: &Lookup,
     ) -> f64 {
-        let ck_hash = self.version_hashes[ki][vi];
-        let factor = match self.reliability_cache.get(&(adg_fp, ck_hash)) {
+        let hash = self.versions.hashes[key.0][key.1];
+        let factor = match self.reliability_cache.get(&(lookup.adg_fp, hash)) {
             Some(&f) => f,
             None => {
-                let f = self.recovered_throughput(ki, vi, config_len, sched_cfg, mode, ck_hash);
-                self.reliability_cache.insert((adg_fp, ck_hash), f);
+                let f = self.recovered_throughput(key, mode, hash, lookup);
+                self.reliability_cache.insert((lookup.adg_fp, hash), f);
                 f
             }
         };
@@ -1130,49 +1072,52 @@ falling through to a full scheduling pass"
         (1.0 - w) + w * factor
     }
 
-    /// Simulates kernel `ki` version `vi` under a sampled runtime fault
-    /// schedule with the full recovery flow and returns the fraction of
-    /// fault-free throughput that survives.
+    /// Simulates version `key` under a sampled runtime fault schedule with
+    /// the full recovery flow and returns the fraction of fault-free
+    /// throughput that survives.
     fn recovered_throughput(
         &self,
-        ki: usize,
-        vi: usize,
-        config_len: u32,
-        sched_cfg: &SchedulerConfig,
+        key: (usize, usize),
         mode: ReliabilityMode,
-        ck_hash: u64,
+        hash: u64,
+        lookup: &Lookup,
     ) -> f64 {
-        let version = &self.versions[ki][vi];
-        let Some(sched) = self.schedules.get(&(ki, vi)) else {
-            return mode.failure_factor.clamp(0.0, 1.0);
-        };
-        let problem = Problem::new(&self.adg, version);
-        let eval = evaluate_schedule(&problem, sched, &sched_cfg.weights);
-        if !eval.feasible {
-            return mode.failure_factor.clamp(0.0, 1.0);
-        }
-        let sim_cfg = dsagen_sim::SimConfig::default();
-        let Ok(fault_free) =
-            dsagen_sim::simulate(&self.adg, version, sched, &eval, config_len, &sim_cfg)
+        let failed = mode.failure_factor.clamp(0.0, 1.0);
+        let adg = &self.design.adg;
+        let version = &self.versions.compiled[key.0][key.1];
+        let Some(CacheEntry {
+            schedule: sched, ..
+        }) = self.design.mapped.get(&key)
         else {
-            return mode.failure_factor.clamp(0.0, 1.0);
+            return failed;
+        };
+        let problem = Problem::new(adg, version);
+        let eval = evaluate_schedule(&problem, sched, &lookup.sched_cfg.weights);
+        if !eval.feasible {
+            return failed;
+        }
+        let config_len = self.longest_config_path(&lookup.config_len);
+        let sim_cfg = dsagen_sim::SimConfig::default();
+        let Ok(fault_free) = dsagen_sim::simulate(adg, version, sched, &eval, config_len, &sim_cfg)
+        else {
+            return failed;
         };
         // Sample deterministically per design point; arrivals beyond the
         // run length strike after completion and cost nothing, which is
         // honest — short kernels dodge late faults.
         let horizon = mode.horizon.max(2).min(fault_free.cycles.max(2));
-        let faults = FaultSchedule::random(mode.seed ^ ck_hash, mode.faults, horizon);
+        let faults = FaultSchedule::random(mode.seed ^ hash, mode.faults, horizon);
         let policy = dsagen_sim::RecoveryPolicy {
             scheduler: SchedulerConfig {
-                max_iters: sched_cfg.max_iters,
-                seed: sched_cfg.seed ^ 0xFA17,
+                max_iters: lookup.sched_cfg.max_iters,
+                seed: lookup.sched_cfg.seed ^ 0xFA17,
                 ..SchedulerConfig::default()
             },
             repair_attempts: 2,
             ..dsagen_sim::RecoveryPolicy::default()
         };
         let raw = match dsagen_sim::run_with_degradation(
-            &self.adg,
+            adg,
             version,
             sched,
             &eval,
@@ -1193,7 +1138,7 @@ falling through to a full scheduling pass"
                     1.0
                 }
             }
-            Err(_) => mode.failure_factor.clamp(0.0, 1.0),
+            Err(_) => failed,
         };
         // Blast-radius pressure: scale by how well the mapping isolates
         // faults. Deterministic in the same (adg, kernel, schedule)
@@ -1202,7 +1147,7 @@ falling through to a full scheduling pass"
         if bw <= 0.0 {
             return raw;
         }
-        let doms = dsagen_sim::RecoveryDomains::derive(&self.adg, version, sched);
+        let doms = dsagen_sim::RecoveryDomains::derive(adg, version, sched);
         let regions = doms.region_count().max(1) as f64;
         let worst = doms.max_domain_regions().max(1) as f64;
         let isolation = (regions - worst + 1.0) / regions;
@@ -1215,10 +1160,10 @@ falling through to a full scheduling pass"
     /// kernel versions can ever use. Pure area/power win; performance is
     /// untouched because no needed FU disappears.
     fn trim_redundant_features(&mut self) {
-        let used = self.used_ops;
+        let used = self.versions.used_ops;
         // Does any compiled version operate on sub-word data? If not, FU
         // and switch decomposability is pure overhead.
-        let needs_subword = self.versions.iter().flatten().any(|v| {
+        let needs_subword = self.versions.compiled.iter().flatten().any(|v| {
             v.regions.iter().any(|r| {
                 r.in_streams
                     .iter()
@@ -1226,28 +1171,19 @@ falling through to a full scheduling pass"
                     .any(|s| s.elem_bytes < 8)
             })
         });
-        let pes: Vec<_> = self.adg.pes().collect();
-        for id in pes {
-            if let Some(node) = self.adg.node_mut(id) {
-                if let dsagen_adg::NodeKind::Pe(pe) = &mut node.kind {
+        let adg = &mut self.design.adg;
+        let ids: Vec<_> = adg.pes().chain(adg.switches()).collect();
+        for id in ids {
+            match adg.node_mut(id).map(|node| &mut node.kind) {
+                Some(dsagen_adg::NodeKind::Pe(pe)) => {
                     let trimmed = pe.ops.intersection(used);
                     if !trimmed.is_empty() {
                         pe.ops = trimmed;
                     }
-                    if !needs_subword {
-                        pe.decomposable = false;
-                    }
+                    pe.decomposable &= needs_subword;
                 }
-            }
-        }
-        if !needs_subword {
-            let switches: Vec<_> = self.adg.switches().collect();
-            for id in switches {
-                if let Some(node) = self.adg.node_mut(id) {
-                    if let dsagen_adg::NodeKind::Switch(sw) = &mut node.kind {
-                        sw.decompose_to = None;
-                    }
-                }
+                Some(dsagen_adg::NodeKind::Switch(sw)) if !needs_subword => sw.decompose_to = None,
+                _ => {}
             }
         }
     }
@@ -1263,19 +1199,15 @@ falling through to a full scheduling pass"
     fn evaluate_candidate(&mut self, iter: u32) -> Result<DsePoint, RejectReason> {
         let started = Instant::now();
         #[cfg(test)]
-        {
-            if self.forced == Some((iter, ForcedFailure::ConfigMismatch)) {
-                self.config_rejections += 1;
-                return Err(RejectReason::ConfigMismatch);
-            }
+        if self.forced == Some((iter, tests::ForcedFailure::ConfigMismatch)) {
+            self.config_rejections += 1;
+            return Err(RejectReason::ConfigMismatch);
         }
         let config_rejections_before = self.config_rejections;
         let point = match catch_unwind(AssertUnwindSafe(|| {
             #[cfg(test)]
-            {
-                if self.forced == Some((iter, ForcedFailure::Panic)) {
-                    panic!("forced panic at iteration {iter}");
-                }
+            if self.forced == Some((iter, tests::ForcedFailure::Panic)) {
+                panic!("forced panic at iteration {iter}");
             }
             self.evaluate()
         })) {
@@ -1309,11 +1241,14 @@ falling through to a full scheduling pass"
         Ok(point)
     }
 
+    /// Whether `cost` exceeds the area or power budget.
+    fn over_budget(&self, cost: &HwCost) -> bool {
+        cost.area_mm2 > self.cfg.area_budget_mm2 || cost.power_mw > self.cfg.power_budget_mw
+    }
+
     /// Why an evaluated-but-not-accepted candidate lost.
     fn classify_rejection(&self, point: &DsePoint) -> RejectReason {
-        if point.cost.area_mm2 > self.cfg.area_budget_mm2
-            || point.cost.power_mw > self.cfg.power_budget_mw
-        {
+        if self.over_budget(&point.cost) {
             RejectReason::OverBudget
         } else if point.per_kernel.iter().any(Option::is_none) {
             RejectReason::Unmappable
@@ -1357,50 +1292,20 @@ falling through to a full scheduling pass"
     /// [`RejectReason`] in its [`IterRecord`], so a run always completes
     /// with a full trace even if individual candidates crash.
     fn run_serial(&mut self) -> DseResult {
-        let mark = self.mark();
+        let mark = (Instant::now(), self.telemetry_snapshot());
         let initial = self.evaluate();
-        let (sched_passes, cache_hits, cache_misses, wall_ms) = self.since(mark);
-        let mut trace = vec![IterRecord {
-            iter: 0,
-            area_mm2: initial.cost.area_mm2,
-            power_mw: initial.cost.power_mw,
-            objective: initial.objective,
-            perf: initial.perf,
-            accepted: true,
-            rejected_reason: None,
-            sched_passes,
-            cache_hits,
-            cache_misses,
-            wall_ms,
-        }];
-        self.emit_iter(&trace[0]);
+        let mut trace = vec![self.record(0, &initial, None, mark)];
         // Opening trim, then re-evaluate: this is the loop's baseline.
-        let mark = self.mark();
+        let mark = (Instant::now(), self.telemetry_snapshot());
         self.trim_redundant_features();
         let trimmed = self.evaluate();
-        let (sched_passes, cache_hits, cache_misses, wall_ms) = self.since(mark);
         let mut best = if trimmed.objective >= initial.objective {
             trimmed
         } else {
             initial.clone()
         };
-        trace.push(IterRecord {
-            iter: 0,
-            area_mm2: best.cost.area_mm2,
-            power_mw: best.cost.power_mw,
-            objective: best.objective,
-            perf: best.perf,
-            accepted: true,
-            rejected_reason: None,
-            sched_passes,
-            cache_hits,
-            cache_misses,
-            wall_ms,
-        });
-        self.emit_iter(&trace[1]);
-        let mut best_adg = self.adg.clone();
-        let mut best_schedules = self.schedules.clone();
-        let mut best_footprints = self.footprints.clone();
+        trace.push(self.record(0, &best, None, mark));
+        let mut best_design = self.design.clone();
         let mut stale = 0u32;
         let mut stopped = None;
 
@@ -1419,94 +1324,43 @@ falling through to a full scheduling pass"
                 });
                 break;
             }
-            let mark = self.mark();
+            let mark = (Instant::now(), self.telemetry_snapshot());
+            let backup = self.design.clone();
             // Mutate (redraw until something applies, bounded).
-            let backup_adg = self.adg.clone();
-            let backup_scheds = self.schedules.clone();
-            let backup_fps = self.footprints.clone();
-            let mut mutated = false;
-            for _ in 0..12 {
-                if mutate(&mut self.adg, &mut self.rng, &self.used_ops).is_some() {
-                    mutated = true;
-                    break;
-                }
-            }
-            if !mutated {
-                stale += 1;
-                let (sched_passes, cache_hits, cache_misses, wall_ms) = self.since(mark);
-                trace.push(IterRecord {
-                    iter,
-                    area_mm2: best.cost.area_mm2,
-                    power_mw: best.cost.power_mw,
-                    objective: best.objective,
-                    perf: best.perf,
-                    accepted: false,
-                    rejected_reason: Some(RejectReason::NoMutation),
-                    sched_passes,
-                    cache_hits,
-                    cache_misses,
-                    wall_ms,
-                });
-                self.emit_iter(trace.last().expect("just pushed"));
-                if stale >= self.cfg.patience {
-                    break;
-                }
-                continue;
-            }
-
-            let (accepted, rejected_reason) = match self.evaluate_candidate(iter) {
-                Ok(point) if point.objective > best.objective => {
-                    best = point;
-                    best_adg = self.adg.clone();
-                    best_schedules = self.schedules.clone();
-                    best_footprints = self.footprints.clone();
-                    stale = 0;
-                    (true, None)
-                }
-                Ok(point) => {
-                    let reason = self.classify_rejection(&point);
-                    self.adg = backup_adg;
-                    self.schedules = backup_scheds;
-                    self.footprints = backup_fps;
-                    stale += 1;
-                    (false, Some(reason))
-                }
-                Err(reason) => {
+            let versions = Arc::clone(&self.versions);
+            let mutated = (0..12)
+                .any(|_| mutate(&mut self.design.adg, &mut self.rng, &versions.used_ops).is_some());
+            let rejected = if !mutated {
+                Some(RejectReason::NoMutation)
+            } else {
+                match self.evaluate_candidate(iter) {
+                    Ok(point) if point.objective > best.objective => {
+                        best = point;
+                        best_design = self.design.clone();
+                        None
+                    }
+                    Ok(point) => Some(self.classify_rejection(&point)),
                     // The candidate crashed or outran its budget mid-way;
-                    // the explorer state may be half-updated, so restore
-                    // the backed-up design wholesale and move on.
-                    self.adg = backup_adg;
-                    self.schedules = backup_scheds;
-                    self.footprints = backup_fps;
-                    stale += 1;
-                    (false, Some(reason))
+                    // the explorer state may be half-updated, and the
+                    // restore below puts the backed-up design back whole.
+                    Err(reason) => Some(reason),
                 }
             };
-            let (sched_passes, cache_hits, cache_misses, wall_ms) = self.since(mark);
-            trace.push(IterRecord {
-                iter,
-                area_mm2: best.cost.area_mm2,
-                power_mw: best.cost.power_mw,
-                objective: best.objective,
-                perf: best.perf,
-                accepted,
-                rejected_reason,
-                sched_passes,
-                cache_hits,
-                cache_misses,
-                wall_ms,
-            });
-            self.emit_iter(trace.last().expect("just pushed"));
+            if rejected.is_some() {
+                self.design = backup;
+                stale += 1;
+            } else {
+                stale = 0;
+            }
+            trace.push(self.record(iter, &best, rejected, mark));
             if stale >= self.cfg.patience {
                 break;
             }
         }
 
-        self.adg = best_adg.clone();
-        self.schedules = best_schedules;
-        self.footprints = best_footprints;
+        self.design = best_design.clone();
         DseResult {
-            best_adg,
+            best_adg: best_design.adg,
             best,
             initial,
             shard_traces: vec![trace.clone()],
@@ -1519,28 +1373,13 @@ falling through to a full scheduling pass"
     /// prepared kernel versions and starting ADG, fresh schedules/cache,
     /// and the shard-perturbed seed (see [`shard_seed`]).
     fn fork_shard(&self, shard: usize) -> Explorer {
-        let seed = shard_seed(self.cfg.seed, shard);
         let cfg = DseConfig {
-            seed,
+            seed: shard_seed(self.cfg.seed, shard),
             shards: 1,
             threads: 1,
             ..self.cfg
         };
         Explorer {
-            rng: StdRng::seed_from_u64(seed),
-            cfg,
-            adg: self.adg.clone(),
-            versions: self.versions.clone(),
-            version_hashes: self.version_hashes.clone(),
-            schedules: HashMap::new(),
-            footprints: HashMap::new(),
-            cache: ScheduleCache::new(),
-            sched_invocations: 0,
-            config_rejections: 0,
-            reliability_cache: HashMap::new(),
-            area_model: AreaPowerModel::default(),
-            perf_model: PerfModel::default(),
-            used_ops: self.used_ops,
             shard_index: shard,
             // Shards share the event sink and flight recorder but fork the
             // metrics registry, so per-shard counters merge deterministically
@@ -1553,55 +1392,45 @@ falling through to a full scheduling pass"
             control: self.control.clone(),
             #[cfg(test)]
             forced: self.forced,
+            ..Explorer::fresh(cfg, self.design.adg.clone(), Arc::clone(&self.versions))
         }
     }
 
-    /// Runs `shards` independent searches on up to `cfg.threads` worker
-    /// threads (static round-robin shard→worker assignment; shard results
-    /// are independent of which worker ran them) and reduces.
+    /// Runs `shards` independent searches on up to `cfg.threads` workers
+    /// and reduces. Shards go round-robin into one bucket per worker;
+    /// bucket 0 runs on the calling thread and the others on scoped
+    /// threads, each shard inside its own panic shield. Shard results are
+    /// independent of which worker ran them.
     fn run_sharded(&mut self, shards: usize) -> DseResult {
         let threads = self.cfg.threads.max(1).min(shards);
-        let shard_exs: Vec<Explorer> = (0..shards).map(|s| self.fork_shard(s)).collect();
-
-        let mut outcomes: Vec<(usize, Option<(Explorer, DseResult)>)> = if threads == 1 {
-            shard_exs
+        let mut buckets: Vec<Vec<(usize, Explorer)>> = (0..threads).map(|_| Vec::new()).collect();
+        for s in 0..shards {
+            buckets[s % threads].push((s, self.fork_shard(s)));
+        }
+        // A shard that panics wholesale drops out; the others survive.
+        let run_bucket = |bucket: Vec<(usize, Explorer)>| {
+            bucket
                 .into_iter()
-                .enumerate()
-                .map(|(s, mut ex)| {
-                    let out = catch_unwind(AssertUnwindSafe(|| ex.run_serial())).ok();
-                    (s, out.map(|r| (ex, r)))
+                .filter_map(|(s, mut ex)| {
+                    let res = catch_unwind(AssertUnwindSafe(|| ex.run_serial())).ok()?;
+                    Some((s, ex, res))
                 })
-                .collect()
-        } else {
-            let mut buckets: Vec<Vec<(usize, Explorer)>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (s, ex) in shard_exs.into_iter().enumerate() {
-                buckets[s % threads].push((s, ex));
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(s, mut ex)| {
-                                    let out =
-                                        catch_unwind(AssertUnwindSafe(|| ex.run_serial())).ok();
-                                    (s, out.map(|r| (ex, r)))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_default())
-                    .collect()
-            })
+                .collect::<Vec<_>>()
         };
-        outcomes.sort_by_key(|(s, _)| *s);
-        self.reduce_shards(shards, outcomes)
+        let mut buckets = buckets.into_iter();
+        let first = buckets.next().unwrap_or_default();
+        let mut survivors = std::thread::scope(|scope| {
+            let handles: Vec<_> = buckets
+                .map(|bucket| scope.spawn(move || run_bucket(bucket)))
+                .collect();
+            let mut survivors = run_bucket(first);
+            for handle in handles {
+                survivors.extend(handle.join().unwrap_or_default());
+            }
+            survivors
+        });
+        survivors.sort_by_key(|(s, _, _)| *s);
+        self.reduce_shards(shards, survivors)
     }
 
     /// Deterministic shard reduction: the winner is the shard with the
@@ -1609,44 +1438,37 @@ falling through to a full scheduling pass"
     /// then the earlier accepting iteration — an ordering independent of
     /// which thread finished first. The explorer adopts the winner's
     /// design/schedules and aggregates every shard's cache counters.
+    /// `survivors` are the shards that did not panic wholesale, by shard
+    /// index; the others contribute an empty trace.
     fn reduce_shards(
         &mut self,
         shards: usize,
-        outcomes: Vec<(usize, Option<(Explorer, DseResult)>)>,
+        mut survivors: Vec<(usize, Explorer, DseResult)>,
     ) -> DseResult {
         let mut shard_traces: Vec<Vec<IterRecord>> = vec![Vec::new(); shards];
-        let mut survivors: Vec<(usize, Explorer, DseResult)> = Vec::new();
-        for (s, out) in outcomes {
-            if let Some((ex, res)) = out {
-                shard_traces[s] = res.trace.clone();
-                survivors.push((s, ex, res));
-            }
+        for (s, _, res) in &survivors {
+            shard_traces[*s] = res.trace.clone();
         }
         assert!(
             !survivors.is_empty(),
             "all {shards} DSE shards panicked wholesale"
         );
 
-        // Last iteration at which a shard's best improved — the final
-        // tie-break key.
-        let accept_iter = |res: &DseResult| -> u32 {
-            res.trace
-                .iter()
-                .filter(|r| r.accepted)
-                .map(|r| r.iter)
-                .next_back()
-                .unwrap_or(0)
+        // Ties break toward the smaller shard seed, then the earlier last
+        // iteration at which a shard's best improved.
+        let tie_key = |s: usize, res: &DseResult| {
+            let improved = res.trace.iter().rfind(|r| r.accepted).map_or(0, |r| r.iter);
+            (shard_seed(self.cfg.seed, s), improved)
         };
         let mut win = 0usize;
         for i in 1..survivors.len() {
             let (ws, _, wr) = &survivors[win];
             let (cs, _, cr) = &survivors[i];
-            let (wobj, cobj) = (wr.best.objective, cr.best.objective);
-            let better = cobj > wobj
-                || (cobj == wobj
-                    && (shard_seed(self.cfg.seed, *cs) < shard_seed(self.cfg.seed, *ws)
-                        || (shard_seed(self.cfg.seed, *cs) == shard_seed(self.cfg.seed, *ws)
-                            && accept_iter(cr) < accept_iter(wr))));
+            let better = match cr.best.objective.partial_cmp(&wr.best.objective) {
+                Some(std::cmp::Ordering::Greater) => true,
+                Some(std::cmp::Ordering::Equal) => tie_key(*cs, cr) < tie_key(*ws, wr),
+                _ => false,
+            };
             if better {
                 win = i;
             }
@@ -1657,8 +1479,8 @@ falling through to a full scheduling pass"
         // order-deterministic (and every merge operator commutes anyway).
         for (_, ex, _) in &survivors {
             self.cache.absorb_stats(&ex.cache.stats());
-            self.sched_invocations += ex.sched_invocations();
-            self.config_rejections += ex.config_rejections();
+            self.sched_invocations += ex.sched_invocations;
+            self.config_rejections += ex.config_rejections;
             self.telemetry
                 .metrics()
                 .absorb(&ex.telemetry.metrics().snapshot());
@@ -1667,9 +1489,7 @@ falling through to a full scheduling pass"
         // control, so normally all agree); the winner's cause wins ties.
         let any_stopped = survivors.iter().find_map(|(_, _, r)| r.stopped);
         let (_, wex, wres) = survivors.swap_remove(win);
-        self.adg = wex.adg;
-        self.schedules = wex.schedules;
-        self.footprints = wex.footprints;
+        self.design = wex.design;
         DseResult {
             best_adg: wres.best_adg,
             best: wres.best,
@@ -1686,14 +1506,17 @@ pub fn explore(initial: Adg, kernels: &[Kernel], cfg: DseConfig) -> DseResult {
     Explorer::new(initial, kernels, cfg).run()
 }
 
-/// Reports which features a maximal compile would use — handy for tests.
-#[must_use]
-pub fn max_feature_set(adg: &Adg) -> FeatureSet {
-    let mut f = adg.features();
-    f.indirect_memory = true;
-    f.atomic_update = true;
-    f.op_union = OpSet::all();
-    f
+/// The feature set kernel versions compile against: `adg`'s own, widened
+/// to everything a mutation may add, so versions survive hardware
+/// mutations.
+fn compile_features(adg: &Adg) -> FeatureSet {
+    let mut features = adg.features();
+    features.indirect_memory = true;
+    features.atomic_update = true;
+    features.banked_memory = true;
+    features.stream_join_pes = features.stream_join_pes.max(8);
+    features.op_union = OpSet::all();
+    features
 }
 
 #[cfg(test)]
@@ -1702,6 +1525,18 @@ pub(crate) mod tests {
     use dsagen_dfg::{AffineExpr, KernelBuilder, MemClass, TripCount};
 
     use super::*;
+
+    /// A failure forced inside candidate evaluation, to exercise the rollback
+    /// paths without a candidate that genuinely panics or an encoder that
+    /// genuinely disagrees with its decoder.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum ForcedFailure {
+        /// Panic inside the panic shield.
+        Panic,
+        /// Report the candidate's configuration as failing bitstream round-trip
+        /// verification.
+        ConfigMismatch,
+    }
 
     /// Builds the two test kernels, propagating builder errors instead of
     /// unwrapping so a malformed fixture reports *what* failed.
@@ -1794,7 +1629,10 @@ pub(crate) mod tests {
         };
         let pa = Explorer::new(presets::dse_initial(), &small_kernels(), cfg).evaluate();
         let pb = Explorer::new(presets::dse_initial(), &small_kernels(), cfg).evaluate();
-        assert_eq!(pa.objective, pb.objective, "reliability scoring must be deterministic");
+        assert_eq!(
+            pa.objective, pb.objective,
+            "reliability scoring must be deterministic"
+        );
         assert_eq!(pa.perf, pb.perf);
         assert!(pa.objective.is_finite() && pa.objective >= 0.0);
 
@@ -1859,7 +1697,10 @@ pub(crate) mod tests {
         );
         assert!(blast.objective.is_finite() && blast.objective >= 0.0);
         let again = eval_with(pressured);
-        assert_eq!(blast.objective, again.objective, "blast scoring must be deterministic");
+        assert_eq!(
+            blast.objective, again.objective,
+            "blast scoring must be deterministic"
+        );
     }
 
     #[test]
@@ -1920,7 +1761,7 @@ pub(crate) mod tests {
         };
         let mut ex = Explorer::new(presets::dse_initial(), &small_kernels(), cfg);
         let _ = ex.run();
-        assert!(!ex.schedules.is_empty());
+        assert!(!ex.design.mapped.is_empty());
     }
 
     #[test]
@@ -2027,7 +1868,7 @@ pub(crate) mod tests {
         let p = ex.evaluate();
         assert!(p.per_kernel.iter().all(Option::is_some));
         assert_eq!(
-            ex.config_rejections(),
+            ex.telemetry_snapshot().config_rejections,
             0,
             "encoder/decoder disagreed on a healthy design"
         );
@@ -2183,7 +2024,7 @@ pub(crate) mod tests {
 
         // Mutate hardware no kernel can be mapped onto: an unconnected
         // switch changes the graph fingerprint but no schedule footprint.
-        ex.adg.add_switch(SwitchSpec::new(BitWidth::B64));
+        ex.design.adg.add_switch(SwitchSpec::new(BitWidth::B64));
         let second = ex.evaluate();
         assert!(second.per_kernel.iter().all(Option::is_some));
         assert_eq!(
@@ -2235,13 +2076,13 @@ pub(crate) mod tests {
 
             // Mutate the hardware with the explorer's own operator so the
             // graph fingerprint changes (no exact replay is possible).
-            let original_fp = ex.adg.fingerprint();
+            let original_fp = ex.design.adg.fingerprint();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut mutated = false;
             for _ in 0..3 {
-                mutated |= mutate(&mut ex.adg, &mut rng, &ex.used_ops).is_some();
+                mutated |= mutate(&mut ex.design.adg, &mut rng, &ex.versions.used_ops).is_some();
             }
-            if !mutated || ex.adg.fingerprint() == original_fp {
+            if !mutated || ex.design.adg.fingerprint() == original_fp {
                 // Vacuous: nothing changed (or the mutations cancelled
                 // out, making exact replay the correct answer).
                 return Ok(());
@@ -2250,9 +2091,9 @@ pub(crate) mod tests {
             // Keys `evaluate` will actually visit on the mutated hardware
             // (a mutation may leave a version's feature requirements
             // unsatisfied, in which case it is skipped without any lookup).
-            let features = ex.adg.features();
+            let features = ex.design.adg.features();
             let mut visitable: Vec<(usize, usize)> = Vec::new();
-            for (ki, versions) in ex.versions.iter().enumerate() {
+            for (ki, versions) in ex.versions.compiled.iter().enumerate() {
                 for (vi, version) in versions.iter().enumerate() {
                     if version.requires.satisfied_by(&features) {
                         visitable.push((ki, vi));
@@ -2264,9 +2105,9 @@ pub(crate) mod tests {
             // the recorded footprint fingerprint to the impostor's own so
             // the fingerprint equality check passes.
             let mut poisoned: HashMap<(usize, usize), Schedule> = HashMap::new();
-            let keys: Vec<_> = ex.schedules.keys().copied().collect();
+            let keys: Vec<_> = ex.design.mapped.keys().copied().collect();
             for key in keys {
-                let mut garbage = ex.schedules[&key].clone();
+                let mut garbage = ex.design.mapped[&key].schedule.clone();
                 let Some(first) = garbage.placement.iter().copied().flatten().next() else {
                     continue;
                 };
@@ -2276,11 +2117,12 @@ pub(crate) mod tests {
                     }
                 }
                 garbage.routes.clear();
-                let Some(fp) = schedule_footprint(&ex.adg, &garbage) else {
+                let Some(fp) = schedule_footprint(&ex.design.adg, &garbage) else {
                     continue;
                 };
-                ex.schedules.insert(key, garbage.clone());
-                ex.footprints.insert(key, fp);
+                let mapped = ex.design.mapped.get_mut(&key).expect("key listed above");
+                mapped.schedule = garbage.clone();
+                mapped.footprint = Some(fp);
                 poisoned.insert(key, garbage);
             }
             let expect_miss: Vec<_> = visitable
@@ -2303,7 +2145,7 @@ pub(crate) mod tests {
             proptest::prop_assert!(
                 ex.cache_stats().misses >= misses_before + expect_miss.len() as u64,
                 "every visited poisoned key must register a miss \
-(before {misses_before}, after {}, poisoned visited {})",
+    (before {misses_before}, after {}, poisoned visited {})",
                 ex.cache_stats().misses,
                 expect_miss.len()
             );
@@ -2313,9 +2155,9 @@ pub(crate) mod tests {
             );
             // ...and no impostor may survive as the memoized schedule.
             for (key, garbage) in &poisoned {
-                if let Some(now) = ex.schedules.get(key) {
+                if let Some(now) = ex.design.mapped.get(key) {
                     proptest::prop_assert!(
-                        now != garbage,
+                        &now.schedule != garbage,
                         "impostor schedule served for {key:?}"
                     );
                 }

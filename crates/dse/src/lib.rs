@@ -42,8 +42,8 @@ mod timeline;
 
 pub use cache::{schedule_footprint, CacheEntry, CacheStats, ScheduleCache};
 pub use explorer::{
-    explore, max_feature_set, shard_seed, DseConfig, DsePoint, DseResult, Explorer, IterRecord,
-    RejectReason, ReliabilityMode, RunControl, StopCause, TelemetrySnapshot,
+    explore, shard_seed, DseConfig, DsePoint, DseResult, Explorer, IterRecord, RejectReason,
+    ReliabilityMode, RunControl, StopCause, TelemetrySnapshot,
 };
 pub use mutate::{mutate, Mutation};
 pub use timeline::{DseTimeline, ShardSummary};

@@ -445,7 +445,7 @@ fn process(job: Job, shared: &Arc<Shared>) {
             .with_telemetry(shared.telemetry.clone())
             .with_control(control);
         if let Some(store) = &shared.store {
-            explorer.attach_store(store.clone());
+            explorer = explorer.with_store(store.clone());
         }
         let result = explorer.run();
         CompileOutcome {
