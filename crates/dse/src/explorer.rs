@@ -1295,13 +1295,25 @@ impl Explorer {
         let mark = (Instant::now(), self.telemetry_snapshot());
         let initial = self.evaluate();
         let mut trace = vec![self.record(0, &initial, None, mark)];
-        // Opening trim, then re-evaluate: this is the loop's baseline.
+        // Opening trim, then re-evaluate: this is the loop's baseline. A
+        // trim that loses objective is undone, so the best design is always
+        // the one the best point was measured on.
         let mark = (Instant::now(), self.telemetry_snapshot());
+        let untrimmed = self.design.clone();
         self.trim_redundant_features();
         let trimmed = self.evaluate();
+        #[cfg(test)]
+        let trimmed = match self.forced {
+            Some((0, tests::ForcedFailure::TrimLoses)) => DsePoint {
+                objective: initial.objective / 2.0,
+                ..trimmed
+            },
+            _ => trimmed,
+        };
         let mut best = if trimmed.objective >= initial.objective {
             trimmed
         } else {
+            self.design = untrimmed;
             initial.clone()
         };
         trace.push(self.record(0, &best, None, mark));
@@ -1536,6 +1548,8 @@ pub(crate) mod tests {
         /// Report the candidate's configuration as failing bitstream round-trip
         /// verification.
         ConfigMismatch,
+        /// Score the opening trim (step 0) below the untrimmed design.
+        TrimLoses,
     }
 
     /// Builds the two test kernels, propagating builder errors instead of
@@ -1912,6 +1926,34 @@ pub(crate) mod tests {
             assert!(f.objective <= c.objective + 1e-12, "iter {}", f.iter);
         }
         assert!(faulty.best.objective > 0.0);
+    }
+
+    #[test]
+    fn a_losing_opening_trim_keeps_the_untrimmed_design() {
+        // When the trimmed design scores below the untrimmed one, the
+        // baseline is the untrimmed point, so the best design must be the
+        // untrimmed one too.
+        let cfg = DseConfig {
+            max_iters: 0,
+            ..serial_cfg()
+        };
+        let result = explore_forcing(0, ForcedFailure::TrimLoses, cfg);
+        assert_eq!(result.best, result.initial);
+        assert!(
+            presets::dse_initial().features().decomposable,
+            "the trim has work to do"
+        );
+        assert_eq!(result.best_adg, presets::dse_initial());
+
+        let mut ex = Explorer::new(presets::dse_initial(), &small_kernels(), cfg);
+        ex.forced = Some((0, ForcedFailure::TrimLoses));
+        let _ = ex.run();
+        assert_eq!(ex.adg(), &presets::dse_initial());
+        // The mapping state went back with the design: re-evaluating it
+        // replays every version exactly.
+        let hits = ex.cache_stats().exact_hits;
+        assert_eq!(ex.evaluate(), result.initial);
+        assert!(ex.cache_stats().exact_hits > hits);
     }
 
     #[test]
