@@ -1957,6 +1957,70 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn store_tier_rejects_an_impostor() {
+        use dsagen_store::{open_default, Artifact, ArtifactKey};
+
+        let root = std::env::temp_dir().join(format!("dsagen-dse-impostor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = open_default(&root).expect("open a scratch store");
+        let cfg = quick_cfg();
+        let mut ex =
+            Explorer::new(presets::dse_initial(), &small_kernels(), cfg).with_store(store.clone());
+
+        // The first version `evaluate` will look up, under the exact key
+        // the store tier reads.
+        let features = ex.design.adg.features();
+        let key = ex.versions.compiled[0]
+            .iter()
+            .position(|v| v.requires.satisfied_by(&features))
+            .map(|vi| (0, vi))
+            .expect("axpy has a version for the initial design");
+        let version = &ex.versions.compiled[key.0][key.1];
+        // The impostor piles every entity onto one PE and routes nothing.
+        let pe = ex
+            .design
+            .adg
+            .pes()
+            .next()
+            .expect("the initial design has PEs");
+        let entities = Problem::new(&ex.design.adg, version).entities.len();
+        let impostor = Schedule {
+            placement: vec![Some(pe); entities],
+            routes: std::collections::BTreeMap::new(),
+        };
+        let store_key = ArtifactKey {
+            adg_fp: ex.design.adg.fingerprint(),
+            kernel_hash: ex.versions.hashes[key.0][key.1],
+            sched_seed: cfg.seed ^ 0x5EED,
+        };
+        store
+            .put(&Artifact {
+                key: store_key,
+                schedule: impostor.clone(),
+                perf: Some(1e9),
+                footprint: None,
+                config_words: Vec::new(),
+            })
+            .expect("put the impostor");
+        assert!(
+            store.get(store_key).expect("read back").is_some(),
+            "the store serves it"
+        );
+
+        let _ = ex.evaluate();
+        let stats = ex.cache_stats();
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(stats.store_hits, 0, "the impostor was served: {stats:?}");
+        assert_eq!(
+            stats.misses,
+            stats.lookups(),
+            "every lookup ran a fresh pass"
+        );
+        assert!(ex.sched_invocations() > 0);
+        assert_ne!(ex.design.mapped[&key].schedule, impostor);
+    }
+
+    #[test]
     fn shard_zero_keeps_the_configured_seed() {
         assert_eq!(shard_seed(0xD5E, 0), 0xD5E);
         // Later shards diverge, and distinct shards get distinct seeds.
