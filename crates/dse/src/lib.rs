@@ -11,11 +11,19 @@
 //! Exploration is *sharded and memoized*: [`DseConfig::shards`] independent
 //! deterministic searches run on up to [`DseConfig::threads`] worker
 //! threads and merge through a deterministic reduction, so results depend
-//! only on `(seed, shards)` — never on thread scheduling. Scheduling work
-//! is cached in a [`ScheduleCache`] keyed by `(Adg::fingerprint,
-//! CompiledKernel::content_hash)`: reverted mutations replay wholesale and
-//! mutations outside a kernel's mapped footprint rebase the previous
-//! schedule instead of re-running the stochastic search.
+//! only on `(seed, shards)` — never on thread scheduling.
+//!
+//! Each evaluation answers every kernel version from the first of four
+//! tiers that can: an exact replay from the [`ScheduleCache`] (keyed by
+//! `(Adg::fingerprint, CompiledKernel::content_hash)`), a schedule an
+//! earlier process left in an attached artifact store
+//! ([`Explorer::with_store`]), a rebase of the previous schedule when the
+//! mutation left its mapped footprint intact, or a fresh pass of the
+//! repairing scheduler. Every tier but the exact replay re-checks its
+//! schedule on the current design — feasibility, bitstream round trip,
+//! then the performance model — and one adopt step records whichever
+//! answer wins: into the explorer's mapping state, the cache, and the
+//! tier's [`CacheStats`] counter.
 //!
 //! # Example
 //!
