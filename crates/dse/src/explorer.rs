@@ -681,10 +681,9 @@ impl Explorer {
     /// The record of step `iter`: `best` is the best point after it, the
     /// step was accepted unless `rejected` says why not, and its work
     /// counters are those accrued since `mark`, the instant and statistics
-    /// at its top (deterministic, except
-    /// `wall_ms`, which trace equality ignores). Emits the record as a
-    /// `dse/iteration` event — free when telemetry is disabled — and
-    /// returns it.
+    /// at its top (deterministic, except `wall_ms`, which trace equality
+    /// ignores). Emits the record as a `dse/iteration` event — free when
+    /// telemetry is disabled — and returns it.
     fn record(
         &self,
         iter: u32,
@@ -709,12 +708,10 @@ impl Explorer {
         let m = self.telemetry.metrics();
         if m.is_enabled() {
             m.add("dse.iterations", 1);
-            m.add(
-                &rejected.map_or("dse.accepted".to_string(), |r| {
-                    format!("dse.rejections.{r}")
-                }),
-                1,
-            );
+            match rejected {
+                None => m.add("dse.accepted", 1),
+                Some(reason) => m.add(&format!("dse.rejections.{reason}"), 1),
+            }
         }
         if let Some(reason) = rejected {
             self.telemetry.recorder().record("dse", || {
@@ -917,8 +914,9 @@ impl Explorer {
             return None;
         }
         match self.check(version, &prev.schedule, None, lookup) {
-            Ok((perf, _)) => Some(CacheEntry {
-                schedule: prev.schedule.clone(),
+            // Taken out of the mapping state, which adopt writes back.
+            Ok((perf, _)) => self.design.mapped.remove(&key).map(|prev| CacheEntry {
+                schedule: prev.schedule,
                 perf: Some(perf),
                 footprint: Some(footprint),
             }),
@@ -999,6 +997,9 @@ impl Explorer {
         eval: Option<&Evaluation>,
         lookup: &Lookup,
     ) -> Result<(f64, VerifiedConfig), Unfit> {
+        if eval.is_some_and(|eval| !eval.feasible) {
+            return Err(Unfit::Infeasible);
+        }
         let problem = Problem::new(&self.design.adg, version);
         let evaluated;
         let eval = match eval {
@@ -1339,9 +1340,9 @@ impl Explorer {
             let mark = (Instant::now(), self.telemetry_snapshot());
             let backup = self.design.clone();
             // Mutate (redraw until something applies, bounded).
-            let versions = Arc::clone(&self.versions);
-            let mutated = (0..12)
-                .any(|_| mutate(&mut self.design.adg, &mut self.rng, &versions.used_ops).is_some());
+            let used_ops = self.versions.used_ops;
+            let mutated =
+                (0..12).any(|_| mutate(&mut self.design.adg, &mut self.rng, &used_ops).is_some());
             let rejected = if !mutated {
                 Some(RejectReason::NoMutation)
             } else {
