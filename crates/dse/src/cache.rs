@@ -133,15 +133,8 @@ pub struct ScheduleCache {
 }
 
 impl ScheduleCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        ScheduleCache::default()
-    }
-
     /// The outcome memoized for `(adg_fp, kernel_hash)`, if any. Counts
     /// nothing: the explorer records whichever tier answered the lookup.
-    #[must_use]
     pub fn lookup(&self, adg_fp: u64, kernel_hash: u64) -> Option<&CacheEntry> {
         self.entries.get(&(adg_fp, kernel_hash))
     }
@@ -219,7 +212,7 @@ mod tests {
 
     #[test]
     fn lookup_insert_roundtrip_counts() {
-        let mut c = ScheduleCache::new();
+        let mut c = ScheduleCache::default();
         assert!(c.lookup(1, 2).is_none());
         c.note(Tier::Fresh);
         c.insert(

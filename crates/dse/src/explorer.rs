@@ -595,7 +595,7 @@ impl Explorer {
                 mapped: HashMap::new(),
             },
             versions,
-            cache: ScheduleCache::new(),
+            cache: ScheduleCache::default(),
             sched_invocations: 0,
             config_rejections: 0,
             reliability_cache: HashMap::new(),
@@ -753,7 +753,7 @@ impl Explorer {
     /// replay, artifact store, footprint rebase, fresh pass; the first
     /// three only with the cache on — and every answer is adopted the
     /// same way: into the mapping state, the cache and the tier's
-    /// [`CacheStats`] counter.
+    /// [`CacheStats`](crate::CacheStats) counter.
     pub fn evaluate(&mut self) -> DsePoint {
         let features = self.design.adg.features();
         let cost = self.area_model.estimate_adg(&self.design.adg);
