@@ -91,9 +91,9 @@ pub struct DseConfig {
 /// Reliability-aware scoring: each candidate's per-kernel performance is
 /// multiplied by its *recovered-throughput factor* — the fraction of
 /// fault-free throughput the design sustains when a sampled
-/// [`FaultSchedule`] strikes mid-execution and the runtime recovery flow
-/// (detect → checkpoint → repair → verified reprogram → resume) handles
-/// it. Designs that cannot be repaired score near zero; designs with
+/// [`FaultSchedule`](dsagen_faults::FaultSchedule) strikes mid-execution
+/// and the runtime recovery flow (detect → checkpoint → repair → verified
+/// reprogram → resume) handles it. Designs that cannot be repaired score near zero; designs with
 /// spare routes/PEs that repair cleanly keep most of their performance.
 ///
 /// The factor is a pure function of `(sample seed, hardware fingerprint,
@@ -1536,8 +1536,10 @@ fn compile_features(adg: &Adg) -> FeatureSet {
 pub(crate) mod tests {
     use dsagen_adg::{presets, BitWidth, Opcode, SwitchSpec};
     use dsagen_dfg::{AffineExpr, KernelBuilder, MemClass, TripCount};
+    use dsagen_scheduler::{Problem, Schedule};
 
     use super::*;
+    use crate::cache::schedule_footprint;
 
     /// A failure forced inside candidate evaluation, to exercise the rollback
     /// paths without a candidate that genuinely panics or an encoder that
