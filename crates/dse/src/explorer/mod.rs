@@ -17,7 +17,6 @@
 //! perf model), and every answer is adopted the same way: into the mapping
 //! state, the cache and the tier's counter.
 
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,20 +25,17 @@ use std::time::{Duration, Instant};
 
 use dsagen_adg::{Adg, FeatureSet, OpSet};
 use dsagen_dfg::{compile_kernel, enumerate_configs, CompiledKernel, Kernel};
-use dsagen_faults::FaultSchedule;
-use dsagen_hwgen::{generate_config_paths, verify_round_trip_timed, VerifiedConfig};
-use dsagen_model::{objective, AreaPowerModel, HwCost, PerfModel};
-use dsagen_scheduler::{
-    evaluate as evaluate_schedule, repair, schedule_instrumented, Evaluation, Problem, Schedule,
-    SchedulerConfig,
-};
-use dsagen_store::{Artifact, ArtifactKey, ArtifactStore};
-use dsagen_telemetry::{log, EventData, Level, Telemetry};
+use dsagen_model::{AreaPowerModel, HwCost, PerfModel};
+use dsagen_store::ArtifactStore;
+use dsagen_telemetry::{EventData, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{schedule_footprint, CacheEntry, CacheStats, ScheduleCache, Tier};
+use crate::cache::{CacheEntry, CacheStats, ScheduleCache};
 use crate::mutate::mutate;
+
+mod evaluate;
+mod shard;
 
 /// Explorer tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -468,35 +464,6 @@ struct Versions {
     used_ops: OpSet,
 }
 
-/// What every version lookup of one [`Explorer::evaluate`] shares.
-struct Lookup {
-    adg_fp: u64,
-    sched_cfg: SchedulerConfig,
-    /// The design's longest configuration path, built on first use: an
-    /// evaluation that only replays exact hits never reads it.
-    config_len: OnceCell<u32>,
-}
-
-impl Lookup {
-    /// The artifact-store key of the version whose content hash is `hash`.
-    fn store_key(&self, hash: u64) -> ArtifactKey {
-        ArtifactKey {
-            adg_fp: self.adg_fp,
-            kernel_hash: hash,
-            sched_seed: self.sched_cfg.seed,
-        }
-    }
-}
-
-/// Why a schedule failed [`Explorer::check`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Unfit {
-    /// It does not evaluate feasible on the current design.
-    Infeasible,
-    /// Its encoded bitstream does not decode back to it.
-    ConfigMismatch,
-}
-
 /// A coherent snapshot of every explorer statistic, taken at one instant.
 ///
 /// All counters are **cumulative since [`Explorer::new`]** and, after a
@@ -550,7 +517,6 @@ lookups) · config rejections {}",
         )
     }
 }
-
 impl Explorer {
     /// Compiles every kernel into its candidate versions (against a
     /// maximal feature set, so versions survive hardware mutations) and
@@ -744,417 +710,6 @@ impl Explorer {
         rec
     }
 
-    /// Evaluates the current design: schedules every satisfiable version
-    /// of every kernel (repairing previous schedules where enabled), picks
-    /// the best legal version per kernel by modeled performance, and
-    /// computes perf²/mm² (§V steps 2b–2d).
-    ///
-    /// Each version is answered by the first tier that can — exact
-    /// replay, artifact store, footprint rebase, fresh pass; the first
-    /// three only with the cache on — and every answer is adopted the
-    /// same way: into the mapping state, the cache and the tier's
-    /// [`CacheStats`](crate::CacheStats) counter.
-    pub fn evaluate(&mut self) -> DsePoint {
-        let features = self.design.adg.features();
-        let cost = self.area_model.estimate_adg(&self.design.adg);
-        let lookup = Lookup {
-            adg_fp: self.design.adg.fingerprint(),
-            sched_cfg: SchedulerConfig {
-                max_iters: self.cfg.sched_iters,
-                seed: self.cfg.seed ^ 0x5EED,
-                ..SchedulerConfig::default()
-            },
-            config_len: OnceCell::new(),
-        };
-
-        let versions = Arc::clone(&self.versions);
-        let mut per_kernel = Vec::with_capacity(versions.compiled.len());
-        for (ki, kernel_versions) in versions.compiled.iter().enumerate() {
-            let mut best: Option<(usize, f64)> = None;
-            for (vi, version) in kernel_versions.iter().enumerate() {
-                if !version.requires.satisfied_by(&features) {
-                    continue;
-                }
-                let key = (ki, vi);
-                let hash = versions.hashes[ki][vi];
-                let found = if self.cfg.use_cache {
-                    let exact = self.cache.lookup(lookup.adg_fp, hash).cloned();
-                    exact
-                        .map(|entry| (Tier::Exact, entry))
-                        .or_else(|| Some((Tier::Store, self.load_stored(version, hash, &lookup)?)))
-                        .or_else(|| Some((Tier::Footprint, self.rebase(key, version, &lookup)?)))
-                } else {
-                    None
-                };
-                let (tier, entry) = found.unwrap_or_else(|| {
-                    (
-                        Tier::Fresh,
-                        self.schedule_afresh(key, version, hash, &lookup),
-                    )
-                });
-                if let Some(perf) = self.adopt(key, hash, tier, entry, &lookup) {
-                    if best.is_none_or(|(_, p)| perf > p) {
-                        best = Some((vi, perf));
-                    }
-                }
-            }
-            per_kernel.push(best);
-        }
-
-        // Aggregate after the version loop so reliability scoring (which
-        // needs `&mut self` for its memo cache) can run per winner.
-        let mut log_perf_sum = 0.0;
-        for (ki, entry) in per_kernel.iter().enumerate() {
-            if let Some((vi, perf)) = *entry {
-                let mult = match self.cfg.reliability {
-                    Some(mode) => self.reliability_multiplier((ki, vi), mode, &lookup),
-                    None => 1.0,
-                };
-                log_perf_sum += (perf * mult).max(1e-9).ln();
-            }
-        }
-
-        let n = per_kernel.len().max(1) as f64;
-        let perf = if per_kernel.iter().any(Option::is_none) {
-            1e-6 // unmappable kernels make the design essentially worthless
-        } else {
-            (log_perf_sum / n).exp()
-        };
-        let obj = if self.over_budget(&cost) {
-            0.0 // over budget: never accepted
-        } else {
-            objective(perf, cost.area_mm2)
-        };
-        DsePoint {
-            objective: obj,
-            perf,
-            cost,
-            per_kernel,
-        }
-    }
-
-    /// Adopts `entry` as version `key`'s outcome on the current design and
-    /// returns its modeled performance (`None` when it does not map): the
-    /// mapping state takes it, and with the cache on the cache memoizes it
-    /// (an exact hit is already there) and `tier`'s counter and
-    /// `dse.cache.*` metric count it.
-    fn adopt(
-        &mut self,
-        key: (usize, usize),
-        hash: u64,
-        tier: Tier,
-        entry: CacheEntry,
-        lookup: &Lookup,
-    ) -> Option<f64> {
-        if self.cfg.use_cache {
-            self.cache.note(tier);
-            let (metric, kind) = match tier {
-                Tier::Exact => ("dse.cache.hits", "exact"),
-                Tier::Store => ("dse.cache.store_hits", "store"),
-                Tier::Footprint => ("dse.cache.hits", "footprint"),
-                Tier::Fresh => ("dse.cache.misses", "fresh"),
-            };
-            self.telemetry.metrics().add(metric, 1);
-            if tier != Tier::Fresh {
-                self.telemetry.recorder().record("dse", || {
-                    (
-                        "cache_hit".to_string(),
-                        format!("kernel={} version={} kind={kind}", key.0, key.1),
-                    )
-                });
-            }
-            if tier != Tier::Exact {
-                self.cache.insert(lookup.adg_fp, hash, entry.clone());
-            }
-        }
-        let perf = entry.perf;
-        self.design.mapped.insert(key, entry);
-        perf
-    }
-
-    /// The store tier: an earlier process scheduled this exact (hardware,
-    /// kernel, scheduler seed) triple and persisted the result. The store
-    /// has re-verified framing, key and schedule digest; here the schedule
-    /// must still pass [`Explorer::check`] on this design. An artifact
-    /// that does not is logged and falls through to the next tier.
-    fn load_stored(
-        &self,
-        version: &CompiledKernel,
-        hash: u64,
-        lookup: &Lookup,
-    ) -> Option<CacheEntry> {
-        let key = lookup.store_key(hash);
-        let art = self.store.as_ref()?.get(key).ok().flatten()?;
-        if let Ok((perf, _)) = self.check(version, &art.schedule, None, lookup) {
-            return Some(CacheEntry {
-                footprint: schedule_footprint(&self.design.adg, &art.schedule),
-                schedule: art.schedule,
-                perf: Some(perf),
-            });
-        }
-        let why = "failed re-verification; falling through to a full scheduling pass";
-        log(Level::Warn, format!("dse: store artifact for {key} {why}"));
-        None
-    }
-
-    /// The footprint tier: the hardware changed, but every node and edge
-    /// this version's previous legal schedule occupies is byte-identical,
-    /// so the schedule is re-checked on the mutated graph instead of
-    /// searched for again. A bitstream mismatch counts as a config
-    /// rejection; either failure falls through to a fresh pass.
-    fn rebase(
-        &mut self,
-        key: (usize, usize),
-        version: &CompiledKernel,
-        lookup: &Lookup,
-    ) -> Option<CacheEntry> {
-        let prev = self.design.mapped.get(&key)?;
-        let footprint = prev.footprint?;
-        if schedule_footprint(&self.design.adg, &prev.schedule) != Some(footprint) {
-            return None;
-        }
-        match self.check(version, &prev.schedule, None, lookup) {
-            // Taken out of the mapping state, which adopt writes back.
-            Ok((perf, _)) => self.design.mapped.remove(&key).map(|prev| CacheEntry {
-                schedule: prev.schedule,
-                perf: Some(perf),
-                footprint: Some(footprint),
-            }),
-            Err(unfit) => {
-                self.count_unfit(unfit);
-                None
-            }
-        }
-    }
-
-    /// The fresh tier: a full stochastic scheduling pass — a repair of the
-    /// version's last schedule when repair is on and one exists — checked
-    /// like the other tiers. A bitstream mismatch counts as a config
-    /// rejection and the version maps nowhere. A verified outcome is
-    /// persisted so a future process warm-starts from it; a store failure
-    /// (including an injected crash) costs only the warm start.
-    fn schedule_afresh(
-        &mut self,
-        key: (usize, usize),
-        version: &CompiledKernel,
-        hash: u64,
-        lookup: &Lookup,
-    ) -> CacheEntry {
-        self.sched_invocations += 1;
-        self.telemetry.metrics().add("dse.sched_invocations", 1);
-        let prev = self
-            .cfg
-            .use_repair
-            .then(|| self.design.mapped.remove(&key))
-            .flatten();
-        let (adg, sched_cfg) = (&self.design.adg, &lookup.sched_cfg);
-        let result = match prev {
-            // Repair with bounded retry-with-escalation: a fault- or
-            // mutation-degraded graph gets a second, doubled-budget attempt
-            // before the version is written off as illegal.
-            Some(prev) => repair(adg, version, &prev.schedule, sched_cfg, 2, &self.telemetry),
-            None => schedule_instrumented(adg, version, sched_cfg, &self.telemetry),
-        };
-        let (perf, footprint) =
-            match self.check(version, &result.schedule, Some(&result.eval), lookup) {
-                Ok((perf, verified)) => {
-                    let footprint = schedule_footprint(&self.design.adg, &result.schedule);
-                    if let Some(store) = &self.store {
-                        let art = Artifact {
-                            key: lookup.store_key(hash),
-                            schedule: result.schedule.clone(),
-                            perf: Some(perf),
-                            footprint,
-                            config_words: verified.words().to_vec(),
-                        };
-                        if let Err(e) = store.put(&art) {
-                            log(Level::Warn, format!("dse: artifact put failed: {e}"));
-                        }
-                    }
-                    (Some(perf), footprint)
-                }
-                Err(unfit) => {
-                    self.count_unfit(unfit);
-                    (None, None)
-                }
-            };
-        CacheEntry {
-            schedule: result.schedule,
-            perf,
-            footprint,
-        }
-    }
-
-    /// The re-check every tier but an exact replay passes before its
-    /// schedule may count (§VI integrity gate): the schedule must evaluate
-    /// feasible on the current design (under `eval` when the scheduler
-    /// already evaluated it), its encoded bitstream must decode back to
-    /// exactly it, and then the perf model prices it.
-    fn check(
-        &self,
-        version: &CompiledKernel,
-        schedule: &Schedule,
-        eval: Option<&Evaluation>,
-        lookup: &Lookup,
-    ) -> Result<(f64, VerifiedConfig), Unfit> {
-        if eval.is_some_and(|eval| !eval.feasible) {
-            return Err(Unfit::Infeasible);
-        }
-        let problem = Problem::new(&self.design.adg, version);
-        let evaluated;
-        let eval = match eval {
-            Some(eval) => eval,
-            None => {
-                evaluated = evaluate_schedule(&problem, schedule, &lookup.sched_cfg.weights);
-                &evaluated
-            }
-        };
-        if !eval.feasible {
-            return Err(Unfit::Infeasible);
-        }
-        let verified = {
-            let _span = self.telemetry.span("config", "verify");
-            verify_round_trip_timed(&problem, schedule, eval)
-        }
-        .map_err(|_| Unfit::ConfigMismatch)?;
-        let perf = {
-            let _span = self.telemetry.span("model", "estimate");
-            let config_len = self.longest_config_path(&lookup.config_len);
-            self.perf_model
-                .estimate(&self.design.adg, version, schedule, eval, config_len)
-                .perf()
-        };
-        Ok((perf, verified))
-    }
-
-    /// Counts `unfit` as a config rejection when the bitstream did not
-    /// round-trip: a design we cannot provably program is one we refuse to
-    /// score (see [`Explorer::evaluate_candidate`]).
-    fn count_unfit(&mut self, unfit: Unfit) {
-        if unfit == Unfit::ConfigMismatch {
-            self.config_rejections += 1;
-            self.telemetry.metrics().add("dse.config_rejections", 1);
-        }
-    }
-
-    /// Longest configuration path of the current design (§VI, the
-    /// configuration latency the perf model charges), generated once per
-    /// [`Explorer::evaluate`] on first use and memoised in `memo`.
-    fn longest_config_path(&self, memo: &OnceCell<u32>) -> u32 {
-        *memo.get_or_init(|| {
-            let _span = self.telemetry.span("hwgen", "config_paths");
-            generate_config_paths(&self.design.adg, 4, self.cfg.seed).longest() as u32
-        })
-    }
-
-    /// The reliability-mode scoring multiplier for the winning version
-    /// `key`: `(1 − weight) + weight × factor`, where `factor` is the
-    /// recovered-throughput fraction
-    /// `fault-free cycles / recovered total cycles` of the design under a
-    /// sampled fault schedule ([`ReliabilityMode::failure_factor`] when
-    /// recovery fails). Memoized by `(adg fingerprint, kernel hash)`;
-    /// deterministic regardless of shard/thread layout.
-    fn reliability_multiplier(
-        &mut self,
-        key: (usize, usize),
-        mode: ReliabilityMode,
-        lookup: &Lookup,
-    ) -> f64 {
-        let hash = self.versions.hashes[key.0][key.1];
-        let factor = match self.reliability_cache.get(&(lookup.adg_fp, hash)) {
-            Some(&f) => f,
-            None => {
-                let f = self.recovered_throughput(key, mode, hash, lookup);
-                self.reliability_cache.insert((lookup.adg_fp, hash), f);
-                f
-            }
-        };
-        let w = mode.weight.clamp(0.0, 1.0);
-        (1.0 - w) + w * factor
-    }
-
-    /// Simulates version `key` under a sampled runtime fault schedule with
-    /// the full recovery flow and returns the fraction of fault-free
-    /// throughput that survives.
-    fn recovered_throughput(
-        &self,
-        key: (usize, usize),
-        mode: ReliabilityMode,
-        hash: u64,
-        lookup: &Lookup,
-    ) -> f64 {
-        let failed = mode.failure_factor.clamp(0.0, 1.0);
-        let adg = &self.design.adg;
-        let version = &self.versions.compiled[key.0][key.1];
-        let Some(CacheEntry {
-            schedule: sched, ..
-        }) = self.design.mapped.get(&key)
-        else {
-            return failed;
-        };
-        let problem = Problem::new(adg, version);
-        let eval = evaluate_schedule(&problem, sched, &lookup.sched_cfg.weights);
-        if !eval.feasible {
-            return failed;
-        }
-        let config_len = self.longest_config_path(&lookup.config_len);
-        let sim_cfg = dsagen_sim::SimConfig::default();
-        let Ok(fault_free) = dsagen_sim::simulate(adg, version, sched, &eval, config_len, &sim_cfg)
-        else {
-            return failed;
-        };
-        // Sample deterministically per design point; arrivals beyond the
-        // run length strike after completion and cost nothing, which is
-        // honest — short kernels dodge late faults.
-        let horizon = mode.horizon.max(2).min(fault_free.cycles.max(2));
-        let faults = FaultSchedule::random(mode.seed ^ hash, mode.faults, horizon);
-        let policy = dsagen_sim::RecoveryPolicy {
-            scheduler: SchedulerConfig {
-                max_iters: lookup.sched_cfg.max_iters,
-                seed: lookup.sched_cfg.seed ^ 0xFA17,
-                ..SchedulerConfig::default()
-            },
-            repair_attempts: 2,
-            ..dsagen_sim::RecoveryPolicy::default()
-        };
-        let raw = match dsagen_sim::run_with_degradation(
-            adg,
-            version,
-            sched,
-            &eval,
-            config_len,
-            &sim_cfg,
-            &faults,
-            &policy,
-            &self.telemetry,
-        ) {
-            // A degraded-mode finish is scored by what actually survives
-            // — the measured throughput fraction — rather than the blunt
-            // `failure_factor` the fail-stop path used to charge.
-            Ok(out) => {
-                let rep = out.report();
-                if rep.total_cycles > 0 {
-                    (fault_free.cycles as f64 / rep.total_cycles as f64).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                }
-            }
-            Err(_) => failed,
-        };
-        // Blast-radius pressure: scale by how well the mapping isolates
-        // faults. Deterministic in the same (adg, kernel, schedule)
-        // triple that keys the cache, so memoization stays sound.
-        let bw = mode.blast_weight.clamp(0.0, 1.0);
-        if bw <= 0.0 {
-            return raw;
-        }
-        let doms = dsagen_sim::RecoveryDomains::derive(adg, version, sched);
-        let regions = doms.region_count().max(1) as f64;
-        let worst = doms.max_domain_regions().max(1) as f64;
-        let isolation = (regions - worst + 1.0) / regions;
-        raw * ((1.0 - bw) + bw * isolation)
-    }
-
     /// Deterministic opening trim (the paper's iteration 2: "the redundant
     /// features, including known unneeded functional units … are removed",
     /// §VIII-B): shrink every PE's opcode set to the union the compiled
@@ -1258,32 +813,6 @@ impl Explorer {
         }
     }
 
-    /// Runs the exploration. With one (effective) shard this is the classic
-    /// serial loop; with more, shards run as independent deterministic
-    /// searches on up to [`DseConfig::threads`] worker threads and merge
-    /// through [`Explorer::reduce_shards`]. Either way the result depends
-    /// only on `(seed, shards)` — never on thread count or scheduling.
-    pub fn run(&mut self) -> DseResult {
-        let shards = if self.cfg.shards == 0 {
-            self.cfg.threads.max(1)
-        } else {
-            self.cfg.shards
-        };
-        let mut span = self.telemetry.span("phase", "dse");
-        span.arg("shards", shards);
-        span.arg("seed", self.cfg.seed);
-        let result = if shards <= 1 {
-            self.run_serial()
-        } else {
-            self.run_sharded(shards)
-        };
-        span.arg("iters", result.trace.len());
-        span.arg("best_objective", result.best.objective);
-        span.arg("objective_gain", result.objective_gain());
-        span.end();
-        result
-    }
-
     /// The serial exploration loop (§V steps 1–2e): mutate, evaluate with
     /// repaired + memoized schedules, accept improvements, revert
     /// regressions, stop after `patience` stale steps or `max_iters`.
@@ -1379,137 +908,6 @@ impl Explorer {
             shard_traces: vec![trace.clone()],
             trace,
             stopped,
-        }
-    }
-
-    /// Builds the independent explorer that shard `shard` runs: same
-    /// prepared kernel versions and starting ADG, fresh schedules/cache,
-    /// and the shard-perturbed seed (see [`shard_seed`]).
-    fn fork_shard(&self, shard: usize) -> Explorer {
-        let cfg = DseConfig {
-            seed: shard_seed(self.cfg.seed, shard),
-            shards: 1,
-            threads: 1,
-            ..self.cfg
-        };
-        Explorer {
-            shard_index: shard,
-            // Shards share the event sink and flight recorder but fork the
-            // metrics registry, so per-shard counters merge deterministically
-            // in shard index order at reduction time.
-            telemetry: self.telemetry.fork_shard(),
-            // The store is shared (clones share one directory and counter
-            // set) — sound because the scheduler seed is in the store key,
-            // and each shard schedules under its own perturbed seed.
-            store: self.store.clone(),
-            control: self.control.clone(),
-            #[cfg(test)]
-            forced: self.forced,
-            ..Explorer::fresh(cfg, self.design.adg.clone(), Arc::clone(&self.versions))
-        }
-    }
-
-    /// Runs `shards` independent searches on up to `cfg.threads` workers
-    /// and reduces. Shards go round-robin into one bucket per worker;
-    /// bucket 0 runs on the calling thread and the others on scoped
-    /// threads, each shard inside its own panic shield. Shard results are
-    /// independent of which worker ran them.
-    fn run_sharded(&mut self, shards: usize) -> DseResult {
-        let threads = self.cfg.threads.max(1).min(shards);
-        let mut buckets: Vec<Vec<(usize, Explorer)>> = (0..threads).map(|_| Vec::new()).collect();
-        for s in 0..shards {
-            buckets[s % threads].push((s, self.fork_shard(s)));
-        }
-        // A shard that panics wholesale drops out; the others survive.
-        let run_bucket = |bucket: Vec<(usize, Explorer)>| {
-            bucket
-                .into_iter()
-                .filter_map(|(s, mut ex)| {
-                    let res = catch_unwind(AssertUnwindSafe(|| ex.run_serial())).ok()?;
-                    Some((s, ex, res))
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut buckets = buckets.into_iter();
-        let first = buckets.next().unwrap_or_default();
-        let mut survivors = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .map(|bucket| scope.spawn(move || run_bucket(bucket)))
-                .collect();
-            let mut survivors = run_bucket(first);
-            for handle in handles {
-                survivors.extend(handle.join().unwrap_or_default());
-            }
-            survivors
-        });
-        survivors.sort_by_key(|(s, _, _)| *s);
-        self.reduce_shards(shards, survivors)
-    }
-
-    /// Deterministic shard reduction: the winner is the shard with the
-    /// highest best objective; ties break toward the smaller shard seed,
-    /// then the earlier accepting iteration — an ordering independent of
-    /// which thread finished first. The explorer adopts the winner's
-    /// design/schedules and aggregates every shard's cache counters.
-    /// `survivors` are the shards that did not panic wholesale, by shard
-    /// index; the others contribute an empty trace.
-    fn reduce_shards(
-        &mut self,
-        shards: usize,
-        mut survivors: Vec<(usize, Explorer, DseResult)>,
-    ) -> DseResult {
-        let mut shard_traces: Vec<Vec<IterRecord>> = vec![Vec::new(); shards];
-        for (s, _, res) in &survivors {
-            shard_traces[*s] = res.trace.clone();
-        }
-        assert!(
-            !survivors.is_empty(),
-            "all {shards} DSE shards panicked wholesale"
-        );
-
-        // Ties break toward the smaller shard seed, then the earlier last
-        // iteration at which a shard's best improved.
-        let tie_key = |s: usize, res: &DseResult| {
-            let improved = res.trace.iter().rfind(|r| r.accepted).map_or(0, |r| r.iter);
-            (shard_seed(self.cfg.seed, s), improved)
-        };
-        let mut win = 0usize;
-        for i in 1..survivors.len() {
-            let (ws, _, wr) = &survivors[win];
-            let (cs, _, cr) = &survivors[i];
-            let better = match cr.best.objective.partial_cmp(&wr.best.objective) {
-                Some(std::cmp::Ordering::Greater) => true,
-                Some(std::cmp::Ordering::Equal) => tie_key(*cs, cr) < tie_key(*ws, wr),
-                _ => false,
-            };
-            if better {
-                win = i;
-            }
-        }
-
-        // Aggregate counters from every shard, then adopt the winner.
-        // Survivors are sorted by shard index, so metric absorption is
-        // order-deterministic (and every merge operator commutes anyway).
-        for (_, ex, _) in &survivors {
-            self.cache.absorb_stats(&ex.cache.stats());
-            self.sched_invocations += ex.sched_invocations;
-            self.config_rejections += ex.config_rejections;
-            self.telemetry
-                .metrics()
-                .absorb(&ex.telemetry.metrics().snapshot());
-        }
-        // Any shard observing a stop is reported (shards share one
-        // control, so normally all agree); the winner's cause wins ties.
-        let any_stopped = survivors.iter().find_map(|(_, _, r)| r.stopped);
-        let (_, wex, wres) = survivors.swap_remove(win);
-        self.design = wex.design;
-        DseResult {
-            best_adg: wres.best_adg,
-            best: wres.best,
-            initial: wres.initial,
-            trace: wres.trace,
-            shard_traces,
-            stopped: wres.stopped.or(any_stopped),
         }
     }
 }
