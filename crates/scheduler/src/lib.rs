@@ -2,9 +2,15 @@
 //!
 //! The scheduler has the three responsibilities of §IV-C: it (1) maps
 //! instructions and memory streams onto hardware units, (2) routes
-//! dependences onto the on-chip network with congestion-aware Dijkstra
+//! dependences onto the on-chip network with congestion-aware shortest-path
 //! search, and (3) matches operand-arrival timing for statically-scheduled
 //! components via delay-element budgets.
+//!
+//! The paper routes with Dijkstra; [`route`] runs A\* with a hop-count
+//! bound and a heap ordered by (f, g, edge), which returns Dijkstra's path
+//! exactly, not merely one of equal cost — the `route` module docs give the
+//! argument and the condition (an integer congestion weight, as the
+//! default's) under which the bound is used at all.
 //!
 //! The search is Algorithm 1: each iteration unmaps a few entities (biased
 //! toward those involved in violations), re-places each by trying sampled
@@ -12,7 +18,10 @@
 //! stops once the schedule is violation-free and the objective has been
 //! stable. Resources may be transiently overutilized; the weighted
 //! objective ([`Weights`]) prices overuse, maximum initiation interval, and
-//! recurrence-path latency in the paper's priority order.
+//! recurrence-path latency in the paper's priority order. Within one search
+//! the router and the objective share one dense view of the fabric, the
+//! objective reuses its buffers instead of allocating per evaluation, and
+//! each entity's candidate nodes are listed once.
 //!
 //! [`repair`] implements the §V-A *repairing scheduler* for design-space
 //! exploration: placements referencing deleted hardware are dropped, the

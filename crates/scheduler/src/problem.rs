@@ -1,7 +1,7 @@
 //! Flattening a compiled kernel into placeable entities and routable
 //! virtual edges.
 
-use dsagen_adg::{Adg, NodeId, NodeKind, Opcode};
+use dsagen_adg::{Adg, MemKind, NodeId, NodeKind, Opcode};
 use dsagen_dfg::{CompiledKernel, DfgOp, OpId, StreamSource};
 
 /// What one placeable entity is.
@@ -67,6 +67,31 @@ impl Entity {
             EntityKind::Op { region, .. }
             | EntityKind::InPort { region, .. }
             | EntityKind::OutPort { region, .. } => region,
+        }
+    }
+
+    /// The first memory next to `sync` that can serve this port's stream:
+    /// one feeding the sync (an in-port) or fed by it (an out-port), of the
+    /// stream's class (any, when it names none) and with the indirect and
+    /// atomic-update controllers the stream needs. Ops have none.
+    pub(crate) fn adjacent_memory(&self, adg: &Adg, sync: NodeId) -> Option<NodeId> {
+        let serves = |node: &NodeId| {
+            let Ok(NodeKind::Memory(spec)) = adg.kind(*node) else {
+                return false;
+            };
+            let class_ok = match self.mem_class {
+                Some(dsagen_dfg::MemClass::MainMemory) => spec.kind == MemKind::MainMemory,
+                Some(dsagen_dfg::MemClass::Scratchpad) => spec.kind == MemKind::Scratchpad,
+                None => true,
+            };
+            class_ok
+                && (!self.needs_indirect || spec.controllers.indirect)
+                && (!self.needs_atomic || spec.controllers.atomic_update)
+        };
+        match self.kind {
+            EntityKind::InPort { .. } => adg.in_edges(sync).map(|e| e.src).find(serves),
+            EntityKind::OutPort { .. } => adg.out_edges(sync).map(|e| e.dst).find(serves),
+            EntityKind::Op { .. } => None,
         }
     }
 }
@@ -305,31 +330,10 @@ impl<'a> Problem<'a> {
                 })
                 .map(|n| n.id())
                 .collect(),
-            EntityKind::InPort { .. } => self
+            EntityKind::InPort { .. } | EntityKind::OutPort { .. } => self
                 .adg
                 .syncs()
-                .filter(|&sy| {
-                    if !e.needs_memory {
-                        return true;
-                    }
-                    self.adg.in_edges(sy).any(|edge| {
-                        matches!(self.adg.kind(edge.src), Ok(NodeKind::Memory(m))
-                            if mem_matches(m, e))
-                    })
-                })
-                .collect(),
-            EntityKind::OutPort { .. } => self
-                .adg
-                .syncs()
-                .filter(|&sy| {
-                    if !e.needs_memory {
-                        return true;
-                    }
-                    self.adg.out_edges(sy).any(|edge| {
-                        matches!(self.adg.kind(edge.dst), Ok(NodeKind::Memory(m))
-                            if mem_matches(m, e))
-                    })
-                })
+                .filter(|&sy| !e.needs_memory || e.adjacent_memory(self.adg, sy).is_some())
                 .collect(),
         }
     }
@@ -355,18 +359,6 @@ fn incidence(entities: usize, edges: &[VirtEdge]) -> (Vec<usize>, Vec<usize>) {
         }
     }
     (start, list)
-}
-
-fn mem_matches(m: &dsagen_adg::MemSpec, e: &Entity) -> bool {
-    use dsagen_adg::MemKind;
-    let class_ok = match e.mem_class {
-        Some(dsagen_dfg::MemClass::MainMemory) => m.kind == MemKind::MainMemory,
-        Some(dsagen_dfg::MemClass::Scratchpad) => m.kind == MemKind::Scratchpad,
-        None => true,
-    };
-    let ind_ok = !e.needs_indirect || m.controllers.indirect;
-    let at_ok = !e.needs_atomic || m.controllers.atomic_update;
-    class_ok && ind_ok && at_ok
 }
 
 /// Firing rate of every DFG node relative to the region instance rate.

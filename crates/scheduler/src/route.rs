@@ -1,23 +1,60 @@
-//! Congestion-aware Dijkstra routing over the ADG network (§IV-C:
+//! Congestion-aware shortest-path routing over the ADG network (§IV-C:
 //! "route this instruction's operands and dependences to the network using
 //! Dijkstra's algorithm").
 //!
 //! The search runs over *edges* rather than nodes so that each switch's
 //! routing-connectivity matrix (§III-A: "describes which inputs can connect
 //! to which outputs") can be honored per traversal.
+//!
+//! # A\* that returns Dijkstra's path
+//!
+//! [`Router::route`] is A\*: a frontier entry for edge `e = (u → v)` reached
+//! at cost `g` is keyed by `(f, g, e)` with `f = g + h(v)`, where `h(v)` is
+//! the hop count from `v` to the target over hops a route may take (a
+//! backward BFS from the target that continues only through passable nodes,
+//! ignoring switch matrices and congestion). Every step costs at least 1,
+//! so `h` is admissible and consistent; an edge whose head cannot reach the
+//! target at all is never pushed. The path it returns is the one
+//! Dijkstra — the same loop keyed by `(g, e)` — returns, not merely one of
+//! equal cost (ties on `e` go to the higher index, as they always have):
+//!
+//! - All in-edges of a node share one `h`, so among themselves they pop in
+//!   Dijkstra's `(g, e)` order, and each out-edge's predecessor is the
+//!   first of them to reach it at the least cost in both searches.
+//! - `g` rises strictly along a predecessor chain and `h` is consistent, so
+//!   every edge on the chain has a strictly smaller `(f, g)` key than any
+//!   entry it could tie with further along: nothing popped later can
+//!   relabel it. (Keyed by `(f, e)` alone, ties on `f` would break this;
+//!   the oracle test catches it.)
+//! - Edges into the target have `h = 0`, so they pop in `(g, e)` order
+//!   among everything else, and the first accepted final pop is the one
+//!   Dijkstra's first accepted final pop would be.
+//!
+//! The argument needs exact sums: `g + h` must not round. So the bound is
+//! used only when the congestion weight is a finite non-negative integer —
+//! every step cost and every `g` is then an integer (the scheduler's default
+//! and the explorer's weight, 100, are). For any other weight `h = 0`, no
+//! edge is pruned, and the same loop is Dijkstra. The `#[cfg(test)]`
+//! `route_reference` keeps the drained Dijkstra as the oracle.
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use dsagen_adg::{Adg, EdgeId, NodeId, NodeKind, Routing, Scheduling};
 
 /// Maximum hops a single route may take (guards against degenerate paths).
 const MAX_HOPS: usize = 64;
 
-/// A candidate in the Dijkstra frontier: the last edge taken, and the node
-/// it arrives at.
+/// [`Router::bounds`] entry for a node that cannot reach the target.
+const UNREACHABLE: u16 = u16::MAX;
+
+/// A candidate in the search frontier: the last edge taken, and the node
+/// it arrives at, reached for `cost` with A\* key `f` (`cost` plus the
+/// bound at `at`).
 #[derive(Debug)]
 struct Frontier {
+    f: f64,
     cost: f64,
     edge: EdgeId,
     hops: usize,
@@ -36,11 +73,13 @@ impl Eq for Frontier {}
 
 impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by cost.
+        // Min-heap by (f, cost); among equal keys the higher edge index pops
+        // first.
         other
-            .cost
-            .partial_cmp(&self.cost)
+            .f
+            .partial_cmp(&self.f)
             .unwrap_or(Ordering::Equal)
+            .then_with(|| other.cost.partial_cmp(&self.cost).unwrap_or(Ordering::Equal))
             .then_with(|| self.edge.index().cmp(&other.edge.index()))
     }
 }
@@ -134,9 +173,10 @@ pub fn path_legal(adg: &Adg, src: NodeId, path: &[EdgeId]) -> bool {
 
 /// Finds the cheapest legal route from `from` to `to`.
 ///
-/// Edge cost is `1 + congestion_weight · usage(edge)`, so already-busy
-/// links are avoided but never forbidden — the scheduler tolerates
-/// overutilization during search and prices it in the objective (§IV-C).
+/// Edge cost is `1 + congestion_weight · usage(edge)` (exactly 1 on an
+/// unused link, whatever the weight), so already-busy links are avoided but
+/// never forbidden — the scheduler tolerates overutilization during search
+/// and prices it in the objective (§IV-C).
 /// Routes honor switch routing matrices and the §III-B timing rules.
 ///
 /// Returns the route as a sequence of ADG edge ids, or `None` when no legal
@@ -187,19 +227,92 @@ struct Label {
     pred: Option<EdgeId>,
 }
 
-/// Congestion-aware Dijkstra over one ADG, with everything that can outlive
-/// a single query kept: the flattened graph (each node flattened the first
+/// What the objective prices about one node slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unit {
+    /// A PE with `slots` instruction slots, statically scheduled when
+    /// `fixed`.
+    Pe { slots: u32, fixed: bool },
+    /// A sync element with `lanes` vector lanes.
+    Sync { lanes: u8 },
+    /// A memory serving `streams` concurrent streams.
+    Memory { streams: u8 },
+    /// Anything else, or a slot the fabric does not have.
+    Other,
+}
+
+/// The search's dense view of an ADG's resources, read by the objective
+/// instead of asking the graph per entity and per evaluation: each node
+/// slot's [`Unit`] and each edge slot's delay depth.
+#[derive(Debug)]
+pub(crate) struct Fabric<'a> {
+    pub(crate) adg: &'a Adg,
+    units: Vec<Unit>,
+    /// Per edge slot: the depth of the delay element the edge enters (0 when
+    /// it enters anything else).
+    delays: Vec<u8>,
+}
+
+impl<'a> Fabric<'a> {
+    pub(crate) fn new(adg: &'a Adg) -> Self {
+        let mut units = vec![Unit::Other; adg.node_slots()];
+        let mut delays = vec![0u8; adg.edge_slots()];
+        for node in adg.nodes() {
+            units[node.id().index()] = match &node.kind {
+                NodeKind::Pe(pe) => Unit::Pe {
+                    slots: pe.sharing.instruction_slots(),
+                    fixed: pe.scheduling == Scheduling::Static,
+                },
+                NodeKind::Sync(sy) => Unit::Sync { lanes: sy.lanes },
+                NodeKind::Memory(spec) => Unit::Memory { streams: spec.num_streams },
+                NodeKind::Delay(d) => {
+                    for edge in adg.in_edges(node.id()) {
+                        delays[edge.id().index()] = d.depth;
+                    }
+                    continue;
+                }
+                _ => continue,
+            };
+        }
+        Fabric { adg, units, delays }
+    }
+
+    /// What `node` is, as far as the objective cares.
+    pub(crate) fn unit(&self, node: NodeId) -> Unit {
+        self.units.get(node.index()).copied().unwrap_or(Unit::Other)
+    }
+
+    /// [`delay_capacity`] from the table.
+    pub(crate) fn delay_capacity(&self, route: &[EdgeId]) -> u32 {
+        route
+            .iter()
+            .map(|e| u32::from(self.delays.get(e.index()).copied().unwrap_or(0)))
+            .sum()
+    }
+}
+
+/// Congestion-aware A\* over one ADG, with everything that can outlive a
+/// single query kept: the flattened graph (each node flattened the first
 /// time a query expands it), generation-stamped per-edge labels sized once
-/// from [`Adg::edge_slots`], and the frontier heap.
+/// from [`Adg::edge_slots`], the frontier heap, and the hop bound to each
+/// target it has been asked for. It also holds the search's [`Fabric`], so
+/// the router and the objective share one view of the ADG.
 #[derive(Debug)]
 pub(crate) struct Router<'a> {
     adg: &'a Adg,
+    /// Built on first use: a bare [`route`] call never reads it.
+    fabric: OnceCell<Fabric<'a>>,
     /// Per node slot; `None` until a query first expands the node.
     nodes: Vec<Option<NodeHops<'a>>>,
     hops: Vec<Hop>,
     labels: Vec<Label>,
     generation: u32,
     heap: BinaryHeap<Frontier>,
+    /// Per target node slot: hops from every node to it (`UNREACHABLE` when
+    /// none), built the first time a query needs it.
+    bounds: Vec<Option<Box<[u16]>>>,
+    /// Frontier entries popped over the router's life.
+    pops: u64,
 }
 
 impl<'a> Router<'a> {
@@ -207,12 +320,25 @@ impl<'a> Router<'a> {
         let unreached = Label { stamp: 0, dist: f64::INFINITY, pred: None };
         Router {
             adg,
+            fabric: OnceCell::new(),
             nodes: vec![None; adg.node_slots()],
             hops: Vec::new(),
             labels: vec![unreached; adg.edge_slots()],
             generation: 0,
             heap: BinaryHeap::new(),
+            bounds: vec![None; adg.node_slots()],
+            pops: 0,
         }
+    }
+
+    /// The search's view of the fabric's resources.
+    pub(crate) fn fabric(&self) -> &Fabric<'a> {
+        self.fabric.get_or_init(|| Fabric::new(self.adg))
+    }
+
+    /// Frontier entries popped by every query so far.
+    pub(crate) fn pops(&self) -> u64 {
+        self.pops
     }
 
     /// The out-hops of `node`, flattened on first use.
@@ -244,19 +370,44 @@ impl<'a> Router<'a> {
         flat
     }
 
+    /// Hops from every node slot to `to` over hops a route may take — legal
+    /// under §III-B, continuing only through passable nodes — by a backward
+    /// BFS; switch matrices are ignored, so it never overestimates.
+    fn bound_to(&self, to: NodeId) -> Box<[u16]> {
+        let adg = self.adg;
+        let mut bound = vec![UNREACHABLE; adg.node_slots()].into_boxed_slice();
+        let mut queue = VecDeque::from([to]);
+        bound[to.index()] = 0;
+        while let Some(x) = queue.pop_front() {
+            if x != to && !adg.kind(x).is_ok_and(passable) {
+                continue; // a route ends here; it cannot pass through
+            }
+            let next = bound[x.index()].saturating_add(1);
+            for edge in adg.in_edges(x) {
+                let w = edge.src;
+                if bound[w.index()] == UNREACHABLE && hop_legal(adg, w, x) {
+                    bound[w.index()] = next;
+                    queue.push_back(w);
+                }
+            }
+        }
+        bound
+    }
+
     /// [`route`], reusing this router's tables.
     ///
     /// The search stops at the first accepted pop whose edge ends at `to`
     /// rather than draining the heap, and returns what draining it would:
     /// with `congestion_weight ≥ 0` every step costs ≥ 1, so accepted pops
-    /// are non-decreasing in cost and a drained search — which replaces its
+    /// are non-decreasing in key and a drained search — which replaces its
     /// best final edge only on *strictly* lower cost — keeps exactly that
-    /// first one. Every edge on its predecessor chain was popped earlier at
-    /// its final distance, and a relaxation needs `ncost < dist`, which no
-    /// later (costlier) pop can produce, so the chain cannot be rewritten
-    /// afterwards either. The heap's order is total on (cost, edge index)
-    /// and one edge is never pushed twice at one cost, so heap internals
-    /// cannot leak into the result.
+    /// first one (final edges are keyed by their cost alone). Every edge on
+    /// its predecessor chain was popped earlier at its final distance, and a
+    /// relaxation needs `ncost < dist`, which no later pop can produce, so
+    /// the chain cannot be rewritten afterwards either. The heap's order is
+    /// total on (key, cost, edge index) and one edge is never pushed twice
+    /// at one cost, so heap internals cannot leak into the result. The
+    /// module docs give why the bound leaves the path Dijkstra's.
     pub(crate) fn route(
         &mut self,
         from: NodeId,
@@ -267,7 +418,42 @@ impl<'a> Router<'a> {
         if from == to {
             return Some(Vec::new());
         }
+        if to.index() >= self.nodes.len() {
+            return None; // not in this graph
+        }
         debug_assert!(congestion_weight >= 0.0, "the early exit needs steps that cost ≥ 1");
+        let bound = if congestion_weight.is_finite() && congestion_weight.fract() == 0.0 {
+            let bound = self.bounds[to.index()].take();
+            Some(bound.unwrap_or_else(|| self.bound_to(to)))
+        } else {
+            None
+        };
+        let last = self.search(from, to, usage, congestion_weight, bound.as_deref());
+        if bound.is_some() {
+            self.bounds[to.index()] = bound;
+        }
+
+        // Walk predecessors back to the source.
+        let mut path = vec![last?];
+        while let Some(p) = self.labels[path[path.len() - 1].index()].pred {
+            path.push(p);
+        }
+        path.reverse();
+        debug_assert_eq!(self.adg.edge(path[0])?.src, from);
+        Some(path)
+    }
+
+    /// The search loop of [`Router::route`] under `bound` (`h = 0` without
+    /// one): the last edge of the route found, whose predecessor chain the
+    /// labels now hold.
+    fn search(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        usage: impl Fn(EdgeId) -> u32,
+        congestion_weight: f64,
+        bound: Option<&[u16]>,
+    ) -> Option<EdgeId> {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Stamps from 2³² queries ago would read as current.
@@ -277,12 +463,16 @@ impl<'a> Router<'a> {
         let generation = self.generation;
         self.heap.clear();
 
-        let step_cost = |eid: EdgeId| 1.0 + congestion_weight * f64::from(usage(eid));
+        // An unused link costs exactly 1, even under an infinite weight.
+        let step_cost = |eid: EdgeId| match usage(eid) {
+            0 => 1.0,
+            n => 1.0 + congestion_weight * f64::from(n),
+        };
 
         // Expand `at`, reached over `via` (nothing, at the source) for `cost`
         // in `hops` hops; then move to the next accepted pop.
         let (mut at, mut via, mut cost, mut hops) = (from, None, 0.0, 0);
-        let last = loop {
+        loop {
             let flat = self.flatten(at);
             // The matrix a turn through `at` must obey, with the port it
             // enters by (none of either at the source).
@@ -292,6 +482,11 @@ impl<'a> Router<'a> {
                 if !hop.legal || (hop.dst != to && !hop.passable) {
                     continue;
                 }
+                let h = match bound.map(|b| b[hop.dst.index()]) {
+                    Some(UNREACHABLE) => continue, // `to` is out of reach from here
+                    Some(h) => f64::from(h),
+                    None => 0.0,
+                };
                 if let Some((matrix, in_port)) = turn {
                     if !in_port.is_some_and(|ip| matrix.allows(ip, out_port)) {
                         continue;
@@ -302,6 +497,7 @@ impl<'a> Router<'a> {
                 if label.stamp != generation || ncost < label.dist {
                     *label = Label { stamp: generation, dist: ncost, pred: via };
                     self.heap.push(Frontier {
+                        f: ncost + h,
                         cost: ncost,
                         edge: hop.edge,
                         hops: hops + 1,
@@ -311,24 +507,16 @@ impl<'a> Router<'a> {
             }
             let next = loop {
                 let f = self.heap.pop()?;
+                self.pops += 1;
                 if f.cost <= self.labels[f.edge.index()].dist && f.hops < MAX_HOPS {
                     break f;
                 }
             };
             if next.at == to {
-                break next.edge;
+                return Some(next.edge);
             }
             (at, via, cost, hops) = (next.at, Some(next.edge), next.cost, next.hops);
-        };
-
-        // Walk predecessors back to the source.
-        let mut path = vec![last];
-        while let Some(p) = self.labels[path[path.len() - 1].index()].pred {
-            path.push(p);
         }
-        path.reverse();
-        debug_assert_eq!(self.adg.edge(path[0])?.src, from);
-        Some(path)
     }
 }
 
@@ -352,26 +540,38 @@ mod tests {
 
     use super::*;
 
-    /// The router as it was before it learned to stop early: a fresh set of
-    /// tables per call, the graph asked per hop, and the heap drained to
-    /// exhaustion. Kept as the oracle for [`Router::route`].
+    /// The router as it was before it learned to stop early and to use a
+    /// bound: plain Dijkstra with a fresh set of tables per call, the graph
+    /// asked per hop, and the heap drained to exhaustion. Kept as the oracle
+    /// for [`Router::route`]; returns the route and the entries it popped.
     fn route_reference(
         adg: &Adg,
         from: NodeId,
         to: NodeId,
         usage: impl Fn(EdgeId) -> u32,
         congestion_weight: f64,
-    ) -> Option<Vec<EdgeId>> {
+    ) -> (Option<Vec<EdgeId>>, u64) {
         if from == to {
-            return Some(Vec::new());
+            return (Some(Vec::new()), 0);
         }
         let slots = adg.edges().map(|e| e.id().index()).max().map_or(0, |m| m + 1);
         let mut dist = vec![f64::INFINITY; slots];
         let mut pred: Vec<Option<EdgeId>> = vec![None; slots];
         let mut heap = BinaryHeap::new();
         let mut best_final: Option<(f64, EdgeId)> = None;
+        let mut pops = 0;
 
-        let step_cost = |eid: EdgeId| 1.0 + congestion_weight * f64::from(usage(eid));
+        let step_cost = |eid: EdgeId| match usage(eid) {
+            0 => 1.0,
+            n => 1.0 + congestion_weight * f64::from(n),
+        };
+        let entry = |cost: f64, edge: EdgeId, hops: usize, at: NodeId| Frontier {
+            f: cost,
+            cost,
+            edge,
+            hops,
+            at,
+        };
 
         // Seed: every legal first hop out of `from`.
         for edge in adg.out_edges(from) {
@@ -388,11 +588,12 @@ mod tests {
             let c = step_cost(edge.id());
             if c < dist[edge.id().index()] {
                 dist[edge.id().index()] = c;
-                heap.push(Frontier { cost: c, edge: edge.id(), hops: 1, at: next });
+                heap.push(entry(c, edge.id(), 1, next));
             }
         }
 
         while let Some(Frontier { cost, edge, hops, .. }) = heap.pop() {
+            pops += 1;
             if cost > dist[edge.index()] || hops >= MAX_HOPS {
                 continue;
             }
@@ -418,12 +619,14 @@ mod tests {
                 if ncost < dist[out.id().index()] {
                     dist[out.id().index()] = ncost;
                     pred[out.id().index()] = Some(edge);
-                    heap.push(Frontier { cost: ncost, edge: out.id(), hops: hops + 1, at: next });
+                    heap.push(entry(ncost, out.id(), hops + 1, next));
                 }
             }
         }
 
-        let (_, last) = best_final?;
+        let Some((_, last)) = best_final else {
+            return (None, pops);
+        };
         let mut path = vec![last];
         let mut cur = last;
         while let Some(p) = pred[cur.index()] {
@@ -431,12 +634,18 @@ mod tests {
             cur = p;
         }
         path.reverse();
-        Some(path)
+        (Some(path), pops)
     }
 
-    /// Every (from, to, usage) query answered by one long-lived router —
-    /// so a stale label or heap entry from an earlier query would show —
-    /// and by the reference, path for path.
+    /// Route queries per fabric in the oracle tests: a release build (CI
+    /// runs one) covers far more than a debug one.
+    const ORACLE_PAIRS: usize = if cfg!(debug_assertions) { 200 } else { 5_000 };
+
+    /// Every (from, to, usage, weight) query answered by one long-lived
+    /// router — so a stale label, heap entry or bound from an earlier query
+    /// would show — and by the reference, path for path. The router never
+    /// pops more entries than the drained reference does. Weights cycle
+    /// through integers (the bound is on) and fractions (it is off).
     fn assert_router_matches_reference(adg: &Adg, pairs: usize, seed: u64) -> (usize, usize) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -446,26 +655,27 @@ mod tests {
         for pair in 0..pairs {
             let from = nodes[rng.gen_range(0..nodes.len())];
             let to = nodes[rng.gen_range(0..nodes.len())];
-            let weight = [0.5, 1.0, 100.0][pair % 3];
+            let weight = [0.5, 1.0, 100.0, 0.3, 2.0][pair % 5];
             // Three usage maps: none, sparse random, and heavy exactly on
             // the path the empty fabric would give.
             let sparse: Vec<u32> = (0..adg.edge_slots())
                 .map(|_| if rng.gen_bool(0.15) { rng.gen_range(1..4u32) } else { 0 })
                 .collect();
-            let free = route_reference(adg, from, to, |_| 0, weight).unwrap_or_default();
+            let free = route_reference(adg, from, to, |_| 0, weight).0.unwrap_or_default();
             let usages: [Box<dyn Fn(EdgeId) -> u32>; 3] = [
                 Box::new(|_| 0),
                 Box::new(|e| sparse[e.index()]),
                 Box::new(|e| if free.contains(&e) { 7 } else { 0 }),
             ];
             for (which, usage) in usages.iter().enumerate() {
-                let expected = route_reference(adg, from, to, usage, weight);
+                let (expected, reference_pops) = route_reference(adg, from, to, usage, weight);
+                let before = router.pops();
                 let got = router.route(from, to, usage, weight);
-                assert_eq!(
-                    got, expected,
-                    "{}: {from} -> {to}, usage map {which}, weight {weight}",
-                    adg.name()
-                );
+                let what =
+                    format!("{}: {from} -> {to}, usage map {which}, weight {weight}", adg.name());
+                assert_eq!(got, expected, "{what}");
+                let pops = router.pops() - before;
+                assert!(pops <= reference_pops, "{what}: {pops} pops, reference {reference_pops}");
                 match expected {
                     Some(_) => routed += 1,
                     None => unreachable += 1,
@@ -483,9 +693,28 @@ mod tests {
             presets::revel(),
             presets::dse_initial(),
         ] {
-            let (routed, unreachable) = assert_router_matches_reference(&adg, 200, 0xD5A6E4);
+            let (routed, unreachable) =
+                assert_router_matches_reference(&adg, ORACLE_PAIRS, 0xD5A6E4);
             assert!(routed > 0 && unreachable > 0, "{}: {routed}/{unreachable}", adg.name());
         }
+    }
+
+    #[test]
+    fn router_matches_the_reference_through_stuck_switches() {
+        use dsagen_faults::{inject, FaultKind, FaultPlan};
+        let adg = presets::softbrain();
+        let plan = (0..4).fold(FaultPlan::new(11), |plan, _| plan.with(FaultKind::StuckSwitch));
+        let (stuck, report) = inject(&adg, &plan);
+        let matrices = stuck
+            .switches()
+            .filter(|s| {
+                matches!(stuck.kind(*s),
+                    Ok(NodeKind::Switch(sw)) if matches!(sw.routing, Routing::Matrix(_)))
+            })
+            .count();
+        assert!(report.any_applied() && matrices > 0, "no switch stuck");
+        let (routed, unreachable) = assert_router_matches_reference(&stuck, ORACLE_PAIRS, 0x57AC);
+        assert!(routed > 0 && unreachable > 0, "{routed}/{unreachable}");
     }
 
     #[test]
@@ -499,10 +728,25 @@ mod tests {
             for to in [a, b, a] {
                 assert_eq!(
                     router.route(src, to, |_| 0, 0.5),
-                    route_reference(&adg, src, to, |_| 0, 0.5)
+                    route_reference(&adg, src, to, |_| 0, 0.5).0
                 );
             }
             assert_eq!(router.route(src, b, |_| 0, 0.5).is_some(), allow_second_output);
+        }
+    }
+
+    #[test]
+    fn an_infinite_weight_routes_an_empty_fabric_like_weight_zero() {
+        for adg in [presets::softbrain(), presets::revel()] {
+            let nodes: Vec<NodeId> = adg.nodes().map(|n| n.id()).collect();
+            let mut routed = 0;
+            for (i, &from) in nodes.iter().enumerate().step_by(7) {
+                let to = nodes[(i * 13 + 5) % nodes.len()];
+                let free = route(&adg, from, to, |_| 0, 0.0);
+                assert_eq!(route(&adg, from, to, |_| 0, f64::INFINITY), free, "{from} -> {to}");
+                routed += usize::from(free.is_some_and(|r| !r.is_empty()));
+            }
+            assert!(routed > 0, "{}", adg.name());
         }
     }
 

@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use dsagen_adg::{Adg, EdgeId, NodeId, NodeKind};
-use dsagen_dfg::StreamSource;
+use dsagen_adg::{Adg, EdgeId, MemKind, NodeId, NodeKind};
+use dsagen_dfg::{MemClass, StreamSource};
 
 use crate::{Entity, EntityKind, Problem};
 
@@ -162,65 +162,20 @@ impl Schedule {
     /// their class. Returns `(region, in/out, stream_port) → memory`.
     #[must_use]
     pub fn stream_memories(&self, problem: &Problem<'_>) -> BTreeMap<(usize, bool, usize), NodeId> {
-        let mut out = BTreeMap::new();
-        self.each_stream_memory(problem, |stream, memory| {
-            out.insert(stream, memory);
-        });
-        out
-    }
-
-    /// Calls `bind` with every `(region, in/out, stream_port)` and the
-    /// memory it resolves to (see [`Schedule::stream_memories`]); each
-    /// stream is visited once.
-    pub(crate) fn each_stream_memory(
-        &self,
-        problem: &Problem<'_>,
-        mut bind: impl FnMut((usize, bool, usize), NodeId),
-    ) {
         let adg = problem.adg;
-        let mem_of_class = |mc: dsagen_dfg::MemClass| -> Option<NodeId> {
-            adg.memories().find(|m| match adg.kind(*m) {
-                Ok(NodeKind::Memory(spec)) => match mc {
-                    dsagen_dfg::MemClass::MainMemory => {
-                        spec.kind == dsagen_adg::MemKind::MainMemory
-                    }
-                    dsagen_dfg::MemClass::Scratchpad => {
-                        spec.kind == dsagen_adg::MemKind::Scratchpad
-                    }
-                },
-                _ => false,
-            })
-        };
+        let mut out = BTreeMap::new();
         for (ei, entity) in problem.entities.iter().enumerate() {
-            let Some(sync) = self.placement[ei] else {
+            let (Some(sync), Some(mc)) = (self.placement[ei], entity.mem_class) else {
                 continue;
             };
-            match entity.kind {
-                EntityKind::InPort { region, port } => {
-                    if let Some(mc) = entity.mem_class {
-                        let mem = adg
-                            .in_edges(sync)
-                            .map(|e| e.src)
-                            .find(|src| memory_matches(adg, *src, mc, entity))
-                            .or_else(|| mem_of_class(mc));
-                        if let Some(m) = mem {
-                            bind((region, true, port), m);
-                        }
-                    }
-                }
-                EntityKind::OutPort { region, port } => {
-                    if let Some(mc) = entity.mem_class {
-                        let mem = adg
-                            .out_edges(sync)
-                            .map(|e| e.dst)
-                            .find(|dst| memory_matches(adg, *dst, mc, entity))
-                            .or_else(|| mem_of_class(mc));
-                        if let Some(m) = mem {
-                            bind((region, false, port), m);
-                        }
-                    }
-                }
-                EntityKind::Op { .. } => {}
+            let stream = match entity.kind {
+                EntityKind::InPort { region, port } => (region, true, port),
+                EntityKind::OutPort { region, port } => (region, false, port),
+                EntityKind::Op { .. } => continue,
+            };
+            let adjacent = entity.adjacent_memory(adg, sync);
+            if let Some(m) = adjacent.or_else(|| first_memory_of(adg, mc)) {
+                out.insert(stream, m);
             }
         }
         // Controller-side index streams (not represented as entities).
@@ -228,14 +183,27 @@ impl Schedule {
             for s in &region.in_streams {
                 if !s.to_fabric {
                     if let StreamSource::Memory(mc) = s.source {
-                        if let Some(m) = mem_of_class(mc) {
-                            bind((ri, true, s.port), m);
+                        if let Some(m) = first_memory_of(adg, mc) {
+                            out.insert((ri, true, s.port), m);
                         }
                     }
                 }
             }
         }
+        out
     }
+}
+
+/// The first memory of class `mc` in node order: where a stream binds when
+/// no compatible memory is adjacent to its port.
+pub(crate) fn first_memory_of(adg: &Adg, mc: MemClass) -> Option<NodeId> {
+    adg.memories().find(|m| match adg.kind(*m) {
+        Ok(NodeKind::Memory(spec)) => match mc {
+            MemClass::MainMemory => spec.kind == MemKind::MainMemory,
+            MemClass::Scratchpad => spec.kind == MemKind::Scratchpad,
+        },
+        _ => false,
+    })
 }
 
 /// Which *values* (producing entities) each ADG link carries — the one
@@ -246,16 +214,44 @@ impl Schedule {
 /// consumers uses each physical link once — so congestion is counted per
 /// distinct value, not per route.
 ///
-/// Invariant: `values[l]` holds `(v, n)` exactly when `n > 0` routes of
+/// Invariant: `values[l]` lists `(v, n)` exactly when `n > 0` routes of
 /// virtual edges produced by entity `v` cross link `l`, and `overuse` is
 /// Σ over links of (distinct values − 1). [`LinkTable::of`] establishes it
 /// from a bare schedule; the search keeps it in step through `insert` and
 /// `remove` on every route edit instead of rebuilding it per routed edge.
 #[derive(Debug)]
 pub(crate) struct LinkTable {
-    /// Indexed by [`EdgeId::index`]; entries within a link are unordered.
-    values: Vec<Vec<(usize, u32)>>,
+    /// Indexed by [`EdgeId::index`].
+    values: Vec<Carried>,
     overuse: usize,
+}
+
+/// The `(value, routes)` entries of one link, unordered. Most links carry
+/// at most one value, which is kept inline; a link that has carried two
+/// keeps its list (and its allocation) from then on.
+#[derive(Debug, Clone, Default)]
+enum Carried {
+    #[default]
+    Nothing,
+    One((usize, u32)),
+    Many(Vec<(usize, u32)>),
+}
+
+impl Carried {
+    fn entries(&self) -> &[(usize, u32)] {
+        match self {
+            Carried::Nothing => &[],
+            Carried::One(entry) => std::slice::from_ref(entry),
+            Carried::Many(entries) => entries,
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Carried::Many(entries) => entries.clear(),
+            _ => *self = Carried::Nothing,
+        }
+    }
 }
 
 impl LinkTable {
@@ -263,7 +259,7 @@ impl LinkTable {
     /// does not have are ignored, as everywhere else).
     pub(crate) fn of(problem: &Problem<'_>, schedule: &Schedule) -> Self {
         let mut table = LinkTable {
-            values: vec![Vec::new(); problem.adg.edge_slots()],
+            values: vec![Carried::Nothing; problem.adg.edge_slots()],
             overuse: 0,
         };
         table.reset(problem, schedule);
@@ -272,7 +268,7 @@ impl LinkTable {
 
     /// Makes this the table of `schedule`, keeping its allocations.
     pub(crate) fn reset(&mut self, problem: &Problem<'_>, schedule: &Schedule) {
-        self.values.iter_mut().for_each(Vec::clear);
+        self.values.iter_mut().for_each(Carried::clear);
         self.overuse = 0;
         for (idx, path) in &schedule.routes {
             if let Some(vedge) = problem.edges.get(*idx) {
@@ -287,15 +283,23 @@ impl LinkTable {
             // A schedule may name links the fabric never had (`evaluate`
             // accepts any schedule); they are links like any other.
             if link.index() >= self.values.len() {
-                self.values.resize(link.index() + 1, Vec::new());
+                self.values.resize(link.index() + 1, Carried::Nothing);
             }
             let carried = &mut self.values[link.index()];
-            match carried.iter_mut().find(|(v, _)| *v == value) {
-                Some((_, routes)) => *routes += 1,
-                None => {
-                    carried.push((value, 1));
-                    self.overuse += usize::from(carried.len() > 1);
+            match carried {
+                Carried::Nothing => *carried = Carried::One((value, 1)),
+                Carried::One((v, routes)) if *v == value => *routes += 1,
+                Carried::One(other) => {
+                    *carried = Carried::Many(vec![*other, (value, 1)]);
+                    self.overuse += 1;
                 }
+                Carried::Many(entries) => match entries.iter_mut().find(|(v, _)| *v == value) {
+                    Some((_, routes)) => *routes += 1,
+                    None => {
+                        entries.push((value, 1));
+                        self.overuse += usize::from(entries.len() > 1);
+                    }
+                },
             }
         }
     }
@@ -304,14 +308,25 @@ impl LinkTable {
     pub(crate) fn remove(&mut self, value: usize, path: &[EdgeId]) {
         for link in path {
             let carried = &mut self.values[link.index()];
-            let at = carried
-                .iter()
-                .position(|(v, _)| *v == value)
-                .expect("a removed route was inserted");
-            carried[at].1 -= 1;
-            if carried[at].1 == 0 {
-                self.overuse -= usize::from(carried.len() > 1);
-                carried.swap_remove(at);
+            match carried {
+                Carried::One((v, routes)) if *v == value => {
+                    *routes -= 1;
+                    if *routes == 0 {
+                        *carried = Carried::Nothing;
+                    }
+                }
+                Carried::Many(entries) => {
+                    let at = entries
+                        .iter()
+                        .position(|(v, _)| *v == value)
+                        .expect("a removed route was inserted");
+                    entries[at].1 -= 1;
+                    if entries[at].1 == 0 {
+                        self.overuse -= usize::from(entries.len() > 1);
+                        entries.swap_remove(at);
+                    }
+                }
+                _ => panic!("a removed route was inserted"),
             }
         }
     }
@@ -321,13 +336,13 @@ impl LinkTable {
     /// values congest.
     pub(crate) fn others(&self, link: EdgeId, value: usize) -> u32 {
         self.values.get(link.index()).map_or(0, |carried| {
-            carried.iter().filter(|(v, _)| *v != value).count() as u32
+            carried.entries().iter().filter(|(v, _)| *v != value).count() as u32
         })
     }
 
     /// Whether `link` carries more than one distinct value.
     pub(crate) fn congested(&self, link: EdgeId) -> bool {
-        self.values.get(link.index()).is_some_and(|carried| carried.len() > 1)
+        self.values.get(link.index()).is_some_and(|carried| carried.entries().len() > 1)
     }
 
     /// Network overutilization: Σ over links of (distinct values − 1).
@@ -339,32 +354,13 @@ impl LinkTable {
     /// whatever order their edits arrived in.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn normalized(&self) -> (Vec<Vec<(usize, u32)>>, usize) {
-        let mut values = self.values.clone();
+        let mut values: Vec<Vec<(usize, u32)>> =
+            self.values.iter().map(|carried| carried.entries().to_vec()).collect();
         values.iter_mut().for_each(|carried| carried.sort_unstable());
         while values.last().is_some_and(Vec::is_empty) {
             values.pop();
         }
         (values, self.overuse)
-    }
-}
-
-fn memory_matches(
-    adg: &Adg,
-    node: NodeId,
-    mc: dsagen_dfg::MemClass,
-    entity: &crate::Entity,
-) -> bool {
-    match adg.kind(node) {
-        Ok(NodeKind::Memory(spec)) => {
-            let class_ok = match mc {
-                dsagen_dfg::MemClass::MainMemory => spec.kind == dsagen_adg::MemKind::MainMemory,
-                dsagen_dfg::MemClass::Scratchpad => spec.kind == dsagen_adg::MemKind::Scratchpad,
-            };
-            class_ok
-                && (!entity.needs_indirect || spec.controllers.indirect)
-                && (!entity.needs_atomic || spec.controllers.atomic_update)
-        }
-        _ => false,
     }
 }
 

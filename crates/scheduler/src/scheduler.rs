@@ -5,11 +5,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use dsagen_adg::{Adg, EdgeId};
+use dsagen_adg::{Adg, EdgeId, NodeId};
 use dsagen_dfg::CompiledKernel;
 use dsagen_telemetry::Telemetry;
 
-use crate::objective::evaluate_with;
+use crate::objective::{evaluate_with, Score, Scratch};
 use crate::route::Router;
 use crate::schedule::LinkTable;
 use crate::{Evaluation, Problem, Schedule, Weights};
@@ -128,7 +128,8 @@ pub fn schedule(adg: &Adg, kernel: &CompiledKernel, cfg: &SchedulerConfig) -> Sc
 
 /// [`schedule`] with observability: the path search emits a
 /// `sched/path_search` span and `scheduler.path_search.*` metrics
-/// (invocations, iterations, victims, candidate expansions) into `tel`.
+/// (invocations, iterations, victims, candidate expansions, router heap
+/// pops) into `tel`.
 /// With a disabled handle this is byte-for-byte the same search as
 /// [`schedule`] — instrumentation is a handful of `Option` branches and
 /// never touches the RNG.
@@ -328,8 +329,11 @@ fn search<'a>(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut expansions: u64 = 0;
     let mut victims_total: u64 = 0;
+    let pops_before = router.pops();
     let mut work = Working {
         links: LinkTable::of(problem, &start),
+        scratch: Scratch::new(problem, router.fabric()),
+        candidates: vec![None; problem.entities.len()],
         sched: start,
         problem,
         cfg,
@@ -349,7 +353,8 @@ fn search<'a>(
         }
         work.route_missing();
     }
-    let mut best_eval = work.evaluate();
+    let mut best_score = work.score();
+    let mut best_eval = work.scratch.evaluation(problem);
     let mut best = work.sched.clone();
     let mut stale = 0u32;
     let mut iterations = 0u32;
@@ -384,11 +389,12 @@ fn search<'a>(
             "the link table fell out of step with the routes"
         );
 
-        let eval = work.evaluate();
-        let better = (eval.feasible && !best_eval.feasible)
-            || (eval.feasible == best_eval.feasible && eval.objective < best_eval.objective);
+        let score = work.score();
+        let better = (score.feasible && !best_score.feasible)
+            || (score.feasible == best_score.feasible && score.objective < best_score.objective);
         if better {
-            best_eval = eval;
+            best_score = score;
+            best_eval = work.scratch.evaluation(problem);
             best = work.sched.clone();
             stale = 0;
         } else {
@@ -399,15 +405,17 @@ fn search<'a>(
             }
         }
         // "Stop if the objective converges": legal and stable.
-        if best_eval.feasible && stale >= cfg.patience {
+        if best_score.feasible && stale >= cfg.patience {
             break;
         }
     }
 
-    flush_search_metrics(tel, iterations, victims_total, expansions, best_eval.feasible);
+    let pops = work.router.pops() - pops_before;
+    flush_search_metrics(tel, iterations, victims_total, expansions, pops, best_score.feasible);
     span.arg("iterations", iterations);
     span.arg("expansions", expansions);
-    span.arg("feasible", best_eval.feasible);
+    span.arg("pops", pops);
+    span.arg("feasible", best_score.feasible);
     span.end();
     ScheduleResult {
         schedule: best,
@@ -426,6 +434,7 @@ fn flush_search_metrics(
     iterations: u32,
     victims: u64,
     expansions: u64,
+    pops: u64,
     feasible: bool,
 ) {
     let m = tel.metrics();
@@ -436,6 +445,7 @@ fn flush_search_metrics(
     m.add("scheduler.path_search.iterations", u64::from(iterations));
     m.add("scheduler.path_search.victims", victims);
     m.add("scheduler.path_search.expansions", expansions);
+    m.add("scheduler.path_search.pops", pops);
     m.observe("scheduler.path_search.iterations_per_run", u64::from(iterations));
     if feasible {
         m.add("scheduler.path_search.converged", 1);
@@ -447,7 +457,9 @@ fn flush_search_metrics(
 /// every route edit goes through [`Working::insert_route`],
 /// [`Working::remove_route`] or [`Working::reset_to`], which keep the two in
 /// step — so routing, rip-up, victim picking and the objective read link
-/// congestion instead of recomputing it from the whole schedule.
+/// congestion instead of recomputing it from the whole schedule. The
+/// objective reads the router's fabric view and writes `scratch`; each
+/// entity's candidate nodes are listed the first time it is placed.
 struct Working<'s, 'a> {
     problem: &'s Problem<'a>,
     cfg: &'s SchedulerConfig,
@@ -455,6 +467,8 @@ struct Working<'s, 'a> {
     router: &'s mut Router<'a>,
     sched: Schedule,
     links: LinkTable,
+    scratch: Scratch,
+    candidates: Vec<Option<Vec<NodeId>>>,
 }
 
 impl Working<'_, '_> {
@@ -475,8 +489,11 @@ impl Working<'_, '_> {
         self.links.reset(self.problem, &self.sched);
     }
 
-    fn evaluate(&self) -> Evaluation {
-        evaluate_with(self.problem, &self.sched, &self.links, &self.cfg.weights)
+    /// Scores the current schedule; its full [`Evaluation`] is then
+    /// `self.scratch.evaluation(..)`.
+    fn score(&mut self) -> Score {
+        let (problem, fabric) = (self.problem, self.router.fabric());
+        evaluate_with(problem, &self.sched, &self.links, fabric, &self.cfg.weights, &mut self.scratch)
     }
 
     /// Unmaps entity `v`, dropping its placement and all incident routes.
@@ -508,10 +525,13 @@ impl Working<'_, '_> {
     /// Returns the number of candidate placements expanded (evaluated), the
     /// unit the `scheduler.path_search.expansions` metric counts in.
     fn place_best(&mut self, v: usize, rng: &mut StdRng) -> u64 {
-        let mut candidates = self.problem.candidates(&self.problem.entities[v]);
-        if candidates.is_empty() {
+        let problem = self.problem;
+        let all =
+            self.candidates[v].get_or_insert_with(|| problem.candidates(&problem.entities[v]));
+        if all.is_empty() {
             return 0; // stays unplaced; priced by the objective
         }
+        let mut candidates = all.clone();
         candidates.shuffle(rng);
         candidates.truncate(self.cfg.candidates.max(1));
         let expanded = candidates.len() as u64;
@@ -521,7 +541,7 @@ impl Working<'_, '_> {
         for node in candidates {
             self.sched.placement[v] = Some(node);
             self.route_incident(v);
-            let objective = self.evaluate().objective;
+            let objective = self.score().objective;
             // Take this candidate's routes off the fabric before trying the
             // next.
             let routes = self.take_incident_routes(v);
