@@ -7,7 +7,8 @@ use dsagen_adg::presets;
 use dsagen_dse::{DseConfig, Explorer};
 use dsagen_hwgen::{generate_config_paths, Bitstream};
 use dsagen_model::AreaPowerModel;
-use dsagen_scheduler::{schedule, Problem, SchedulerConfig};
+use dsagen_scheduler::{schedule, Problem, SchedulerConfig, Start};
+use dsagen_telemetry::Telemetry;
 
 fn bench_dse_evaluate(c: &mut Criterion) {
     let kernels = vec![
@@ -49,7 +50,14 @@ fn bench_hwgen(c: &mut Criterion) {
         &adg.features(),
     )
     .expect("compiles");
-    let res = schedule(&adg, &ck, &SchedulerConfig::default());
+    let res = schedule(
+        &adg,
+        &ck,
+        &Start::Empty,
+        &SchedulerConfig::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     let problem = Problem::new(&adg, &ck);
     c.bench_function("hwgen/bitstream-encode", |b| {
         b.iter(|| Bitstream::encode(&problem, &res.schedule))

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsagen_adg::presets;
 use dsagen_dfg::{compile_kernel, TransformConfig};
-use dsagen_scheduler::{repair, route, schedule, Problem, SchedulerConfig};
+use dsagen_scheduler::{route, schedule, Problem, SchedulerConfig, Start};
 use dsagen_telemetry::Telemetry;
 
 fn compiled_mm(unroll: u16) -> (dsagen_adg::Adg, dsagen_dfg::CompiledKernel) {
@@ -31,7 +31,7 @@ fn bench_schedule(c: &mut Criterion) {
     for unroll in [1u16, 4] {
         let (adg, ck) = compiled_mm(unroll);
         c.bench_function(&format!("schedule/mm-unroll{unroll}"), |b| {
-            b.iter(|| schedule(&adg, &ck, &cfg))
+            b.iter(|| schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled()).unwrap())
         });
     }
 }
@@ -42,7 +42,7 @@ fn bench_repair_vs_remap(c: &mut Criterion) {
         ..SchedulerConfig::default()
     };
     let (mut adg, ck) = compiled_mm(4);
-    let first = schedule(&adg, &ck, &cfg);
+    let first = schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled()).unwrap();
     assert!(first.is_legal());
     // Remove one PE used by the schedule (the §V DSE mutation).
     let problem = Problem::new(&adg, &ck);
@@ -58,10 +58,11 @@ fn bench_repair_vs_remap(c: &mut Criterion) {
     adg.remove_node(victim).expect("victim exists");
 
     c.bench_function("repair/after-pe-removal", |b| {
-        b.iter(|| repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled()))
+        let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 1 };
+        b.iter(|| schedule(&adg, &ck, &start, &cfg, &Telemetry::disabled()).unwrap())
     });
     c.bench_function("repair/full-remap-baseline", |b| {
-        b.iter(|| schedule(&adg, &ck, &cfg))
+        b.iter(|| schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled()).unwrap())
     });
 }
 

@@ -3,8 +3,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsagen_adg::presets;
 use dsagen_dfg::{compile_kernel, TransformConfig};
-use dsagen_scheduler::{schedule, SchedulerConfig};
+use dsagen_scheduler::{schedule, SchedulerConfig, Start};
 use dsagen_sim::{simulate, SimConfig};
+use dsagen_telemetry::Telemetry;
 
 fn bench_simulate(c: &mut Criterion) {
     let cases: Vec<(&str, dsagen_adg::Adg, dsagen_dfg::Kernel, TransformConfig)> = vec![
@@ -39,7 +40,14 @@ fn bench_simulate(c: &mut Criterion) {
     ];
     for (name, adg, kernel, cfg) in cases {
         let ck = compile_kernel(&kernel, &cfg, &adg.features()).expect("compiles");
-        let res = schedule(&adg, &ck, &SchedulerConfig::default());
+        let res = schedule(
+            &adg,
+            &ck,
+            &Start::Empty,
+            &SchedulerConfig::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(res.is_legal(), "{name}: {:?}", res.eval);
         c.bench_function(&format!("simulate/{name}"), |b| {
             b.iter(|| {

@@ -16,8 +16,9 @@ use dsagen_adg::{presets, NodeKind};
 use dsagen_bench::{harness_opts, rule, run_workload};
 use dsagen_dfg::{compile_kernel, enumerate_configs};
 use dsagen_model::AreaPowerModel;
-use dsagen_scheduler::schedule;
+use dsagen_scheduler::{schedule, Start};
 use dsagen_sim::{simulate, SimConfig};
+use dsagen_telemetry::Telemetry;
 
 /// Compile + simulate with window-port grouping forced off.
 fn run_without_windows(adg: &dsagen_adg::Adg, kernel: &dsagen_dfg::Kernel) -> Option<u64> {
@@ -32,7 +33,14 @@ fn run_without_windows(adg: &dsagen_adg::Adg, kernel: &dsagen_dfg::Kernel) -> Op
         if !version.requires.satisfied_by(&features) {
             continue;
         }
-        let result = schedule(adg, &version, &opts.scheduler);
+        let result = schedule(
+            adg,
+            &version,
+            &Start::Empty,
+            &opts.scheduler,
+            &Telemetry::disabled(),
+        )
+        .expect("an empty start pins nothing");
         if !result.is_legal() {
             continue;
         }

@@ -28,13 +28,13 @@ use std::time::Instant;
 use dsagen_adg::{presets, Adg};
 use dsagen_bench::envelope::Envelope;
 use dsagen_bench::rule;
-use dsagen_telemetry::{log, Level};
 use dsagen_dfg::{compile_kernel, Kernel, TransformConfig};
 use dsagen_faults::{corrupt_frames, FaultKind, FaultPlan};
 use dsagen_hwgen::{
     deframe_words, frame_words, verify_round_trip, Bitstream, ProgrammingSession, SessionConfig,
 };
-use dsagen_scheduler::{schedule, Problem, SchedulerConfig};
+use dsagen_scheduler::{schedule, Problem, SchedulerConfig, Start};
+use dsagen_telemetry::{log, Level, Telemetry};
 use dsagen_workloads::{machsuite, polybench};
 
 /// Fixed scheduler seed: every run measures the identical bitstreams.
@@ -82,7 +82,8 @@ fn bench_one(preset: &'static str, adg: &Adg, kernel: &Kernel) -> Row {
         seed: SEED,
         ..SchedulerConfig::default()
     };
-    let s = schedule(adg, &ck, &cfg);
+    let s = schedule(adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled())
+        .expect("an empty start pins nothing");
     let problem = Problem::new(adg, &ck);
     let bs = Bitstream::encode(&problem, &s.schedule);
     let words = bs.to_words();

@@ -5,9 +5,10 @@
 //! Softbrain preset) and several fault seeds, a previously legal schedule
 //! is recovered in two ways under the same tight iteration budget:
 //!
-//! * **repair** — `repair` warm-starts from the surviving
-//!   placements of the pre-fault schedule (§V-A);
-//! * **re-map** — `schedule` rebuilds the mapping from scratch.
+//! * **repair** — `schedule` from `Start::Repair` warm-starts from the
+//!   surviving placements of the pre-fault schedule (§V-A);
+//! * **re-map** — `schedule` from `Start::Empty` rebuilds the mapping from
+//!   scratch.
 //!
 //! Reported per severity: how many faults actually applied (impossible
 //! faults are skipped, not silently dropped), the fraction of runs each
@@ -20,7 +21,7 @@ use dsagen_adg::presets;
 use dsagen_bench::rule;
 use dsagen_dfg::{compile_kernel, TransformConfig};
 use dsagen_faults::{inject, FaultPlan};
-use dsagen_scheduler::{repair, schedule, Schedule, SchedulerConfig};
+use dsagen_scheduler::{schedule, Schedule, SchedulerConfig, Start};
 use dsagen_telemetry::Telemetry;
 
 /// Seeds per severity level; more seeds smooth the recovery-rate estimate.
@@ -62,7 +63,14 @@ fn main() {
         patience: BUDGET,
         ..SchedulerConfig::default()
     };
-    let baseline = schedule(&adg, &ck, &SchedulerConfig::default());
+    let baseline = schedule(
+        &adg,
+        &ck,
+        &Start::Empty,
+        &SchedulerConfig::default(),
+        &Telemetry::disabled(),
+    )
+    .expect("an empty start pins nothing");
     assert!(baseline.is_legal(), "healthy softbrain must schedule mm");
 
     println!("FAULT ABLATION: repair vs re-mapping under injected faults (mm on softbrain)");
@@ -100,8 +108,13 @@ fn main() {
                 .filter(|n| faulty.node(**n).is_some())
                 .count();
 
-            let repaired =
-                repair(&faulty, &ck, &baseline.schedule, &cfg, ATTEMPTS, &Telemetry::disabled());
+            let start = Start::Repair {
+                previous: &baseline.schedule,
+                scope: None,
+                max_attempts: ATTEMPTS,
+            };
+            let repaired = schedule(&faulty, &ck, &start, &cfg, &Telemetry::disabled())
+                .expect("an unscoped start pins nothing");
             rep_iters += u64::from(repaired.iterations);
             if repaired.is_legal() {
                 repair_ok += 1;
@@ -112,7 +125,8 @@ fn main() {
                 }
             }
 
-            let remapped = schedule(&faulty, &ck, &cfg);
+            let remapped = schedule(&faulty, &ck, &Start::Empty, &cfg, &Telemetry::disabled())
+                .expect("an empty start pins nothing");
             map_iters += u64::from(remapped.iterations);
             if remapped.is_legal() {
                 remap_ok += 1;

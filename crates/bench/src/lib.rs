@@ -11,8 +11,9 @@ pub mod json;
 use dsagen::{compile, Compiled, CompileOptions};
 use dsagen_adg::Adg;
 use dsagen_dfg::{CompiledKernel, Kernel, StreamSource};
-use dsagen_scheduler::{schedule, SchedulerConfig};
+use dsagen_scheduler::{schedule, SchedulerConfig, Start};
 use dsagen_sim::{simulate, SimConfig, SimReport};
+use dsagen_telemetry::Telemetry;
 
 /// Standard options used by the experiment harness: the paper's 200
 /// scheduling iterations, vectorization up to 8.
@@ -97,7 +98,14 @@ pub fn run_manual(adg: &Adg, compiled: &Compiled) -> SimReport {
         &SimConfig::default(),
     )
     .unwrap_or_else(|e| panic!("manual-tune reuse on {}: {e}", adg.name()));
-    let fresh_sched = schedule(adg, &tuned, &harness_opts().scheduler);
+    let fresh_sched = schedule(
+        adg,
+        &tuned,
+        &Start::Empty,
+        &harness_opts().scheduler,
+        &Telemetry::disabled(),
+    )
+    .expect("an empty start pins nothing");
     let fresh = simulate(
         adg,
         &tuned,

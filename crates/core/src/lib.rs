@@ -73,7 +73,7 @@ use dsagen_adg::Adg;
 use dsagen_dfg::{compile_kernel, enumerate_configs, CompiledKernel, Kernel};
 use dsagen_hwgen::{generate_config_paths, Bitstream, ConfigPaths};
 use dsagen_model::{PerfEstimate, PerfModel};
-use dsagen_scheduler::{schedule as run_scheduler, Evaluation, Problem, Schedule, SchedulerConfig};
+use dsagen_scheduler::{schedule, Evaluation, Problem, Schedule, SchedulerConfig, Start};
 
 /// Commonly used items for `use dsagen::prelude::*`.
 pub mod prelude {
@@ -229,7 +229,10 @@ pub fn compile_traced(
         // The stochastic scheduler occasionally needs a reseed on tightly
         // constrained topologies; give each version a few attempts.
         let mut sched_span = tel.span("phase", "schedule");
-        let mut result = run_scheduler(adg, &version, &opts.scheduler);
+        let fresh = |cfg: &SchedulerConfig| {
+            schedule(adg, &version, &Start::Empty, cfg, tel).expect("an empty start pins nothing")
+        };
+        let mut result = fresh(&opts.scheduler);
         let mut reseeds = 0u64;
         for retry in 1..3u64 {
             if result.is_legal() {
@@ -240,7 +243,7 @@ pub fn compile_traced(
                 seed: opts.scheduler.seed.wrapping_add(retry * 0x9E37_79B9),
                 ..opts.scheduler
             };
-            result = run_scheduler(adg, &version, &reseeded);
+            result = fresh(&reseeded);
         }
         sched_span.arg("candidate", tried);
         sched_span.arg("unroll", u64::from(version.config.unroll));

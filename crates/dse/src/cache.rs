@@ -192,7 +192,8 @@ pub fn schedule_footprint(adg: &Adg, schedule: &Schedule) -> Option<u64> {
 mod tests {
     use dsagen_adg::{presets, BitWidth, SwitchSpec};
     use dsagen_dfg::{compile_kernel, TransformConfig};
-    use dsagen_scheduler::{schedule, SchedulerConfig};
+    use dsagen_scheduler::{schedule, SchedulerConfig, Start};
+    use dsagen_telemetry::Telemetry;
 
     use super::*;
     use crate::explorer::tests::small_kernels;
@@ -239,7 +240,8 @@ mod tests {
         let kernel = &small_kernels()[0];
         let ck = compile_kernel(kernel, &TransformConfig::fallback(), &adg.features())
             .expect("axpy compiles on softbrain");
-        let result = schedule(&adg, &ck, &SchedulerConfig::default());
+        let (cfg, tel) = (SchedulerConfig::default(), Telemetry::disabled());
+        let result = schedule(&adg, &ck, &Start::Empty, &cfg, &tel).expect("nothing is pinned");
         assert!(result.is_legal(), "fixture must schedule");
         let fp = schedule_footprint(&adg, &result.schedule).expect("live footprint");
 

@@ -8,8 +8,7 @@ use dsagen_faults::FaultSchedule;
 use dsagen_hwgen::{generate_config_paths, verify_round_trip_timed, VerifiedConfig};
 use dsagen_model::objective;
 use dsagen_scheduler::{
-    evaluate as evaluate_schedule, repair, schedule_instrumented, Evaluation, Problem, Schedule,
-    SchedulerConfig,
+    evaluate as evaluate_schedule, schedule, Evaluation, Problem, Schedule, SchedulerConfig, Start,
 };
 use dsagen_store::{Artifact, ArtifactKey};
 use dsagen_telemetry::{log, Level};
@@ -251,13 +250,16 @@ impl Explorer {
             .then(|| self.design.mapped.remove(&key))
             .flatten();
         let (adg, sched_cfg) = (&self.design.adg, &lookup.sched_cfg);
-        let result = match prev {
-            // Repair with bounded retry-with-escalation: a fault- or
-            // mutation-degraded graph gets a second, doubled-budget attempt
-            // before the version is written off as illegal.
-            Some(prev) => repair(adg, version, &prev.schedule, sched_cfg, 2, &self.telemetry),
-            None => schedule_instrumented(adg, version, sched_cfg, &self.telemetry),
-        };
+        // Repair with bounded retry-with-escalation: a fault- or
+        // mutation-degraded graph gets a second, doubled-budget attempt
+        // before the version is written off as illegal.
+        let start = prev.as_ref().map_or(Start::Empty, |prev| Start::Repair {
+            previous: &prev.schedule,
+            scope: None,
+            max_attempts: 2,
+        });
+        let result = schedule(adg, version, &start, sched_cfg, &self.telemetry)
+            .expect("an unscoped start pins nothing");
         let (perf, footprint) =
             match self.check(version, &result.schedule, Some(&result.eval), lookup) {
                 Ok((perf, verified)) => {

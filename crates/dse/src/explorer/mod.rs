@@ -65,9 +65,8 @@ pub struct DseConfig {
     /// Independent exploration shards. Each shard is a full deterministic
     /// search from a seed-perturbed frontier; shard results merge with a
     /// deterministic reduction, so the outcome depends only on
-    /// `(seed, shards)`. `0` means "one shard per worker thread". Shard 0
-    /// always keeps `seed` unchanged, so `shards = 1` reproduces the
-    /// serial explorer exactly.
+    /// `(seed, shards)`. `0` counts as one. Shard 0 always keeps `seed`
+    /// unchanged, so `shards = 1` reproduces the serial explorer exactly.
     pub shards: usize,
     /// Worker threads executing shards — purely an executor width. For a
     /// fixed `(seed, shards)` the result is byte-identical for any thread
@@ -155,7 +154,7 @@ impl Default for DseConfig {
             max_unroll: 8,
             use_repair: true,
             use_cache: true,
-            shards: 0,
+            shards: 1,
             threads: env_threads(),
             eval_budget_ms: None,
             reliability: None,
@@ -1005,9 +1004,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// `quick_cfg` pinned to a single serial shard regardless of the
-    /// `DSAGEN_DSE_THREADS` environment — for tests whose assertions are
-    /// about the serial trace shape.
+    /// `quick_cfg` pinned to one shard on one thread — for tests whose
+    /// assertions are about the serial trace shape.
     fn serial_cfg() -> DseConfig {
         DseConfig {
             shards: 1,
@@ -1476,6 +1474,28 @@ pub(crate) mod tests {
         assert_eq!(one.best.objective.to_bits(), four.best.objective.to_bits());
         assert_eq!(one.best_adg, four.best_adg);
         assert_eq!(one.shard_traces.len(), 3);
+    }
+
+    #[test]
+    fn default_shard_count_does_not_follow_the_thread_count() {
+        // `threads` is only an executor width: the default configuration
+        // runs the same search however many workers it is given.
+        let mk = |threads: usize| {
+            let cfg = DseConfig {
+                max_iters: 4,
+                patience: 4,
+                sched_iters: 30,
+                max_unroll: 1,
+                threads,
+                ..DseConfig::default()
+            };
+            explore(presets::dse_initial(), &small_kernels(), cfg)
+        };
+        let (one, two) = (mk(1), mk(2));
+        assert_eq!(one.shard_traces.len(), 1);
+        assert_eq!(one.shard_traces, two.shard_traces);
+        assert_eq!(one.best.objective.to_bits(), two.best.objective.to_bits());
+        assert_eq!(one.best_adg, two.best_adg);
     }
 
     #[test]

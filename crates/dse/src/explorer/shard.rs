@@ -12,11 +12,7 @@ impl Explorer {
     /// through [`Explorer::reduce_shards`]. Either way the result depends
     /// only on `(seed, shards)` — never on thread count or scheduling.
     pub fn run(&mut self) -> DseResult {
-        let shards = if self.cfg.shards == 0 {
-            self.cfg.threads.max(1)
-        } else {
-            self.cfg.shards
-        };
+        let shards = self.cfg.shards.max(1);
         let mut span = self.telemetry.span("phase", "dse");
         span.arg("shards", shards);
         span.arg("seed", self.cfg.seed);

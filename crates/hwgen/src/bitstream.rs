@@ -809,7 +809,8 @@ mod tests {
     use dsagen_dfg::{
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
-    use dsagen_scheduler::{schedule, SchedulerConfig};
+    use dsagen_scheduler::{schedule, SchedulerConfig, Start};
+    use dsagen_telemetry::Telemetry;
 
     use super::*;
 
@@ -829,7 +830,14 @@ mod tests {
         k.finish_region(r);
         let kernel = k.build().unwrap();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
-        let res = schedule(&adg, &ck, &SchedulerConfig::default());
+        let res = schedule(
+            &adg,
+            &ck,
+            &Start::Empty,
+            &SchedulerConfig::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(res.is_legal());
         (adg, ck, res.schedule)
     }

@@ -657,7 +657,8 @@ mod tests {
     use dsagen_dfg::{
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
-    use dsagen_scheduler::{schedule, Problem, SchedulerConfig};
+    use dsagen_scheduler::{schedule, Problem, SchedulerConfig, Start};
+    use dsagen_telemetry::Telemetry;
 
     use super::*;
 
@@ -677,7 +678,14 @@ mod tests {
         let kernel = k.build().expect("fixture kernel builds");
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .expect("fixture compiles");
-        let res = schedule(&adg, &ck, &SchedulerConfig::default());
+        let res = schedule(
+            &adg,
+            &ck,
+            &Start::Empty,
+            &SchedulerConfig::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(res.is_legal());
         Bitstream::encode(&Problem::new(&adg, &ck), &res.schedule)
     }

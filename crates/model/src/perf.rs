@@ -249,9 +249,15 @@ mod tests {
     use dsagen_dfg::{
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
-    use dsagen_scheduler::{schedule as run_scheduler, SchedulerConfig};
+    use dsagen_scheduler::{schedule, ScheduleResult, SchedulerConfig, Start};
+    use dsagen_telemetry::Telemetry;
 
     use super::*;
+
+    /// `ck` scheduled onto `adg` from scratch, untraced.
+    fn fresh(adg: &Adg, ck: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
+        schedule(adg, ck, &Start::Empty, cfg, &Telemetry::disabled()).expect("nothing is pinned")
+    }
 
     fn scheduled_dot(
         unroll: u16,
@@ -279,7 +285,7 @@ mod tests {
             &adg.features(),
         )
         .unwrap();
-        let result = run_scheduler(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(result.is_legal());
         (adg, ck, result.schedule, result.eval)
     }
@@ -325,7 +331,7 @@ mod tests {
         k.finish_region(r);
         let kernel = k.build().unwrap();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
-        let result = run_scheduler(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         let est = PerfModel::default().estimate(&adg, &ck, &result.schedule, &result.eval, 0);
         assert!(est.regions[0].recurrence_cycles >= 3.0 * 1024.0);
         assert!(est.cycles >= 3.0 * 1024.0);
@@ -348,7 +354,7 @@ mod tests {
         k.finish_region(r);
         let kernel = k.build().unwrap();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
-        let result = run_scheduler(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         let est = PerfModel::default().estimate(&adg, &ck, &result.schedule, &result.eval, 0);
         assert!(est.regions[0].ctrl_cycles >= 4.0 * 1024.0);
         assert_eq!(
@@ -387,7 +393,7 @@ mod tests {
         k.finish_region(r);
         let kernel = k.build().unwrap();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
-        let result = run_scheduler(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         let est = PerfModel::default().estimate(&adg, &ck, &result.schedule, &result.eval, 0);
         // 4096 elements, one line request each → ≥ 4096 memory cycles.
         assert!(est.regions[0].memory_cycles >= 4096.0);

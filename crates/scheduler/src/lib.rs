@@ -23,13 +23,19 @@
 //! objective reuses its buffers instead of allocating per evaluation, and
 //! each entity's candidate nodes are listed once.
 //!
-//! [`repair`] implements the §V-A *repairing scheduler* for design-space
-//! exploration: placements referencing deleted hardware are dropped, the
-//! remainder is kept, and the same iteration loop finishes the job — far
-//! cheaper than re-mapping from scratch when the ADG changed incrementally.
+//! [`schedule`] is the one way in. From [`Start::Empty`] it maps a kernel
+//! from scratch; from [`Start::Repair`] it is the §V-A *repairing
+//! scheduler* for design-space exploration and fault recovery: placements
+//! referencing deleted hardware are dropped, the remainder is kept, and the
+//! same iteration loop finishes the job — far cheaper than re-mapping from
+//! scratch when the ADG changed incrementally. A [`Scope`] pins every
+//! region outside it, which is how a recovery rung repairs one
+//! fault-isolation domain; a [`CapabilityMask`] builds the degraded fabric
+//! such a repair runs on.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod mask;
 mod objective;
@@ -39,12 +45,12 @@ mod schedule;
 #[allow(clippy::module_inception)]
 mod scheduler;
 
-pub use mask::{repair_with_mask, repair_with_mask_scoped, CapabilityMask, MaskError};
+pub use mask::{CapabilityMask, MaskError};
 pub use objective::{evaluate, Evaluation, RegionEval, Weights, MEM_ROUNDTRIP};
-pub use problem::{op_rates, Entity, EntityKind, Problem, VirtEdge};
-pub use route::{delay_capacity, path_legal, route};
+pub use problem::{Entity, EntityKind, Problem, VirtEdge};
+pub use route::route;
 pub use schedule::Schedule;
 pub use scheduler::{
-    repair, repair_regions, schedule, schedule_instrumented, RepairOutcome, ScheduleResult,
-    SchedulerConfig,
+    schedule, schedule_instrumented, RepairOutcome, ScheduleError, ScheduleResult, SchedulerConfig,
+    Scope, Start,
 };

@@ -3,10 +3,11 @@
 //! PR 5's recovery path was all-or-nothing — any permanent fault
 //! decommissioned the whole victim node or link. A capability mask lets
 //! repair express *"this node works except input port 2"*: masked edges,
-//! ports, and nodes are removed from a scratch copy of the ADG and repair
-//! runs against that, so the scheduler reroutes around exactly the damage
-//! and nothing more. Masks compose the degradation ladder's structural
-//! rungs (port → node) used by `dsagen_sim::recovery`:
+//! ports, and nodes are removed from a scratch copy of the ADG and a
+//! [`crate::Start::Repair`] runs against that, so the scheduler reroutes
+//! around exactly the damage and nothing more. Masks compose the
+//! degradation ladder's structural rungs (port → node) used by
+//! `dsagen_sim::recovery`:
 //!
 //! 1. mask the afflicted **port** only (cheap repair, everything else on
 //!    the node keeps serving);
@@ -23,11 +24,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use dsagen_adg::{Adg, EdgeId, NodeId};
-
-use dsagen_telemetry::Telemetry;
-
-use crate::scheduler::{repair, repair_regions, ScheduleResult, SchedulerConfig};
-use crate::Schedule;
 
 /// A set of hardware capabilities to take offline, at three granularities:
 /// whole nodes, whole edges, and single input ports (a `(node, port)` pair
@@ -180,60 +176,6 @@ impl fmt::Display for CapabilityMask {
     }
 }
 
-/// Applies `mask` to `adg` and runs [`repair`] on the masked fabric,
-/// returning the repair result together with the degraded graph it is
-/// legal against. The one-call form of a ladder rung.
-pub fn repair_with_mask(
-    adg: &Adg,
-    kernel: &dsagen_dfg::CompiledKernel,
-    previous: &Schedule,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-    mask: &CapabilityMask,
-) -> Result<(ScheduleResult, Adg), MaskError> {
-    let masked = mask.apply(adg)?;
-    let result = repair(&masked, kernel, previous, cfg, max_attempts, &Telemetry::disabled());
-    Ok((result, masked))
-}
-
-/// [`repair_with_mask`] scoped to a fault-isolation domain: applies `mask`
-/// and runs [`repair_regions`] so that only the entities of `regions` may
-/// move — every other domain's placements and routes are pinned
-/// bit-identically. With `from_scratch` the afflicted regions are re-placed
-/// from nothing (the partial re-placement rung); without it the repair is
-/// incremental.
-///
-/// A mask that takes out hardware a *pinned* domain depends on makes the
-/// rung structurally infeasible and returns [`MaskError::Invalid`], so the
-/// ladder escalates instead of breaking the placement-diff contract.
-#[allow(clippy::too_many_arguments)] // mirrors `repair_with_mask` plus the scope
-pub fn repair_with_mask_scoped(
-    adg: &Adg,
-    kernel: &dsagen_dfg::CompiledKernel,
-    previous: &Schedule,
-    regions: &std::collections::BTreeSet<usize>,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-    mask: &CapabilityMask,
-    from_scratch: bool,
-) -> Result<(ScheduleResult, Adg), MaskError> {
-    let masked = mask.apply(adg)?;
-    let result = repair_regions(
-        &masked,
-        kernel,
-        previous,
-        regions,
-        from_scratch,
-        cfg,
-        max_attempts,
-        &Telemetry::disabled(),
-    )
-    .ok_or_else(|| {
-        MaskError::Invalid("mask invalidates placements or routes pinned by other domains".into())
-    })?;
-    Ok((result, masked))
-}
-
 #[cfg(test)]
 mod tests {
     use dsagen_adg::{presets, BitWidth, Opcode};
@@ -242,8 +184,15 @@ mod tests {
         TripCount,
     };
 
+    use dsagen_telemetry::Telemetry;
+
     use super::*;
-    use crate::{evaluate, schedule, Problem, Weights};
+    use crate::{evaluate, schedule, Problem, ScheduleResult, SchedulerConfig, Start, Weights};
+
+    fn fresh(adg: &Adg, kernel: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
+        schedule(adg, kernel, &Start::Empty, cfg, &Telemetry::disabled())
+            .expect("nothing is pinned")
+    }
 
     fn dot_kernel(adg: &Adg) -> CompiledKernel {
         let mut k = KernelBuilder::new("dot");
@@ -343,7 +292,7 @@ mod tests {
         let adg = presets::softbrain();
         let kernel = dot_kernel(&adg);
         let cfg = SchedulerConfig::default();
-        let base = schedule(&adg, &kernel, &cfg);
+        let base = fresh(&adg, &kernel, &cfg);
         assert!(base.is_legal(), "baseline must schedule");
 
         // Pick a maskable (node, port) pair.
@@ -364,7 +313,7 @@ mod tests {
             .with_port(node, port)
             .apply(&adg)
             .unwrap();
-        let under_node = schedule(&node_masked, &kernel, &cfg);
+        let under_node = fresh(&node_masked, &kernel, &cfg);
         if under_node.is_legal() {
             // Evaluate the node-masked schedule against the port-masked
             // fabric: every placement/route must still be legal.

@@ -765,7 +765,9 @@ mod tests {
                 schedules_here.push(Schedule::empty(&problem));
                 if schedules == 0 {
                     let cfg = crate::SchedulerConfig::default();
-                    schedules_here.push(crate::schedule(&adg, &ck, &cfg).schedule);
+                    let tel = dsagen_telemetry::Telemetry::disabled();
+                    let fresh = crate::schedule(&adg, &ck, &crate::Start::Empty, &cfg, &tel);
+                    schedules_here.push(fresh.expect("nothing is pinned").schedule);
                 }
                 for s in &schedules_here {
                     let links = LinkTable::of(&problem, s);

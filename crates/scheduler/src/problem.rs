@@ -367,7 +367,7 @@ fn incidence(entities: usize, edges: &[VirtEdge]) -> (Vec<usize>, Vec<usize>) {
 /// consumers of an accumulator fire once per `reset_every`; everything else
 /// fires at the fastest of its operands. Low-rate nodes prefer shared PEs.
 #[must_use]
-pub fn op_rates(region: &dsagen_dfg::CompiledRegion) -> Vec<f64> {
+pub(crate) fn op_rates(region: &dsagen_dfg::CompiledRegion) -> Vec<f64> {
     let mut rates = vec![1.0f64; region.dfg.len()];
     for (oid, op) in region.dfg.iter() {
         let r = match op {

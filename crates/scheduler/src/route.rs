@@ -142,7 +142,7 @@ fn turn_legal(adg: &Adg, e_in: EdgeId, e_out: EdgeId) -> bool {
 /// took, so route validity must be re-checked semantically, not just
 /// structurally.
 #[must_use]
-pub fn path_legal(adg: &Adg, src: NodeId, path: &[EdgeId]) -> bool {
+pub(crate) fn path_legal(adg: &Adg, src: NodeId, path: &[EdgeId]) -> bool {
     let mut cur = src;
     let mut prev: Option<EdgeId> = None;
     for (i, &eid) in path.iter().enumerate() {
@@ -282,7 +282,9 @@ impl<'a> Fabric<'a> {
         self.units.get(node.index()).copied().unwrap_or(Unit::Other)
     }
 
-    /// [`delay_capacity`] from the table.
+    /// Total configurable delay capacity (cycles) of the delay elements
+    /// along `route` — the budget available for pipeline balancing
+    /// (§III-B).
     pub(crate) fn delay_capacity(&self, route: &[EdgeId]) -> u32 {
         route
             .iter()
@@ -520,10 +522,10 @@ impl<'a> Router<'a> {
     }
 }
 
-/// Total configurable delay capacity (cycles) of the delay elements along a
-/// route — the budget available for pipeline balancing (§III-B).
-#[must_use]
-pub fn delay_capacity(adg: &Adg, route: &[EdgeId]) -> u32 {
+/// [`Fabric::delay_capacity`] asked of the graph, hop by hop: the oracle the
+/// table is tested against.
+#[cfg(test)]
+pub(crate) fn delay_capacity(adg: &Adg, route: &[EdgeId]) -> u32 {
     route
         .iter()
         .filter_map(|e| adg.edge(*e))

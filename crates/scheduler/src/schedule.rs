@@ -416,7 +416,11 @@ mod tests {
         let adg = presets::softbrain();
         let (ck, ()) = problem_fixture(&adg);
         let p = Problem::new(&adg, &ck);
-        let mut s = crate::schedule(&adg, &ck, &crate::SchedulerConfig::default()).schedule;
+        let (start, cfg) = (crate::Start::Empty, crate::SchedulerConfig::default());
+        let tel = dsagen_telemetry::Telemetry::disabled();
+        let mut s = crate::schedule(&adg, &ck, &start, &cfg, &tel)
+            .expect("nothing is pinned")
+            .schedule;
         // Pile every route's value onto route 0's links too, so some link
         // carries several values and one value twice; and name a virtual
         // edge the problem does not have.

@@ -1,6 +1,9 @@
 //! The stochastic scheduling loop (§IV-C Algorithm 1) and schedule repair
 //! (§V-A).
 
+use std::collections::BTreeSet;
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -96,14 +99,94 @@ impl ScheduleResult {
     }
 }
 
-/// Schedules `kernel` onto `adg` from scratch.
+/// Where a scheduling run starts.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// From nothing: Algorithm 1 maps the kernel from scratch in one search
+    /// under exactly the given configuration.
+    Empty,
+    /// From `previous` — the §V-A repairing scheduler. Placements on deleted
+    /// or incompatible hardware are dropped, routes through severed links or
+    /// newly-forbidden switch turns are rerouted, and everything else is
+    /// reused; [`ScheduleResult::outcome`] records what was lost.
+    ///
+    /// Retry is bounded escalation: while the result is illegal, the
+    /// iteration budget is doubled (and the seed perturbed) and the search
+    /// re-run from the same invalidated schedule, up to `max_attempts` total
+    /// attempts or a per-attempt budget of 4096 iterations. The first legal
+    /// result wins, or else the best illegal one (lowest objective). With
+    /// `max_attempts = 1` and `1 ≤ cfg.max_iters ≤ 4096` this is one search
+    /// under exactly the given configuration.
+    Repair {
+        /// The schedule to start from.
+        previous: &'a Schedule,
+        /// The part of the kernel that may move; `None` moves every entity.
+        scope: Option<Scope<'a>>,
+        /// Total search attempts, at least one.
+        max_attempts: u32,
+    },
+}
+
+/// The part of a kernel a repair may move: the entities of `regions`, with
+/// every placement and route outside them pinned bit-identically. This is
+/// the scheduling half of the recovery ladder's rungs: the afflicted
+/// fault-isolation domain is re-placed while untouched domains keep their
+/// assignments (and therefore their timing). With every region in scope and
+/// `from_scratch` off it is the same search as an unscoped repair.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'a> {
+    /// Regions whose entities may move.
+    pub regions: &'a BTreeSet<usize>,
+    /// Drop the scope's placements and routes entirely before the search,
+    /// giving the packer maximum freedom inside it; without it the repair
+    /// is incremental (only hardware invalidated by the fabric is redone).
+    pub from_scratch: bool,
+}
+
+/// Why [`schedule`] returned no schedule at all — distinct from an illegal
+/// one, which is a [`ScheduleResult`] whose [`ScheduleResult::is_legal`] is
+/// false.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScheduleError {
+    /// A scoped repair's fabric invalidated a placement or route outside the
+    /// scope (or the previous schedule does not fit the kernel), so the pins
+    /// cannot hold. A recovery rung whose mask took out hardware another
+    /// domain depends on ends here, and the ladder escalates. [`Start::Empty`]
+    /// and unscoped repairs never return it.
+    PinsBroken,
+}
+
+impl fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScheduleError::PinsBroken => {
+                f.write_str("the fabric invalidates placements or routes pinned outside the scope")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
+
+/// Schedules `kernel` onto `adg` from `start` — the one way into the search.
+/// The path search emits a `sched/path_search` span (`path_search_scoped`
+/// when a scope pins entities) and `scheduler.path_search.*` metrics
+/// (invocations, iterations, victims, candidate expansions, router heap
+/// pops) into `tel`. With a disabled handle the search is byte-for-byte the
+/// same — instrumentation is a handful of `Option` branches and never
+/// touches the RNG.
+///
+/// # Errors
+///
+/// [`ScheduleError::PinsBroken`] when a scoped repair cannot keep its pins.
 ///
 /// # Example
 ///
 /// ```
 /// use dsagen_adg::{presets, BitWidth, Opcode};
 /// use dsagen_dfg::*;
-/// use dsagen_scheduler::{schedule, SchedulerConfig};
+/// use dsagen_scheduler::{schedule, SchedulerConfig, Start};
+/// use dsagen_telemetry::Telemetry;
 ///
 /// let adg = presets::softbrain();
 /// let mut k = KernelBuilder::new("scale");
@@ -117,120 +200,44 @@ impl ScheduleResult {
 /// k.finish_region(r);
 /// let kernel = k.build()?;
 /// let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())?;
-/// let result = schedule(&adg, &ck, &SchedulerConfig::default());
+/// let cfg = SchedulerConfig::default();
+/// let result = schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled())?;
 /// assert!(result.is_legal());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[must_use]
-pub fn schedule(adg: &Adg, kernel: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
-    schedule_instrumented(adg, kernel, cfg, &Telemetry::disabled())
-}
-
-/// [`schedule`] with observability: the path search emits a
-/// `sched/path_search` span and `scheduler.path_search.*` metrics
-/// (invocations, iterations, victims, candidate expansions, router heap
-/// pops) into `tel`.
-/// With a disabled handle this is byte-for-byte the same search as
-/// [`schedule`] — instrumentation is a handful of `Option` branches and
-/// never touches the RNG.
-#[must_use]
-pub fn schedule_instrumented(
+pub fn schedule(
     adg: &Adg,
     kernel: &CompiledKernel,
+    start: &Start<'_>,
     cfg: &SchedulerConfig,
     tel: &Telemetry,
-) -> ScheduleResult {
+) -> Result<ScheduleResult, ScheduleError> {
     let problem = Problem::new(adg, kernel);
-    let initial = Schedule::empty(&problem);
-    let everything = vec![true; problem.entities.len()];
-    search(&problem, &mut Router::new(adg), initial, cfg, &everything, tel)
-}
-
-/// Repairs a previous schedule against a (possibly mutated or
-/// fault-degraded) ADG, then continues iterating — the §V-A repairing
-/// scheduler. Placements on deleted or incompatible hardware are dropped,
-/// routes through severed links or newly-forbidden switch turns are
-/// rerouted, and everything else is reused. The result's
-/// [`ScheduleResult::outcome`] records what was lost.
-///
-/// Retry is bounded escalation: while the result is illegal, the iteration
-/// budget is doubled (and the seed perturbed) and the search re-run from
-/// the same invalidated schedule, up to `max_attempts` total attempts or a
-/// per-attempt budget of 4096 iterations. Returns the first legal result,
-/// or the best illegal one (lowest objective) if every attempt fails —
-/// never panics. With `max_attempts = 1` and `1 ≤ cfg.max_iters ≤ 4096`
-/// this is one search under exactly `cfg`.
-///
-/// The path search reports into `tel` as [`schedule_instrumented`] does.
-#[must_use]
-pub fn repair(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    previous: &Schedule,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-    tel: &Telemetry,
-) -> ScheduleResult {
-    let problem = Problem::new(adg, kernel);
-    let mut start = previous.clone();
-    let (dropped, rerouted) = invalidate(&problem, &mut start);
-    let outcome = if dropped == 0 && rerouted == 0 {
-        RepairOutcome::Clean
-    } else {
-        RepairOutcome::Degraded { dropped, rerouted }
+    let Start::Repair {
+        previous,
+        scope,
+        max_attempts,
+    } = *start
+    else {
+        return Ok(from_empty(&problem, cfg, tel));
     };
-    let everything = vec![true; problem.entities.len()];
-    escalate(&problem, &start, &everything, outcome, cfg, max_attempts, tel)
-}
-
-/// [`repair`] touching **only** the entities of `regions` — every placement
-/// and route outside those regions is pinned bit-identically. This is the
-/// scheduling half of the partial re-placement recovery rung: the afflicted
-/// fault-isolation domain is re-placed while untouched domains keep their
-/// assignments (and therefore their timing). With every region in scope
-/// and `from_scratch` off it is the same search as [`repair`].
-///
-/// With `from_scratch` the afflicted regions' placements and routes are
-/// dropped entirely before the search runs, giving the packer maximum
-/// freedom inside the domain; without it the repair is incremental (only
-/// hardware invalidated by `adg` is re-done).
-///
-/// Returns `None` when the fabric invalidates something *pinned* — the
-/// caller's mask took out hardware a non-afflicted domain depends on, so
-/// this rung is structurally infeasible and the ladder must escalate.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // `repair` plus the scope
-pub fn repair_regions(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    previous: &Schedule,
-    regions: &std::collections::BTreeSet<usize>,
-    from_scratch: bool,
-    cfg: &SchedulerConfig,
-    max_attempts: u32,
-    tel: &Telemetry,
-) -> Option<ScheduleResult> {
-    let problem = Problem::new(adg, kernel);
-    if previous.placement.len() != problem.entities.len() {
-        return None; // shape mismatch: nothing can be pinned meaningfully
+    if scope.is_some() && previous.placement.len() != problem.entities.len() {
+        return Err(ScheduleError::PinsBroken);
     }
-    let mut start = previous.clone();
-    let (dropped, rerouted) = invalidate(&problem, &mut start);
-    // The pins must have survived the fabric: if invalidation touched
-    // anything outside the afflicted regions, scoped repair cannot hold
-    // its contract.
-    if !start.agrees_outside(&problem, previous, regions) {
-        return None;
-    }
-    let allowed: Vec<bool> = problem
-        .entities
-        .iter()
-        .map(|e| regions.contains(&e.region()))
-        .collect();
-    if from_scratch {
-        for (i, &movable) in allowed.iter().enumerate() {
-            if movable {
-                start.unplace(&problem, i);
+    let mut initial = previous.clone();
+    let (dropped, rerouted) = invalidate(&problem, &mut initial);
+    let from_scratch = scope.is_some_and(|scope| scope.from_scratch);
+    let mut allowed = vec![true; problem.entities.len()];
+    if let Some(scope) = scope {
+        // The pins must have survived the fabric: if invalidation touched
+        // anything outside the scope, the repair cannot hold its contract.
+        if !initial.agrees_outside(&problem, previous, scope.regions) {
+            return Err(ScheduleError::PinsBroken);
+        }
+        for (i, entity) in problem.entities.iter().enumerate() {
+            allowed[i] = scope.regions.contains(&entity.region());
+            if allowed[i] && from_scratch {
+                initial.unplace(&problem, i);
             }
         }
     }
@@ -239,7 +246,41 @@ pub fn repair_regions(
     } else {
         RepairOutcome::Degraded { dropped, rerouted }
     };
-    Some(escalate(&problem, &start, &allowed, outcome, cfg, max_attempts, tel))
+    Ok(escalate(
+        &problem,
+        &initial,
+        &allowed,
+        outcome,
+        cfg,
+        max_attempts,
+        tel,
+    ))
+}
+
+/// [`schedule`] from [`Start::Empty`], which cannot fail. Kept only for
+/// its one caller, the benchmark in `benchmark/`; it goes when that
+/// benchmark is next edited.
+#[must_use]
+pub fn schedule_instrumented(
+    adg: &Adg,
+    kernel: &CompiledKernel,
+    cfg: &SchedulerConfig,
+    tel: &Telemetry,
+) -> ScheduleResult {
+    from_empty(&Problem::new(adg, kernel), cfg, tel)
+}
+
+/// One search from the empty schedule under exactly `cfg`.
+fn from_empty(problem: &Problem<'_>, cfg: &SchedulerConfig, tel: &Telemetry) -> ScheduleResult {
+    let everything = vec![true; problem.entities.len()];
+    search(
+        problem,
+        &mut Router::new(problem.adg),
+        Schedule::empty(problem),
+        cfg,
+        &everything,
+        tel,
+    )
 }
 
 /// Drops from `sched` what `problem`'s fabric no longer supports and
@@ -715,6 +756,25 @@ mod tests {
     use super::*;
     use crate::EntityKind;
 
+    fn fresh(adg: &Adg, ck: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
+        schedule(adg, ck, &Start::Empty, cfg, &Telemetry::disabled()).expect("nothing is pinned")
+    }
+
+    fn repair_unscoped(
+        adg: &Adg,
+        ck: &CompiledKernel,
+        previous: &Schedule,
+        cfg: &SchedulerConfig,
+        max_attempts: u32,
+    ) -> ScheduleResult {
+        let start = Start::Repair {
+            previous,
+            scope: None,
+            max_attempts,
+        };
+        schedule(adg, ck, &start, cfg, &Telemetry::disabled()).expect("nothing is pinned")
+    }
+
     fn dot_kernel(n: u64) -> dsagen_dfg::Kernel {
         let mut k = KernelBuilder::new("dot");
         let a = k.array("a", BitWidth::B64, n, MemClass::MainMemory);
@@ -740,7 +800,7 @@ mod tests {
             &adg.features(),
         )
         .unwrap();
-        let result = schedule(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(result.is_legal(), "eval: {:?}", result.eval);
         assert!(result.eval.hops > 0);
     }
@@ -757,7 +817,7 @@ mod tests {
             &adg.features(),
         )
         .unwrap();
-        let result = schedule(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(result.is_legal(), "eval: {:?}", result.eval);
     }
 
@@ -771,8 +831,8 @@ mod tests {
         )
         .unwrap();
         let cfg = SchedulerConfig::default();
-        let a = schedule(&adg, &ck, &cfg);
-        let b = schedule(&adg, &ck, &cfg);
+        let a = fresh(&adg, &ck, &cfg);
+        let b = fresh(&adg, &ck, &cfg);
         assert_eq!(a.schedule.placement, b.schedule.placement);
         assert_eq!(a.eval.objective, b.eval.objective);
     }
@@ -787,7 +847,7 @@ mod tests {
         )
         .unwrap();
         let cfg = SchedulerConfig::default();
-        let first = schedule(&adg, &ck, &cfg);
+        let first = fresh(&adg, &ck, &cfg);
         assert!(first.is_legal());
 
         // Delete one PE that hosts an instruction.
@@ -803,7 +863,7 @@ mod tests {
             .expect("some op is placed");
         adg.remove_node(victim).unwrap();
 
-        let repaired = repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+        let repaired = repair_unscoped(&adg, &ck, &first.schedule, &cfg, 1);
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
         // Nothing is placed on the deleted node.
         assert!(repaired
@@ -823,8 +883,8 @@ mod tests {
         )
         .unwrap();
         let cfg = SchedulerConfig::default();
-        let first = schedule(&adg, &ck, &cfg);
-        let repaired = repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+        let first = fresh(&adg, &ck, &cfg);
+        let repaired = repair_unscoped(&adg, &ck, &first.schedule, &cfg, 1);
         assert!(repaired.is_legal());
         assert!(repaired.eval.objective <= first.eval.objective + 1e-9);
     }
@@ -842,8 +902,17 @@ mod tests {
         let before = invocations();
         let nothing = std::collections::BTreeSet::new();
         let cfg = SchedulerConfig::default();
-        let result = repair_regions(&adg, &ck, &first.schedule, &nothing, false, &cfg, 1, &tel)
-            .expect("an unchanged fabric keeps every pin");
+        let scope = Some(Scope {
+            regions: &nothing,
+            from_scratch: false,
+        });
+        let start = Start::Repair {
+            previous: &first.schedule,
+            scope,
+            max_attempts: 1,
+        };
+        let result =
+            schedule(&adg, &ck, &start, &cfg, &tel).expect("an unchanged fabric keeps every pin");
         assert_eq!(result.schedule, first.schedule);
         assert_eq!(result.iterations, 0);
         assert_eq!(result.outcome, RepairOutcome::Clean);
@@ -860,7 +929,7 @@ mod tests {
             &adg.features(),
         )
         .unwrap();
-        let first = schedule(&adg, &ck, &SchedulerConfig::default());
+        let first = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(first.is_legal());
         (adg, ck, first)
     }
@@ -900,7 +969,7 @@ mod tests {
             patience: 5,
             ..SchedulerConfig::default()
         };
-        let repaired = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+        let repaired = repair_unscoped(&degraded, &ck, &first.schedule, &cfg, 1);
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
         let RepairOutcome::Degraded { dropped, rerouted } = repaired.outcome else {
             panic!("severing a used link must degrade: {:?}", repaired.outcome);
@@ -926,7 +995,7 @@ mod tests {
         );
         // Same fault seed → identical degraded hardware → identical
         // scheduler outcome (end-to-end determinism of the fault pipeline).
-        let again = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+        let again = repair_unscoped(&degraded, &ck, &first.schedule, &cfg, 1);
         assert_eq!(repaired.schedule.placement, again.schedule.placement);
         assert_eq!(repaired.eval.objective, again.eval.objective);
         assert_eq!(repaired.outcome, again.outcome);
@@ -954,7 +1023,7 @@ mod tests {
             patience: 5,
             ..SchedulerConfig::default()
         };
-        let repaired = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+        let repaired = repair_unscoped(&degraded, &ck, &first.schedule, &cfg, 1);
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
         assert!(repaired.outcome.is_degraded());
         assert!(repaired.schedule.placement.iter().all(|p| *p != Some(dead)));
@@ -985,7 +1054,7 @@ mod tests {
                 continue;
             }
             let cfg = SchedulerConfig::default();
-            let repaired = repair(&degraded, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+            let repaired = repair_unscoped(&degraded, &ck, &first.schedule, &cfg, 1);
             // Whatever the outcome, every surviving route must be legal
             // under the stuck routing matrix.
             for (idx, path) in &repaired.schedule.routes {
@@ -1010,7 +1079,7 @@ mod tests {
             patience: 1,
             ..SchedulerConfig::default()
         };
-        let result = repair(&degraded, &ck, &first.schedule, &tiny, 6, &Telemetry::disabled());
+        let result = repair_unscoped(&degraded, &ck, &first.schedule, &tiny, 6);
         assert!(result.is_legal(), "eval: {:?}", result.eval);
     }
 
@@ -1034,7 +1103,7 @@ mod tests {
             max_iters: 4,
             ..SchedulerConfig::default()
         };
-        let result = repair(&gutted, &ck, &first.schedule, &cfg, 3, &Telemetry::disabled());
+        let result = repair_unscoped(&gutted, &ck, &first.schedule, &cfg, 3);
         if gutted.pes().count() == 0 {
             assert!(!result.is_legal());
             assert!(result.eval.unplaced > 0);
@@ -1080,7 +1149,14 @@ mod tests {
             &adg.features(),
         )
         .unwrap();
-        let result = schedule(&adg, &ck, &SchedulerConfig { max_iters: 40, ..Default::default() });
+        let result = fresh(
+            &adg,
+            &ck,
+            &SchedulerConfig {
+                max_iters: 40,
+                ..Default::default()
+            },
+        );
         assert!(!result.is_legal());
         assert!(result.eval.unplaced > 0);
     }
@@ -1119,7 +1195,7 @@ mod tests {
             &adg.features(),
         )
         .unwrap();
-        let result = schedule(&adg, &ck, &SchedulerConfig::default());
+        let result = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(result.is_legal(), "eval: {:?}", result.eval);
         assert_eq!(result.eval.regions.len(), 2);
     }

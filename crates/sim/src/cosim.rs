@@ -175,7 +175,9 @@ mod tests {
     use dsagen_dfg::{
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
-    use dsagen_scheduler::{schedule, SchedulerConfig};
+    use dsagen_scheduler::SchedulerConfig;
+
+    use crate::tests::fresh;
 
     use super::*;
 
@@ -202,7 +204,7 @@ mod tests {
         let adg = presets::softbrain();
         let kernel = axpy(64)?;
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())?;
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal());
         let mut inputs = BTreeMap::new();
         inputs.insert("a".to_string(), (0..64).map(f64::from).collect::<Vec<_>>());
@@ -232,7 +234,7 @@ mod tests {
         let adg = presets::softbrain();
         let kernel = axpy(64)?;
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())?;
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let problem = Problem::new(&adg, &ck);
         let config = verify_round_trip_timed(&problem, &s.schedule, &s.eval)?;
         assert!(config.matches(&s.schedule));
@@ -266,7 +268,7 @@ mod tests {
         let mut adg = presets::softbrain();
         let kernel = axpy(64)?;
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())?;
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let victim = s
             .schedule
             .placement
@@ -300,7 +302,7 @@ mod tests {
         let adg = presets::softbrain();
         let kernel = axpy(4096)?;
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())?;
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal());
         let err = simulate_functional(
             &adg,

@@ -28,7 +28,7 @@
 //! The partition is what lets recovery bound its blast radius: rollback
 //! can be sliced to the afflicted domain
 //! ([`crate::runtime::RuntimeSim::restore_scoped`]), repair can pin every
-//! other domain's placements ([`dsagen_scheduler::repair_regions`]), and
+//! other domain's placements (a [`dsagen_scheduler::Scope`]), and
 //! the DSE can reward designs whose largest domain — the worst-case
 //! recovery scope — stays small.
 
@@ -250,7 +250,9 @@ mod tests {
     use dsagen_dfg::{
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
-    use dsagen_scheduler::{schedule, SchedulerConfig};
+    use dsagen_scheduler::SchedulerConfig;
+
+    use crate::tests::fresh;
 
     use super::*;
 
@@ -274,7 +276,7 @@ mod tests {
     fn single_region_kernel_is_one_domain() {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal());
         let d = RecoveryDomains::derive(&adg, &ck, &s.schedule);
         assert_eq!(d.len(), 1);
@@ -312,7 +314,7 @@ mod tests {
         let adg = presets::softbrain();
         let ck =
             compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal(), "eval: {:?}", s.eval);
         let d = RecoveryDomains::derive(&adg, &ck, &s.schedule);
         assert_eq!(d.region_count(), 2);
@@ -332,7 +334,7 @@ mod tests {
     fn derive_is_deterministic() {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let a = RecoveryDomains::derive(&adg, &ck, &s.schedule);
         let b = RecoveryDomains::derive(&adg, &ck, &s.schedule);
         assert_eq!(a, b);

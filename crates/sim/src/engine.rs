@@ -1170,12 +1170,13 @@ mod reference {
 mod tests {
     use dsagen_adg::presets;
     use dsagen_dfg::{compile_kernel, enumerate_configs, TransformConfig};
-    use dsagen_scheduler::{repair, schedule, EntityKind, ScheduleResult, SchedulerConfig};
+    use dsagen_scheduler::{schedule, EntityKind, ScheduleResult, SchedulerConfig, Start};
     use dsagen_telemetry::Telemetry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use crate::tests::fresh;
 
     /// A hardware view plus what `run_to_completion` derives from it.
     struct Mapping {
@@ -1248,19 +1249,23 @@ mod tests {
         let cfg = SchedulerConfig::default();
         match faulted {
             Some(faulted) => {
-                let result = repair(
+                let result = schedule(
                     &faulted,
                     kernel,
-                    &first.schedule,
+                    &Start::Repair {
+                        previous: &first.schedule,
+                        scope: None,
+                        max_attempts: 1,
+                    },
                     &cfg,
-                    1,
                     &Telemetry::disabled(),
-                );
+                )
+                .unwrap();
                 Mapping::new(faulted, kernel, result)
             }
             None => {
                 let cfg = SchedulerConfig { seed: 77001, ..cfg };
-                Mapping::new(adg.clone(), kernel, schedule(adg, kernel, &cfg))
+                Mapping::new(adg.clone(), kernel, fresh(adg, kernel, &cfg))
             }
         }
     }
@@ -1382,7 +1387,7 @@ mod tests {
                     continue;
                 }
                 let kernel = version(&adg, &w.kernel);
-                let first = schedule(&adg, &kernel, &SchedulerConfig::default());
+                let first = fresh(&adg, &kernel, &SchedulerConfig::default());
                 let mut second = repaired(&adg, &kernel, &first);
                 rotate_memories(&mut second);
                 let first = Mapping::new(adg.clone(), &kernel, first);

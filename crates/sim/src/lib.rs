@@ -23,8 +23,9 @@
 //! ```
 //! use dsagen_adg::{presets, BitWidth, Opcode};
 //! use dsagen_dfg::*;
-//! use dsagen_scheduler::{schedule, SchedulerConfig};
+//! use dsagen_scheduler::{schedule, SchedulerConfig, Start};
 //! use dsagen_sim::{simulate, SimConfig};
+//! use dsagen_telemetry::Telemetry;
 //!
 //! let adg = presets::softbrain();
 //! let mut k = KernelBuilder::new("scale");
@@ -38,7 +39,8 @@
 //! k.finish_region(r);
 //! let kernel = k.build()?;
 //! let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())?;
-//! let sched = schedule(&adg, &ck, &SchedulerConfig::default());
+//! let cfg = SchedulerConfig::default();
+//! let sched = schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled())?;
 //! let report = simulate(&adg, &ck, &sched.schedule, &sched.eval, 0, &SimConfig::default())?;
 //! assert!(report.cycles >= 256);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -232,9 +234,20 @@ mod tests {
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
     use dsagen_model::PerfModel;
-    use dsagen_scheduler::{schedule, SchedulerConfig};
+    use dsagen_scheduler::{schedule, ScheduleResult, SchedulerConfig, Start};
+    use dsagen_telemetry::Telemetry;
 
     use super::*;
+
+    /// `kernel` scheduled onto `adg` from scratch, untraced.
+    pub(crate) fn fresh(
+        adg: &dsagen_adg::Adg,
+        kernel: &dsagen_dfg::CompiledKernel,
+        cfg: &SchedulerConfig,
+    ) -> ScheduleResult {
+        schedule(adg, kernel, &Start::Empty, cfg, &Telemetry::disabled())
+            .expect("nothing is pinned")
+    }
 
     fn dot(n: u64) -> dsagen_dfg::Kernel {
         let mut k = KernelBuilder::new("dot");
@@ -258,7 +271,7 @@ mod tests {
         cfg: &TransformConfig,
     ) -> (dsagen_dfg::CompiledKernel, SimReport, f64) {
         let ck = compile_kernel(kernel, cfg, &adg.features()).unwrap();
-        let s = schedule(adg, &ck, &SchedulerConfig::default());
+        let s = fresh(adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal(), "schedule: {:?}", s.eval);
         let report = simulate(adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
         let est = PerfModel::default().estimate(adg, &ck, &s.schedule, &s.eval, 0);
@@ -312,7 +325,7 @@ mod tests {
     fn config_path_adds_cycles() {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let short = simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
         let long = simulate(&adg, &ck, &s.schedule, &s.eval, 300, &SimConfig::default()).unwrap();
         assert_eq!(long.cycles, short.cycles + 300);
@@ -365,7 +378,7 @@ mod tests {
     fn try_simulate_matches_simulate_on_healthy_hardware() {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let direct =
             simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
         let checked =
@@ -377,7 +390,7 @@ mod tests {
     fn try_simulate_rejects_schedule_on_dead_node() {
         let mut adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal());
         // Kill a node the schedule uses, then simulate the *stale* schedule.
         let victim = s
@@ -405,7 +418,7 @@ mod tests {
     fn try_simulate_rejects_schedule_on_severed_link() {
         let mut adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let used_edge = s
             .schedule
             .routes
@@ -427,7 +440,7 @@ mod tests {
     fn instrumented_run_is_invisible_and_conserves_cycles() {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(1024), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         let plain =
             simulate(&adg, &ck, &s.schedule, &s.eval, 37, &SimConfig::default()).unwrap();
         let tel = dsagen_telemetry::Telemetry::in_memory();

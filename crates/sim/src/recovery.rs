@@ -9,9 +9,11 @@
 //!    faults (stalls corrupt nothing), the newest pre-corruption
 //!    checkpoint for residue-detected faults.
 //! 2. **Repair** — for permanent/intermittent faults the victim is
-//!    decommissioned from the ADG and the schedule repaired around it
-//!    with [`dsagen_scheduler::repair`]; transient faults skip this step
-//!    (the hardware is healthy again by resume).
+//!    masked out of a scratch ADG ([`CapabilityMask::apply`]) and the
+//!    schedule repaired around it by [`dsagen_scheduler::schedule`] from a
+//!    [`Start::Repair`], reporting its path searches into the run's
+//!    telemetry handle; transient faults skip this step (the hardware is
+//!    healthy again by resume).
 //! 3. **Verify** — the (repaired or original) configuration is proven by
 //!    [`verify_round_trip_timed`] before it is allowed near the fabric.
 //! 4. **Reprogram** — the verified bitstream is replayed through a
@@ -72,7 +74,7 @@
 //! [`RecoveryEvent::replayed_cycles_saved`]. Single-domain kernels fall
 //! back to exactly the whole-kernel behaviour.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use dsagen_adg::Adg;
@@ -83,8 +85,8 @@ use dsagen_hwgen::{
     SessionError, SessionState,
 };
 use dsagen_scheduler::{
-    repair_with_mask, repair_with_mask_scoped, CapabilityMask, Evaluation, Problem,
-    RepairOutcome, Schedule, SchedulerConfig, Weights,
+    CapabilityMask, Evaluation, Problem, RepairOutcome, Schedule, SchedulerConfig, Scope, Start,
+    Weights,
 };
 use dsagen_telemetry::Telemetry;
 
@@ -103,7 +105,8 @@ pub struct RecoveryPolicy {
     pub session: SessionConfig,
     /// Maximum recoveries before [`RecoveryError::BudgetExhausted`].
     pub max_recoveries: usize,
-    /// Escalation attempts handed to [`dsagen_scheduler::repair`].
+    /// Escalation attempts (`max_attempts` of [`Start::Repair`]) for every
+    /// rung but the first, which runs one.
     pub repair_attempts: u32,
     /// Parallel configuration paths regenerated after a repair.
     pub config_paths: usize,
@@ -525,40 +528,63 @@ pub fn run_with_recovery(
                     !matches!(fault.lifetime, FaultLifetime::Transient { .. });
                 let (action, sched_now, eval_now) = if needs_repair {
                     let mut rspan = tel.span("recovery", "repair");
-                    let mut chosen = None;
-                    for (rung, mask) in ladder(&adg_now, &fault) {
+                    // Rungs 1–3 repair incrementally under the policy's
+                    // scheduler. When other domains exist, a rung repairs
+                    // only the afflicted domain with every other domain's
+                    // placements and routes pinned; single-domain kernels
+                    // take the exact whole-kernel path. Rung 4, partial
+                    // re-placement, re-places the afflicted domain (or the
+                    // whole kernel when it is one domain) from scratch with
+                    // *normal* objectives over the victim's quarantine
+                    // masks. No fabric-as-is fallback here — that
+                    // concession stays exclusive to the degraded rung below.
+                    let replace_regions: BTreeSet<usize> = if scoped {
+                        afflicted.clone()
+                    } else {
+                        (0..domains.region_count()).collect()
+                    };
+                    let replace_cfg = partial_replace_config(&policy.scheduler);
+                    let structural = ladder(&adg_now, &fault).into_iter().map(|(rung, mask)| {
                         let attempts = match rung {
                             RepairRung::PortReroute => 1,
                             _ => policy.repair_attempts,
                         };
-                        // When other domains exist, the rung repairs only
-                        // the afflicted domain with every other domain's
-                        // placements and routes pinned; single-domain
-                        // kernels take the exact whole-kernel path.
-                        let attempt = if scoped {
-                            repair_with_mask_scoped(
-                                &adg_now,
-                                kernel,
-                                sim.schedule(),
-                                &afflicted,
-                                &policy.scheduler,
-                                attempts,
-                                &mask,
-                                false,
-                            )
-                        } else {
-                            repair_with_mask(
-                                &adg_now,
-                                kernel,
-                                sim.schedule(),
-                                &policy.scheduler,
-                                attempts,
-                                &mask,
-                            )
+                        let scope = scoped.then_some(Scope {
+                            regions: &afflicted,
+                            from_scratch: false,
+                        });
+                        (rung, mask, scope, attempts, &policy.scheduler)
+                    });
+                    let partial = partial_masks(&adg_now, &fault).into_iter().map(|mask| {
+                        let scope = Scope {
+                            regions: &replace_regions,
+                            from_scratch: true,
                         };
-                        let legal = attempt
-                            .as_ref()
-                            .is_ok_and(|(res, _)| res.is_legal());
+                        let attempts = policy.repair_attempts;
+                        (
+                            RepairRung::PartialReplace,
+                            mask,
+                            Some(scope),
+                            attempts,
+                            &replace_cfg,
+                        )
+                    });
+                    let mut chosen = None;
+                    for (rung, mask, scope, max_attempts, rung_cfg) in structural.chain(partial) {
+                        // A mask that breaks graph validity, or a scoped
+                        // repair whose pins broke, fails the rung.
+                        let start = Start::Repair {
+                            previous: sim.schedule(),
+                            scope,
+                            max_attempts,
+                        };
+                        let attempt = mask.apply(&adg_now).ok().and_then(|masked| {
+                            let res =
+                                dsagen_scheduler::schedule(&masked, kernel, &start, rung_cfg, tel)
+                                    .ok()?;
+                            Some((res, masked))
+                        });
+                        let legal = attempt.as_ref().is_some_and(|(res, _)| res.is_legal());
                         tel.emit(|| {
                             dsagen_telemetry::EventData::new("recovery", "rung")
                                 .arg("rung", rung.to_string())
@@ -573,94 +599,22 @@ pub fn run_with_recovery(
                                 format!("rung={rung} legal={legal} scoped={scoped}"),
                             )
                         });
-                        if let Ok((res, masked_adg)) = attempt {
-                            if res.is_legal() {
-                                // Containment proof: a scoped repair must
-                                // leave every pinned domain bit-identical.
-                                if scoped
-                                    && !res.schedule.agrees_outside(
-                                        &Problem::new(&adg_now, kernel),
-                                        sim.schedule(),
-                                        &afflicted,
-                                    )
-                                {
-                                    continue;
-                                }
-                                chosen = Some((res, masked_adg, mask, rung));
-                                break;
-                            }
-                        }
-                    }
-                    // Rung 4, partial re-placement: re-place the afflicted
-                    // domain (or the whole kernel when it is one domain)
-                    // from scratch with *normal* objectives over the
-                    // victim's quarantine masks. No fabric-as-is fallback
-                    // here — that concession stays exclusive to the
-                    // degraded rung below.
-                    if chosen.is_none() {
-                        let replace_regions: std::collections::BTreeSet<usize> = if scoped {
-                            afflicted.clone()
-                        } else {
-                            (0..domains.region_count()).collect()
+                        let Some((res, masked_adg)) = attempt.filter(|_| legal) else {
+                            continue;
                         };
-                        let replace_cfg = partial_replace_config(&policy.scheduler);
-                        for mask in partial_masks(&adg_now, &fault) {
-                            let attempt = repair_with_mask_scoped(
-                                &adg_now,
-                                kernel,
+                        // Containment proof: a scoped repair must leave
+                        // every pinned domain bit-identical.
+                        if scoped
+                            && !res.schedule.agrees_outside(
+                                &Problem::new(&adg_now, kernel),
                                 sim.schedule(),
-                                &replace_regions,
-                                &replace_cfg,
-                                policy.repair_attempts,
-                                &mask,
-                                true,
-                            );
-                            let legal = attempt
-                                .as_ref()
-                                .is_ok_and(|(res, _)| res.is_legal());
-                            tel.emit(|| {
-                                dsagen_telemetry::EventData::new("recovery", "rung")
-                                    .arg("rung", RepairRung::PartialReplace.to_string())
-                                    .arg("legal", legal)
-                                    .arg("scoped", scoped)
-                            });
-                            tel.metrics().add(
-                                &format!(
-                                    "recovery.rung.{}.attempts",
-                                    RepairRung::PartialReplace
-                                ),
-                                1,
-                            );
-                            tel.recorder().record("recovery", || {
-                                (
-                                    "rung".to_string(),
-                                    format!(
-                                        "rung={} legal={legal} scoped={scoped}",
-                                        RepairRung::PartialReplace
-                                    ),
-                                )
-                            });
-                            if let Ok((res, masked_adg)) = attempt {
-                                if res.is_legal() {
-                                    if scoped
-                                        && !res.schedule.agrees_outside(
-                                            &Problem::new(&adg_now, kernel),
-                                            sim.schedule(),
-                                            &afflicted,
-                                        )
-                                    {
-                                        continue;
-                                    }
-                                    chosen = Some((
-                                        res,
-                                        masked_adg,
-                                        mask,
-                                        RepairRung::PartialReplace,
-                                    ));
-                                    break;
-                                }
-                            }
+                                &afflicted,
+                            )
+                        {
+                            continue;
                         }
+                        chosen = Some((res, masked_adg, mask, rung));
+                        break;
                     }
                     match chosen {
                         Some((res, masked_adg, mask, rung)) => {
@@ -697,11 +651,15 @@ pub fn run_with_recovery(
                             for (degraded_adg, mask_desc) in
                                 quarantine_candidates(&adg_now, &fault)
                             {
-                                let res = dsagen_scheduler::schedule(
+                                let Ok(res) = dsagen_scheduler::schedule(
                                     &degraded_adg,
                                     kernel,
+                                    &Start::Empty,
                                     &relaxed,
-                                );
+                                    tel,
+                                ) else {
+                                    continue; // an empty start pins nothing
+                                };
                                 spent += u64::from(res.iterations);
                                 if res.is_legal() {
                                     found = Some((res, degraded_adg, mask_desc));
@@ -980,25 +938,10 @@ fn partial_masks(adg: &Adg, fault: &RuntimeFault) -> Vec<CapabilityMask> {
 /// these in order and keeps the first one that reschedules legally, so
 /// an over-eager quarantine can never turn into an avoidable abort.
 fn quarantine_candidates(adg: &Adg, fault: &RuntimeFault) -> Vec<(Adg, Vec<String>)> {
-    let masks: Vec<CapabilityMask> = match fault.victim {
-        FaultTarget::Node(n) => vec![CapabilityMask::new().with_node(n)],
-        FaultTarget::Edge(e) => {
-            let mut m = Vec::new();
-            if let Some(edge) = adg.edge(e) {
-                m.push(CapabilityMask::new().with_node(edge.dst));
-            }
-            m.push(CapabilityMask::new().with_edge(e));
-            m
-        }
-        FaultTarget::Word(_) => Vec::new(),
-    };
-    let mut out = Vec::new();
-    for mask in masks {
-        if let Ok(masked) = mask.apply(adg) {
-            let desc = mask.describe(adg);
-            out.push((masked, desc));
-        }
-    }
+    let mut out: Vec<_> = partial_masks(adg, fault)
+        .into_iter()
+        .filter_map(|mask| Some((mask.apply(adg).ok()?, mask.describe(adg))))
+        .collect();
     out.push((adg.clone(), Vec::new()));
     out
 }
@@ -1167,7 +1110,9 @@ mod tests {
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
     use dsagen_faults::FaultKind;
-    use dsagen_scheduler::{schedule, Evaluation};
+    use dsagen_scheduler::Evaluation;
+
+    use crate::tests::fresh;
 
     use super::*;
     use crate::simulate;
@@ -1191,7 +1136,7 @@ mod tests {
     fn fixture(n: u64) -> (Adg, CompiledKernel, Schedule, Evaluation) {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(n), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &dsagen_scheduler::SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &dsagen_scheduler::SchedulerConfig::default());
         assert!(s.is_legal(), "schedule: {:?}", s.eval);
         (adg, ck, s.schedule, s.eval)
     }
@@ -1407,7 +1352,7 @@ mod tests {
         );
         let adg = presets::mesh(&presets::MeshConfig::new("saturated", 1, 2, pe));
         let ck = compile_kernel(&dot(n), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &dsagen_scheduler::SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &dsagen_scheduler::SchedulerConfig::default());
         assert!(s.is_legal(), "saturated fixture schedule: {:?}", s.eval);
         (adg, ck, s.schedule, s.eval)
     }

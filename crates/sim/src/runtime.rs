@@ -875,7 +875,9 @@ mod tests {
     use dsagen_dfg::{
         compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
     };
-    use dsagen_scheduler::{schedule, SchedulerConfig};
+    use dsagen_scheduler::SchedulerConfig;
+
+    use crate::tests::fresh;
 
     use super::*;
     use crate::{simulate, SimConfig};
@@ -899,7 +901,7 @@ mod tests {
     fn fixture(n: u64) -> (Adg, CompiledKernel, Schedule, Evaluation) {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(n), &TransformConfig::fallback(), &adg.features()).unwrap();
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal(), "schedule: {:?}", s.eval);
         (adg, ck, s.schedule, s.eval)
     }

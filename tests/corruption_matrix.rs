@@ -38,7 +38,8 @@ use dsagen::faults::{corrupt_frames, FaultKind, FaultPlan};
 use dsagen::hwgen::{
     verify_round_trip, Bitstream, ProgrammingSession, SessionConfig, SessionState,
 };
-use dsagen::scheduler::{schedule, Problem, SchedulerConfig};
+use dsagen::scheduler::{schedule, Problem, SchedulerConfig, Start};
+use dsagen::telemetry::Telemetry;
 use dsagen::workloads::{machsuite, polybench};
 
 type TestResult = Result<(), Box<dyn Error>>;
@@ -87,7 +88,7 @@ fn encode_workload(kernel: &Kernel, seed: u64) -> Result<Bitstream, Box<dyn Erro
         seed,
         ..SchedulerConfig::default()
     };
-    let s = schedule(&adg, &ck, &cfg);
+    let s = schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled()).unwrap();
     let problem = Problem::new(&adg, &ck);
     // The encoder side must round-trip before we bother delivering it.
     let token = verify_round_trip(&problem, &s.schedule)?;

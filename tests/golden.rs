@@ -197,17 +197,19 @@ fn digest_row(
 }
 
 /// One line per scheduler run: every Table-I kernel's fallback version on
-/// three fabrics under two seeds from `schedule`, and for each legal one
-/// the `repair` of that schedule after one placed PE is removed — plus, on
-/// multi-region kernels, `repair_regions` over region 0 alone on that same
+/// three fabrics under two seeds from an empty start, and for each legal one
+/// the repair of that schedule after one placed PE is removed — plus, on
+/// multi-region kernels, a repair scoped to region 0 alone on that same
 /// fabric, incrementally and from scratch (the recovery ladder's rungs). The
+/// rows keep the labels of the functions they were first pinned through
+/// (`repair`, `repair_regions`), so the table's bytes do not move. The
 /// bitstream snapshots above pin two mappings; this pins the search itself,
 /// so a change to the scheduler's loop, RNG draw order or incumbent rule
 /// shows as the first (fabric, kernel, seed) it moves.
 fn schedule_digest_table() -> String {
     use dsagen::adg::presets;
     use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::scheduler::{repair, repair_regions, schedule, Problem};
+    use dsagen::scheduler::{schedule, Problem, Scope, Start};
     use dsagen::telemetry::Telemetry;
 
     let mut out = String::new();
@@ -220,7 +222,8 @@ fn schedule_digest_table() -> String {
                     seed,
                     ..SchedulerConfig::default()
                 };
-                let first = schedule(&adg, &ck, &cfg);
+                let first =
+                    schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled()).unwrap();
                 let _ = writeln!(out, "{}", digest_row(&adg, w.name, seed, "schedule", &first));
                 if !first.is_legal() {
                     continue;
@@ -230,8 +233,18 @@ fn schedule_digest_table() -> String {
                 else {
                     continue;
                 };
-                let repaired =
-                    repair(&faulted, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+                let repaired = schedule(
+                    &faulted,
+                    &ck,
+                    &Start::Repair {
+                        previous: &first.schedule,
+                        scope: None,
+                        max_attempts: 1,
+                    },
+                    &cfg,
+                    &Telemetry::disabled(),
+                )
+                .unwrap();
                 let what = format!("repair without {removed}");
                 let _ = writeln!(
                     out,
@@ -244,25 +257,29 @@ fn schedule_digest_table() -> String {
                 if ck.regions.len() < 2 {
                     continue;
                 }
-                let scope = std::collections::BTreeSet::from([0]);
+                let regions = std::collections::BTreeSet::from([0]);
                 for (from_scratch, mode) in [(false, "incremental"), (true, "from-scratch")] {
                     let what = format!("repair_regions {{0}} {mode} without {removed}");
-                    let row = match repair_regions(
-                        &faulted,
-                        &ck,
-                        &first.schedule,
-                        &scope,
+                    let scope = Some(Scope {
+                        regions: &regions,
                         from_scratch,
-                        &cfg,
-                        2,
-                        &Telemetry::disabled(),
-                    ) {
-                        Some(scoped) => format!(
+                    });
+                    let start = Start::Repair {
+                        previous: &first.schedule,
+                        scope,
+                        max_attempts: 2,
+                    };
+                    let row = match schedule(&faulted, &ck, &start, &cfg, &Telemetry::disabled()) {
+                        Ok(scoped) => format!(
                             "{} outcome={:?}",
                             digest_row(&adg, w.name, seed, &what, &scoped),
                             scoped.outcome,
                         ),
-                        None => format!("{} {} seed={seed} {what} pinned-invalid", adg.name(), w.name),
+                        Err(_) => format!(
+                            "{} {} seed={seed} {what} pinned-invalid",
+                            adg.name(),
+                            w.name
+                        ),
                     };
                     let _ = writeln!(out, "{row}");
                 }

@@ -4,10 +4,17 @@
 //! accounting.
 
 use dsagen::adg::{presets, Adg, BitWidth, OpSet, Opcode};
-use dsagen::dfg::{AffineExpr, LoopVar, StreamPattern, TripCount};
+use dsagen::dfg::{AffineExpr, CompiledKernel, LoopVar, StreamPattern, TripCount};
 use dsagen::hwgen::{generate_config_paths, Bitstream, InstrConfig, NodeConfig, RouteConfig, SyncConfig};
+use dsagen::scheduler::{ScheduleResult, SchedulerConfig, Start};
 use dsagen::telemetry::Telemetry;
 use proptest::prelude::*;
+
+/// `ck` scheduled onto `adg` from scratch, untraced.
+fn fresh(adg: &Adg, ck: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
+    dsagen::scheduler::schedule(adg, ck, &Start::Empty, cfg, &Telemetry::disabled())
+        .expect("nothing is pinned")
+}
 
 proptest! {
     // Structural properties are cheap; a moderate case count keeps the
@@ -247,15 +254,16 @@ proptest! {
 
     #[test]
     fn repair_of_unchanged_hardware_never_regresses(seed in any::<u64>()) {
-        use dsagen::scheduler::{repair, schedule, SchedulerConfig};
+        use dsagen::scheduler::{schedule, SchedulerConfig, Start};
         use dsagen::dfg::{compile_kernel, TransformConfig};
         let adg = presets::softbrain();
         let kernel = dsagen::workloads::polybench::mvt();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .expect("compiles");
         let cfg = SchedulerConfig { max_iters: 60, seed, ..SchedulerConfig::default() };
-        let first = schedule(&adg, &ck, &cfg);
-        let again = repair(&adg, &ck, &first.schedule, &cfg, 1, &Telemetry::disabled());
+        let first = fresh(&adg, &ck, &cfg);
+        let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 1 };
+        let again = schedule(&adg, &ck, &start, &cfg, &Telemetry::disabled()).unwrap();
         prop_assert!(again.eval.objective <= first.eval.objective + 1e-9);
         if first.is_legal() {
             prop_assert!(again.is_legal());
@@ -341,7 +349,7 @@ proptest! {
     fn codesign_pipeline_never_panics_under_faults(seed in any::<u64>(), count in 1usize..8) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::{inject, FaultPlan};
-        use dsagen::scheduler::{repair, schedule, SchedulerConfig};
+        use dsagen::scheduler::{schedule, SchedulerConfig, Start};
         use dsagen::sim::{simulate, SimConfig};
 
         let adg = presets::softbrain();
@@ -349,14 +357,15 @@ proptest! {
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         let cfg = SchedulerConfig { max_iters: 40, patience: 40, ..SchedulerConfig::default() };
-        let first = schedule(&adg, &ck, &cfg);
+        let first = fresh(&adg, &ck, &cfg);
 
         let plan = FaultPlan::random(seed, count);
         let (faulty, _report) = inject(&adg, &plan);
 
         // Repair on degraded hardware must terminate without panicking,
         // legal or not.
-        let repaired = repair(&faulty, &ck, &first.schedule, &cfg, 2, &Telemetry::disabled());
+        let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 2 };
+        let repaired = schedule(&faulty, &ck, &start, &cfg, &Telemetry::disabled()).unwrap();
         if repaired.is_legal() {
             // A legal repaired schedule simulates cleanly on the degraded
             // hardware.
@@ -372,28 +381,30 @@ proptest! {
 
     /// Whole-kernel repair is scoped repair whose scope is every region:
     /// one search loop, one incumbent rule, so on the same faulted fabric
-    /// and seed the two entry points return the same mapping.
+    /// and seed the two starts return the same mapping.
     #[test]
     fn repair_over_every_region_is_whole_kernel_repair(seed in any::<u64>(), count in 1usize..4) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::{inject, FaultPlan};
         use dsagen::hwgen::schedule_digest;
-        use dsagen::scheduler::{repair, repair_regions, schedule, SchedulerConfig};
+        use dsagen::scheduler::{schedule, SchedulerConfig, Scope, Start};
 
         let adg = presets::softbrain();
         let kernel = dsagen::workloads::polybench::mvt();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         let cfg = SchedulerConfig { max_iters: 40, seed, ..SchedulerConfig::default() };
-        let first = schedule(&adg, &ck, &cfg);
+        let first = fresh(&adg, &ck, &cfg);
         let (faulty, _report) = inject(&adg, &FaultPlan::random(seed, count));
 
         let tel = Telemetry::disabled();
-        let whole = repair(&faulty, &ck, &first.schedule, &cfg, 2, &tel);
+        let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 2 };
+        let whole = schedule(&faulty, &ck, &start, &cfg, &tel).unwrap();
         let every_region = (0..ck.regions.len()).collect();
-        let scoped =
-            repair_regions(&faulty, &ck, &first.schedule, &every_region, false, &cfg, 2, &tel)
-                .expect("with every region in scope nothing is pinned");
+        let scope = Some(Scope { regions: &every_region, from_scratch: false });
+        let start = Start::Repair { previous: &first.schedule, scope, max_attempts: 2 };
+        let scoped = schedule(&faulty, &ck, &start, &cfg, &tel)
+            .expect("with every region in scope nothing is pinned");
         prop_assert_eq!(schedule_digest(&whole.schedule), schedule_digest(&scoped.schedule));
         prop_assert_eq!(whole.iterations, scoped.iterations);
         prop_assert_eq!(whole.outcome, scoped.outcome);
@@ -526,7 +537,7 @@ proptest! {
     fn encode_decode_reencode_is_bit_identical(seed in any::<u64>(), which in 0usize..4) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::hwgen::{verify_round_trip, verify_round_trip_timed};
-        use dsagen::scheduler::{schedule, Problem, SchedulerConfig};
+        use dsagen::scheduler::{Problem, SchedulerConfig};
 
         let all = [
             presets::softbrain(),
@@ -539,7 +550,7 @@ proptest! {
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         let cfg = SchedulerConfig { max_iters: 40, seed, ..SchedulerConfig::default() };
-        let s = schedule(adg, &ck, &cfg);
+        let s = fresh(adg, &ck, &cfg);
         let problem = Problem::new(adg, &ck);
         // Whatever schedule the stochastic search produced (legal or not),
         // encode∘decode must be the identity on it.
@@ -566,14 +577,14 @@ proptest! {
     ) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::hwgen::{Bitstream, ProgrammingSession, SessionConfig, SessionState};
-        use dsagen::scheduler::{schedule, Problem, SchedulerConfig};
+        use dsagen::scheduler::{Problem, SchedulerConfig};
 
         let adg = presets::softbrain();
         let kernel = dsagen::workloads::polybench::mvt();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         let cfg = SchedulerConfig { max_iters: 40, seed, ..SchedulerConfig::default() };
-        let s = schedule(&adg, &ck, &cfg);
+        let s = fresh(&adg, &ck, &cfg);
         let problem = Problem::new(&adg, &ck);
         let bs = Bitstream::encode(&problem, &s.schedule);
 
@@ -616,7 +627,7 @@ proptest! {
     ) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::FaultSchedule;
-        use dsagen::scheduler::{schedule, SchedulerConfig};
+        use dsagen::scheduler::SchedulerConfig;
         use dsagen::sim::{simulate, RuntimeConfig, RuntimeSim, SimConfig, StepOutcome};
 
         let all = [presets::softbrain(), presets::spu(), presets::revel()];
@@ -625,7 +636,7 @@ proptest! {
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         let cfg = SchedulerConfig { max_iters: 60, seed, ..SchedulerConfig::default() };
-        let s = schedule(adg, &ck, &cfg);
+        let s = fresh(adg, &ck, &cfg);
         if !s.is_legal() {
             // An occasional unlucky stochastic seed is not this property's
             // concern; legality is covered elsewhere.
@@ -685,9 +696,7 @@ proptest! {
         pick in any::<u64>(),
     ) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
-        use dsagen::scheduler::{
-            evaluate, schedule, CapabilityMask, Problem, SchedulerConfig, Weights,
-        };
+        use dsagen::scheduler::{evaluate, CapabilityMask, Problem, SchedulerConfig, Weights};
 
         let adg = presets::softbrain();
         let kernel = dsagen::workloads::polybench::mvt();
@@ -714,7 +723,7 @@ proptest! {
         let port_masked = CapabilityMask::new().with_edge(eid).apply(&adg).expect("validated");
 
         let cfg = SchedulerConfig { max_iters: 60, seed, ..SchedulerConfig::default() };
-        let under_node = schedule(&node_masked, &ck, &cfg);
+        let under_node = fresh(&node_masked, &ck, &cfg);
         if !under_node.is_legal() {
             // The decommissioned fabric may genuinely be too small; the
             // refinement claim is vacuous for this draw.
@@ -745,10 +754,7 @@ fn partial_replacement_refines_node_decommission() {
 
     use dsagen::adg::EdgeId;
     use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::scheduler::{
-        repair_with_mask, repair_with_mask_scoped, schedule, CapabilityMask, Entity, Problem,
-        SchedulerConfig,
-    };
+    use dsagen::scheduler::{schedule, CapabilityMask, Entity, Problem, SchedulerConfig, Scope, Start};
     use dsagen::sim::RecoveryDomains;
 
     let mut exercised = 0usize;
@@ -758,7 +764,7 @@ fn partial_replacement_refines_node_decommission() {
             .expect("mvt compiles");
         for seed in 0u64..6 {
             let cfg = SchedulerConfig { max_iters: 120, seed, ..SchedulerConfig::default() };
-            let s = schedule(&adg, &ck, &cfg);
+            let s = fresh(&adg, &ck, &cfg);
             if !s.is_legal() {
                 continue;
             }
@@ -800,21 +806,21 @@ fn partial_replacement_refines_node_decommission() {
                 // Coarse rung: decommission the endpoint, repair the
                 // whole kernel. Skip candidates it cannot handle — the
                 // refinement claim is about where it *succeeds*.
-                let Ok((coarse, _)) =
-                    repair_with_mask(&adg, &ck, &s.schedule, &cfg, 4, &node_mask)
-                else {
-                    continue;
-                };
+                let coarse_adg = node_mask.apply(&adg).expect("validated");
+                let start = Start::Repair { previous: &s.schedule, scope: None, max_attempts: 4 };
+                let coarse = schedule(&coarse_adg, &ck, &start, &cfg, &Telemetry::disabled())
+                    .expect("an unscoped start pins nothing");
                 if !coarse.is_legal() {
                     continue;
                 }
                 // Fine rung: mask only the link, re-place only the
                 // afflicted domain from scratch with the others pinned.
                 let pr_cfg = SchedulerConfig { max_iters: 800, ..cfg };
-                let (fine, _) = repair_with_mask_scoped(
-                    &adg, &ck, &s.schedule, &afflicted, &pr_cfg, 4, &edge_mask, true,
-                )
-                .expect("pins hold: the masked link is used only inside the scope");
+                let fine_adg = edge_mask.apply(&adg).expect("validated");
+                let scope = Some(Scope { regions: &afflicted, from_scratch: true });
+                let start = Start::Repair { previous: &s.schedule, scope, max_attempts: 4 };
+                let fine = schedule(&fine_adg, &ck, &start, &pr_cfg, &Telemetry::disabled())
+                    .expect("pins hold: the masked link is used only inside the scope");
                 assert!(
                     fine.is_legal(),
                     "{}: decommission of {dst:?} repairs, so partial re-placement of \
@@ -850,8 +856,8 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
 
     use dsagen::dfg::{compile_kernel, TransformConfig};
     use dsagen::scheduler::{
-        evaluate, repair, repair_regions, schedule, EntityKind, Problem, ScheduleResult,
-        SchedulerConfig,
+        evaluate, schedule, EntityKind, Problem, ScheduleError, ScheduleResult, SchedulerConfig,
+        Scope, Start,
     };
 
     let mut scoped = 0usize;
@@ -865,7 +871,7 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
                     let public = evaluate(&Problem::new(on, &ck), &result.schedule, &cfg.weights);
                     assert_eq!(public, result.eval, "{} {} seed {seed}: {what}", on.name(), kernel.name);
                 };
-                let first = schedule(&adg, &ck, &cfg);
+                let first = fresh(&adg, &ck, &cfg);
                 agrees(&adg, "schedule", &first);
                 // Take away a PE the mapping uses, as the digest table does.
                 let problem = Problem::new(&adg, &ck);
@@ -884,18 +890,22 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
                     continue;
                 };
                 let tel = Telemetry::disabled();
-                agrees(&faulted, "repair", &repair(&faulted, &ck, &first.schedule, &cfg, 2, &tel));
-                let scope = BTreeSet::from([0]);
-                if let Some(result) =
-                    repair_regions(&faulted, &ck, &first.schedule, &scope, true, &cfg, 2, &tel)
-                {
-                    agrees(&faulted, "repair_regions from scratch", &result);
-                    scoped += 1;
+                let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 2 };
+                agrees(&faulted, "repair", &schedule(&faulted, &ck, &start, &cfg, &tel).unwrap());
+                let regions = BTreeSet::from([0]);
+                let scope = Some(Scope { regions: &regions, from_scratch: true });
+                let start = Start::Repair { previous: &first.schedule, scope, max_attempts: 2 };
+                match schedule(&faulted, &ck, &start, &cfg, &tel) {
+                    Ok(result) => {
+                        agrees(&faulted, "scoped repair from scratch", &result);
+                        scoped += 1;
+                    }
+                    Err(ScheduleError::PinsBroken) => {}
                 }
             }
         }
     }
-    assert!(scoped > 0, "no scoped repair kept its pins: repair_regions was never exercised");
+    assert!(scoped > 0, "no scoped repair kept its pins: scoped repair was never exercised");
 }
 
 proptest! {
@@ -917,7 +927,7 @@ proptest! {
     ) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::{FaultKind, FaultLifetime, FaultSchedule};
-        use dsagen::scheduler::{schedule, SchedulerConfig};
+        use dsagen::scheduler::SchedulerConfig;
         use dsagen::sim::{
             run_with_recovery, simulate, RecoveryDomains, RecoveryPolicy, RuntimeConfig,
             RuntimeSim, SimConfig, StepOutcome,
@@ -930,7 +940,7 @@ proptest! {
         let kernel = dsagen::workloads::polybench::mvt();
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
-        let s = schedule(adg, &ck, &SchedulerConfig::default());
+        let s = fresh(adg, &ck, &SchedulerConfig::default());
         if !s.is_legal() {
             return Ok(());
         }
@@ -1024,7 +1034,7 @@ proptest! {
         use dsagen::dfg::{
             compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
         };
-        use dsagen::scheduler::{schedule, SchedulerConfig};
+        use dsagen::scheduler::SchedulerConfig;
 
         let pe = PeSpec::new(
             Scheduling::Static,
@@ -1047,7 +1057,7 @@ proptest! {
         let kernel = k.build().expect("dot builds");
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
-        let s = schedule(&adg, &ck, &SchedulerConfig::default());
+        let s = fresh(&adg, &ck, &SchedulerConfig::default());
         if !s.is_legal() {
             return Ok(());
         }

@@ -27,7 +27,7 @@ use dsagen::dfg::Kernel;
 use dsagen::faults::{FaultSchedule, StormConfig};
 use dsagen::prelude::*;
 use dsagen::sim::SimConfig;
-use dsagen::telemetry::Telemetry;
+use dsagen::telemetry::{Event, MetricsRegistry, Telemetry};
 
 /// Seeds for the soak matrix. `DSAGEN_SOAK_SEED=<u64>` narrows the run
 /// to a single seed so CI can shard storms across jobs.
@@ -258,7 +258,7 @@ fn degraded_telemetry_spans_are_emitted_when_the_ladder_bottoms_out() {
         FaultLifetime::Permanent,
         FaultKind::DeadPe,
     );
-    let tel = Telemetry::in_memory();
+    let tel = Telemetry::in_memory().with_metrics(MetricsRegistry::enabled());
     let out = recover_with_degradation(
         &adg,
         &compiled,
@@ -292,6 +292,32 @@ fn degraded_telemetry_spans_are_emitted_when_the_ladder_bottoms_out() {
         events.iter().any(|e| e.cat == "recovery" && e.name == "rung"),
         "missing recovery rung attribution"
     );
+    // The ladder's path searches reach the trace and the metrics: the
+    // structural rungs' repairs inside `recovery/repair`, the relaxed
+    // reschedule inside the degraded `reschedule`.
+    let searches: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.cat == "sched" && e.name.starts_with("path_search"))
+        .collect();
+    for (cat, name) in [("recovery", "repair"), ("recovery/degraded", "reschedule")] {
+        let inside = events
+            .iter()
+            .filter(|e| e.cat == cat && e.name == name)
+            .any(|outer| searches.iter().any(|search| encloses(outer, search)));
+        assert!(inside, "no sched/path_search span inside {cat}/{name}");
+    }
+    let invocations = tel.metrics().snapshot().counter("scheduler.path_search.invocations");
+    assert!(invocations.unwrap_or(0) > 0, "recovery's searches are not counted");
+}
+
+/// Whether span `inner` ran inside span `outer`: same thread, deeper, and
+/// within its interval.
+fn encloses(outer: &Event, inner: &Event) -> bool {
+    let end = |e: &Event| e.ts_us + e.dur_us.unwrap_or(0);
+    outer.tid == inner.tid
+        && inner.depth > outer.depth
+        && outer.ts_us <= inner.ts_us
+        && end(inner) <= end(outer)
 }
 
 /// The concurrent multi-domain workload: `pipe-split`'s two live

@@ -15,7 +15,7 @@
 
 use dsagen::prelude::*;
 use dsagen::sim::{simulate, simulate_instrumented, SimConfig, SimTelemetry};
-use dsagen::telemetry::{chrome_trace, Telemetry};
+use dsagen::telemetry::{chrome_trace, Event, Telemetry};
 use proptest::prelude::*;
 
 fn quick_opts() -> CompileOptions {
@@ -174,6 +174,16 @@ fn conservation_laws_hold_across_presets_and_workloads() {
     assert!(with_pes >= 8, "only {with_pes}/{ran} runs produced PE counters");
 }
 
+/// Whether span `inner` ran inside span `outer`: same thread, deeper, and
+/// within its interval.
+fn encloses(outer: &Event, inner: &Event) -> bool {
+    let end = |e: &Event| e.ts_us + e.dur_us.unwrap_or(0);
+    outer.tid == inner.tid
+        && inner.depth > outer.depth
+        && outer.ts_us <= inner.ts_us
+        && end(inner) <= end(outer)
+}
+
 #[test]
 fn instrumented_compile_is_invisible_and_produces_loadable_trace() {
     let adg = dsagen::adg::presets::softbrain();
@@ -194,6 +204,17 @@ fn instrumented_compile_is_invisible_and_produces_loadable_trace() {
         assert!(
             events.iter().any(|e| e.cat == "phase" && e.name == phase),
             "missing phase span {phase}"
+        );
+    }
+
+    // Each candidate's scheduling phase holds the path search it ran.
+    let searches: Vec<&Event> =
+        events.iter().filter(|e| e.cat == "sched" && e.name == "path_search").collect();
+    for phase in events.iter().filter(|e| e.cat == "phase" && e.name == "schedule") {
+        assert!(
+            searches.iter().any(|search| encloses(phase, search)),
+            "a phase/schedule span at {} us has no sched/path_search inside it",
+            phase.ts_us
         );
     }
 
