@@ -152,7 +152,9 @@ impl Routing {
     pub fn allows(&self, input: usize, output: usize) -> bool {
         match self {
             Routing::FullCrossbar => true,
-            Routing::Matrix(m) => m.get(input).is_some_and(|row| row.get(output) == Some(&true)),
+            Routing::Matrix(m) => m
+                .get(input)
+                .is_some_and(|row| row.get(output) == Some(&true)),
         }
     }
 }
@@ -583,8 +585,12 @@ mod tests {
         let static_pe = PeSpec::new(Scheduling::Static, Sharing::Dedicated, OpSet::integer_alu())
             .with_stream_join(true);
         assert!(!static_pe.supports_stream_join());
-        let dyn_pe = PeSpec::new(Scheduling::Dynamic, Sharing::Dedicated, OpSet::integer_alu())
-            .with_stream_join(true);
+        let dyn_pe = PeSpec::new(
+            Scheduling::Dynamic,
+            Sharing::Dedicated,
+            OpSet::integer_alu(),
+        )
+        .with_stream_join(true);
         assert!(dyn_pe.supports_stream_join());
     }
 

@@ -106,10 +106,7 @@ mod tests {
     #[test]
     fn labels_override_default_names() {
         let mut adg = Adg::new("l");
-        adg.add_labeled(
-            crate::NodeKind::Control(CtrlSpec::new()),
-            "my-control-core",
-        );
+        adg.add_labeled(crate::NodeKind::Control(CtrlSpec::new()), "my-control-core");
         assert!(adg.to_dot().contains("my-control-core"));
     }
 }

@@ -161,7 +161,9 @@ mod tests {
         adg.add_pe(
             PeSpec::new(
                 Scheduling::Dynamic,
-                Sharing::Shared { max_instructions: 8 },
+                Sharing::Shared {
+                    max_instructions: 8,
+                },
                 OpSet::floating_point(),
             )
             .with_stream_join(true),

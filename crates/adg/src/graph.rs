@@ -211,7 +211,9 @@ impl Adg {
     ///
     /// Returns [`AdgError::UnknownNode`] if the node does not exist.
     pub fn kind(&self, id: NodeId) -> Result<&NodeKind, AdgError> {
-        self.node(id).map(|n| &n.kind).ok_or(AdgError::UnknownNode(id))
+        self.node(id)
+            .map(|n| &n.kind)
+            .ok_or(AdgError::UnknownNode(id))
     }
 
     /// Iterates over live nodes in id order.
@@ -270,7 +272,12 @@ impl Adg {
             return Err(AdgError::UnknownNode(dst));
         }
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Some(Edge { id, src, dst, width }));
+        self.edges.push(Some(Edge {
+            id,
+            src,
+            dst,
+            width,
+        }));
         self.out_adj[src.index()].push(id);
         self.in_adj[dst.index()].push(id);
         Ok(id)
@@ -413,10 +420,7 @@ impl Adg {
         let mut queue = VecDeque::from([from]);
         while let Some(n) = queue.pop_front() {
             let d = dist[n.index()].expect("queued nodes have distances");
-            let neighbors: Vec<NodeId> = self
-                .successors(n)
-                .chain(self.predecessors(n))
-                .collect();
+            let neighbors: Vec<NodeId> = self.successors(n).chain(self.predecessors(n)).collect();
             for m in neighbors {
                 if dist[m.index()].is_none() {
                     dist[m.index()] = Some(d + 1);
@@ -625,7 +629,10 @@ mod tests {
     fn validate_rejects_memory_into_static_pe() {
         let (mut adg, _, mem, _, pe) = small();
         let bad = adg.add_link(mem, pe).unwrap();
-        assert_eq!(adg.validate(), Err(AdgError::MemoryFeedsStatic { edge: bad }));
+        assert_eq!(
+            adg.validate(),
+            Err(AdgError::MemoryFeedsStatic { edge: bad })
+        );
     }
 
     #[test]

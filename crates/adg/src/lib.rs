@@ -55,8 +55,8 @@ pub mod text;
 
 pub use bits::BitWidth;
 pub use components::{
-    CtrlKind, CtrlSpec, DelaySpec, MemControllers, MemKind, MemSpec, NodeKind, PeSpec, Routing, Scheduling,
-    Sharing, SwitchSpec, SyncSpec,
+    CtrlKind, CtrlSpec, DelaySpec, MemControllers, MemKind, MemSpec, NodeKind, PeSpec, Routing,
+    Scheduling, Sharing, SwitchSpec, SyncSpec,
 };
 pub use error::AdgError;
 pub use features::FeatureSet;

@@ -171,16 +171,28 @@ impl Opcode {
             Mul => ((int(args[0])).wrapping_mul(int(args[1]))) as f64,
             Div => {
                 let d = int(args[1]);
-                if d == 0 { 0.0 } else { (int(args[0]) / d) as f64 }
+                if d == 0 {
+                    0.0
+                } else {
+                    (int(args[0]) / d) as f64
+                }
             }
             Rem => {
                 let d = int(args[1]);
-                if d == 0 { 0.0 } else { (int(args[0]) % d) as f64 }
+                if d == 0 {
+                    0.0
+                } else {
+                    (int(args[0]) % d) as f64
+                }
             }
             Abs => (int(args[0]).wrapping_abs()) as f64,
             Min => args[0].min(args[1]),
             Max => args[0].max(args[1]),
-            Mac => ((int(args[0])).wrapping_mul(int(args[1])).wrapping_add(int(args[2]))) as f64,
+            Mac => {
+                ((int(args[0]))
+                    .wrapping_mul(int(args[1]))
+                    .wrapping_add(int(args[2]))) as f64
+            }
             And => (int(args[0]) & int(args[1])) as f64,
             Or => (int(args[0]) | int(args[1])) as f64,
             Xor => (int(args[0]) ^ int(args[1])) as f64,
@@ -224,8 +236,26 @@ impl Opcode {
         use Opcode::*;
         matches!(
             self,
-            Add | Sub | Mul | Mac | Abs | Min | Max | And | Or | Xor | Not | Shl | Shr | CmpEq
-                | CmpNe | CmpLt | CmpLe | CmpGt | CmpGe | Select | Copy
+            Add | Sub
+                | Mul
+                | Mac
+                | Abs
+                | Min
+                | Max
+                | And
+                | Or
+                | Xor
+                | Not
+                | Shl
+                | Shr
+                | CmpEq
+                | CmpNe
+                | CmpLt
+                | CmpLe
+                | CmpGt
+                | CmpGe
+                | Select
+                | Copy
         )
     }
 }
@@ -290,7 +320,9 @@ impl OpSet {
     #[must_use]
     pub fn floating_point() -> Self {
         use Opcode::*;
-        OpSet::from_iter([FAdd, FSub, FMul, FDiv, FMac, FSqrt, FMin, FMax, FCmpLt, Sigmoid])
+        OpSet::from_iter([
+            FAdd, FSub, FMul, FDiv, FMac, FSqrt, FMin, FMax, FCmpLt, Sigmoid,
+        ])
     }
 
     /// Adds an opcode; returns whether it was newly inserted.

@@ -6,8 +6,8 @@
 //! (vector ports), and a spatial fabric of PEs and switches.
 
 use crate::{
-    Adg, BitWidth, CtrlSpec, DelaySpec, MemControllers, MemSpec, NodeId, OpSet, PeSpec,
-    Scheduling, Sharing, SwitchSpec, SyncSpec,
+    Adg, BitWidth, CtrlSpec, DelaySpec, MemControllers, MemSpec, NodeId, OpSet, PeSpec, Scheduling,
+    Sharing, SwitchSpec, SyncSpec,
 };
 
 /// Configuration for [`mesh`], the generic mesh-fabric builder.
@@ -175,7 +175,8 @@ pub fn mesh(cfg: &MeshConfig) -> Adg {
     }
     for (i, sy) in outputs.iter().enumerate() {
         for k in 0..fan {
-            adg.add_link(switches[rows - 1][(i + k) % cols], *sy).unwrap();
+            adg.add_link(switches[rows - 1][(i + k) % cols], *sy)
+                .unwrap();
         }
     }
     adg
@@ -204,14 +205,8 @@ pub fn softbrain() -> Adg {
 pub fn maeri() -> Adg {
     let depth = 4usize; // 16 leaf multipliers + 15 reduce adders
     let leaves = 1usize << depth;
-    let (mut adg, _main, _spad, inputs, outputs) = skeleton(
-        "maeri",
-        MemSpec::scratchpad(16 << 10, 64),
-        8,
-        3,
-        8,
-        16,
-    );
+    let (mut adg, _main, _spad, inputs, outputs) =
+        skeleton("maeri", MemSpec::scratchpad(16 << 10, 64), 8, 3, 8, 16);
 
     // Distribute tree: root switch at level 0 down to `leaves` switches.
     // MAERI's fat links are bidirectional (partial sums flow back up).
@@ -261,7 +256,11 @@ pub fn maeri() -> Adg {
     let mut pes = Vec::with_capacity(leaves);
     for (i, sw) in level.iter().enumerate() {
         let pe = adg.add_labeled(
-            crate::NodeKind::Pe(PeSpec::new(Scheduling::Static, Sharing::Dedicated, leaf_ops)),
+            crate::NodeKind::Pe(PeSpec::new(
+                Scheduling::Static,
+                Sharing::Dedicated,
+                leaf_ops,
+            )),
             format!("mult{i}"),
         );
         // Operands from the leaf switch (twice) and its lateral neighbor;
@@ -283,7 +282,11 @@ pub fn maeri() -> Adg {
         let mut next = Vec::with_capacity(frontier.len() / 2);
         for (i, pair) in frontier.chunks(2).enumerate() {
             let add = adg.add_labeled(
-                crate::NodeKind::Pe(PeSpec::new(Scheduling::Static, Sharing::Dedicated, leaf_ops)),
+                crate::NodeKind::Pe(PeSpec::new(
+                    Scheduling::Static,
+                    Sharing::Dedicated,
+                    leaf_ops,
+                )),
                 format!("red{lvl}_{i}"),
             );
             for p in pair {
@@ -466,14 +469,8 @@ pub fn revel() -> Adg {
 /// only limited flexibility" (§III-C, Fig 4b).
 #[must_use]
 pub fn cca() -> Adg {
-    let (mut adg, _main, _spad, inputs, outputs) = skeleton(
-        "cca",
-        MemSpec::scratchpad(8 << 10, 32),
-        2,
-        1,
-        4,
-        8,
-    );
+    let (mut adg, _main, _spad, inputs, outputs) =
+        skeleton("cca", MemSpec::scratchpad(8 << 10, 32), 2, 1, 4, 8);
     let ops = OpSet::integer_alu().union(OpSet::integer_mul());
     let widths = [4usize, 2, 1];
     let mut prev: Vec<NodeId> = Vec::new();
@@ -604,13 +601,9 @@ pub fn diannao_tree() -> Adg {
 /// indirect memory controller".
 #[must_use]
 pub fn dse_initial() -> Adg {
-    let pe = PeSpec::new(
-        Scheduling::Dynamic,
-        Sharing::Dedicated,
-        OpSet::all(),
-    )
-    .with_stream_join(true)
-    .with_decomposable(true);
+    let pe = PeSpec::new(Scheduling::Dynamic, Sharing::Dedicated, OpSet::all())
+        .with_stream_join(true)
+        .with_decomposable(true);
     let mut cfg = MeshConfig::new("dse-initial", 5, 4, pe);
     cfg.switch = SwitchSpec::new(BitWidth::B64)
         .with_scheduling(Scheduling::Dynamic)
@@ -767,10 +760,7 @@ pub fn plasticine() -> Adg {
         adg.add_link(grid[r][c], entry).unwrap();
         let mut prev: Option<NodeId> = None;
         for s in 0..4usize {
-            let stage = adg.add_labeled(
-                crate::NodeKind::Pe(pe.clone()),
-                format!("pcu{u}_s{s}"),
-            );
+            let stage = adg.add_labeled(crate::NodeKind::Pe(pe.clone()), format!("pcu{u}_s{s}"));
             // Stage operands: pipeline predecessor + the entry FIFO + the
             // local grid switch (cross-unit operands).
             adg.add_link(entry, stage).unwrap();
@@ -780,7 +770,8 @@ pub fn plasticine() -> Adg {
             }
             prev = Some(stage);
         }
-        adg.add_link(prev.expect("four stages"), grid[r][c]).unwrap();
+        adg.add_link(prev.expect("four stages"), grid[r][c])
+            .unwrap();
     }
 
     // Two PMUs: banked scratchpad + address-datapath PE in grid column 1.
@@ -839,14 +830,8 @@ pub fn plasticine() -> Adg {
 /// a decoupled memory feeding the cluster through sync elements.
 #[must_use]
 pub fn tabla() -> Adg {
-    let (mut adg, _main, _spad, inputs, outputs) = skeleton(
-        "tabla",
-        MemSpec::scratchpad(8 << 10, 64),
-        6,
-        3,
-        4,
-        16,
-    );
+    let (mut adg, _main, _spad, inputs, outputs) =
+        skeleton("tabla", MemSpec::scratchpad(8 << 10, 64), 6, 3, 4, 16);
     // TABLA accelerates statistical ML training: multiply-accumulate on
     // reals plus the usual ALU.
     let ops = OpSet::integer_alu()

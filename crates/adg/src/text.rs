@@ -300,16 +300,14 @@ pub fn from_text(text: &str) -> Result<Adg, ParseError> {
     for slot in 0..max_eid {
         match edges.remove(&slot) {
             Some((src, dst, width, lineno)) => {
-                let s = added
-                    .get(src)
-                    .copied()
-                    .flatten()
-                    .ok_or_else(|| err(lineno, format!("edge references unknown node n{src}")))?;
-                let d = added
-                    .get(dst)
-                    .copied()
-                    .flatten()
-                    .ok_or_else(|| err(lineno, format!("edge references unknown node n{dst}")))?;
+                let s =
+                    added.get(src).copied().flatten().ok_or_else(|| {
+                        err(lineno, format!("edge references unknown node n{src}"))
+                    })?;
+                let d =
+                    added.get(dst).copied().flatten().ok_or_else(|| {
+                        err(lineno, format!("edge references unknown node n{dst}"))
+                    })?;
                 let w = BitWidth::new(width).map_err(|e| err(lineno, e.to_string()))?;
                 let eid = adg
                     .add_link_with_width(s, d, w)
@@ -480,14 +478,12 @@ fn parse_kind(kind: &str, rest: &[&str], lineno: usize) -> Result<NodeKind, Pars
         })),
         "pe" => Ok(NodeKind::Pe(PeSpec {
             scheduling: parse_sched(
-                a.kv
-                    .get("sched")
+                a.kv.get("sched")
                     .ok_or_else(|| err(lineno, "missing pe scheduling"))?,
                 lineno,
             )?,
             sharing: parse_share(
-                a.kv
-                    .get("share")
+                a.kv.get("share")
                     .ok_or_else(|| err(lineno, "missing pe sharing"))?,
                 lineno,
             )?,
@@ -509,8 +505,7 @@ fn parse_kind(kind: &str, rest: &[&str], lineno: usize) -> Result<NodeKind, Pars
             };
             Ok(NodeKind::Switch(SwitchSpec {
                 scheduling: parse_sched(
-                    a.kv
-                        .get("sched")
+                    a.kv.get("sched")
                         .ok_or_else(|| err(lineno, "missing switch scheduling"))?,
                     lineno,
                 )?,
@@ -558,10 +553,7 @@ mod tests {
         assert!(parsed.node(victim).is_none());
         // Surviving ids resolve to the same components.
         for node in adg.nodes() {
-            assert_eq!(
-                parsed.node(node.id()).map(|n| &n.kind),
-                Some(&node.kind)
-            );
+            assert_eq!(parsed.node(node.id()).map(|n| &n.kind), Some(&node.kind));
         }
     }
 
@@ -570,10 +562,16 @@ mod tests {
         let cases = [
             ("node n0 pe sched=static share=dedicated width=64", 1), // no header
             ("adg \"x\"\nnode n0 frobnicator", 2),
-            ("adg \"x\"\nnode n0 pe sched=waat share=dedicated width=64", 2),
+            (
+                "adg \"x\"\nnode n0 pe sched=waat share=dedicated width=64",
+                2,
+            ),
             ("adg \"x\"\nnode n0 sync depth=8 lanes=1 width=63", 2),
             ("adg \"x\"\nedge e0 n0 -> n1 width=64", 2),
-            ("adg \"x\"\nnode n0 pe sched=static share=dedicated width=64 ops=Zorp", 2),
+            (
+                "adg \"x\"\nnode n0 pe sched=static share=dedicated width=64 ops=Zorp",
+                2,
+            ),
         ];
         for (text, line) in cases {
             let e = from_text(text).expect_err(text);

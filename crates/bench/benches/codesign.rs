@@ -35,7 +35,9 @@ fn bench_area_model(c: &mut Criterion) {
     });
     let model = AreaPowerModel::default();
     let adg = presets::dse_initial();
-    c.bench_function("model/estimate-adg", |b| b.iter(|| model.estimate_adg(&adg)));
+    c.bench_function("model/estimate-adg", |b| {
+        b.iter(|| model.estimate_adg(&adg))
+    });
 }
 
 fn bench_hwgen(c: &mut Criterion) {

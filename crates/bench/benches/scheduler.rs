@@ -58,7 +58,11 @@ fn bench_repair_vs_remap(c: &mut Criterion) {
     adg.remove_node(victim).expect("victim exists");
 
     c.bench_function("repair/after-pe-removal", |b| {
-        let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 1 };
+        let start = Start::Repair {
+            previous: &first.schedule,
+            scope: None,
+            max_attempts: 1,
+        };
         b.iter(|| schedule(&adg, &ck, &start, &cfg, &Telemetry::disabled()).unwrap())
     });
     c.bench_function("repair/full-remap-baseline", |b| {

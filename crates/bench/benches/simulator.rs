@@ -51,7 +51,15 @@ fn bench_simulate(c: &mut Criterion) {
         assert!(res.is_legal(), "{name}: {:?}", res.eval);
         c.bench_function(&format!("simulate/{name}"), |b| {
             b.iter(|| {
-                simulate(&adg, &ck, &res.schedule, &res.eval, 0, &SimConfig::default()).unwrap()
+                simulate(
+                    &adg,
+                    &ck,
+                    &res.schedule,
+                    &res.eval,
+                    0,
+                    &SimConfig::default(),
+                )
+                .unwrap()
             })
         });
     }

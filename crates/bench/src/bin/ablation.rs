@@ -44,9 +44,14 @@ fn run_without_windows(adg: &dsagen_adg::Adg, kernel: &dsagen_dfg::Kernel) -> Op
         if !result.is_legal() {
             continue;
         }
-        let Ok(report) =
-            simulate(adg, &version, &result.schedule, &result.eval, 0, &SimConfig::default())
-        else {
+        let Ok(report) = simulate(
+            adg,
+            &version,
+            &result.schedule,
+            &result.eval,
+            0,
+            &SimConfig::default(),
+        ) else {
             continue;
         };
         if best.is_none_or(|b| report.cycles < b) {
@@ -111,8 +116,7 @@ fn main() {
         }
     }
     coal.set_name("revel+coalescing");
-    let area_delta =
-        model.estimate_adg(&coal).area_mm2 - model.estimate_adg(&base).area_mm2;
+    let area_delta = model.estimate_adg(&coal).area_mm2 - model.estimate_adg(&base).area_mm2;
     for kernel in [dsagen::workloads::dsp::fft(), dsagen::workloads::dsp::qr()] {
         let (_, plain) = run_workload(&base, &kernel);
         let (_, merged) = run_workload(&coal, &kernel);
@@ -157,7 +161,9 @@ fn main() {
     let mut lost = Vec::new();
     for w in dsagen::workloads::suite(dsagen::workloads::Suite::PolyBench)
         .into_iter()
-        .chain(dsagen::workloads::suite(dsagen::workloads::Suite::MachSuite))
+        .chain(dsagen::workloads::suite(
+            dsagen::workloads::Suite::MachSuite,
+        ))
     {
         match dsagen::compile(&fsm, &w.kernel, &opts) {
             Ok(_) => kept.push(w.name),

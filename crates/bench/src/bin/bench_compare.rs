@@ -93,8 +93,14 @@ fn str_of<'a>(v: &'a JsonValue, key: &str) -> &'a str {
 
 /// Soak artifact: per-preset storm aggregates keyed by preset name.
 fn compare_soak(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check>) {
-    let committed_presets = committed.get("presets").and_then(JsonValue::as_array).unwrap_or(&[]);
-    let fresh_presets = fresh.get("presets").and_then(JsonValue::as_array).unwrap_or(&[]);
+    let committed_presets = committed
+        .get("presets")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
+    let fresh_presets = fresh
+        .get("presets")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
     for c in committed_presets {
         let name = str_of(c, "preset");
         let Some(f) = fresh_presets.iter().find(|f| str_of(f, "preset") == name) else {
@@ -102,11 +108,16 @@ fn compare_soak(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check
             continue;
         };
         if let (Some(cm), Some(fm)) = (num(c, "mean_mttr_cycles"), num(f, "mean_mttr_cycles")) {
-            checks.extend(check_larger_is_worse(format!("{name} mean_mttr_cycles"), cm, fm));
+            checks.extend(check_larger_is_worse(
+                format!("{name} mean_mttr_cycles"),
+                cm,
+                fm,
+            ));
         }
-        if let (Some(cr), Some(fr)) =
-            (num(c, "mean_throughput_ratio"), num(f, "mean_throughput_ratio"))
-        {
+        if let (Some(cr), Some(fr)) = (
+            num(c, "mean_throughput_ratio"),
+            num(f, "mean_throughput_ratio"),
+        ) {
             checks.extend(check_smaller_is_worse(
                 format!("{name} mean_throughput_ratio"),
                 cr,
@@ -115,7 +126,10 @@ fn compare_soak(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check
         }
     }
     // Informational only: the committed artifact may predate this counter.
-    match (num(committed, "full_reschedules"), num(fresh, "full_reschedules")) {
+    match (
+        num(committed, "full_reschedules"),
+        num(fresh, "full_reschedules"),
+    ) {
         (Some(c), Some(f)) => println!("info: full_reschedules committed {c:.0} -> fresh {f:.0}"),
         (None, Some(f)) => println!("info: full_reschedules fresh {f:.0} (no committed baseline)"),
         _ => {}
@@ -125,21 +139,34 @@ fn compare_soak(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check
 /// Recovery artifact: per (preset, kernel) transient MTTR and permanent
 /// throughput ratio / MTTR.
 fn compare_recovery(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check>) {
-    let committed_rows = committed.get("rows").and_then(JsonValue::as_array).unwrap_or(&[]);
-    let fresh_rows = fresh.get("rows").and_then(JsonValue::as_array).unwrap_or(&[]);
+    let committed_rows = committed
+        .get("rows")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
+    let fresh_rows = fresh
+        .get("rows")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
     for c in committed_rows {
         let key = (str_of(c, "preset"), str_of(c, "kernel"));
         let Some(f) = fresh_rows
             .iter()
             .find(|f| (str_of(f, "preset"), str_of(f, "kernel")) == key)
         else {
-            println!("note: row {}/{} present in committed but not fresh — skipped", key.0, key.1);
+            println!(
+                "note: row {}/{} present in committed but not fresh — skipped",
+                key.0, key.1
+            );
             continue;
         };
         let tag = format!("{}/{}", key.0, key.1);
         if let (Some(ct), Some(ft)) = (c.get("transient"), f.get("transient")) {
             if let (Some(cm), Some(fm)) = (num(ct, "mttr_cycles"), num(ft, "mttr_cycles")) {
-                checks.extend(check_larger_is_worse(format!("{tag} transient mttr"), cm, fm));
+                checks.extend(check_larger_is_worse(
+                    format!("{tag} transient mttr"),
+                    cm,
+                    fm,
+                ));
             }
         }
         if let (Some(cp), Some(fp)) = (c.get("permanent"), f.get("permanent")) {
@@ -156,7 +183,11 @@ fn compare_recovery(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<C
                     ));
                 }
                 if let (Some(cm), Some(fm)) = (num(cp, "mttr_cycles"), num(fp, "mttr_cycles")) {
-                    checks.extend(check_larger_is_worse(format!("{tag} permanent mttr"), cm, fm));
+                    checks.extend(check_larger_is_worse(
+                        format!("{tag} permanent mttr"),
+                        cm,
+                        fm,
+                    ));
                 }
             } else if cp.get("recovered").and_then(JsonValue::as_bool) == Some(true)
                 && fp.get("recovered").and_then(JsonValue::as_bool) == Some(false)
@@ -179,26 +210,49 @@ fn compare_recovery(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<C
 /// scheduling passes, cache hit rate). Wall-clock fields are not gated —
 /// CI machine speed is not a code property.
 fn compare_dse_parallel(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check>) {
-    let committed_runs = committed.get("runs").and_then(JsonValue::as_array).unwrap_or(&[]);
-    let fresh_runs = fresh.get("runs").and_then(JsonValue::as_array).unwrap_or(&[]);
+    let committed_runs = committed
+        .get("runs")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
+    let fresh_runs = fresh
+        .get("runs")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
     for c in committed_runs {
-        let Some(threads) = num(c, "threads") else { continue };
-        let Some(f) = fresh_runs.iter().find(|f| num(f, "threads") == Some(threads)) else {
+        let Some(threads) = num(c, "threads") else {
+            continue;
+        };
+        let Some(f) = fresh_runs
+            .iter()
+            .find(|f| num(f, "threads") == Some(threads))
+        else {
             println!("note: threads={threads} run present in committed but not fresh — skipped");
             continue;
         };
         let tag = format!("threads={threads}");
         if let (Some(co), Some(fo)) = (num(c, "best_objective"), num(f, "best_objective")) {
-            checks.extend(check_smaller_is_worse(format!("{tag} best_objective"), co, fo));
+            checks.extend(check_smaller_is_worse(
+                format!("{tag} best_objective"),
+                co,
+                fo,
+            ));
         }
         if let (Some(cs), Some(fs)) = (num(c, "sched_invocations"), num(f, "sched_invocations")) {
-            checks.extend(check_larger_is_worse(format!("{tag} sched_invocations"), cs, fs));
+            checks.extend(check_larger_is_worse(
+                format!("{tag} sched_invocations"),
+                cs,
+                fs,
+            ));
         }
         if let (Some(ch), Some(fh)) = (
             c.get("cache").and_then(|v| num(v, "hit_rate")),
             f.get("cache").and_then(|v| num(v, "hit_rate")),
         ) {
-            checks.extend(check_smaller_is_worse(format!("{tag} cache hit_rate"), ch, fh));
+            checks.extend(check_smaller_is_worse(
+                format!("{tag} cache hit_rate"),
+                ch,
+                fh,
+            ));
         }
     }
 }
@@ -206,24 +260,38 @@ fn compare_dse_parallel(committed: &JsonValue, fresh: &JsonValue, checks: &mut V
 /// config_integrity artifact: per (preset, kernel), the deterministic
 /// transient-flip recovery cost and the verify-gate throughput.
 fn compare_config_integrity(committed: &JsonValue, fresh: &JsonValue, checks: &mut Vec<Check>) {
-    let committed_rows = committed.get("rows").and_then(JsonValue::as_array).unwrap_or(&[]);
-    let fresh_rows = fresh.get("rows").and_then(JsonValue::as_array).unwrap_or(&[]);
+    let committed_rows = committed
+        .get("rows")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
+    let fresh_rows = fresh
+        .get("rows")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
     for c in committed_rows {
         let key = (str_of(c, "preset"), str_of(c, "kernel"));
         let Some(f) = fresh_rows
             .iter()
             .find(|f| (str_of(f, "preset"), str_of(f, "kernel")) == key)
         else {
-            println!("note: row {}/{} present in committed but not fresh — skipped", key.0, key.1);
+            println!(
+                "note: row {}/{} present in committed but not fresh — skipped",
+                key.0, key.1
+            );
             continue;
         };
         let tag = format!("{}/{}", key.0, key.1);
         if let (Some(ca), Some(fa)) = (num(c, "recovery_attempts"), num(f, "recovery_attempts")) {
-            checks.extend(check_larger_is_worse(format!("{tag} recovery_attempts"), ca, fa));
+            checks.extend(check_larger_is_worse(
+                format!("{tag} recovery_attempts"),
+                ca,
+                fa,
+            ));
         }
-        if let (Some(cw), Some(fw)) =
-            (num(c, "verify_words_per_sec"), num(f, "verify_words_per_sec"))
-        {
+        if let (Some(cw), Some(fw)) = (
+            num(c, "verify_words_per_sec"),
+            num(f, "verify_words_per_sec"),
+        ) {
             checks.extend(check_smaller_is_worse(
                 format!("{tag} verify_words_per_sec"),
                 cw,
@@ -352,7 +420,10 @@ fn sniff_kind(doc: &JsonValue, body: &JsonValue) -> Option<&'static str> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let [_, committed_path, fresh_path] = &args[..] else {
-        log(Level::Error, "usage: bench_compare <committed.json> <fresh.json>");
+        log(
+            Level::Error,
+            "usage: bench_compare <committed.json> <fresh.json>",
+        );
         return ExitCode::from(2);
     };
     let (committed_doc, fresh_doc) = match (load(committed_path), load(fresh_path)) {
@@ -366,8 +437,8 @@ fn main() -> ExitCode {
     let committed = payload(&committed_doc);
     let fresh = payload(&fresh_doc);
 
-    let Some(kind) = sniff_kind(&committed_doc, committed)
-        .or_else(|| sniff_kind(&fresh_doc, fresh))
+    let Some(kind) =
+        sniff_kind(&committed_doc, committed).or_else(|| sniff_kind(&fresh_doc, fresh))
     else {
         log(
             Level::Error,

@@ -49,27 +49,28 @@ fn key_metrics(kind: &str, body: &JsonValue) -> Vec<(String, f64)> {
             push("replayed_saved_cycles", num(body, "replayed_saved_cycles"));
             push(
                 "rows",
-                body.get("rows").and_then(JsonValue::as_array).map(|r| r.len() as f64),
+                body.get("rows")
+                    .and_then(JsonValue::as_array)
+                    .map(|r| r.len() as f64),
             );
         }
         "recovery" => {
             push(
                 "pairs",
-                body.get("rows").and_then(JsonValue::as_array).map(|r| r.len() as f64),
+                body.get("rows")
+                    .and_then(JsonValue::as_array)
+                    .map(|r| r.len() as f64),
             );
-            let recovered = body
-                .get("rows")
-                .and_then(JsonValue::as_array)
-                .map(|rows| {
-                    rows.iter()
-                        .filter(|r| {
-                            r.get("permanent")
-                                .and_then(|p| p.get("recovered"))
-                                .and_then(JsonValue::as_bool)
-                                == Some(true)
-                        })
-                        .count() as f64
-                });
+            let recovered = body.get("rows").and_then(JsonValue::as_array).map(|rows| {
+                rows.iter()
+                    .filter(|r| {
+                        r.get("permanent")
+                            .and_then(|p| p.get("recovered"))
+                            .and_then(JsonValue::as_bool)
+                            == Some(true)
+                    })
+                    .count() as f64
+            });
             push("permanent_recovered", recovered);
         }
         "dse_parallel" => {
@@ -166,7 +167,10 @@ fn main() -> ExitCode {
         paths.sort();
     }
     if paths.is_empty() {
-        log(Level::Error, "bench_trajectory: no BENCH_*.json artifacts found");
+        log(
+            Level::Error,
+            "bench_trajectory: no BENCH_*.json artifacts found",
+        );
         return ExitCode::from(2);
     }
 
@@ -233,7 +237,10 @@ fn main() -> ExitCode {
 
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
-            log(Level::Error, format!("bench_trajectory: mkdir {}: {e}", parent.display()));
+            log(
+                Level::Error,
+                format!("bench_trajectory: mkdir {}: {e}", parent.display()),
+            );
             return ExitCode::FAILURE;
         }
     }
@@ -249,7 +256,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            log(Level::Error, format!("bench_trajectory: write {out_path}: {e}"));
+            log(
+                Level::Error,
+                format!("bench_trajectory: write {out_path}: {e}"),
+            );
             ExitCode::FAILURE
         }
     }

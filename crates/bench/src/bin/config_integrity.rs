@@ -104,13 +104,12 @@ fn bench_one(preset: &'static str, adg: &Adg, kernel: &Kernel) -> Row {
     let started = Instant::now();
     for _ in 0..FRAME_REPS {
         let framed = frame_words(black_box(&words));
-        let back = deframe_words(black_box(&framed), words.len())
-            .expect("clean frames must deframe");
+        let back =
+            deframe_words(black_box(&framed), words.len()).expect("clean frames must deframe");
         black_box(back.len());
     }
     let frame_secs = started.elapsed().as_secs_f64();
-    let frame_ns_per_word =
-        frame_secs * 1e9 / (words.len() as u64 * u64::from(FRAME_REPS)) as f64;
+    let frame_ns_per_word = frame_secs * 1e9 / (words.len() as u64 * u64::from(FRAME_REPS)) as f64;
 
     // 2b. Raw, unprotected delivery of the same words (copy + read back).
     let started = Instant::now();

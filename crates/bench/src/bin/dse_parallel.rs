@@ -193,7 +193,9 @@ fn main() {
         );
     }
     let hit_ok = runs.iter().all(|r| r.cache.hit_rate() > 0.0);
-    let speedup = runs.last().map_or(0.0, |r| r.iters_per_sec() / base.max(1e-9));
+    let speedup = runs
+        .last()
+        .map_or(0.0, |r| r.iters_per_sec() / base.max(1e-9));
     println!(
         "determinism: ok | cache hit-rate > 0: {} | threads={} speedup: {:.2}x (target >= 2.0)",
         if hit_ok { "ok" } else { "FAIL" },

@@ -27,7 +27,11 @@ fn main() {
             let (compiled, report) = run_workload(&adg, &w.kernel);
             let manual = run_manual(&adg, &compiled);
             let ratio = manual.cycles as f64 / report.cycles.max(1) as f64;
-            let note = if w.name == "fft" { "outlier (§VIII-A)" } else { "" };
+            let note = if w.name == "fft" {
+                "outlier (§VIII-A)"
+            } else {
+                ""
+            };
             println!(
                 "{:<15} {:<13} {:>11} {:>11} {:>8.2}  {}",
                 name, w.name, report.cycles, manual.cycles, ratio, note

@@ -113,8 +113,20 @@ fn main() {
     rule(88);
     let mut obj_ratios = Vec::new();
     for (wname, design, baseline_name, baseline, kernels) in [
-        ("MachSuite", &d_mach, "Softbrain", presets::softbrain(), &machsuite),
-        ("DenseNN", &d_dense, "Softbrain", presets::softbrain(), &dense),
+        (
+            "MachSuite",
+            &d_mach,
+            "Softbrain",
+            presets::softbrain(),
+            &machsuite,
+        ),
+        (
+            "DenseNN",
+            &d_dense,
+            "Softbrain",
+            presets::softbrain(),
+            &dense,
+        ),
         ("SparseCNN", &d_sparse, "SPU", presets::spu(), &sparse),
     ] {
         let p_new = perf_on(design, kernels);
@@ -166,8 +178,14 @@ fn main() {
     let mut errors: Vec<(String, f64)> = Vec::new();
     let val_set: Vec<(Adg, dsagen_dfg::Kernel)> = vec![
         (presets::softbrain(), dsagen_workloads::machsuite::mm()),
-        (presets::softbrain(), dsagen_workloads::machsuite::stencil2d()),
-        (presets::softbrain(), dsagen_workloads::machsuite::stencil3d()),
+        (
+            presets::softbrain(),
+            dsagen_workloads::machsuite::stencil2d(),
+        ),
+        (
+            presets::softbrain(),
+            dsagen_workloads::machsuite::stencil3d(),
+        ),
         (presets::softbrain(), dsagen_workloads::polybench::mvt()),
         (presets::spu(), dsagen_workloads::sparse::histogram()),
         (presets::spu(), dsagen_workloads::sparse::join()),

@@ -177,7 +177,9 @@ fn main() {
     );
 
     if let Err(e) = std::fs::create_dir_all(
-        std::path::Path::new(&flame_path).parent().unwrap_or_else(|| std::path::Path::new(".")),
+        std::path::Path::new(&flame_path)
+            .parent()
+            .unwrap_or_else(|| std::path::Path::new(".")),
     ) {
         log(Level::Warn, format!("could not create flame dir: {e}"));
     }

@@ -116,7 +116,12 @@ fn bench_one(
     let tel = dsagen_telemetry::Telemetry::disabled().with_metrics(metrics.clone());
 
     // Transient DeadPe: rollback-only recovery, bit-identical firings.
-    let transient = one_fault(arrival, FaultLifetime::Transient { duration: TRANSIENT_CYCLES });
+    let transient = one_fault(
+        arrival,
+        FaultLifetime::Transient {
+            duration: TRANSIENT_CYCLES,
+        },
+    );
     let rep = recover(adg, &compiled, &cfg, &transient, &policy, &tel)
         .expect("transient mid-run fault must recover");
     assert_eq!(
@@ -131,7 +136,12 @@ fn bench_one(
         "{preset}/{}: blocking fault must be detected within the watchdog bound",
         kernel.name
     );
-    let t_detect = rep.events.iter().map(|e| e.detection_latency).max().unwrap_or(0);
+    let t_detect = rep
+        .events
+        .iter()
+        .map(|e| e.detection_latency)
+        .max()
+        .unwrap_or(0);
     let t_mttr = rep.mttr_cycles();
     let t_overhead = rep.overhead_vs(plain.cycles);
 
@@ -144,7 +154,12 @@ fn bench_one(
                 .iter()
                 .any(|e| matches!(e.action, RecoveryAction::Repaired { .. }));
             Some(PermanentOutcome {
-                detect: rep.events.iter().map(|e| e.detection_latency).max().unwrap_or(0),
+                detect: rep
+                    .events
+                    .iter()
+                    .map(|e| e.detection_latency)
+                    .max()
+                    .unwrap_or(0),
                 mttr: rep.mttr_cycles(),
                 overhead: rep.overhead_vs(plain.cycles),
                 repaired,
@@ -185,8 +200,14 @@ fn to_json(rows: &[Row]) -> String {
 \"throughput_ratio\": {:.4}, \"detect_cycles\": {}, \
 \"mttr_cycles\": {:.1}, \"overhead\": {:.4}, \"rung\": {:?}, \
 \"replayed_saved_cycles\": {}}}",
-                p.repaired, p.degraded, p.throughput_ratio, p.detect, p.mttr, p.overhead,
-                p.rung, p.saved
+                p.repaired,
+                p.degraded,
+                p.throughput_ratio,
+                p.detect,
+                p.mttr,
+                p.overhead,
+                p.rung,
+                p.saved
             ),
             None => "{\"recovered\": false}".to_string(),
         };

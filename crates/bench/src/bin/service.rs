@@ -145,7 +145,11 @@ fn run_phase(
 /// Overload probe: one worker, queue depth 1, a burst of submissions.
 /// Returns (admitted, shed) — shed must be typed `QueueFull`, and at
 /// least one submission must survive admission.
-fn run_overload(kernels: &[dsagen_dfg::Kernel], store: &ArtifactStore, tel: &Telemetry) -> (u64, u64) {
+fn run_overload(
+    kernels: &[dsagen_dfg::Kernel],
+    store: &ArtifactStore,
+    tel: &Telemetry,
+) -> (u64, u64) {
     let svc = Service::start(
         ServiceConfig {
             workers: 1,

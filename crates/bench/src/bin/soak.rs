@@ -136,7 +136,15 @@ fn main() {
     rule(108);
     println!(
         "{:>10} {:>10} {:>10} {:>6} {:>7} {:>8} {:>9} {:>7} {:>10} {:>7}",
-        "preset", "kernel", "seed", "storm", "events", "max-det", "mttr", "saved", "outcome",
+        "preset",
+        "kernel",
+        "seed",
+        "storm",
+        "events",
+        "max-det",
+        "mttr",
+        "saved",
+        "outcome",
         "ratio"
     );
     rule(108);
@@ -168,9 +176,7 @@ fn main() {
             };
             for &seed in &seeds {
                 let storm = storm_for(seed, plain.cycles);
-                let run = || {
-                    recover_with_degradation(&adg, &compiled, &cfg, &storm, &policy, &tel)
-                };
+                let run = || recover_with_degradation(&adg, &compiled, &cfg, &storm, &policy, &tel);
                 let out = match run() {
                     Ok(out) => out,
                     Err(e) => {
@@ -190,10 +196,7 @@ fn main() {
                         _ => {
                             log(
                                 Level::Error,
-                                format!(
-                                    "{preset}/{} seed {seed:#x}: replay diverged",
-                                    kernel.name
-                                ),
+                                format!("{preset}/{} seed {seed:#x}: replay diverged", kernel.name),
                             );
                             replay_divergences += 1;
                         }
@@ -244,7 +247,11 @@ fn main() {
                     row.max_detect,
                     row.mttr,
                     row.saved,
-                    if row.degraded { "degraded" } else { "recovered" },
+                    if row.degraded {
+                        "degraded"
+                    } else {
+                        "recovered"
+                    },
                     100.0 * row.throughput_ratio,
                 );
                 rows.push(row);
@@ -254,7 +261,9 @@ fn main() {
         // Monotonicity gate: the first mapping workload on this preset,
         // swept over growing prefixes of the first seed's storm.
         if let Some(kernel) = workloads().into_iter().find_map(|k| {
-            compile(&adg, &k, &CompileOptions::default()).ok().map(|c| (k, c))
+            compile(&adg, &k, &CompileOptions::default())
+                .ok()
+                .map(|c| (k, c))
         }) {
             let (k, compiled) = kernel;
             if let Ok(plain) = simulate(
@@ -269,9 +278,7 @@ fn main() {
                 let mut prev = f64::INFINITY;
                 for i in 0..=storm.len() {
                     let prefix = storm.prefix(i);
-                    match recover_with_degradation(
-                        &adg, &compiled, &cfg, &prefix, &policy, &tel,
-                    ) {
+                    match recover_with_degradation(&adg, &compiled, &cfg, &prefix, &policy, &tel) {
                         Ok(out) => {
                             let ratio = out.throughput_ratio();
                             if ratio > prev + MONOTONIC_TOLERANCE {
@@ -356,7 +363,11 @@ mean throughput ratio {:.3}",
         .join(", ");
     println!(
         "rungs: {} | {} full-kernel reschedules | {} replay cycles saved by scoped rollback",
-        if rung_line.is_empty() { "none" } else { &rung_line },
+        if rung_line.is_empty() {
+            "none"
+        } else {
+            &rung_line
+        },
         full_reschedules,
         saved_total,
     );
@@ -385,11 +396,7 @@ mean throughput ratio {:.3}",
 \"replayed_saved_cycles\": {saved_total},\n  \"rung_histogram\": {{"
     );
     for (i, (label, n)) in rung_histogram.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}\"{label}\": {n}",
-            if i == 0 { "" } else { ", " }
-        );
+        let _ = write!(json, "{}\"{label}\": {n}", if i == 0 { "" } else { ", " });
     }
     json.push_str("},\n  \"presets\": [\n");
     for (i, (preset, s)) in stats.iter().enumerate() {

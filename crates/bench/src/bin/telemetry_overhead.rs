@@ -122,9 +122,16 @@ fn bench_kernel(adg: &Adg, kernel: &Kernel) -> Row {
     let with_recorder = Telemetry::disabled().with_recorder(FlightRecorder::enabled());
 
     let run_plain = || {
-        simulate(adg, &c.version, &c.schedule, &c.eval, c.config_path_len, &cfg)
-            .expect("benchmark schedule must simulate")
-            .cycles
+        simulate(
+            adg,
+            &c.version,
+            &c.schedule,
+            &c.eval,
+            c.config_path_len,
+            &cfg,
+        )
+        .expect("benchmark schedule must simulate")
+        .cycles
     };
     let run_with = |tel: &Telemetry| {
         simulate_instrumented(
@@ -215,8 +222,7 @@ fn bench_emission() -> (f64, f64) {
                 .arg("phase", "emit")
         });
     }
-    let disabled_ns_per_call =
-        started.elapsed().as_secs_f64() * 1e9 / EMIT_EVENTS as f64;
+    let disabled_ns_per_call = started.elapsed().as_secs_f64() * 1e9 / EMIT_EVENTS as f64;
     assert!(off.events().is_empty());
     (enabled_eps, disabled_ns_per_call)
 }
@@ -259,17 +265,24 @@ fn main() {
         .unwrap_or_else(|| "BENCH_telemetry_overhead.json".to_string());
 
     println!("TELEMETRY OVERHEAD: event throughput and pipeline cost, on vs off");
-    println!("{REPS} reps per mode (min-of-N), gate: disabled overhead < {MAX_DISABLED_OVERHEAD_PCT}%");
+    println!(
+        "{REPS} reps per mode (min-of-N), gate: disabled overhead < {MAX_DISABLED_OVERHEAD_PCT}%"
+    );
     rule(86);
 
     let (enabled_eps, disabled_ns) = bench_emission();
-    println!(
-        "event layer: {enabled_eps:.0} events/s enabled, {disabled_ns:.2} ns/call disabled"
-    );
+    println!("event layer: {enabled_eps:.0} events/s enabled, {disabled_ns:.2} ns/call disabled");
     rule(86);
     println!(
         "{:>12} {:>10} {:>10} {:>10} {:>9} {:>8} {:>8} {:>8} {:>7}",
-        "kernel", "plain-us", "off-us", "on-us", "off-ovh%", "on-ovh%", "reg-ovh%", "rec-ovh%",
+        "kernel",
+        "plain-us",
+        "off-us",
+        "on-us",
+        "off-ovh%",
+        "on-ovh%",
+        "reg-ovh%",
+        "rec-ovh%",
         "events"
     );
     rule(86);

@@ -26,7 +26,9 @@ use dsagen_telemetry::{chrome_trace, jsonl, log, Level, Telemetry};
 use dsagen_workloads::{dsp, machsuite, polybench};
 
 fn main() {
-    let prefix = std::env::args().nth(1).unwrap_or_else(|| "trace".to_string());
+    let prefix = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "trace".to_string());
     let adg = presets::softbrain();
     let kernels = vec![
         polybench::mvt(),

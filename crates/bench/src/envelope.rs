@@ -151,7 +151,10 @@ mod tests {
         );
         assert_eq!(bench_name(&doc), Some("soak"));
         let meta = doc.get("meta").expect("meta block");
-        assert_eq!(meta.get("preset").and_then(JsonValue::as_str), Some("softbrain"));
+        assert_eq!(
+            meta.get("preset").and_then(JsonValue::as_str),
+            Some("softbrain")
+        );
         assert_eq!(meta.get("seed").and_then(JsonValue::as_f64), Some(49374.0));
         let metrics = doc.get("metrics").expect("metrics block");
         assert_eq!(

@@ -31,9 +31,7 @@ impl JsonValue {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -257,11 +255,7 @@ impl Parser<'_> {
                     // boundaries are guaranteed valid).
                     let start = self.pos;
                     self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| b & 0xC0 == 0x80)
-                    {
+                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
                         self.pos += 1;
                     }
                     out.push_str(
@@ -309,13 +303,24 @@ mod tests {
         let v = parse(doc).unwrap();
         assert_eq!(v.get("aborts").and_then(JsonValue::as_f64), Some(0.0));
         let hist = v.get("rung_histogram").unwrap();
-        assert_eq!(hist.get("full-reschedule").and_then(JsonValue::as_f64), Some(1.0));
+        assert_eq!(
+            hist.get("full-reschedule").and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
         let rows = v.get("rows").and_then(JsonValue::as_array).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("kernel").and_then(JsonValue::as_str), Some("poly-mvt"));
-        assert_eq!(rows[0].get("degraded").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(
+            rows[0].get("kernel").and_then(JsonValue::as_str),
+            Some("poly-mvt")
+        );
+        assert_eq!(
+            rows[0].get("degraded").and_then(JsonValue::as_bool),
+            Some(true)
+        );
         let presets = v.get("presets").and_then(JsonValue::as_array).unwrap();
-        let mttr = presets[0].get("mean_mttr_cycles").and_then(JsonValue::as_f64);
+        let mttr = presets[0]
+            .get("mean_mttr_cycles")
+            .and_then(JsonValue::as_f64);
         assert_eq!(mttr, Some(206.0));
     }
 

@@ -8,7 +8,7 @@ pub mod envelope;
 pub mod figures;
 pub mod json;
 
-use dsagen::{compile, Compiled, CompileOptions};
+use dsagen::{compile, CompileOptions, Compiled};
 use dsagen_adg::Adg;
 use dsagen_dfg::{CompiledKernel, Kernel, StreamSource};
 use dsagen_scheduler::{schedule, SchedulerConfig, Start};
@@ -180,12 +180,9 @@ mod tests {
         let adg = dsagen_adg::presets::softbrain();
         let kernel = dsagen_workloads::machsuite::stencil3d();
         let feats = adg.features();
-        let ck = dsagen_dfg::compile_kernel(
-            &kernel,
-            &dsagen_dfg::TransformConfig::fallback(),
-            &feats,
-        )
-        .unwrap();
+        let ck =
+            dsagen_dfg::compile_kernel(&kernel, &dsagen_dfg::TransformConfig::fallback(), &feats)
+                .unwrap();
         let tuned = manual_tune(&ck);
         let orig_cmds: u64 = ck.regions.iter().map(|r| r.stream_commands()).sum();
         let tuned_cmds: u64 = tuned.regions.iter().map(|r| r.stream_commands()).sum();

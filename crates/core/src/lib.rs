@@ -82,16 +82,14 @@ pub mod prelude {
         compile, compile_traced, generate, recover, recover_with_degradation, CompileError,
         CompileOptions, Compiled, Hardware,
     };
+    pub use dsagen_adg::{Adg, BitWidth, OpSet, Opcode, PeSpec, Scheduling, Sharing};
+    pub use dsagen_dfg::{AffineExpr, Kernel, KernelBuilder, MemClass, TransformConfig, TripCount};
+    pub use dsagen_dse::{explore, DseConfig};
     pub use dsagen_faults::{FaultLifetime, FaultSchedule, StormConfig};
+    pub use dsagen_scheduler::SchedulerConfig;
     pub use dsagen_sim::{
         RecoveryError, RecoveryOutcome, RecoveryPolicy, RecoveryReport, RepairRung,
     };
-    pub use dsagen_adg::{Adg, BitWidth, OpSet, Opcode, PeSpec, Scheduling, Sharing};
-    pub use dsagen_dfg::{
-        AffineExpr, Kernel, KernelBuilder, MemClass, TransformConfig, TripCount,
-    };
-    pub use dsagen_dse::{explore, DseConfig};
-    pub use dsagen_scheduler::SchedulerConfig;
 }
 
 /// Options for the top-level [`compile`] flow.
@@ -255,7 +253,13 @@ pub fn compile_traced(
         }
         let perf = {
             let _span = tel.span("phase", "model");
-            perf_model.estimate(adg, &version, &result.schedule, &result.eval, config_path_len)
+            perf_model.estimate(
+                adg,
+                &version,
+                &result.schedule,
+                &result.eval,
+                config_path_len,
+            )
         };
         // Faster wins; performance ties break toward the version using
         // fewer instructions (less fabric, less energy — e.g. sub-word

@@ -200,9 +200,9 @@ pub fn compile_kernel(
     // when forwarding is on, the successor consumes its yields, and no
     // memory-carried RAW dependence forces a barrier (§IV-D).
     for i in 0..regions.len().saturating_sub(1) {
-        let consumer_reads_forward = kernel.regions[i + 1].iter_exprs().any(
-            |(_, e)| matches!(e, SrcExpr::Consume { region, .. } if *region == i),
-        );
+        let consumer_reads_forward = kernel.regions[i + 1]
+            .iter_exprs()
+            .any(|(_, e)| matches!(e, SrcExpr::Consume { region, .. } if *region == i));
         let raw_dep = arrays_written(&kernel.regions[i])
             .iter()
             .any(|a| arrays_read(&kernel.regions[i + 1]).contains(a));
@@ -425,24 +425,17 @@ impl<'a> Lowerer<'a> {
         match self.region.expr(id) {
             SrcExpr::Load { index, .. } => {
                 index.driving_expr().stride_of(var) != 0
-                    || index
-                        .driving_expr()
-                        .vars()
-                        .any(|v| v.0 >= var.0)
+                    || index.driving_expr().vars().any(|v| v.0 >= var.0)
             }
             SrcExpr::Imm(_) | SrcExpr::Consume { .. } => false,
             SrcExpr::Un { a, .. } => self.depends_on(*a, var),
             SrcExpr::Bin { a, b, .. } => self.depends_on(*a, var) || self.depends_on(*b, var),
             SrcExpr::Mux { cond, t, f } => {
-                self.depends_on(*cond, var)
-                    || self.depends_on(*t, var)
-                    || self.depends_on(*f, var)
+                self.depends_on(*cond, var) || self.depends_on(*t, var) || self.depends_on(*f, var)
             }
             // A reduction folds away every loop at `level` or deeper; its
             // output only varies with strictly-outer variables.
-            SrcExpr::Reduce { body, level, .. } => {
-                var.0 < level.0 && self.depends_on(*body, var)
-            }
+            SrcExpr::Reduce { body, level, .. } => var.0 < level.0 && self.depends_on(*body, var),
         }
     }
 
@@ -466,8 +459,7 @@ impl<'a> Lowerer<'a> {
         // loop above costs one command per iteration (§III-A "Memories").
         let commands = self.trip_product(|d| d + 2 < depth).round().max(1.0) as u64;
         let inductive = self.region.loops.iter().enumerate().any(|(d, l)| {
-            d + 2 >= depth
-                && matches!(l.kind, LoopKind::For { trip } if trip.is_inductive())
+            d + 2 >= depth && matches!(l.kind, LoopKind::For { trip } if trip.is_inductive())
         });
         StreamPattern {
             elems_per_command: total_elems / commands as f64,
@@ -669,13 +661,29 @@ impl<'a> Lowerer<'a> {
             return;
         }
         self.stream_join_count += 1;
-        let ka_port = self.load_port(a.key, &Index::Affine(AffineExpr::var(self.join_var())), false);
-        let kb_port = self.load_port(b.key, &Index::Affine(AffineExpr::var(self.join_var())), false);
-        let ka = self.dfg.push(DfgOp::Input { port: ka_port }, self.width_of(a.key));
-        let kb = self.dfg.push(DfgOp::Input { port: kb_port }, self.width_of(b.key));
-        let j = self
+        let ka_port = self.load_port(
+            a.key,
+            &Index::Affine(AffineExpr::var(self.join_var())),
+            false,
+        );
+        let kb_port = self.load_port(
+            b.key,
+            &Index::Affine(AffineExpr::var(self.join_var())),
+            false,
+        );
+        let ka = self
             .dfg
-            .push(DfgOp::StreamJoin { left: ka, right: kb }, self.width_of(a.key));
+            .push(DfgOp::Input { port: ka_port }, self.width_of(a.key));
+        let kb = self
+            .dfg
+            .push(DfgOp::Input { port: kb_port }, self.width_of(b.key));
+        let j = self.dfg.push(
+            DfgOp::StreamJoin {
+                left: ka,
+                right: kb,
+            },
+            self.width_of(a.key),
+        );
         // The join gates downstream consumption; record it so consumers of
         // the join predicate can find it.
         self.memo.insert((usize::MAX, 0), j);
@@ -832,9 +840,8 @@ impl<'a> Lowerer<'a> {
                 };
                 let lanes = if variant { self.unroll } else { 1 };
                 let slice_elems = self.store_elems(e, variant)
-                    / self.trip_product(|d| {
-                        e.stride_of(LoopVar(d)) == 0 && self.varies_below(e, d)
-                    });
+                    / self
+                        .trip_product(|d| e.stride_of(LoopVar(d)) == 0 && self.varies_below(e, d));
                 let slice_bytes = slice_elems * f64::from(eb);
                 let invariant_outer = (0..self.region.loops.len())
                     .any(|d| e.stride_of(LoopVar(d)) == 0 && self.varies_below(e, d));
@@ -851,8 +858,7 @@ impl<'a> Lowerer<'a> {
                         lanes,
                         pattern: StreamPattern::linear(
                             slice_elems,
-                            e.stride_of(LoopVar(self.region.loops.len() - 1))
-                                * i64::from(eb),
+                            e.stride_of(LoopVar(self.region.loops.len() - 1)) * i64::from(eb),
                         ),
                         source: StreamSource::Memory(self.mem_of(array)),
                         to_fabric: true,
@@ -964,8 +970,7 @@ impl<'a> Lowerer<'a> {
                         source: StreamSource::Memory(self.mem_of(array)),
                         to_fabric: true,
                     });
-                    let rec =
-                        self.emit_update_compute(in_port, op, value, lanes, out_port, eb);
+                    let rec = self.emit_update_compute(in_port, op, value, lanes, out_port, eb);
                     self.dfg.add_recurrence(Recurrence {
                         through: rec,
                         independent_chains: 1.0,
@@ -1074,7 +1079,13 @@ impl<'a> Lowerer<'a> {
                 let b = self.lower_expr(b, lane);
                 let w = self.dfg.width(a).max(self.dfg.width(b));
                 let w = if op.is_predicate() { BitWidth::B8 } else { w };
-                self.dfg.push(DfgOp::Compute { op, ins: vec![a, b] }, w)
+                self.dfg.push(
+                    DfgOp::Compute {
+                        op,
+                        ins: vec![a, b],
+                    },
+                    w,
+                )
             }
             SrcExpr::Mux { cond, t, f } => {
                 let c = self.lower_expr(cond, lane);
@@ -1135,10 +1146,7 @@ impl<'a> Lowerer<'a> {
     fn lower_reduce(&mut self, op: Opcode, body: crate::ExprId, level: LoopVar, lane: u16) -> OpId {
         // Firings between resets: the trips of every loop at `level` or
         // deeper (already divided by the unroll factor where applicable).
-        let reset_every = self
-            .trip_product(|d| d >= level.0)
-            .round()
-            .max(1.0) as u64;
+        let reset_every = self.trip_product(|d| d >= level.0).round().max(1.0) as u64;
         let push_accum = |this: &mut Self, l: u16| -> OpId {
             let b = this.lower_expr(body, l);
             let w = this.dfg.width(b);
@@ -1260,17 +1268,23 @@ mod tests {
         let kk = r.for_loop(TripCount::fixed(n), false);
         let va = r.load(
             a,
-            AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(kk)),
+            AffineExpr::var(i)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(kk)),
         );
         let vb = r.load(
             b,
-            AffineExpr::var(kk).scaled(n as i64).plus(&AffineExpr::var(j)),
+            AffineExpr::var(kk)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(j)),
         );
         let p = r.bin(Opcode::Mul, va, vb);
         let acc = r.reduce(Opcode::Add, p, kk);
         r.store(
             c,
-            AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(j)),
+            AffineExpr::var(i)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(j)),
             acc,
         );
         k.finish_region(r);

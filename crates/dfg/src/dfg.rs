@@ -184,7 +184,10 @@ impl Dfg {
 
     /// Iterates over nodes in topological (id) order.
     pub fn iter(&self) -> impl Iterator<Item = (OpId, &DfgOp)> {
-        self.ops.iter().enumerate().map(|(i, (op, _))| (OpId(i), op))
+        self.ops
+            .iter()
+            .enumerate()
+            .map(|(i, (op, _))| (OpId(i), op))
     }
 
     /// Number of nodes.
@@ -221,7 +224,8 @@ impl Dfg {
     /// Whether the graph contains a stream-join node.
     #[must_use]
     pub fn has_stream_join(&self) -> bool {
-        self.iter().any(|(_, op)| matches!(op, DfgOp::StreamJoin { .. }))
+        self.iter()
+            .any(|(_, op)| matches!(op, DfgOp::StreamJoin { .. }))
     }
 
     /// The consumers of each node (adjacency, one entry per use).
@@ -242,12 +246,7 @@ impl Dfg {
     pub fn critical_path_len(&self) -> u32 {
         let mut depth = vec![0u32; self.ops.len()];
         for (id, op) in self.iter() {
-            let in_depth = op
-                .operands()
-                .iter()
-                .map(|o| depth[o.0])
-                .max()
-                .unwrap_or(0);
+            let in_depth = op.operands().iter().map(|o| depth[o.0]).max().unwrap_or(0);
             depth[id.0] = in_depth + op.latency();
         }
         depth.iter().copied().max().unwrap_or(0)
@@ -388,7 +387,13 @@ mod tests {
             through: acc,
             independent_chains: 1.0,
         });
-        g.push(DfgOp::Output { port: 0, input: acc }, BitWidth::B64);
+        g.push(
+            DfgOp::Output {
+                port: 0,
+                input: acc,
+            },
+            BitWidth::B64,
+        );
         g
     }
 

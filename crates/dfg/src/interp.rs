@@ -49,9 +49,7 @@ use std::fmt;
 
 use dsagen_adg::Opcode;
 
-use crate::{
-    ArrayId, ExprId, Index, Kernel, LoopKind, LoopVar, Region, SrcExpr, SrcStmt,
-};
+use crate::{ArrayId, ExprId, Index, Kernel, LoopKind, LoopVar, Region, SrcExpr, SrcStmt};
 
 /// A functional-execution failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +83,10 @@ impl fmt::Display for ExecError {
                 write!(f, "access to '{array}[{index}]' outside length {len}")
             }
             ExecError::JoinSideUnknown { array } => {
-                write!(f, "array '{array}' is indexed by the join variable but belongs to neither side")
+                write!(
+                    f,
+                    "array '{array}' is indexed by the join variable but belongs to neither side"
+                )
             }
             ExecError::ConsumeUnderflow { region } => {
                 write!(f, "consume exhausted the yields of region {region}")

@@ -336,7 +336,10 @@ impl Region {
             .filter(|e| {
                 matches!(
                     e,
-                    SrcExpr::Un { .. } | SrcExpr::Bin { .. } | SrcExpr::Mux { .. } | SrcExpr::Reduce { .. }
+                    SrcExpr::Un { .. }
+                        | SrcExpr::Bin { .. }
+                        | SrcExpr::Mux { .. }
+                        | SrcExpr::Reduce { .. }
                 )
             })
             .count()
@@ -359,7 +362,9 @@ impl Region {
     /// Whether the region contains an in-place `Update` statement.
     #[must_use]
     pub fn has_update(&self) -> bool {
-        self.stmts.iter().any(|s| matches!(s, SrcStmt::Update { .. }))
+        self.stmts
+            .iter()
+            .any(|s| matches!(s, SrcStmt::Update { .. }))
     }
 
     fn validate(&self, region_idx: usize, arrays: &[ArrayDecl]) -> Result<(), DfgError> {
@@ -383,11 +388,7 @@ impl Region {
             if let Index::Indirect { index_array, .. } = idx {
                 check_array(*index_array)?;
             }
-            if idx
-                .driving_expr()
-                .vars()
-                .any(|v| v.0 >= depth)
-            {
+            if idx.driving_expr().vars().any(|v| v.0 >= depth) {
                 return Err(DfgError::Malformed {
                     region: self.name.clone(),
                     what: "index references a loop variable deeper than the nest".into(),
@@ -456,7 +457,17 @@ impl Region {
         }
         for s in &self.stmts {
             match s {
-                SrcStmt::Store { array, index, value } | SrcStmt::Update { array, index, value, .. } => {
+                SrcStmt::Store {
+                    array,
+                    index,
+                    value,
+                }
+                | SrcStmt::Update {
+                    array,
+                    index,
+                    value,
+                    ..
+                } => {
                     check_array(*array)?;
                     check_index(index)?;
                     if value.0 >= self.exprs.len() {

@@ -76,11 +76,7 @@ impl Mutation {
 /// Applies one random mutation to `adg`. Returns a description of what
 /// changed, or `None` if the drawn mutation was inapplicable (caller may
 /// redraw). The mutated graph is only returned when it still validates.
-pub fn mutate(
-    adg: &mut Adg,
-    rng: &mut StdRng,
-    used_ops: &OpSet,
-) -> Option<Mutation> {
+pub fn mutate(adg: &mut Adg, rng: &mut StdRng, used_ops: &OpSet) -> Option<Mutation> {
     // `ALL` is a non-empty const; fall back to the first entry rather than
     // panicking if `choose` ever declines (e.g. a stub RNG).
     let kind = Mutation::ALL

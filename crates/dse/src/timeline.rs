@@ -130,7 +130,14 @@ impl DseTimeline {
         let _ = writeln!(
             out,
             "  {:>5} {:>6} {:>9} {:>14} {:>12} {:>11} {:>13} {:>10}",
-            "shard", "iters", "accepted", "final obj", "sched", "cache hit", "cache miss", "wall ms"
+            "shard",
+            "iters",
+            "accepted",
+            "final obj",
+            "sched",
+            "cache hit",
+            "cache miss",
+            "wall ms"
         );
         for s in &self.shards {
             let _ = writeln!(

@@ -498,9 +498,8 @@ not the hardware graph — use corrupt_stream/corrupt_words/corrupt_frames"
                 let inputs = g.in_edges(sw).count();
                 let outputs = g.out_edges(sw).count().max(1);
                 let stuck = (stuck_pick % inputs as u64) as usize;
-                let matrix: Vec<Vec<bool>> = (0..inputs)
-                    .map(|i| vec![i == stuck; outputs])
-                    .collect();
+                let matrix: Vec<Vec<bool>> =
+                    (0..inputs).map(|i| vec![i == stuck; outputs]).collect();
                 match g.node_mut(sw).map(|n| &mut n.kind) {
                     Some(NodeKind::Switch(spec)) => {
                         spec.routing = Routing::Matrix(matrix);
@@ -598,7 +597,11 @@ structurally — use a FaultSchedule and the runtime simulator"
 /// Deterministic: the same `(words, frame_len, plan.seed)` always produces
 /// the same corruption.
 #[must_use]
-pub fn corrupt_stream(words: &[u64], frame_len: usize, plan: &FaultPlan) -> (Vec<u64>, FaultReport) {
+pub fn corrupt_stream(
+    words: &[u64],
+    frame_len: usize,
+    plan: &FaultPlan,
+) -> (Vec<u64>, FaultReport) {
     corrupt_stream_with_telemetry(words, frame_len, plan, &Telemetry::disabled())
 }
 
@@ -690,7 +693,10 @@ not the word stream — use inject"
             Ok(InjectedFault {
                 kind,
                 target: FaultTarget::Word(cut_words),
-                detail: format!("dropped {dropped} trailing word(s) ({} frame(s))", frames - keep),
+                detail: format!(
+                    "dropped {dropped} trailing word(s) ({} frame(s))",
+                    frames - keep
+                ),
             })
         }
         FaultKind::DuplicatedFrame => {
@@ -713,9 +719,7 @@ not the word stream — use inject"
         }
         FaultKind::ReorderedFrame => {
             if frames < 2 {
-                return Err(format!(
-                    "stream has {frames} frame(s): nothing to reorder"
-                ));
+                return Err(format!("stream has {frames} frame(s): nothing to reorder"));
             }
             let f = rng.gen_range(0..frames - 1);
             let a = f * frame_len;
@@ -1026,7 +1030,9 @@ mod tests {
     // ---- config-plane injectors ----------------------------------------
 
     fn sample_stream(n: usize) -> Vec<u64> {
-        (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+        (0..n as u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect()
     }
 
     #[test]
@@ -1163,10 +1169,20 @@ mod tests {
             .filter(|(n, _)| n == "skipped")
             .map(|(_, k)| k)
             .collect();
-        let applied_kinds: Vec<String> = report.applied.iter().map(|a| a.kind.to_string()).collect();
-        let skipped_kinds: Vec<String> = report.skipped.iter().map(|s| s.kind.to_string()).collect();
-        assert_eq!(injected, applied_kinds.iter().collect::<Vec<_>>(), "{report}");
-        assert_eq!(skipped, skipped_kinds.iter().collect::<Vec<_>>(), "{report}");
+        let applied_kinds: Vec<String> =
+            report.applied.iter().map(|a| a.kind.to_string()).collect();
+        let skipped_kinds: Vec<String> =
+            report.skipped.iter().map(|s| s.kind.to_string()).collect();
+        assert_eq!(
+            injected,
+            applied_kinds.iter().collect::<Vec<_>>(),
+            "{report}"
+        );
+        assert_eq!(
+            skipped,
+            skipped_kinds.iter().collect::<Vec<_>>(),
+            "{report}"
+        );
     }
 
     #[test]

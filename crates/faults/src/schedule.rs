@@ -395,7 +395,10 @@ mod tests {
         assert!(t.active(100, 109));
         assert!(!t.active(100, 110));
 
-        let i = FaultLifetime::Intermittent { period: 10, duty: 3 };
+        let i = FaultLifetime::Intermittent {
+            period: 10,
+            duty: 3,
+        };
         assert!(i.active(0, 0));
         assert!(i.active(0, 2));
         assert!(!i.active(0, 3));
@@ -432,7 +435,11 @@ mod tests {
     fn structural_plan_keeps_only_permanent_faults() {
         let s = FaultSchedule::new(7)
             .with(10, FaultLifetime::Permanent, FaultKind::DeadPe)
-            .with(20, FaultLifetime::Transient { duration: 5 }, FaultKind::SeveredLink)
+            .with(
+                20,
+                FaultLifetime::Transient { duration: 5 },
+                FaultKind::SeveredLink,
+            )
             .with(30, FaultLifetime::Permanent, FaultKind::StuckSwitch);
         let plan = s.structural_plan();
         assert_eq!(plan.seed, 7);
@@ -452,12 +459,18 @@ mod tests {
                 f.arrival <= cfg.horizon + cfg.spread,
                 "{f} beyond horizon+spread"
             );
-            assert!(STORM_KINDS.iter().any(|k| {
-                matches!(
-                    (k, f.kind),
-                    (FaultKind::DegradedLink { .. }, FaultKind::DegradedLink { .. })
-                ) || *k == f.kind
-            }), "{f} not a storm kind");
+            assert!(
+                STORM_KINDS.iter().any(|k| {
+                    matches!(
+                        (k, f.kind),
+                        (
+                            FaultKind::DegradedLink { .. },
+                            FaultKind::DegradedLink { .. }
+                        )
+                    ) || *k == f.kind
+                }),
+                "{f} not a storm kind"
+            );
         }
         // Prefix stability: the 3-fault prefix is the storm stopped early.
         let p = a.prefix(3);
@@ -498,14 +511,23 @@ mod tests {
         for seed in 0..16u64 {
             let s = FaultSchedule::storm(seed, &cfg);
             let chunks: Vec<_> = s.faults.chunks(cfg.burst_size).collect();
-            first += chunks[0].iter().filter(|f| f.lifetime.is_permanent()).count() as u32;
+            first += chunks[0]
+                .iter()
+                .filter(|f| f.lifetime.is_permanent())
+                .count() as u32;
             last += chunks[chunks.len() - 1]
                 .iter()
                 .filter(|f| f.lifetime.is_permanent())
                 .count() as u32;
         }
-        assert!(first == 0, "first bursts must be transient-leaning, got {first} permanent");
-        assert!(last > first, "escalation missing: first={first} last={last}");
+        assert!(
+            first == 0,
+            "first bursts must be transient-leaning, got {first} permanent"
+        );
+        assert!(
+            last > first,
+            "escalation missing: first={first} last={last}"
+        );
     }
 
     #[test]
@@ -524,7 +546,10 @@ mod tests {
     fn display_is_informative() {
         let s = FaultSchedule::new(1).with(
             64,
-            FaultLifetime::Intermittent { period: 32, duty: 4 },
+            FaultLifetime::Intermittent {
+                period: 32,
+                duty: 4,
+            },
             FaultKind::DeadPe,
         );
         let txt = s.to_string();

@@ -253,7 +253,9 @@ pub fn corrupt_record_bytes(kind: StorageFaultKind, seed: u64, bytes: &mut Vec<u
         }
         StorageFaultKind::TruncatedRecord => {
             // Lose 1..=16 tail bytes (always at least one, never all).
-            let lose = rng.gen_range(1..=16usize).min(bytes.len().saturating_sub(1));
+            let lose = rng
+                .gen_range(1..=16usize)
+                .min(bytes.len().saturating_sub(1));
             let keep = bytes.len() - lose;
             bytes.truncate(keep);
             format!("truncated record: lost {lose} tail bytes")

@@ -171,10 +171,7 @@ impl Bitstream {
             if !matches!(entity.kind, EntityKind::Op { .. }) {
                 continue;
             }
-            let slot = *slot_cursor
-                .entry(node)
-                .and_modify(|s| *s += 1)
-                .or_insert(0);
+            let slot = *slot_cursor.entry(node).and_modify(|s| *s += 1).or_insert(0);
             let is_static = matches!(
                 problem.adg.kind(node),
                 Ok(NodeKind::Pe(pe)) if pe.scheduling == dsagen_adg::Scheduling::Static
@@ -224,9 +221,7 @@ impl Bitstream {
                         }
                     }
                     let opcode = entity.opcode.map_or(0u8, |oc| oc as u8);
-                    let tag = configs
-                        .get(&node)
-                        .map_or(0, |c| c.instrs.len().min(255)) as u8;
+                    let tag = configs.get(&node).map_or(0, |c| c.instrs.len().min(255)) as u8;
                     configs.entry(node).or_default().instrs.push(InstrConfig {
                         opcode,
                         operands,
@@ -255,13 +250,14 @@ impl Bitstream {
         for path in schedule.routes.values() {
             for pair in path.windows(2) {
                 let (e_in, e_out) = (pair[0], pair[1]);
-                let Some(edge_in) = adg.edge(e_in) else { continue };
+                let Some(edge_in) = adg.edge(e_in) else {
+                    continue;
+                };
                 let node = edge_in.dst;
                 if !matches!(adg.kind(node), Ok(NodeKind::Switch(_))) {
                     continue;
                 }
-                let (Some(ip), Some(op)) =
-                    (adg.input_port_of(e_in), adg.output_port_of(e_out))
+                let (Some(ip), Some(op)) = (adg.input_port_of(e_in), adg.output_port_of(e_out))
                 else {
                     continue;
                 };
@@ -509,9 +505,7 @@ impl Bitstream {
     /// Opcode the discriminant decodes to, if valid.
     #[must_use]
     pub fn opcode_of(discriminant: u8) -> Option<Opcode> {
-        Opcode::ALL
-            .into_iter()
-            .find(|op| *op as u8 == discriminant)
+        Opcode::ALL.into_iter().find(|op| *op as u8 == discriminant)
     }
 }
 
@@ -895,11 +889,8 @@ mod tests {
         let (adg, ck, sched) = scheduled();
         let problem = Problem::new(&adg, &ck);
         // Re-evaluate to obtain timing facts.
-        let eval = dsagen_scheduler::evaluate(
-            &problem,
-            &sched,
-            &dsagen_scheduler::Weights::default(),
-        );
+        let eval =
+            dsagen_scheduler::evaluate(&problem, &sched, &dsagen_scheduler::Weights::default());
         let bs = Bitstream::encode_with_timing(&problem, &sched, &eval);
         // The axpy add consumes the mul result and a port value — their
         // arrival times differ, so at least one static instruction carries
@@ -938,7 +929,10 @@ mod tests {
         let decoded = Bitstream::decode(&bs.to_words()).expect("decodes");
         assert_eq!(decoded.instr_count(), 2);
         let ops = decoded.opcodes();
-        assert!(ops.contains(&Opcode::Mul) && ops.contains(&Opcode::Add), "{ops:?}");
+        assert!(
+            ops.contains(&Opcode::Mul) && ops.contains(&Opcode::Add),
+            "{ops:?}"
+        );
         assert!(decoded.route_count() > 0);
         // Classes line up with payload content.
         for node in decoded.nodes.values() {
@@ -1004,11 +998,8 @@ mod tests {
     fn timed_verification_also_holds() {
         let (adg, ck, sched) = scheduled();
         let problem = Problem::new(&adg, &ck);
-        let eval = dsagen_scheduler::evaluate(
-            &problem,
-            &sched,
-            &dsagen_scheduler::Weights::default(),
-        );
+        let eval =
+            dsagen_scheduler::evaluate(&problem, &sched, &dsagen_scheduler::Weights::default());
         let vc = verify_round_trip_timed(&problem, &sched, &eval).expect("identity holds");
         assert!(vc.matches(&sched));
     }

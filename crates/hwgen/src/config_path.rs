@@ -379,11 +379,7 @@ fn generate_with_report(adg: &Adg, p: usize, seed: u64) -> (ConfigPaths, Vec<Nod
     // nearby shorter path (§VI), until converged.
     for _ in 0..4 * nodes.len() {
         prune(&mut paths, &mut count);
-        let longest = match paths
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, path)| path.len())
-        {
+        let longest = match paths.iter().enumerate().max_by_key(|(_, path)| path.len()) {
             Some((i, path)) if path.len() > 1 => i,
             _ => break,
         };
@@ -417,7 +413,9 @@ fn generate_with_report(adg: &Adg, p: usize, seed: u64) -> (ConfigPaths, Vec<Nod
         // connecting walk to the target path.
         paths[longest].pop();
         count[victim.index()] -= 1;
-        let Some(&tail) = paths[target].last() else { break };
+        let Some(&tail) = paths[target].last() else {
+            break;
+        };
         bfs.search(&fabric, tail.index(), |m| m == victim.index());
         let from = paths[target].len();
         if !bfs.extend_walk(victim.index(), &mut paths[target]) {
@@ -566,11 +564,7 @@ mod reference {
     /// Undirected adjacency over the configurable nodes of `adg`.
     pub(super) fn adjacency(adg: &Adg) -> HashMap<NodeId, Vec<NodeId>> {
         let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        let configurable = |id: NodeId| {
-            adg.kind(id)
-                .map(|k| k.is_configurable())
-                .unwrap_or(false)
-        };
+        let configurable = |id: NodeId| adg.kind(id).map(|k| k.is_configurable()).unwrap_or(false);
         for node in adg.nodes() {
             if configurable(node.id()) {
                 adj.entry(node.id()).or_default();
@@ -648,7 +642,11 @@ mod reference {
     /// Shared generator: returns the paths plus every node that had to be
     /// placed without a connecting walk (disconnected from the configurable
     /// subgraph).
-    pub(super) fn generate_with_report(adg: &Adg, p: usize, seed: u64) -> (ConfigPaths, Vec<NodeId>) {
+    pub(super) fn generate_with_report(
+        adg: &Adg,
+        p: usize,
+        seed: u64,
+    ) -> (ConfigPaths, Vec<NodeId>) {
         let adj = adjacency(adg);
         let mut nodes: Vec<NodeId> = adj.keys().copied().collect();
         nodes.sort();
@@ -715,11 +713,7 @@ mod reference {
         // nearby shorter path (§VI), until converged.
         for _ in 0..4 * nodes.len() {
             prune(&mut paths);
-            let longest = match paths
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, path)| path.len())
-            {
+            let longest = match paths.iter().enumerate().max_by_key(|(_, path)| path.len()) {
                 Some((i, path)) if path.len() > 1 => i,
                 _ => break,
             };
@@ -748,7 +742,9 @@ mod reference {
             // pass-through nodes that were only there to reach it), append the
             // connecting walk to the target path.
             paths[longest].pop();
-            let Some(&tail) = paths[target].last() else { break };
+            let Some(&tail) = paths[target].last() else {
+                break;
+            };
             let Some(walk) = shortest_walk(&adj, tail, victim) else {
                 // The attachment was validated a moment ago; if it vanished,
                 // restore the victim and stop improving rather than panic.
@@ -760,8 +756,7 @@ mod reference {
 
         // Safety: guarantee coverage (anything lost re-appends to the shortest
         // path).
-        let covered: std::collections::HashSet<NodeId> =
-            paths.iter().flatten().copied().collect();
+        let covered: std::collections::HashSet<NodeId> = paths.iter().flatten().copied().collect();
         for n in &nodes {
             if !covered.contains(n) {
                 let Some(shortest) = paths.iter_mut().min_by_key(|p| p.len()) else {
@@ -997,10 +992,7 @@ mod tests {
     #[test]
     fn covers_every_configurable_node() {
         let adg = presets::softbrain();
-        let configurable = adg
-            .nodes()
-            .filter(|n| n.kind.is_configurable())
-            .count();
+        let configurable = adg.nodes().filter(|n| n.kind.is_configurable()).count();
         for p in [1, 3, 6, 9] {
             let cp = generate_config_paths(&adg, p, 7);
             assert_eq!(

@@ -93,10 +93,7 @@ impl Frame {
     #[must_use]
     pub fn pack(&self) -> [u64; 2] {
         let crc = frame_crc(self.seq, self.payload);
-        [
-            self.payload,
-            (u64::from(self.seq) << 32) | u64::from(crc),
-        ]
+        [self.payload, (u64::from(self.seq) << 32) | u64::from(crc)]
     }
 
     /// Parses and CRC-checks two transport words.
@@ -174,7 +171,10 @@ impl fmt::Display for FrameError {
                 write!(f, "frame {seq}: duplicate with conflicting payload")
             }
             FrameError::SeqOutOfRange { seq, expected } => {
-                write!(f, "frame {seq}: sequence out of range (stream has {expected} words)")
+                write!(
+                    f,
+                    "frame {seq}: sequence out of range (stream has {expected} words)"
+                )
             }
             FrameError::MissingFrames { got, expected } => {
                 write!(f, "reassembly incomplete: {got} of {expected} frames")
@@ -537,10 +537,7 @@ impl ProgrammingSession {
     /// corrupted/missing frames with exponential backoff up to the retry
     /// budget, then verifies the reassembled stream decodes back to the
     /// original configuration.
-    pub fn program(
-        &mut self,
-        mut channel: impl FnMut(u32, &[u64]) -> Vec<u64>,
-    ) -> SessionReport {
+    pub fn program(&mut self, mut channel: impl FnMut(u32, &[u64]) -> Vec<u64>) -> SessionReport {
         let n = self.words.len();
         let mut received: Vec<Option<u64>> = vec![None; n];
         let mut attempts = 0u32;
@@ -711,7 +708,13 @@ mod tests {
         let words = bitstream().to_words();
         let framed = frame_words(&words);
         // Exhaustive over a whole frame, sampled across the stream.
-        for word_idx in [0usize, 1, framed.len() / 2, framed.len() - 2, framed.len() - 1] {
+        for word_idx in [
+            0usize,
+            1,
+            framed.len() / 2,
+            framed.len() - 2,
+            framed.len() - 1,
+        ] {
             for bit in 0..64 {
                 let mut corrupted = framed.clone();
                 corrupted[word_idx] ^= 1u64 << bit;

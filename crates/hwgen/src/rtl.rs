@@ -25,8 +25,17 @@ use dsagen_adg::{Adg, NodeKind};
 #[must_use]
 pub fn emit_verilog(adg: &Adg) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "// Generated by dsagen-hwgen from ADG '{}'", adg.name());
-    let _ = writeln!(out, "// {} nodes, {} edges\n", adg.node_count(), adg.edge_count());
+    let _ = writeln!(
+        out,
+        "// Generated by dsagen-hwgen from ADG '{}'",
+        adg.name()
+    );
+    let _ = writeln!(
+        out,
+        "// {} nodes, {} edges\n",
+        adg.node_count(),
+        adg.edge_count()
+    );
 
     emit_leaf_modules(&mut out);
 
@@ -155,18 +164,33 @@ fn join_or_zero(wires: &[String]) -> String {
 
 fn sanitize(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
 fn emit_leaf_modules(out: &mut String) {
     // Behavioural leaf stubs so the netlist elaborates standalone.
     let leaves = [
-        ("dsagen_pe", "WIDTH=64, SLOTS=1, DYNAMIC=0, STREAM_JOIN=0, N_IN=1, N_OUT=1"),
-        ("dsagen_switch", "WIDTH=64, N_IN=1, N_OUT=1, LANES=1, FLOP=1"),
+        (
+            "dsagen_pe",
+            "WIDTH=64, SLOTS=1, DYNAMIC=0, STREAM_JOIN=0, N_IN=1, N_OUT=1",
+        ),
+        (
+            "dsagen_switch",
+            "WIDTH=64, N_IN=1, N_OUT=1, LANES=1, FLOP=1",
+        ),
         ("dsagen_delay", "WIDTH=64, DEPTH=4"),
         ("dsagen_sync", "WIDTH=64, DEPTH=8, LANES=1"),
-        ("dsagen_memory", "BYTES=16384, WIDTH_B=64, BANKS=1, STREAMS=8, INDIRECT=0, ATOMIC=0"),
+        (
+            "dsagen_memory",
+            "BYTES=16384, WIDTH_B=64, BANKS=1, STREAMS=8, INDIRECT=0, ATOMIC=0",
+        ),
     ];
     for (name, params) in leaves {
         let plist: String = params
@@ -221,7 +245,11 @@ mod tests {
         let adg = presets::cca();
         let v = emit_verilog(&adg);
         for edge in adg.edges() {
-            assert!(v.contains(&format!("w_{}", edge.id())), "missing wire {}", edge.id());
+            assert!(
+                v.contains(&format!("w_{}", edge.id())),
+                "missing wire {}",
+                edge.id()
+            );
         }
     }
 
@@ -241,6 +269,9 @@ mod tests {
     #[test]
     fn balanced_module_endmodule() {
         let v = emit_verilog(&presets::revel());
-        assert_eq!(v.matches("module ").count() - v.matches("endmodule").count(), 0);
+        assert_eq!(
+            v.matches("module ").count() - v.matches("endmodule").count(),
+            0
+        );
     }
 }

@@ -126,7 +126,11 @@ impl PerfModel {
             .iter()
             .map(|r| r.dfg.inst_count() as f64 * r.instances)
             .sum();
-        let ipc = if cycles > 0.0 { total_insts / cycles } else { 0.0 };
+        let ipc = if cycles > 0.0 {
+            total_insts / cycles
+        } else {
+            0.0
+        };
         PerfEstimate {
             cycles,
             regions,
@@ -148,20 +152,20 @@ impl PerfModel {
         // 1. Compute limit: effective initiation interval (multiplexing +
         //    unabsorbed operand mismatch, §III-B).
         let (max_ii, mismatch, rec_lats) = match reval {
-            Some(r) => (
-                r.max_ii,
-                r.mismatch_excess,
-                r.recurrence_latencies.clone(),
+            Some(r) => (r.max_ii, r.mismatch_excess, r.recurrence_latencies.clone()),
+            None => (
+                1.0,
+                0.0,
+                region
+                    .dfg
+                    .recurrences()
+                    .iter()
+                    .map(|r| match region.dfg.op(r.through) {
+                        dsagen_dfg::DfgOp::Accum { op, .. } => f64::from(op.latency()),
+                        _ => 24.0,
+                    })
+                    .collect(),
             ),
-            None => (1.0, 0.0, region
-                .dfg
-                .recurrences()
-                .iter()
-                .map(|r| match region.dfg.op(r.through) {
-                    dsagen_dfg::DfgOp::Accum { op, .. } => f64::from(op.latency()),
-                    _ => 24.0,
-                })
-                .collect()),
         };
         let ii_eff = max_ii.max(1.0) + mismatch;
         let compute_cycles = instances * ii_eff;
@@ -259,9 +263,7 @@ mod tests {
         schedule(adg, ck, &Start::Empty, cfg, &Telemetry::disabled()).expect("nothing is pinned")
     }
 
-    fn scheduled_dot(
-        unroll: u16,
-    ) -> (Adg, CompiledKernel, Schedule, Evaluation) {
+    fn scheduled_dot(unroll: u16) -> (Adg, CompiledKernel, Schedule, Evaluation) {
         let adg = presets::softbrain();
         let mut k = KernelBuilder::new("dot");
         let a = k.array("a", BitWidth::B64, 4096, MemClass::MainMemory);
@@ -386,7 +388,9 @@ mod tests {
         // a[j*n + i] — innermost j strides by n.
         let v = r.load(
             a,
-            AffineExpr::var(j).scaled(n as i64).plus(&AffineExpr::var(i)),
+            AffineExpr::var(j)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(i)),
         );
         let acc = r.reduce(Opcode::Add, v, j);
         r.store(c, AffineExpr::var(i), acc);

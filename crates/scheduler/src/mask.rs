@@ -253,9 +253,10 @@ mod tests {
             .expect("some PE must be decommissionable");
         let masked = CapabilityMask::new().with_node(pe).apply(&adg).unwrap();
         assert!(masked.node(pe).is_none());
-        assert!(masked
-            .edges()
-            .all(|e| e.src != pe && e.dst != pe), "links must go with the node");
+        assert!(
+            masked.edges().all(|e| e.src != pe && e.dst != pe),
+            "links must go with the node"
+        );
     }
 
     #[test]

@@ -545,7 +545,9 @@ fn compute_timing(
                 }
             }
         }
-        let latency = entity.opcode.map_or(1.0, |oc: Opcode| f64::from(oc.latency()));
+        let latency = entity
+            .opcode
+            .map_or(1.0, |oc: Opcode| f64::from(oc.latency()));
         let departure = start + latency;
 
         for &ei in problem.incident(v) {
@@ -596,8 +598,7 @@ mod tests {
         r.store(c, AffineExpr::var(i), t);
         k.finish_region(r);
         let kernel = k.build().unwrap();
-        let ck =
-            compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
+        let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
         (adg, ck)
     }
 
@@ -678,8 +679,7 @@ mod tests {
         r.store(c, AffineExpr::constant(0), acc);
         k.finish_region(r);
         let kernel = k.build().unwrap();
-        let ck =
-            compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
+        let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
         let p = Problem::new(&adg, &ck);
         let s = Schedule::empty(&p);
         let ev = evaluate(&p, &s, &Weights::default());
@@ -703,7 +703,9 @@ mod tests {
                 0..=5 => None,
                 6..=15 => candidates.get(rng.gen_range(0..2usize)).copied(),
                 16 | 17 => Some(nodes[rng.gen_range(0..nodes.len())]),
-                18 => Some(NodeId::from_index(adg.node_slots() + rng.gen_range(0..3usize))),
+                18 => Some(NodeId::from_index(
+                    adg.node_slots() + rng.gen_range(0..3usize),
+                )),
                 _ => candidates.choose(rng).copied(),
             };
         }
@@ -749,19 +751,26 @@ mod tests {
                 spec.num_streams = 1;
             }
         }
-        let fabrics =
-            [presets::softbrain(), presets::spu(), presets::revel(), presets::dse_initial(), starved];
+        let fabrics = [
+            presets::softbrain(),
+            presets::spu(),
+            presets::revel(),
+            presets::dse_initial(),
+            starved,
+        ];
         for adg in fabrics {
             let router = crate::route::Router::new(&adg);
             for w in dsagen_workloads::all() {
-                let Ok(ck) = compile_kernel(&w.kernel, &TransformConfig::fallback(), &adg.features())
+                let Ok(ck) =
+                    compile_kernel(&w.kernel, &TransformConfig::fallback(), &adg.features())
                 else {
                     continue;
                 };
                 let problem = Problem::new(&adg, &ck);
                 let mut scratch = Scratch::new(&problem, router.fabric());
-                let mut schedules_here: Vec<Schedule> =
-                    (0..SCHEDULES).map(|_| random_schedule(&problem, &mut rng)).collect();
+                let mut schedules_here: Vec<Schedule> = (0..SCHEDULES)
+                    .map(|_| random_schedule(&problem, &mut rng))
+                    .collect();
                 schedules_here.push(Schedule::empty(&problem));
                 if schedules == 0 {
                     let cfg = crate::SchedulerConfig::default();
@@ -775,7 +784,11 @@ mod tests {
                         evaluate_with(&problem, s, &links, router.fabric(), &weights, &mut scratch);
                     let public = evaluate(&problem, s, &weights);
                     let what = format!("{} on {}", w.name, adg.name());
-                    assert_eq!(score.objective.to_bits(), public.objective.to_bits(), "{what}");
+                    assert_eq!(
+                        score.objective.to_bits(),
+                        public.objective.to_bits(),
+                        "{what}"
+                    );
                     assert_eq!(score.feasible, public.feasible, "{what}");
                     let reference = evaluate_reference(&problem, s, &weights);
                     assert_eq!(
@@ -788,7 +801,10 @@ mod tests {
                 }
             }
         }
-        assert!(schedules > 100 && feasible > 0, "{schedules} schedules, {feasible} feasible");
+        assert!(
+            schedules > 100 && feasible > 0,
+            "{schedules} schedules, {feasible} feasible"
+        );
     }
 
     /// The objective as it was before it kept scratch buffers and a fabric
@@ -861,7 +877,8 @@ mod tests {
                     max_ii = max_ii.max(rate_on[idx]);
                 }
                 Ok(NodeKind::Memory(spec)) => {
-                    overuse += f64::from(streams_on[idx].saturating_sub(u32::from(spec.num_streams)));
+                    overuse +=
+                        f64::from(streams_on[idx].saturating_sub(u32::from(spec.num_streams)));
                 }
                 _ => {}
             }
@@ -877,8 +894,8 @@ mod tests {
         let mut unrouted = 0usize;
         let mut hops = 0usize;
         for (vedge, path) in problem.edges.iter().zip(&routed) {
-            let placed = schedule.placement[vedge.src].is_some()
-                && schedule.placement[vedge.dst].is_some();
+            let placed =
+                schedule.placement[vedge.src].is_some() && schedule.placement[vedge.dst].is_some();
             match path {
                 Some(path) => hops += path.len(),
                 None if placed => unrouted += 1,
@@ -987,7 +1004,12 @@ mod tests {
         let mut arrival = vec![0.0f64; n];
         let mut mismatch = vec![0.0f64; n];
         let mut spreads = vec![0.0f64; n];
-        let nothing = Incoming { operands: 0, latest: 0.0, earliest: f64::INFINITY, capacity: 0.0 };
+        let nothing = Incoming {
+            operands: 0,
+            latest: 0.0,
+            earliest: f64::INFINITY,
+            capacity: 0.0,
+        };
         let mut incoming = vec![nothing; n];
 
         for &v in problem.timing_order() {
@@ -1012,7 +1034,9 @@ mod tests {
                     }
                 }
             }
-            let latency = entity.opcode.map_or(1.0, |oc: Opcode| f64::from(oc.latency()));
+            let latency = entity
+                .opcode
+                .map_or(1.0, |oc: Opcode| f64::from(oc.latency()));
             let departure = start + latency;
 
             for &ei in problem.incident(v) {
@@ -1036,5 +1060,4 @@ mod tests {
         }
         (arrival, mismatch, spreads)
     }
-
 }

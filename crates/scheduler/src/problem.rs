@@ -207,7 +207,10 @@ impl<'a> Problem<'a> {
                     _ => {
                         map[oid.index()] = entities.len();
                         entities.push(Entity {
-                            kind: EntityKind::Op { region: ri, op: oid },
+                            kind: EntityKind::Op {
+                                region: ri,
+                                op: oid,
+                            },
                             opcode: op.required_opcode(),
                             needs_stream_join: matches!(op, DfgOp::StreamJoin { .. }),
                             width_bits: region.dfg.width(oid).bits(),
@@ -456,7 +459,11 @@ mod tests {
         let mut p = Problem::new(&adg, &ck);
         // No kernel today produces a self-edge; make one so "listed once"
         // is exercised.
-        p.edges.push(VirtEdge { src: 0, dst: 0, operand: 0 });
+        p.edges.push(VirtEdge {
+            src: 0,
+            dst: 0,
+            operand: 0,
+        });
         (p.incident_start, p.incident_edges) = incidence(p.entities.len(), &p.edges);
         for v in 0..p.entities.len() {
             let scanned: Vec<usize> = (0..p.edges.len())
@@ -554,9 +561,7 @@ mod tests {
         let out_rate = region
             .dfg
             .iter()
-            .find_map(|(oid, op)| {
-                matches!(op, DfgOp::Output { .. }).then(|| rates[oid.index()])
-            })
+            .find_map(|(oid, op)| matches!(op, DfgOp::Output { .. }).then(|| rates[oid.index()]))
             .unwrap();
         assert!(out_rate < 0.01, "out rate {out_rate}");
         // Mul fires every instance.
@@ -564,7 +569,9 @@ mod tests {
             .dfg
             .iter()
             .find_map(|(oid, op)| match op {
-                DfgOp::Compute { op: Opcode::Mul, .. } => Some(rates[oid.index()]),
+                DfgOp::Compute {
+                    op: Opcode::Mul, ..
+                } => Some(rates[oid.index()]),
                 _ => None,
             })
             .unwrap();

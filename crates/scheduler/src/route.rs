@@ -79,7 +79,12 @@ impl Ord for Frontier {
             .f
             .partial_cmp(&self.f)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| other.cost.partial_cmp(&self.cost).unwrap_or(Ordering::Equal))
+            .then_with(|| {
+                other
+                    .cost
+                    .partial_cmp(&self.cost)
+                    .unwrap_or(Ordering::Equal)
+            })
             .then_with(|| self.edge.index().cmp(&other.edge.index()))
     }
 }
@@ -122,8 +127,7 @@ fn turn_legal(adg: &Adg, e_in: EdgeId, e_out: EdgeId) -> bool {
     };
     match adg.kind(edge_in.dst) {
         Ok(NodeKind::Switch(sw)) => {
-            let (Some(ip), Some(op)) = (adg.input_port_of(e_in), adg.output_port_of(e_out))
-            else {
+            let (Some(ip), Some(op)) = (adg.input_port_of(e_in), adg.output_port_of(e_out)) else {
                 return false;
             };
             sw.routing.allows(ip, op)
@@ -264,7 +268,9 @@ impl<'a> Fabric<'a> {
                     fixed: pe.scheduling == Scheduling::Static,
                 },
                 NodeKind::Sync(sy) => Unit::Sync { lanes: sy.lanes },
-                NodeKind::Memory(spec) => Unit::Memory { streams: spec.num_streams },
+                NodeKind::Memory(spec) => Unit::Memory {
+                    streams: spec.num_streams,
+                },
                 NodeKind::Delay(d) => {
                     for edge in adg.in_edges(node.id()) {
                         delays[edge.id().index()] = d.depth;
@@ -319,7 +325,11 @@ pub(crate) struct Router<'a> {
 
 impl<'a> Router<'a> {
     pub(crate) fn new(adg: &'a Adg) -> Self {
-        let unreached = Label { stamp: 0, dist: f64::INFINITY, pred: None };
+        let unreached = Label {
+            stamp: 0,
+            dist: f64::INFINITY,
+            pred: None,
+        };
         Router {
             adg,
             fabric: OnceCell::new(),
@@ -349,7 +359,13 @@ impl<'a> Router<'a> {
         match self.nodes.get(node.index()) {
             Some(Some(known)) => return *known,
             Some(None) => {}
-            None => return NodeHops { start: 0, len: 0, matrix: None }, // not in this graph
+            None => {
+                return NodeHops {
+                    start: 0,
+                    len: 0,
+                    matrix: None,
+                }
+            } // not in this graph
         }
         let start = self.hops.len();
         self.hops.extend(adg.out_edges(node).map(|edge| Hop {
@@ -423,7 +439,10 @@ impl<'a> Router<'a> {
         if to.index() >= self.nodes.len() {
             return None; // not in this graph
         }
-        debug_assert!(congestion_weight >= 0.0, "the early exit needs steps that cost ≥ 1");
+        debug_assert!(
+            congestion_weight >= 0.0,
+            "the early exit needs steps that cost ≥ 1"
+        );
         let bound = if congestion_weight.is_finite() && congestion_weight.fract() == 0.0 {
             let bound = self.bounds[to.index()].take();
             Some(bound.unwrap_or_else(|| self.bound_to(to)))
@@ -478,7 +497,10 @@ impl<'a> Router<'a> {
             let flat = self.flatten(at);
             // The matrix a turn through `at` must obey, with the port it
             // enters by (none of either at the source).
-            let turn = flat.matrix.zip(via).map(|(m, e_in)| (m, self.adg.input_port_of(e_in)));
+            let turn = flat
+                .matrix
+                .zip(via)
+                .map(|(m, e_in)| (m, self.adg.input_port_of(e_in)));
             let span = flat.start as usize..(flat.start + flat.len) as usize;
             for (out_port, hop) in self.hops[span].iter().enumerate() {
                 if !hop.legal || (hop.dst != to && !hop.passable) {
@@ -497,7 +519,11 @@ impl<'a> Router<'a> {
                 let ncost = cost + step_cost(hop.edge);
                 let label = &mut self.labels[hop.edge.index()];
                 if label.stamp != generation || ncost < label.dist {
-                    *label = Label { stamp: generation, dist: ncost, pred: via };
+                    *label = Label {
+                        stamp: generation,
+                        dist: ncost,
+                        pred: via,
+                    };
                     self.heap.push(Frontier {
                         f: ncost + h,
                         cost: ncost,
@@ -556,7 +582,11 @@ mod tests {
         if from == to {
             return (Some(Vec::new()), 0);
         }
-        let slots = adg.edges().map(|e| e.id().index()).max().map_or(0, |m| m + 1);
+        let slots = adg
+            .edges()
+            .map(|e| e.id().index())
+            .max()
+            .map_or(0, |m| m + 1);
         let mut dist = vec![f64::INFINITY; slots];
         let mut pred: Vec<Option<EdgeId>> = vec![None; slots];
         let mut heap = BinaryHeap::new();
@@ -594,7 +624,10 @@ mod tests {
             }
         }
 
-        while let Some(Frontier { cost, edge, hops, .. }) = heap.pop() {
+        while let Some(Frontier {
+            cost, edge, hops, ..
+        }) = heap.pop()
+        {
             pops += 1;
             if cost > dist[edge.index()] || hops >= MAX_HOPS {
                 continue;
@@ -661,9 +694,17 @@ mod tests {
             // Three usage maps: none, sparse random, and heavy exactly on
             // the path the empty fabric would give.
             let sparse: Vec<u32> = (0..adg.edge_slots())
-                .map(|_| if rng.gen_bool(0.15) { rng.gen_range(1..4u32) } else { 0 })
+                .map(|_| {
+                    if rng.gen_bool(0.15) {
+                        rng.gen_range(1..4u32)
+                    } else {
+                        0
+                    }
+                })
                 .collect();
-            let free = route_reference(adg, from, to, |_| 0, weight).0.unwrap_or_default();
+            let free = route_reference(adg, from, to, |_| 0, weight)
+                .0
+                .unwrap_or_default();
             let usages: [Box<dyn Fn(EdgeId) -> u32>; 3] = [
                 Box::new(|_| 0),
                 Box::new(|e| sparse[e.index()]),
@@ -673,11 +714,16 @@ mod tests {
                 let (expected, reference_pops) = route_reference(adg, from, to, usage, weight);
                 let before = router.pops();
                 let got = router.route(from, to, usage, weight);
-                let what =
-                    format!("{}: {from} -> {to}, usage map {which}, weight {weight}", adg.name());
+                let what = format!(
+                    "{}: {from} -> {to}, usage map {which}, weight {weight}",
+                    adg.name()
+                );
                 assert_eq!(got, expected, "{what}");
                 let pops = router.pops() - before;
-                assert!(pops <= reference_pops, "{what}: {pops} pops, reference {reference_pops}");
+                assert!(
+                    pops <= reference_pops,
+                    "{what}: {pops} pops, reference {reference_pops}"
+                );
                 match expected {
                     Some(_) => routed += 1,
                     None => unreachable += 1,
@@ -697,7 +743,11 @@ mod tests {
         ] {
             let (routed, unreachable) =
                 assert_router_matches_reference(&adg, ORACLE_PAIRS, 0xD5A6E4);
-            assert!(routed > 0 && unreachable > 0, "{}: {routed}/{unreachable}", adg.name());
+            assert!(
+                routed > 0 && unreachable > 0,
+                "{}: {routed}/{unreachable}",
+                adg.name()
+            );
         }
     }
 
@@ -705,7 +755,9 @@ mod tests {
     fn router_matches_the_reference_through_stuck_switches() {
         use dsagen_faults::{inject, FaultKind, FaultPlan};
         let adg = presets::softbrain();
-        let plan = (0..4).fold(FaultPlan::new(11), |plan, _| plan.with(FaultKind::StuckSwitch));
+        let plan = (0..4).fold(FaultPlan::new(11), |plan, _| {
+            plan.with(FaultKind::StuckSwitch)
+        });
         let (stuck, report) = inject(&adg, &plan);
         let matrices = stuck
             .switches()
@@ -733,7 +785,10 @@ mod tests {
                     route_reference(&adg, src, to, |_| 0, 0.5).0
                 );
             }
-            assert_eq!(router.route(src, b, |_| 0, 0.5).is_some(), allow_second_output);
+            assert_eq!(
+                router.route(src, b, |_| 0, 0.5).is_some(),
+                allow_second_output
+            );
         }
     }
 
@@ -745,7 +800,11 @@ mod tests {
             for (i, &from) in nodes.iter().enumerate().step_by(7) {
                 let to = nodes[(i * 13 + 5) % nodes.len()];
                 let free = route(&adg, from, to, |_| 0, 0.0);
-                assert_eq!(route(&adg, from, to, |_| 0, f64::INFINITY), free, "{from} -> {to}");
+                assert_eq!(
+                    route(&adg, from, to, |_| 0, f64::INFINITY),
+                    free,
+                    "{from} -> {to}"
+                );
                 routed += usize::from(free.is_some_and(|r| !r.is_empty()));
             }
             assert!(routed > 0, "{}", adg.name());
@@ -785,7 +844,14 @@ mod tests {
         // Make the first route's edges expensive; a different route should
         // appear (or at least not be *more* expensive in base terms).
         let busy: std::collections::HashSet<_> = base.iter().copied().collect();
-        let alt = route(&adg, sync, pe, |e| if busy.contains(&e) { 10 } else { 0 }, 1.0).unwrap();
+        let alt = route(
+            &adg,
+            sync,
+            pe,
+            |e| if busy.contains(&e) { 10 } else { 0 },
+            1.0,
+        )
+        .unwrap();
         assert_ne!(base, alt);
     }
 

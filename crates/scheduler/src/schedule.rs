@@ -35,9 +35,11 @@ impl Schedule {
     #[must_use]
     pub fn is_complete(&self, problem: &Problem<'_>) -> bool {
         self.placement.iter().all(Option::is_some)
-            && problem.edges.iter().enumerate().all(|(i, _)| {
-                self.routes.contains_key(&i)
-            })
+            && problem
+                .edges
+                .iter()
+                .enumerate()
+                .all(|(i, _)| self.routes.contains_key(&i))
     }
 
     /// Unmaps entity `e`, dropping its placement and all incident routes.
@@ -336,13 +338,19 @@ impl LinkTable {
     /// values congest.
     pub(crate) fn others(&self, link: EdgeId, value: usize) -> u32 {
         self.values.get(link.index()).map_or(0, |carried| {
-            carried.entries().iter().filter(|(v, _)| *v != value).count() as u32
+            carried
+                .entries()
+                .iter()
+                .filter(|(v, _)| *v != value)
+                .count() as u32
         })
     }
 
     /// Whether `link` carries more than one distinct value.
     pub(crate) fn congested(&self, link: EdgeId) -> bool {
-        self.values.get(link.index()).is_some_and(|carried| carried.entries().len() > 1)
+        self.values
+            .get(link.index())
+            .is_some_and(|carried| carried.entries().len() > 1)
     }
 
     /// Network overutilization: Σ over links of (distinct values − 1).
@@ -354,9 +362,14 @@ impl LinkTable {
     /// whatever order their edits arrived in.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn normalized(&self) -> (Vec<Vec<(usize, u32)>>, usize) {
-        let mut values: Vec<Vec<(usize, u32)>> =
-            self.values.iter().map(|carried| carried.entries().to_vec()).collect();
-        values.iter_mut().for_each(|carried| carried.sort_unstable());
+        let mut values: Vec<Vec<(usize, u32)>> = self
+            .values
+            .iter()
+            .map(|carried| carried.entries().to_vec())
+            .collect();
+        values
+            .iter_mut()
+            .for_each(|carried| carried.sort_unstable());
         while values.last().is_some_and(Vec::is_empty) {
             values.pop();
         }
@@ -447,7 +460,12 @@ mod tests {
         check(&table, &s);
         assert!(table.overuse() > 0, "the fixture must congest something");
         // Remove the routes one by one, then put them back in reverse.
-        let routed: Vec<usize> = s.routes.keys().copied().filter(|i| *i < p.edges.len()).collect();
+        let routed: Vec<usize> = s
+            .routes
+            .keys()
+            .copied()
+            .filter(|i| *i < p.edges.len())
+            .collect();
         let mut taken = Vec::new();
         for i in routed {
             let path = s.routes.remove(&i).unwrap();

@@ -320,10 +320,19 @@ fn escalate(
     let mut attempt = |n: u32, iters: u32| {
         let attempt_cfg = SchedulerConfig {
             max_iters: iters.min(ITER_CAP),
-            seed: cfg.seed.wrapping_add(u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            seed: cfg
+                .seed
+                .wrapping_add(u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ..*cfg
         };
-        let mut result = search(problem, &mut router, start.clone(), &attempt_cfg, allowed, tel);
+        let mut result = search(
+            problem,
+            &mut router,
+            start.clone(),
+            &attempt_cfg,
+            allowed,
+            tel,
+        );
         result.outcome = outcome;
         result
     };
@@ -366,7 +375,14 @@ fn search<'a>(
         .filter(|i| allowed[*i])
         .collect();
     let whole = allowed_idx.len() == problem.entities.len();
-    let mut span = tel.span("sched", if whole { "path_search" } else { "path_search_scoped" });
+    let mut span = tel.span(
+        "sched",
+        if whole {
+            "path_search"
+        } else {
+            "path_search_scoped"
+        },
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut expansions: u64 = 0;
     let mut victims_total: u64 = 0;
@@ -404,7 +420,11 @@ fn search<'a>(
     // schedule is the answer. (A kernel with no entities pins nothing; it
     // idles through the loop until `patience` calls it converged, which
     // keeps its `iterations` what they have always been.)
-    let budget = if whole || !allowed_idx.is_empty() { cfg.max_iters } else { 0 };
+    let budget = if whole || !allowed_idx.is_empty() {
+        cfg.max_iters
+    } else {
+        0
+    };
     for iter in 0..budget {
         iterations = iter + 1;
         // "Unmap one or more mapped instructions (or streams)" — victims
@@ -452,7 +472,14 @@ fn search<'a>(
     }
 
     let pops = work.router.pops() - pops_before;
-    flush_search_metrics(tel, iterations, victims_total, expansions, pops, best_score.feasible);
+    flush_search_metrics(
+        tel,
+        iterations,
+        victims_total,
+        expansions,
+        pops,
+        best_score.feasible,
+    );
     span.arg("iterations", iterations);
     span.arg("expansions", expansions);
     span.arg("pops", pops);
@@ -487,7 +514,10 @@ fn flush_search_metrics(
     m.add("scheduler.path_search.victims", victims);
     m.add("scheduler.path_search.expansions", expansions);
     m.add("scheduler.path_search.pops", pops);
-    m.observe("scheduler.path_search.iterations_per_run", u64::from(iterations));
+    m.observe(
+        "scheduler.path_search.iterations_per_run",
+        u64::from(iterations),
+    );
     if feasible {
         m.add("scheduler.path_search.converged", 1);
     }
@@ -534,7 +564,14 @@ impl Working<'_, '_> {
     /// `self.scratch.evaluation(..)`.
     fn score(&mut self) -> Score {
         let (problem, fabric) = (self.problem, self.router.fabric());
-        evaluate_with(problem, &self.sched, &self.links, fabric, &self.cfg.weights, &mut self.scratch)
+        evaluate_with(
+            problem,
+            &self.sched,
+            &self.links,
+            fabric,
+            &self.cfg.weights,
+            &mut self.scratch,
+        )
     }
 
     /// Unmaps entity `v`, dropping its placement and all incident routes.
@@ -659,7 +696,10 @@ impl Working<'_, '_> {
             .routes
             .iter()
             .filter(|(i, path)| {
-                self.problem.edges.get(**i).is_some_and(|e| self.allowed[e.src])
+                self.problem
+                    .edges
+                    .get(**i)
+                    .is_some_and(|e| self.allowed[e.src])
                     && self.crosses_congestion(path)
             })
             .map(|(i, _)| *i)
@@ -725,7 +765,12 @@ impl Working<'_, '_> {
             }
         }
         // Unplaced entities always need attention.
-        pool.extend(allowed_idx.iter().copied().filter(|i| sched.placement[*i].is_none()));
+        pool.extend(
+            allowed_idx
+                .iter()
+                .copied()
+                .filter(|i| sched.placement[*i].is_none()),
+        );
         // The segments above arrive in unrelated orders; sort so the seeded RNG
         // yields reproducible schedules.
         pool.sort_unstable();
@@ -1058,8 +1103,7 @@ mod tests {
             // Whatever the outcome, every surviving route must be legal
             // under the stuck routing matrix.
             for (idx, path) in &repaired.schedule.routes {
-                let src = repaired.schedule.placement
-                    [Problem::new(&degraded, &ck).edges[*idx].src]
+                let src = repaired.schedule.placement[Problem::new(&degraded, &ck).edges[*idx].src]
                     .expect("routed edges have placed endpoints");
                 assert!(
                     crate::route::path_legal(&degraded, src, path),

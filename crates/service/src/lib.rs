@@ -365,10 +365,7 @@ impl Service {
             }
         }
         let report = self.report();
-        self.shared
-            .telemetry
-            .metrics()
-            .add("service.drained", 1);
+        self.shared.telemetry.metrics().add("service.drained", 1);
         report
     }
 
@@ -491,7 +488,10 @@ mod tests {
             .into_iter()
             .filter(|k| k.name == "centro-fir")
             .collect();
-        assert!(!kernels.is_empty(), "workload suite must contain centro-fir");
+        assert!(
+            !kernels.is_empty(),
+            "workload suite must contain centro-fir"
+        );
         CompileRequest {
             tenant: tenant.to_string(),
             adg: presets::dse_initial(),

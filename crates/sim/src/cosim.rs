@@ -149,7 +149,8 @@ pub fn simulate_functional(
 ) -> Result<CoSimReport, CoSimError> {
     let problem = Problem::new(adg, version);
     let config = verify_round_trip_timed(&problem, schedule, eval)?;
-    let timing = try_simulate_verified(adg, version, schedule, eval, &config, config_path_len, cfg)?;
+    let timing =
+        try_simulate_verified(adg, version, schedule, eval, &config, config_path_len, cfg)?;
     for (ri, region) in version.regions.iter().enumerate() {
         let fired = timing.firings.get(ri).copied().unwrap_or(0);
         // Instance counts are products of trip counts and can be fractional

@@ -140,8 +140,8 @@ impl RecoveryDomains {
                     || !feet[a].edges.is_disjoint(&feet[b].edges)
                     || !feet[a].nodes.is_disjoint(&feet[b].turns)
                     || !feet[b].nodes.is_disjoint(&feet[a].turns);
-                let mem_shared = region_group[a] == region_group[b]
-                    && !feet[a].mems.is_disjoint(&feet[b].mems);
+                let mem_shared =
+                    region_group[a] == region_group[b] && !feet[a].mems.is_disjoint(&feet[b].mems);
                 if fault_shared || mem_shared {
                     union(&mut parent, a, b);
                 }
@@ -312,8 +312,7 @@ mod tests {
         k.finish_region(r1);
         let kernel = k.build().unwrap();
         let adg = presets::softbrain();
-        let ck =
-            compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
+        let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features()).unwrap();
         let s = fresh(&adg, &ck, &SchedulerConfig::default());
         assert!(s.is_legal(), "eval: {:?}", s.eval);
         let d = RecoveryDomains::derive(&adg, &ck, &s.schedule);

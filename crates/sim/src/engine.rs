@@ -746,9 +746,8 @@ pub fn simulate_instrumented(
     if let Err(e) = validate_schedule(adg, schedule) {
         span.arg("error", e.to_string());
         span.end();
-        tel.recorder().record("sim", || {
-            ("sim_error".to_string(), format!("error={e}"))
-        });
+        tel.recorder()
+            .record("sim", || ("sim_error".to_string(), format!("error={e}")));
         let _ = tel.recorder().dump_on_error("sim_error");
         return Err(e);
     }
@@ -1046,14 +1045,11 @@ mod reference {
                     s.stalled += 1; // lost memory-port arbitration
                     continue;
                 }
-                let amount = s
-                    .remaining
-                    .min(s.elems_per_cycle)
-                    .min(if s.is_read {
-                        (s.fifo_cap - s.fifo).max(0.0)
-                    } else {
-                        s.fifo // writes drain what the fabric produced
-                    });
+                let amount = s.remaining.min(s.elems_per_cycle).min(if s.is_read {
+                    (s.fifo_cap - s.fifo).max(0.0)
+                } else {
+                    s.fifo // writes drain what the fabric produced
+                });
                 if amount > 0.0 {
                     *budget -= 1.0;
                     deliver(s, amount);

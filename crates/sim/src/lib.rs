@@ -63,9 +63,7 @@ pub use recovery::{
     run_with_degradation, run_with_recovery, RecoveryAction, RecoveryError, RecoveryEvent,
     RecoveryOutcome, RecoveryPolicy, RecoveryReport, RepairRung,
 };
-pub use runtime::{
-    Detector, RuntimeConfig, RuntimeFault, RuntimeSim, SimCheckpoint, StepOutcome,
-};
+pub use runtime::{Detector, RuntimeConfig, RuntimeFault, RuntimeSim, SimCheckpoint, StepOutcome};
 pub use telemetry::{PeCounters, SimTelemetry, StallTaxonomy, StreamCounters};
 
 /// Why a simulation could not run: the schedule references hardware the
@@ -379,10 +377,8 @@ mod tests {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(256), &TransformConfig::fallback(), &adg.features()).unwrap();
         let s = fresh(&adg, &ck, &SchedulerConfig::default());
-        let direct =
-            simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
-        let checked =
-            simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
+        let direct = simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
+        let checked = simulate(&adg, &ck, &s.schedule, &s.eval, 0, &SimConfig::default()).unwrap();
         assert_eq!(direct, checked);
     }
 
@@ -441,8 +437,7 @@ mod tests {
         let adg = presets::softbrain();
         let ck = compile_kernel(&dot(1024), &TransformConfig::fallback(), &adg.features()).unwrap();
         let s = fresh(&adg, &ck, &SchedulerConfig::default());
-        let plain =
-            simulate(&adg, &ck, &s.schedule, &s.eval, 37, &SimConfig::default()).unwrap();
+        let plain = simulate(&adg, &ck, &s.schedule, &s.eval, 37, &SimConfig::default()).unwrap();
         let tel = dsagen_telemetry::Telemetry::in_memory();
         let (instrumented, hw) = simulate_instrumented(
             &adg,
@@ -484,7 +479,9 @@ mod tests {
         }
         // Counter events landed in the sink.
         let events = tel.events();
-        assert!(events.iter().any(|e| e.cat == "phase" && e.name == "simulate"));
+        assert!(events
+            .iter()
+            .any(|e| e.cat == "phase" && e.name == "simulate"));
         assert!(events.iter().any(|e| e.cat == "sim.counters"));
         // And the JSON rendering is balanced.
         let json = hw.to_json();

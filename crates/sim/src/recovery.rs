@@ -395,7 +395,10 @@ impl RecoveryReport {
         if self.events.is_empty() {
             return 0.0;
         }
-        self.events.iter().map(|e| e.mttr_cycles() as f64).sum::<f64>()
+        self.events
+            .iter()
+            .map(|e| e.mttr_cycles() as f64)
+            .sum::<f64>()
             / self.events.len() as f64
     }
 
@@ -474,8 +477,7 @@ pub fn run_with_recovery(
                     .unwrap_or_default();
                 // Scoped recovery only pays off (and only differs) when
                 // other domains exist to protect.
-                let scoped =
-                    !afflicted.is_empty() && afflicted.len() < domains.region_count();
+                let scoped = !afflicted.is_empty() && afflicted.len() < domains.region_count();
                 if events.len() >= policy.max_recoveries {
                     span.arg("outcome", "budget-exhausted");
                     span.end();
@@ -524,8 +526,7 @@ pub fn run_with_recovery(
                 //    reschedule. Each structural rung masks damage on a
                 //    scratch fabric; an infeasible rung escalates
                 //    instead of aborting.
-                let needs_repair =
-                    !matches!(fault.lifetime, FaultLifetime::Transient { .. });
+                let needs_repair = !matches!(fault.lifetime, FaultLifetime::Transient { .. });
                 let (action, sched_now, eval_now) = if needs_repair {
                     let mut rspan = tel.span("recovery", "repair");
                     // Rungs 1–3 repair incrementally under the policy's
@@ -648,8 +649,7 @@ pub fn run_with_recovery(
                             let relaxed = relaxed_config(&policy.scheduler);
                             let mut found = None;
                             let mut spent: u64 = 0;
-                            for (degraded_adg, mask_desc) in
-                                quarantine_candidates(&adg_now, &fault)
+                            for (degraded_adg, mask_desc) in quarantine_candidates(&adg_now, &fault)
                             {
                                 let Ok(res) = dsagen_scheduler::schedule(
                                     &degraded_adg,
@@ -681,8 +681,7 @@ pub fn run_with_recovery(
                                         ),
                                     )
                                 });
-                                let _ =
-                                    tel.recorder().dump_on_error("recovery_unrecoverable");
+                                let _ = tel.recorder().dump_on_error("recovery_unrecoverable");
                                 return Err(RecoveryError::Unrecoverable {
                                     fault: Box::new(fault),
                                     reason: format!(
@@ -698,19 +697,13 @@ surviving fabric reschedules legally ({spent} iterations spent)"
                             tel.recorder().record("recovery", || {
                                 (
                                     "degraded_entered".to_string(),
-                                    format!(
-                                        "kind={} victim={}",
-                                        fault.kind, fault.victim
-                                    ),
+                                    format!("kind={} victim={}", fault.kind, fault.victim),
                                 )
                             });
                             tel.emit(|| {
-                                dsagen_telemetry::EventData::new(
-                                    "recovery/degraded",
-                                    "entered",
-                                )
-                                .arg("fault", fault.kind.to_string())
-                                .arg("victim", fault.victim.to_string())
+                                dsagen_telemetry::EventData::new("recovery/degraded", "entered")
+                                    .arg("fault", fault.kind.to_string())
+                                    .arg("victim", fault.victim.to_string())
                             });
                             (
                                 RecoveryAction::DegradedReschedule {
@@ -729,22 +722,22 @@ surviving fabric reschedules legally ({spent} iterations spent)"
                 let target_schedule = sched_now.as_ref().unwrap_or_else(|| sim.schedule());
                 let target_eval = eval_now.as_ref().unwrap_or_else(|| sim.eval());
                 let problem = Problem::new(&adg_now, kernel);
-                let verified =
-                    match verify_round_trip_timed(&problem, target_schedule, target_eval) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            span.arg("outcome", "verify-failed");
-                            span.end();
-                            tel.recorder().record("recovery", || {
-                                ("verify_failed".to_string(), format!("error={e}"))
-                            });
-                            let _ = tel.recorder().dump_on_error("recovery_verify");
-                            return Err(RecoveryError::Verify {
-                                fault: Box::new(fault),
-                                reason: e.to_string(),
-                            });
-                        }
-                    };
+                let verified = match verify_round_trip_timed(&problem, target_schedule, target_eval)
+                {
+                    Ok(v) => v,
+                    Err(e) => {
+                        span.arg("outcome", "verify-failed");
+                        span.end();
+                        tel.recorder().record("recovery", || {
+                            ("verify_failed".to_string(), format!("error={e}"))
+                        });
+                        let _ = tel.recorder().dump_on_error("recovery_verify");
+                        return Err(RecoveryError::Verify {
+                            fault: Box::new(fault),
+                            reason: e.to_string(),
+                        });
+                    }
+                };
 
                 // 4. Reprogram through the CRC-framed session.
                 let mut session = ProgrammingSession::new(verified.bitstream(), policy.session);
@@ -775,8 +768,7 @@ surviving fabric reschedules legally ({spent} iterations spent)"
                     )
                     .longest() as u32;
                 }
-                let reprogram_cycles =
-                    srep.frames_sent + srep.backoff_cycles + u64::from(cpl_now);
+                let reprogram_cycles = srep.frames_sent + srep.backoff_cycles + u64::from(cpl_now);
 
                 // 5. Resume from the checkpoint on the (new) mapping.
                 //    When other domains exist and there is work to
@@ -846,8 +838,7 @@ surviving fabric reschedules legally ({spent} iterations spent)"
     // Degraded runs measure their throughput against the fault-free
     // baseline on the pristine inputs (computed only when needed).
     let throughput_ratio = if degraded {
-        let baseline =
-            crate::simulate(adg, kernel, schedule, eval, config_path_len, cfg)?;
+        let baseline = crate::simulate(adg, kernel, schedule, eval, config_path_len, cfg)?;
         let ratio = if total_cycles == 0 {
             1.0
         } else {
@@ -1164,8 +1155,7 @@ mod tests {
     #[test]
     fn fault_free_run_has_no_events_and_no_overhead() {
         let fx = fixture(1024);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let rep = recover(
             &fx,
             &FaultSchedule::new(1),
@@ -1184,8 +1174,7 @@ mod tests {
     #[test]
     fn transient_blocking_fault_recovers_with_rollback_only() {
         let fx = fixture(4096);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         // Long enough to trip the 64-cycle watchdog; transient, so recovery
         // is rollback-only (no repair).
         let faults = FaultSchedule::new(7).with(
@@ -1197,7 +1186,11 @@ mod tests {
         let rep = recover(&fx, &faults, &RecoveryPolicy::default(), &tel).unwrap();
         assert_eq!(rep.events.len(), 1);
         let ev = &rep.events[0];
-        assert!(matches!(ev.action, RecoveryAction::RollbackOnly), "{}", ev.action);
+        assert!(
+            matches!(ev.action, RecoveryAction::RollbackOnly),
+            "{}",
+            ev.action
+        );
         assert!(ev.detection_latency <= RecoveryPolicy::default().rt.watchdog_bound);
         assert!(ev.reprogram_cycles > 0, "config replay must be charged");
         assert!(ev.mttr_cycles() > 0);
@@ -1207,34 +1200,46 @@ mod tests {
         assert!(rep.overhead_vs(plain.cycles) > 0.0);
         // Telemetry: detection and resume events under recovery/*.
         let events = tel.events();
-        assert!(events.iter().any(|e| e.cat == "recovery" && e.name == "detect"));
-        assert!(events.iter().any(|e| e.cat == "recovery" && e.name == "resume"));
-        assert!(events.iter().any(|e| e.cat == "recovery" && e.name == "run_with_recovery"));
+        assert!(events
+            .iter()
+            .any(|e| e.cat == "recovery" && e.name == "detect"));
+        assert!(events
+            .iter()
+            .any(|e| e.cat == "recovery" && e.name == "resume"));
+        assert!(events
+            .iter()
+            .any(|e| e.cat == "recovery" && e.name == "run_with_recovery"));
     }
 
     #[test]
     fn permanent_fault_repairs_or_fails_typed() {
         let fx = fixture(4096);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(11).with(
             200,
             dsagen_faults::FaultLifetime::Permanent,
             FaultKind::DeadPe,
         );
-        match recover(&fx, &faults, &RecoveryPolicy::default(), &Telemetry::disabled()) {
+        match recover(
+            &fx,
+            &faults,
+            &RecoveryPolicy::default(),
+            &Telemetry::disabled(),
+        ) {
             Ok(rep) => {
                 assert_eq!(rep.events.len(), 1);
                 assert!(
                     matches!(
                         rep.events[0].action,
-                        RecoveryAction::Repaired { .. }
-                            | RecoveryAction::DegradedReschedule { .. }
+                        RecoveryAction::Repaired { .. } | RecoveryAction::DegradedReschedule { .. }
                     ),
                     "permanent faults must be repaired or degraded, got {}",
                     rep.events[0].action
                 );
-                assert_eq!(rep.report.firings, plain.firings, "recovered outputs differ");
+                assert_eq!(
+                    rep.report.firings, plain.firings,
+                    "recovered outputs differ"
+                );
                 if rep.degraded {
                     let ratio = rep.throughput_ratio.expect("degraded measures throughput");
                     assert!(ratio > 0.0 && ratio <= 1.0, "ratio {ratio}");
@@ -1259,15 +1264,19 @@ mod tests {
     #[test]
     fn poison_fault_rolls_back_to_a_clean_timeline() {
         let fx = fixture(4096);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(13).with(
             300,
             dsagen_faults::FaultLifetime::Transient { duration: 100 },
             FaultKind::StuckSwitch,
         );
-        let rep =
-            recover(&fx, &faults, &RecoveryPolicy::default(), &Telemetry::disabled()).unwrap();
+        let rep = recover(
+            &fx,
+            &faults,
+            &RecoveryPolicy::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(rep.events.len(), 1);
         let ev = &rep.events[0];
         assert_eq!(ev.fault.detector, crate::runtime::Detector::Residue);
@@ -1280,8 +1289,7 @@ mod tests {
     #[test]
     fn permanent_link_fault_repairs_at_port_granularity() {
         let fx = fixture(4096);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(23).with(
             200,
             dsagen_faults::FaultLifetime::Permanent,
@@ -1318,15 +1326,19 @@ mod tests {
     #[test]
     fn dead_port_fault_masks_only_the_port() {
         let fx = fixture(4096);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         let faults = FaultSchedule::new(29).with(
             200,
             dsagen_faults::FaultLifetime::Permanent,
             FaultKind::DeadPort,
         );
-        let rep =
-            recover(&fx, &faults, &RecoveryPolicy::default(), &Telemetry::disabled()).unwrap();
+        let rep = recover(
+            &fx,
+            &faults,
+            &RecoveryPolicy::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(rep.events.len(), 1);
         assert!(matches!(rep.events[0].fault.victim, FaultTarget::Edge(_)));
         assert!(
@@ -1360,8 +1372,7 @@ mod tests {
     #[test]
     fn exhausted_structural_rungs_degrade_instead_of_aborting() {
         let fx = saturated_fixture(1024);
-        let plain =
-            simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
+        let plain = simulate(&fx.0, &fx.1, &fx.2, &fx.3, 0, &SimConfig::default()).unwrap();
         // Both PEs are busy, so whichever the permanent fault hits,
         // node decommission cannot produce a legal repair. Before the
         // ladder this returned RecoveryError::Unrecoverable; now the
@@ -1452,8 +1463,7 @@ mod tests {
             max_recoveries: 0,
             ..RecoveryPolicy::default()
         };
-        let err =
-            recover(&fx, &faults, &policy, &Telemetry::disabled()).unwrap_err();
+        let err = recover(&fx, &faults, &policy, &Telemetry::disabled()).unwrap_err();
         assert!(
             matches!(err, RecoveryError::BudgetExhausted { recoveries: 0 }),
             "unexpected error {err}"

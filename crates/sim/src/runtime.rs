@@ -350,9 +350,8 @@ impl RuntimeSim {
     /// Binds one schedule fault to a concrete victim on the *current*
     /// (ADG, schedule) pair. Deterministic in `(seed, fault index)`.
     fn resolve_fault(&self, index: usize, timed: TimedFault) -> ResolvedFault {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let mut rng =
+            StdRng::seed_from_u64(self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let victim = match timed.kind {
             // Link- and port-scoped kinds strike a routed edge: the port
             // is identified by the edge occupying it.
@@ -767,9 +766,7 @@ impl RuntimeSim {
             .faults
             .iter()
             .enumerate()
-            .filter(|(_, f)| {
-                !f.consumed && !is_blocking(f.timed.kind) && f.first_effect.is_some()
-            })
+            .filter(|(_, f)| !f.consumed && !is_blocking(f.timed.kind) && f.first_effect.is_some())
             .min_by_key(|(_, f)| f.first_effect)
             .map(|(i, _)| i)?;
         Some(self.consume(fi, Detector::Residue))
@@ -940,8 +937,7 @@ mod tests {
     #[test]
     fn blocking_fault_is_watchdog_detected_within_bound() {
         let (adg, ck, sch, ev) = fixture(4096);
-        let faults =
-            FaultSchedule::new(3).with(100, FaultLifetime::Permanent, FaultKind::DeadPe);
+        let faults = FaultSchedule::new(3).with(100, FaultLifetime::Permanent, FaultKind::DeadPe);
         let mut sim = runtime(&adg, &ck, &sch, &ev, &faults);
         match sim.run_until_event() {
             StepOutcome::Detected(f) => {
@@ -987,7 +983,10 @@ mod tests {
         let (adg, ck, sch, ev) = fixture(4096);
         let plain = simulate(&adg, &ck, &sch, &ev, 0, &SimConfig::default()).unwrap();
         let mut sim = runtime(&adg, &ck, &sch, &ev, &FaultSchedule::new(2));
-        assert!(sim.run_for(500).is_none(), "run finished inside the pause budget");
+        assert!(
+            sim.run_for(500).is_none(),
+            "run finished inside the pause budget"
+        );
         let ckpt = sim.checkpoint();
         assert_eq!(ckpt.wall(), sim.wall());
         assert_eq!(sim.run_until_event(), StepOutcome::Finished);
@@ -1003,8 +1002,7 @@ mod tests {
     #[test]
     fn config_plane_kinds_are_rejected() {
         let (adg, ck, sch, ev) = fixture(256);
-        let faults =
-            FaultSchedule::new(1).with(10, FaultLifetime::Permanent, FaultKind::BitFlip);
+        let faults = FaultSchedule::new(1).with(10, FaultLifetime::Permanent, FaultKind::BitFlip);
         let err = RuntimeSim::new(
             &adg,
             &ck,
@@ -1126,7 +1124,10 @@ mod tests {
         let mut sim = runtime(&adg, &ck, &sch, &ev, &faults);
         match sim.run_until_event() {
             StepOutcome::Detected(f) => {
-                assert!(matches!(f.kind, FaultKind::DegradedLink { capacity: 10 }), "{f}");
+                assert!(
+                    matches!(f.kind, FaultKind::DegradedLink { capacity: 10 }),
+                    "{f}"
+                );
                 assert_eq!(f.detector, Detector::Watchdog);
             }
             other => panic!("expected detection, got {other:?}"),
@@ -1143,10 +1144,9 @@ mod tests {
                 residue_eager: eager,
                 ..RuntimeConfig::default()
             };
-            let mut sim = RuntimeSim::new(
-                &adg, &ck, &sch, &ev, 0, SimConfig::default(), rt, &faults,
-            )
-            .unwrap();
+            let mut sim =
+                RuntimeSim::new(&adg, &ck, &sch, &ev, 0, SimConfig::default(), rt, &faults)
+                    .unwrap();
             match sim.run_until_event() {
                 StepOutcome::Detected(f) => {
                     assert_eq!(f.detector, Detector::Residue);
@@ -1160,7 +1160,10 @@ mod tests {
         // Regression: the documented bound holds in both modes, and eager
         // mode is never slower than interval mode.
         assert!(interval_latency <= RuntimeConfig::default().residue_interval);
-        assert!(eager_latency <= interval_latency, "{eager_latency} > {interval_latency}");
+        assert!(
+            eager_latency <= interval_latency,
+            "{eager_latency} > {interval_latency}"
+        );
         assert!(
             eager_latency <= 2,
             "eager residue must detect within a couple of cycles, got {eager_latency}"
@@ -1170,8 +1173,7 @@ mod tests {
     #[test]
     fn fault_display_names_detector_and_victim() {
         let (adg, ck, sch, ev) = fixture(4096);
-        let faults =
-            FaultSchedule::new(3).with(100, FaultLifetime::Permanent, FaultKind::DeadPe);
+        let faults = FaultSchedule::new(3).with(100, FaultLifetime::Permanent, FaultKind::DeadPe);
         let mut sim = runtime(&adg, &ck, &sch, &ev, &faults);
         let StepOutcome::Detected(f) = sim.run_until_event() else {
             panic!("expected detection");

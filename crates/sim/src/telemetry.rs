@@ -62,7 +62,12 @@ impl StallTaxonomy {
     /// Sum of all stall causes.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.backpressure + self.operand_wait + self.memory + self.barrier + self.config + self.ii
+        self.backpressure
+            + self.operand_wait
+            + self.memory
+            + self.barrier
+            + self.config
+            + self.ii
             + self.ctrl
     }
 
@@ -79,7 +84,11 @@ impl StallTaxonomy {
             ("ii", self.ii),
             ("ctrl", self.ctrl),
         ];
-        let best = causes.iter().max_by_key(|(_, c)| *c).copied().unwrap_or(("none", 0));
+        let best = causes
+            .iter()
+            .max_by_key(|(_, c)| *c)
+            .copied()
+            .unwrap_or(("none", 0));
         if best.1 == 0 {
             ("none", 0)
         } else {
@@ -105,7 +114,12 @@ impl StallTaxonomy {
         format!(
             "{{\"backpressure\":{},\"operand_wait\":{},\"memory\":{},\"barrier\":{},\
 \"config\":{},\"ii\":{},\"ctrl\":{}}}",
-            self.backpressure, self.operand_wait, self.memory, self.barrier, self.config, self.ii,
+            self.backpressure,
+            self.operand_wait,
+            self.memory,
+            self.barrier,
+            self.config,
+            self.ii,
             self.ctrl
         )
     }
@@ -116,7 +130,12 @@ impl fmt::Display for StallTaxonomy {
         write!(
             f,
             "backpressure={} operand-wait={} memory={} barrier={} config={} ii={} ctrl={}",
-            self.backpressure, self.operand_wait, self.memory, self.barrier, self.config, self.ii,
+            self.backpressure,
+            self.operand_wait,
+            self.memory,
+            self.barrier,
+            self.config,
+            self.ii,
             self.ctrl
         )
     }
@@ -367,7 +386,13 @@ impl SimTelemetry {
                 s,
                 "{{\"node\":\"{}\",\"region\":{},\"cycles\":{},\"fired\":{},\"busy\":{},\
 \"stalled\":{},\"idle\":{},\"stalls\":{}}}",
-                pe.node, pe.region, pe.cycles, pe.fired, pe.busy, pe.stalled, pe.idle,
+                pe.node,
+                pe.region,
+                pe.cycles,
+                pe.fired,
+                pe.busy,
+                pe.stalled,
+                pe.idle,
                 pe.stalls.to_json()
             );
         }
@@ -380,8 +405,15 @@ impl SimTelemetry {
                 s,
                 "{{\"region\":{},\"index\":{},\"is_read\":{},\"ctrl_fed\":{},\"issued\":{},\
 \"stalled\":{},\"elems\":{:.1},\"fifo_highwater\":{:.2},\"fifo_cap\":{:.1}}}",
-                st.region, st.index, st.is_read, st.ctrl_fed, st.issued, st.stalled, st.elems,
-                st.fifo_highwater, st.fifo_cap
+                st.region,
+                st.index,
+                st.is_read,
+                st.ctrl_fed,
+                st.issued,
+                st.stalled,
+                st.elems,
+                st.fifo_highwater,
+                st.fifo_cap
             );
         }
         s.push_str("]}");

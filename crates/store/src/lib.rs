@@ -172,7 +172,8 @@ impl RetryPolicy {
         if jitter_span == 0 {
             return exp;
         }
-        let draw = splitmix64(self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9E37)) % (jitter_span + 1);
+        let draw = splitmix64(self.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9E37))
+            % (jitter_span + 1);
         (exp + draw).min(self.max_backoff_ms)
     }
 }
@@ -226,7 +227,10 @@ impl fmt::Display for StoreError {
                 write!(f, "store put: all {attempts} attempts failed transiently")
             }
             StoreError::InjectedCrash { fault } => {
-                write!(f, "store put: injected crash ({fault:?}); entry not committed")
+                write!(
+                    f,
+                    "store put: injected crash ({fault:?}); entry not committed"
+                )
             }
         }
     }
@@ -342,7 +346,8 @@ impl ArtifactStore {
 
     fn sweep_stale_temps(&self) -> Result<(), StoreError> {
         let inner = &self.inner;
-        let iter = fs::read_dir(&inner.entries).map_err(|e| io_err("read-dir", &inner.entries, e))?;
+        let iter =
+            fs::read_dir(&inner.entries).map_err(|e| io_err("read-dir", &inner.entries, e))?;
         for entry in iter.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
@@ -352,7 +357,10 @@ impl ArtifactStore {
             let path = entry.path();
             match fs::remove_file(&path) {
                 Ok(()) => {
-                    inner.counters.stale_temps_swept.fetch_add(1, Ordering::Relaxed);
+                    inner
+                        .counters
+                        .stale_temps_swept
+                        .fetch_add(1, Ordering::Relaxed);
                     inner.telemetry.metrics().add("store.sweep.stale_temp", 1);
                     log(
                         Level::Info,
@@ -409,8 +417,14 @@ impl ArtifactStore {
                     return Ok(());
                 }
                 WriteFault::Transient => {
-                    inner.counters.transient_retries.fetch_add(1, Ordering::Relaxed);
-                    inner.telemetry.metrics().add("store.put.transient_retry", 1);
+                    inner
+                        .counters
+                        .transient_retries
+                        .fetch_add(1, Ordering::Relaxed);
+                    inner
+                        .telemetry
+                        .metrics()
+                        .add("store.put.transient_retry", 1);
                     if attempt < inner.cfg.retry.max_attempts {
                         std::thread::sleep(std::time::Duration::from_millis(
                             inner.cfg.retry.backoff_ms(attempt),
@@ -433,14 +447,21 @@ impl ArtifactStore {
                 }
             }
         }
-        inner.telemetry.metrics().add("store.put.retries_exhausted", 1);
+        inner
+            .telemetry
+            .metrics()
+            .add("store.put.retries_exhausted", 1);
         Err(StoreError::RetriesExhausted {
             attempts: inner.cfg.retry.max_attempts,
         })
     }
 
     fn temp_path(&self) -> PathBuf {
-        let n = self.inner.counters.temp_counter.fetch_add(1, Ordering::Relaxed);
+        let n = self
+            .inner
+            .counters
+            .temp_counter
+            .fetch_add(1, Ordering::Relaxed);
         self.inner
             .entries
             .join(format!("{TEMP_PREFIX}{}-{n}", std::process::id()))
@@ -449,7 +470,8 @@ impl ArtifactStore {
     fn commit(&self, bytes: &[u8], final_path: &Path) -> Result<(), StoreError> {
         let temp = self.temp_path();
         let mut f = fs::File::create(&temp).map_err(|e| io_err("create-temp", &temp, e))?;
-        f.write_all(bytes).map_err(|e| io_err("write-temp", &temp, e))?;
+        f.write_all(bytes)
+            .map_err(|e| io_err("write-temp", &temp, e))?;
         f.sync_all().map_err(|e| io_err("fsync-temp", &temp, e))?;
         drop(f);
         fs::rename(&temp, final_path).map_err(|e| io_err("rename", final_path, e))?;
@@ -551,11 +573,7 @@ impl ArtifactStore {
         fs::read_dir(&self.inner.entries)
             .map(|iter| {
                 iter.flatten()
-                    .filter(|e| {
-                        e.file_name()
-                            .to_str()
-                            .is_some_and(|n| n.ends_with(".art"))
-                    })
+                    .filter(|e| e.file_name().to_str().is_some_and(|n| n.ends_with(".art")))
                     .count()
             })
             .unwrap_or(0)
@@ -640,10 +658,8 @@ mod tests {
     }
 
     fn tmp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dsagen-store-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("dsagen-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -140,7 +140,10 @@ impl<'a> Reader<'a> {
             Ok(())
         } else {
             Err(RecordError::Malformed {
-                what: format!("{what}: {} trailing payload bytes", self.buf.len() - self.pos),
+                what: format!(
+                    "{what}: {} trailing payload bytes",
+                    self.buf.len() - self.pos
+                ),
             })
         }
     }
@@ -174,10 +177,7 @@ pub fn encode(artifact: &Artifact) -> Vec<u8> {
     let mut placement = Vec::with_capacity(4 + 4 * artifact.schedule.placement.len());
     put_u32(&mut placement, artifact.schedule.placement.len() as u32);
     for slot in &artifact.schedule.placement {
-        put_u32(
-            &mut placement,
-            slot.map_or(UNPLACED, |n| n.index() as u32),
-        );
+        put_u32(&mut placement, slot.map_or(UNPLACED, |n| n.index() as u32));
     }
     out.extend_from_slice(&frame_chunk(&placement));
 

@@ -271,7 +271,11 @@ mod tests {
         assert_eq!(dse.name, "dse");
         assert_eq!(dse.children.len(), 2);
         let search = dse.child("path_search").expect("nested span");
-        assert!(search.total_us >= 1000, "slept 2ms, got {}us", search.total_us);
+        assert!(
+            search.total_us >= 1000,
+            "slept 2ms, got {}us",
+            search.total_us
+        );
         assert!(dse.total_us >= search.total_us);
         assert!(dse.self_us <= dse.total_us);
     }

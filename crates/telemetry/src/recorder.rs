@@ -196,7 +196,13 @@ impl FlightRecorder {
         let n = DUMPS.fetch_add(1, Ordering::Relaxed);
         let safe: String = label
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                    c
+                } else {
+                    '_'
+                }
+            })
             .collect();
         let path = PathBuf::from(dir).join(format!("flight_{safe}_{n}.jsonl"));
         match std::fs::write(&path, self.dump_jsonl()) {

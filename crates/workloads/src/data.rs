@@ -23,7 +23,9 @@ pub fn dense_f64(len: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
 pub fn sorted_keys(len: usize, match_ratio: f64, seed: u64) -> Vec<u64> {
     let universe = (len as f64 / match_ratio.clamp(0.05, 1.0)) as u64;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..universe.max(1))).collect();
+    let mut keys: Vec<u64> = (0..len)
+        .map(|_| rng.gen_range(0..universe.max(1)))
+        .collect();
     keys.sort_unstable();
     keys.dedup();
     while keys.len() < len {

@@ -260,9 +260,9 @@ mod tests {
     fn triangular_loops_are_inductive() {
         let k = qr();
         let inductive = k.regions.iter().any(|r| {
-            r.loops.iter().any(|l| {
-                matches!(l.kind, LoopKind::For { trip } if trip.is_inductive())
-            })
+            r.loops
+                .iter()
+                .any(|l| matches!(l.kind, LoopKind::For { trip } if trip.is_inductive()))
         });
         assert!(inductive);
     }
@@ -275,7 +275,9 @@ mod tests {
         let sqrt = region
             .iter_exprs()
             .find_map(|(id, e)| match e {
-                SrcExpr::Un { op: Opcode::FSqrt, .. } => Some(id),
+                SrcExpr::Un {
+                    op: Opcode::FSqrt, ..
+                } => Some(id),
                 _ => None,
             })
             .expect("qr has a square root");
@@ -296,8 +298,14 @@ mod tests {
 
     #[test]
     fn table1_sizes() {
-        assert!(qr().arrays.iter().any(|a| a.name == "a" && a.len == 32 * 32));
+        assert!(qr()
+            .arrays
+            .iter()
+            .any(|a| a.name == "a" && a.len == 32 * 32));
         assert!(cholesky().arrays.iter().any(|a| a.len == 32 * 32));
-        assert!(fft().arrays.iter().any(|a| a.name == "re" && a.len == 1 << 10));
+        assert!(fft()
+            .arrays
+            .iter()
+            .any(|a| a.name == "re" && a.len == 1 << 10));
     }
 }

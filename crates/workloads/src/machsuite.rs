@@ -14,7 +14,12 @@ pub fn md() -> Kernel {
     let px = k.array("pos_x", BitWidth::B64, atoms, MemClass::Scratchpad);
     let py = k.array("pos_y", BitWidth::B64, atoms, MemClass::Scratchpad);
     let pz = k.array("pos_z", BitWidth::B64, atoms, MemClass::Scratchpad);
-    let nl = k.array("neigh", BitWidth::B64, atoms * neighbors, MemClass::MainMemory);
+    let nl = k.array(
+        "neigh",
+        BitWidth::B64,
+        atoms * neighbors,
+        MemClass::MainMemory,
+    );
     let fx = k.array("force_x", BitWidth::B64, atoms, MemClass::MainMemory);
     let fy = k.array("force_y", BitWidth::B64, atoms, MemClass::MainMemory);
     let fz = k.array("force_z", BitWidth::B64, atoms, MemClass::MainMemory);
@@ -139,17 +144,23 @@ pub fn gemm_kernel(name: &str, n: u64) -> Kernel {
     let kk = r.for_loop(TripCount::fixed(n), false);
     let va = r.load(
         a,
-        AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(kk)),
+        AffineExpr::var(i)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(kk)),
     );
     let vb = r.load(
         b,
-        AffineExpr::var(kk).scaled(n as i64).plus(&AffineExpr::var(j)),
+        AffineExpr::var(kk)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j)),
     );
     let prod = r.bin(Opcode::FMul, va, vb);
     let acc = r.reduce(Opcode::FAdd, prod, kk);
     r.store(
         c,
-        AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(j)),
+        AffineExpr::var(i)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j)),
         acc,
     );
     k.finish_region(r);
@@ -242,7 +253,14 @@ mod tests {
 
     #[test]
     fn all_build_and_validate() {
-        for k in [md(), spmv_crs(), spmv_ellpack(), mm(), stencil2d(), stencil3d()] {
+        for k in [
+            md(),
+            spmv_crs(),
+            spmv_ellpack(),
+            mm(),
+            stencil2d(),
+            stencil3d(),
+        ] {
             k.validate().unwrap_or_else(|e| panic!("{}: {e}", k.name));
         }
     }
@@ -290,7 +308,10 @@ mod tests {
     #[test]
     fn table1_sizes() {
         // md: 128 atoms × 16 neighbors → neighbor list of 2048 indices.
-        assert!(md().arrays.iter().any(|a| a.name == "neigh" && a.len == 128 * 16));
+        assert!(md()
+            .arrays
+            .iter()
+            .any(|a| a.name == "neigh" && a.len == 128 * 16));
         // mm: 64³ → 64×64 operand matrices.
         assert!(mm().arrays.iter().all(|a| a.len == 64 * 64));
         // spmv: 464 rows × 4 nonzeros.

@@ -11,9 +11,19 @@ use dsagen_dfg::{AffineExpr, Kernel, KernelBuilder, MemClass, TripCount};
 pub fn conv() -> Kernel {
     let (dim, out_dim, ch) = (28i64, 26u64, 8u64);
     let mut k = KernelBuilder::new("nn-conv");
-    let input = k.array("input", BitWidth::B64, (dim * dim) as u64, MemClass::Scratchpad);
+    let input = k.array(
+        "input",
+        BitWidth::B64,
+        (dim * dim) as u64,
+        MemClass::Scratchpad,
+    );
     let weights = k.array("weights", BitWidth::B64, ch * 9, MemClass::Scratchpad);
-    let output = k.array("output", BitWidth::B64, ch * out_dim * out_dim, MemClass::MainMemory);
+    let output = k.array(
+        "output",
+        BitWidth::B64,
+        ch * out_dim * out_dim,
+        MemClass::MainMemory,
+    );
 
     let mut r = k.region("conv", 1.0);
     let oc = r.for_loop(TripCount::fixed(ch), false);
@@ -192,7 +202,13 @@ mod tests {
     fn pool_uses_max_not_mul() {
         let k = pool();
         let has_max = k.regions[0].iter_exprs().any(|(_, e)| {
-            matches!(e, dsagen_dfg::SrcExpr::Bin { op: Opcode::FMax, .. })
+            matches!(
+                e,
+                dsagen_dfg::SrcExpr::Bin {
+                    op: Opcode::FMax,
+                    ..
+                }
+            )
         });
         assert!(has_max);
         assert_eq!(k.regions[0].compute_op_count(), 3);
@@ -205,7 +221,10 @@ mod tests {
         let sig = region
             .iter_exprs()
             .find_map(|(id, e)| match e {
-                dsagen_dfg::SrcExpr::Un { op: Opcode::Sigmoid, .. } => Some(id),
+                dsagen_dfg::SrcExpr::Un {
+                    op: Opcode::Sigmoid,
+                    ..
+                } => Some(id),
                 _ => None,
             })
             .unwrap();

@@ -33,17 +33,23 @@ pub fn mm2() -> Kernel {
         let kk = r.for_loop(TripCount::fixed(n), false);
         let va = r.load(
             src1,
-            AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(kk)),
+            AffineExpr::var(i)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(kk)),
         );
         let vb = r.load(
             src2,
-            AffineExpr::var(kk).scaled(n as i64).plus(&AffineExpr::var(j)),
+            AffineExpr::var(kk)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(j)),
         );
         let prod = r.bin(Opcode::FMul, va, vb);
         let acc = r.reduce(Opcode::FAdd, prod, kk);
         r.store(
             dst,
-            AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(j)),
+            AffineExpr::var(i)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(j)),
             acc,
         );
         k.finish_region(r);
@@ -64,28 +70,30 @@ pub fn mm3() -> Kernel {
     let f = k.array("f", BitWidth::B64, n * n, MemClass::Scratchpad);
     let g = k.array("g", BitWidth::B64, n * n, MemClass::MainMemory);
 
-    for (name, src1, src2, dst) in [
-        ("mm1", a, b, e),
-        ("mm2", c, d, f),
-        ("mm3", e, f, g),
-    ] {
+    for (name, src1, src2, dst) in [("mm1", a, b, e), ("mm2", c, d, f), ("mm3", e, f, g)] {
         let mut r = k.region(name, 1.0);
         let i = r.for_loop(TripCount::fixed(n), false);
         let j = r.for_loop(TripCount::fixed(n), true);
         let kk = r.for_loop(TripCount::fixed(n), false);
         let va = r.load(
             src1,
-            AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(kk)),
+            AffineExpr::var(i)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(kk)),
         );
         let vb = r.load(
             src2,
-            AffineExpr::var(kk).scaled(n as i64).plus(&AffineExpr::var(j)),
+            AffineExpr::var(kk)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(j)),
         );
         let prod = r.bin(Opcode::FMul, va, vb);
         let acc = r.reduce(Opcode::FAdd, prod, kk);
         r.store(
             dst,
-            AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(j)),
+            AffineExpr::var(i)
+                .scaled(n as i64)
+                .plus(&AffineExpr::var(j)),
             acc,
         );
         k.finish_region(r);
@@ -110,7 +118,9 @@ pub fn atax() -> Kernel {
     let j0 = r0.for_loop(TripCount::fixed(n), false);
     let va = r0.load(
         a,
-        AffineExpr::var(i0).scaled(n as i64).plus(&AffineExpr::var(j0)),
+        AffineExpr::var(i0)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j0)),
     );
     let vx = r0.load(x, AffineExpr::var(j0));
     let p = r0.bin(Opcode::FMul, va, vx);
@@ -125,7 +135,9 @@ pub fn atax() -> Kernel {
     let tmp = r1.consume(r0i, 0);
     let va1 = r1.load(
         a,
-        AffineExpr::var(i1).scaled(n as i64).plus(&AffineExpr::var(j1)),
+        AffineExpr::var(i1)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j1)),
     );
     let p1 = r1.bin(Opcode::FMul, va1, tmp);
     r1.update(y, AffineExpr::var(j1), Opcode::FAdd, p1);
@@ -150,7 +162,9 @@ pub fn mvt() -> Kernel {
     let j = r0.for_loop(TripCount::fixed(n), false);
     let va = r0.load(
         a,
-        AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(j)),
+        AffineExpr::var(i)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j)),
     );
     let vy = r0.load(y1, AffineExpr::var(j));
     let p = r0.bin(Opcode::FMul, va, vy);
@@ -164,7 +178,9 @@ pub fn mvt() -> Kernel {
     // Transposed access: column-major walk of A.
     let va1 = r1.load(
         a,
-        AffineExpr::var(j1).scaled(n as i64).plus(&AffineExpr::var(i1)),
+        AffineExpr::var(j1)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(i1)),
     );
     let vy1 = r1.load(y2, AffineExpr::var(j1));
     let p1 = r1.bin(Opcode::FMul, va1, vy1);
@@ -193,7 +209,9 @@ pub fn bicg() -> Kernel {
     let i = r0.for_loop(TripCount::fixed(n), false);
     let va = r0.load(
         a,
-        AffineExpr::var(i).scaled(n as i64).plus(&AffineExpr::var(j)),
+        AffineExpr::var(i)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j)),
     );
     let vr = r0.load(r, AffineExpr::var(i));
     let prod = r0.bin(Opcode::FMul, va, vr);
@@ -207,7 +225,9 @@ pub fn bicg() -> Kernel {
     let j1 = r1.for_loop(TripCount::fixed(n), false);
     let va1 = r1.load(
         a,
-        AffineExpr::var(i1).scaled(n as i64).plus(&AffineExpr::var(j1)),
+        AffineExpr::var(i1)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j1)),
     );
     let vp = r1.load(p, AffineExpr::var(j1));
     let prod1 = r1.bin(Opcode::FMul, va1, vp);
@@ -242,7 +262,9 @@ pub fn pipe_split() -> Kernel {
     let j0 = r0.for_loop(TripCount::fixed(n), false);
     let va = r0.load(
         a,
-        AffineExpr::var(i0).scaled(n as i64).plus(&AffineExpr::var(j0)),
+        AffineExpr::var(i0)
+            .scaled(n as i64)
+            .plus(&AffineExpr::var(j0)),
     );
     let vx = r0.load(x, AffineExpr::var(j0));
     let p = r0.bin(Opcode::FMul, va, vx);

@@ -56,13 +56,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(adg, &parsed, "{} must roundtrip", adg.name());
         let path = dir.join(format!("{}.adg", adg.name()));
         std::fs::write(&path, &rendered)?;
-        println!("wrote {} ({} lines)", path.display(), rendered.lines().count());
+        println!(
+            "wrote {} ({} lines)",
+            path.display(),
+            rendered.lines().count()
+        );
     }
 
     // Where does Softbrain's area go?
     println!("\nsoftbrain area breakdown:");
     for (class, cost) in model.estimate_breakdown(&presets::softbrain()) {
-        println!("  {:<8} {:>8.3} mm^2 {:>8.0} mW", class, cost.area_mm2, cost.power_mw);
+        println!(
+            "  {:<8} {:>8.3} mm^2 {:>8.0} mW",
+            class, cost.area_mm2, cost.power_mw
+        );
     }
 
     // Sanity: "synthesis" agrees with the estimate to within a few percent.

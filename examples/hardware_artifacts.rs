@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release -p dsagen --example hardware_artifacts`
 
-use dsagen::prelude::*;
 use dsagen::hwgen::Bitstream;
+use dsagen::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let adg = dsagen::adg::presets::revel();

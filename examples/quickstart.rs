@@ -21,7 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Pick a kernel: MachSuite's 64x64x64 matrix multiply.
     let kernel = dsagen::workloads::machsuite::mm();
-    println!("kernel          : {} ({} regions)", kernel.name, kernel.regions.len());
+    println!(
+        "kernel          : {} ({} regions)",
+        kernel.name,
+        kernel.regions.len()
+    );
 
     // 3. Compile: the modular compiler enumerates transformation
     //    configurations (vectorization degrees here — the kernel is dense),

@@ -174,10 +174,7 @@ fn persistent_config_plane_faults_fail_typed() -> TestResult {
                         );
                         assert!(
                             !report.unreachable_nodes.is_empty()
-                                || !matches!(
-                                    err,
-                                    dsagen::hwgen::SessionError::Undelivered { .. }
-                                ),
+                                || !matches!(err, dsagen::hwgen::SessionError::Undelivered { .. }),
                             "{name} seed={seed} {kind}: undelivered failure must name nodes"
                         );
                     }
@@ -303,9 +300,9 @@ fn transient_runtime_pe_fault_recovers_on_every_preset() -> TestResult {
                     FaultLifetime::Transient { duration: 1024 },
                     FaultKind::DeadPe,
                 );
-                let rep = recover(&adg, &compiled, &cfg, &faults, &policy, &tel).map_err(
-                    |e| format!("{pname}/{kname} seed={seed}: transient must recover: {e}"),
-                )?;
+                let rep = recover(&adg, &compiled, &cfg, &faults, &policy, &tel).map_err(|e| {
+                    format!("{pname}/{kname} seed={seed}: transient must recover: {e}")
+                })?;
                 assert!(
                     !rep.events.is_empty(),
                     "{pname}/{kname} seed={seed}: the fault must be detected"
@@ -384,9 +381,7 @@ fn residue_eager_column_detects_silent_corruption_faster() -> TestResult {
                         ..RecoveryPolicy::default()
                     };
                     let rep = recover(&adg, &compiled, &cfg, &faults, &policy, &tel)
-                        .map_err(|e| {
-                            format!("{pname}/{kname} seed={seed} eager={eager}: {e}")
-                        })?;
+                        .map_err(|e| format!("{pname}/{kname} seed={seed} eager={eager}: {e}"))?;
                     assert_eq!(
                         rep.report.firings, plain.firings,
                         "{pname}/{kname} seed={seed} eager={eager}: silent corruption \

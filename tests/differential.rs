@@ -83,7 +83,10 @@ impl Status {
     }
 }
 
-fn first_mismatch(got: &BTreeMap<String, Vec<f64>>, want: &BTreeMap<String, Vec<f64>>) -> Option<String> {
+fn first_mismatch(
+    got: &BTreeMap<String, Vec<f64>>,
+    want: &BTreeMap<String, Vec<f64>>,
+) -> Option<String> {
     if got.keys().ne(want.keys()) {
         return Some(format!(
             "output arrays differ: sim {:?} vs ref {:?}",
@@ -202,10 +205,7 @@ fn delivery_contract_holds_across_accelerators() {
     // reference values while honoring the delivery contract on its own
     // (different) schedule.
     let wanted = ["mm", "centro-fir", "histogram", "join", "poly-atax"];
-    let accelerators = [
-        dsagen::adg::presets::spu(),
-        dsagen::adg::presets::revel(),
-    ];
+    let accelerators = [dsagen::adg::presets::spu(), dsagen::adg::presets::revel()];
     let mut rows = Vec::new();
     for w in all() {
         if !wanted.contains(&w.kernel.name.as_str()) {

@@ -40,7 +40,10 @@ fn mm_on_softbrain_vectorizes_and_simulates() {
     // 64^3 MACs: at best instances = 64^3 / unroll cycles.
     let min_cycles = 64u64 * 64 * 64 / u64::from(compiled.version.config.unroll);
     assert!(cycles >= min_cycles / 2);
-    assert!(cycles <= min_cycles * 8, "cycles {cycles} vs min {min_cycles}");
+    assert!(
+        cycles <= min_cycles * 8,
+        "cycles {cycles} vs min {min_cycles}"
+    );
 }
 
 #[test]

@@ -53,7 +53,11 @@ fn stencil2d_matches_direct_convolution() {
     let src = data::dense_f64(n * n, 0.0, 1.0, 3);
     let coef = data::dense_f64(9, -1.0, 1.0, 4);
     let kernel = dsagen::workloads::machsuite::stencil2d();
-    let out = execute(&kernel, &inputs(&[("src", src.clone()), ("coef", coef.clone())])).unwrap();
+    let out = execute(
+        &kernel,
+        &inputs(&[("src", src.clone()), ("coef", coef.clone())]),
+    )
+    .unwrap();
 
     let mut expected = vec![0.0; m * m];
     for r in 0..m {
@@ -95,8 +99,14 @@ fn histogram_matches_counting() {
 #[test]
 fn join_matches_sorted_merge_reference() {
     let len = 768usize;
-    let k0: Vec<f64> = data::sorted_keys(len, 0.33, 10).into_iter().map(|k| k as f64).collect();
-    let k1: Vec<f64> = data::sorted_keys(len, 0.33, 11).into_iter().map(|k| k as f64).collect();
+    let k0: Vec<f64> = data::sorted_keys(len, 0.33, 10)
+        .into_iter()
+        .map(|k| k as f64)
+        .collect();
+    let k1: Vec<f64> = data::sorted_keys(len, 0.33, 11)
+        .into_iter()
+        .map(|k| k as f64)
+        .collect();
     let v0 = data::dense_f64(len, 1.0, 5.0, 12);
     let v1 = data::dense_f64(len, 1.0, 5.0, 13);
     let kernel = dsagen::workloads::sparse::join();
@@ -168,7 +178,11 @@ fn centro_fir_matches_reference() {
     let x = data::dense_f64(n + taps, -1.0, 1.0, 30);
     let coef = data::dense_f64(taps / 2, -1.0, 1.0, 31);
     let kernel = dsagen::workloads::dsp::centro_fir();
-    let out = execute(&kernel, &inputs(&[("x", x.clone()), ("coef", coef.clone())])).unwrap();
+    let out = execute(
+        &kernel,
+        &inputs(&[("x", x.clone()), ("coef", coef.clone())]),
+    )
+    .unwrap();
 
     let mut expected = vec![0.0; n];
     for i in 0..n {
@@ -249,10 +263,17 @@ fn qr_and_cholesky_produce_finite_structured_output() {
     let mut a = vec![0.0; n * n];
     for i in 0..n {
         for j in 0..n {
-            a[i * n + j] = if i == j { 8.0 } else { 1.0 / (1.0 + (i as f64 - j as f64).abs()) };
+            a[i * n + j] = if i == j {
+                8.0
+            } else {
+                1.0 / (1.0 + (i as f64 - j as f64).abs())
+            };
         }
     }
-    for kernel in [dsagen::workloads::dsp::qr(), dsagen::workloads::dsp::cholesky()] {
+    for kernel in [
+        dsagen::workloads::dsp::qr(),
+        dsagen::workloads::dsp::cholesky(),
+    ] {
         let out = execute(&kernel, &inputs(&[("a", a.clone())])).unwrap();
         for (name, arr) in &out {
             assert!(
@@ -261,7 +282,11 @@ fn qr_and_cholesky_produce_finite_structured_output() {
                 kernel.name
             );
         }
-        let result = out.values().flat_map(|v| v.iter()).filter(|v| **v != 0.0).count();
+        let result = out
+            .values()
+            .flat_map(|v| v.iter())
+            .filter(|v| **v != 0.0)
+            .count();
         assert!(result > 0, "{}: all-zero output", kernel.name);
     }
 }
@@ -304,7 +329,6 @@ fn fft_kernel_matches_its_own_reference_loops() {
     assert_close(&out["re"], &re, 1e-9, "fft re");
     assert_close(&out["im"], &im, 1e-9, "fft im");
 }
-
 
 #[test]
 fn md_matches_lennard_jones_reference() {
@@ -483,7 +507,11 @@ fn spmv_crs_matches_reference() {
     let kernel = dsagen::workloads::machsuite::spmv_crs();
     let out = execute(
         &kernel,
-        &inputs(&[("vals", vals.clone()), ("cols", cols.clone()), ("x", x.clone())]),
+        &inputs(&[
+            ("vals", vals.clone()),
+            ("cols", cols.clone()),
+            ("x", x.clone()),
+        ]),
     )
     .unwrap();
 

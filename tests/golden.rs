@@ -137,7 +137,10 @@ fn softbrain_rtl_matches_golden() {
 fn spu_histogram_bitstream_matches_golden() {
     let adg = dsagen::adg::presets::spu();
     let kernel = dsagen::workloads::sparse::histogram();
-    check_golden("spu_histogram.bitstream.hex", &bitstream_text(&adg, &kernel));
+    check_golden(
+        "spu_histogram.bitstream.hex",
+        &bitstream_text(&adg, &kernel),
+    );
 }
 
 #[test]
@@ -224,7 +227,11 @@ fn schedule_digest_table() -> String {
                 };
                 let first =
                     schedule(&adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled()).unwrap();
-                let _ = writeln!(out, "{}", digest_row(&adg, w.name, seed, "schedule", &first));
+                let _ = writeln!(
+                    out,
+                    "{}",
+                    digest_row(&adg, w.name, seed, "schedule", &first)
+                );
                 if !first.is_legal() {
                     continue;
                 }
@@ -334,7 +341,9 @@ fn disconnected_fixtures() -> Vec<dsagen::adg::Adg> {
 
 /// 64-bit FNV-1a over `bytes`, continuing from `hash`.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// One row of the config-path digest table: the longest path, every
@@ -398,7 +407,10 @@ fn config_path_digest_table() -> String {
         }
     }
     let used = OpSet::integer_alu().union(OpSet::floating_point());
-    for start in [dsagen::adg::presets::dse_initial(), dsagen::adg::presets::softbrain()] {
+    for start in [
+        dsagen::adg::presets::dse_initial(),
+        dsagen::adg::presets::softbrain(),
+    ] {
         let mut adg = start;
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(20200530);
         for step in 1..=40 {
@@ -610,7 +622,9 @@ fn trace_hash(shard_traces: &[Vec<dsagen::dse::IterRecord>]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     for trace in shard_traces {
         for rec in trace {
-            let reason = rec.rejected_reason.map_or_else(String::new, |r| r.to_string());
+            let reason = rec
+                .rejected_reason
+                .map_or_else(String::new, |r| r.to_string());
             for word in [
                 u64::from(rec.iter),
                 rec.area_mm2.to_bits(),
@@ -638,7 +652,12 @@ fn point_text(p: &dsagen::dse::DsePoint) -> String {
     let per_kernel: Vec<String> = p
         .per_kernel
         .iter()
-        .map(|k| k.map_or_else(|| "-".to_string(), |(v, ipc)| format!("{v}:{:x}", ipc.to_bits())))
+        .map(|k| {
+            k.map_or_else(
+                || "-".to_string(),
+                |(v, ipc)| format!("{v}:{:x}", ipc.to_bits()),
+            )
+        })
         .collect();
     format!(
         "{:x}/{:x}/{:x}/{:x}[{}]",
@@ -713,15 +732,44 @@ fn dse_digest_table() -> String {
             let configs = [
                 ("serial", base),
                 ("shards=3 threads=1", DseConfig { shards: 3, ..base }),
-                ("shards=3 threads=2", DseConfig { shards: 3, threads: 2, ..base }),
-                ("no-repair", DseConfig { use_repair: false, ..base }),
-                ("no-cache", DseConfig { use_cache: false, ..base }),
-                ("reliability", DseConfig { reliability: Some(reliability), ..base }),
+                (
+                    "shards=3 threads=2",
+                    DseConfig {
+                        shards: 3,
+                        threads: 2,
+                        ..base
+                    },
+                ),
+                (
+                    "no-repair",
+                    DseConfig {
+                        use_repair: false,
+                        ..base
+                    },
+                ),
+                (
+                    "no-cache",
+                    DseConfig {
+                        use_cache: false,
+                        ..base
+                    },
+                ),
+                (
+                    "reliability",
+                    DseConfig {
+                        reliability: Some(reliability),
+                        ..base
+                    },
+                ),
             ];
             for (what, cfg) in configs {
                 let mut ex = Explorer::new(presets::dse_initial(), kernels, cfg);
                 let res = ex.run();
-                let _ = writeln!(out, "{}", dse_row(&format!("{set} seed={seed} {what}"), &ex, &res));
+                let _ = writeln!(
+                    out,
+                    "{}",
+                    dse_row(&format!("{set} seed={seed} {what}"), &ex, &res)
+                );
             }
             let root = std::env::temp_dir().join(format!(
                 "dsagen-golden-dse-{}-{set}-{seed}",
@@ -732,7 +780,11 @@ fn dse_digest_table() -> String {
                 let store = dsagen::store::open_default(&root).expect("open a scratch store");
                 let mut ex = Explorer::new(presets::dse_initial(), kernels, base).with_store(store);
                 let res = ex.run();
-                let _ = writeln!(out, "{}", dse_row(&format!("{set} seed={seed} {what}"), &ex, &res));
+                let _ = writeln!(
+                    out,
+                    "{}",
+                    dse_row(&format!("{set} seed={seed} {what}"), &ex, &res)
+                );
             }
             let _ = std::fs::remove_dir_all(&root);
         }

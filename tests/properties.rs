@@ -5,7 +5,9 @@
 
 use dsagen::adg::{presets, Adg, BitWidth, OpSet, Opcode};
 use dsagen::dfg::{AffineExpr, CompiledKernel, LoopVar, StreamPattern, TripCount};
-use dsagen::hwgen::{generate_config_paths, Bitstream, InstrConfig, NodeConfig, RouteConfig, SyncConfig};
+use dsagen::hwgen::{
+    generate_config_paths, Bitstream, InstrConfig, NodeConfig, RouteConfig, SyncConfig,
+};
 use dsagen::scheduler::{ScheduleResult, SchedulerConfig, Start};
 use dsagen::telemetry::Telemetry;
 use proptest::prelude::*;
@@ -754,7 +756,9 @@ fn partial_replacement_refines_node_decommission() {
 
     use dsagen::adg::EdgeId;
     use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::scheduler::{schedule, CapabilityMask, Entity, Problem, SchedulerConfig, Scope, Start};
+    use dsagen::scheduler::{
+        schedule, CapabilityMask, Entity, Problem, SchedulerConfig, Scope, Start,
+    };
     use dsagen::sim::RecoveryDomains;
 
     let mut exercised = 0usize;
@@ -763,7 +767,11 @@ fn partial_replacement_refines_node_decommission() {
         let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
             .expect("mvt compiles");
         for seed in 0u64..6 {
-            let cfg = SchedulerConfig { max_iters: 120, seed, ..SchedulerConfig::default() };
+            let cfg = SchedulerConfig {
+                max_iters: 120,
+                seed,
+                ..SchedulerConfig::default()
+            };
             let s = fresh(&adg, &ck, &cfg);
             if !s.is_legal() {
                 continue;
@@ -791,13 +799,16 @@ fn partial_replacement_refines_node_decommission() {
             }
             for (eid, regions) in &edge_regions {
                 let rvec: Vec<usize> = regions.iter().copied().collect();
-                let Some(dom) = domains.domain_of_regions(&rvec) else { continue };
-                let afflicted: BTreeSet<usize> =
-                    domains.regions_in(dom).iter().copied().collect();
+                let Some(dom) = domains.domain_of_regions(&rvec) else {
+                    continue;
+                };
+                let afflicted: BTreeSet<usize> = domains.regions_in(dom).iter().copied().collect();
                 if afflicted.len() >= domains.region_count() {
                     continue;
                 }
-                let Some(dst) = adg.edge(*eid).map(|e| e.dst) else { continue };
+                let Some(dst) = adg.edge(*eid).map(|e| e.dst) else {
+                    continue;
+                };
                 let node_mask = CapabilityMask::new().with_node(dst);
                 let edge_mask = CapabilityMask::new().with_edge(*eid);
                 if node_mask.apply(&adg).is_err() || edge_mask.apply(&adg).is_err() {
@@ -807,7 +818,11 @@ fn partial_replacement_refines_node_decommission() {
                 // whole kernel. Skip candidates it cannot handle — the
                 // refinement claim is about where it *succeeds*.
                 let coarse_adg = node_mask.apply(&adg).expect("validated");
-                let start = Start::Repair { previous: &s.schedule, scope: None, max_attempts: 4 };
+                let start = Start::Repair {
+                    previous: &s.schedule,
+                    scope: None,
+                    max_attempts: 4,
+                };
                 let coarse = schedule(&coarse_adg, &ck, &start, &cfg, &Telemetry::disabled())
                     .expect("an unscoped start pins nothing");
                 if !coarse.is_legal() {
@@ -815,10 +830,20 @@ fn partial_replacement_refines_node_decommission() {
                 }
                 // Fine rung: mask only the link, re-place only the
                 // afflicted domain from scratch with the others pinned.
-                let pr_cfg = SchedulerConfig { max_iters: 800, ..cfg };
+                let pr_cfg = SchedulerConfig {
+                    max_iters: 800,
+                    ..cfg
+                };
                 let fine_adg = edge_mask.apply(&adg).expect("validated");
-                let scope = Some(Scope { regions: &afflicted, from_scratch: true });
-                let start = Start::Repair { previous: &s.schedule, scope, max_attempts: 4 };
+                let scope = Some(Scope {
+                    regions: &afflicted,
+                    from_scratch: true,
+                });
+                let start = Start::Repair {
+                    previous: &s.schedule,
+                    scope,
+                    max_attempts: 4,
+                };
                 let fine = schedule(&fine_adg, &ck, &start, &pr_cfg, &Telemetry::disabled())
                     .expect("pins hold: the masked link is used only inside the scope");
                 assert!(
@@ -829,7 +854,8 @@ domain {dom} around {eid:?} must too (eval: {:?})",
                     fine.eval
                 );
                 assert!(
-                    fine.schedule.agrees_outside(&problem, &s.schedule, &afflicted),
+                    fine.schedule
+                        .agrees_outside(&problem, &s.schedule, &afflicted),
                     "{}: partial re-placement must leave pinned domains bit-identical",
                     adg.name()
                 );
@@ -861,15 +887,33 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
     };
 
     let mut scoped = 0usize;
-    for adg in [presets::softbrain(), presets::spu(), presets::revel(), presets::dse_initial()] {
-        for kernel in [dsagen::workloads::polybench::mvt(), dsagen::workloads::machsuite::mm()] {
+    for adg in [
+        presets::softbrain(),
+        presets::spu(),
+        presets::revel(),
+        presets::dse_initial(),
+    ] {
+        for kernel in [
+            dsagen::workloads::polybench::mvt(),
+            dsagen::workloads::machsuite::mm(),
+        ] {
             let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
                 .expect("fallback versions compile everywhere");
             for seed in [3u64, 77001] {
-                let cfg = SchedulerConfig { max_iters: 60, seed, ..SchedulerConfig::default() };
+                let cfg = SchedulerConfig {
+                    max_iters: 60,
+                    seed,
+                    ..SchedulerConfig::default()
+                };
                 let agrees = |on: &Adg, what: &str, result: &ScheduleResult| {
                     let public = evaluate(&Problem::new(on, &ck), &result.schedule, &cfg.weights);
-                    assert_eq!(public, result.eval, "{} {} seed {seed}: {what}", on.name(), kernel.name);
+                    assert_eq!(
+                        public,
+                        result.eval,
+                        "{} {} seed {seed}: {what}",
+                        on.name(),
+                        kernel.name
+                    );
                 };
                 let first = fresh(&adg, &ck, &cfg);
                 agrees(&adg, "schedule", &first);
@@ -890,11 +934,26 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
                     continue;
                 };
                 let tel = Telemetry::disabled();
-                let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 2 };
-                agrees(&faulted, "repair", &schedule(&faulted, &ck, &start, &cfg, &tel).unwrap());
+                let start = Start::Repair {
+                    previous: &first.schedule,
+                    scope: None,
+                    max_attempts: 2,
+                };
+                agrees(
+                    &faulted,
+                    "repair",
+                    &schedule(&faulted, &ck, &start, &cfg, &tel).unwrap(),
+                );
                 let regions = BTreeSet::from([0]);
-                let scope = Some(Scope { regions: &regions, from_scratch: true });
-                let start = Start::Repair { previous: &first.schedule, scope, max_attempts: 2 };
+                let scope = Some(Scope {
+                    regions: &regions,
+                    from_scratch: true,
+                });
+                let start = Start::Repair {
+                    previous: &first.schedule,
+                    scope,
+                    max_attempts: 2,
+                };
                 match schedule(&faulted, &ck, &start, &cfg, &tel) {
                     Ok(result) => {
                         agrees(&faulted, "scoped repair from scratch", &result);
@@ -905,7 +964,10 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
             }
         }
     }
-    assert!(scoped > 0, "no scoped repair kept its pins: scoped repair was never exercised");
+    assert!(
+        scoped > 0,
+        "no scoped repair kept its pins: scoped repair was never exercised"
+    );
 }
 
 proptest! {

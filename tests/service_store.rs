@@ -48,10 +48,7 @@ fn mk_artifact(seed: u64, salt: u64) -> Artifact {
             kernel_hash: 0xBEEF ^ (seed << 4),
             sched_seed: salt,
         },
-        Schedule {
-            placement,
-            routes,
-        },
+        Schedule { placement, routes },
         Some(2.5 + seed as f64),
         Some(0xFACE ^ seed),
         (0..8).map(|w| w * 3 + seed).collect(),
@@ -386,8 +383,7 @@ fn quarantine_metrics_snapshot_is_thread_count_independent() {
         let _ = std::fs::remove_dir_all(&root);
         let reg = MetricsRegistry::enabled();
         let tel = Telemetry::disabled().with_metrics(reg.clone());
-        let store =
-            ArtifactStore::open(&root, StoreConfig::default(), tel).expect("open store");
+        let store = ArtifactStore::open(&root, StoreConfig::default(), tel).expect("open store");
         let mut keys = Vec::new();
         for i in 0..ENTRIES {
             let mut a = mk_artifact(5, 3_000 + i as u64);
@@ -459,16 +455,18 @@ fn explorer_warm_starts_from_a_reopened_store() {
     };
 
     let store = open_default(&root).expect("open store");
-    let mut cold =
-        Explorer::new(presets::dse_initial(), &kernels, cfg).with_store(store.clone());
+    let mut cold = Explorer::new(presets::dse_initial(), &kernels, cfg).with_store(store.clone());
     let cold_result = cold.run();
     assert!(!store.is_empty(), "cold run must persist artifacts");
-    assert_eq!(cold.cache_stats().store_hits, 0, "nothing to warm-start from");
+    assert_eq!(
+        cold.cache_stats().store_hits,
+        0,
+        "nothing to warm-start from"
+    );
 
     // A fresh process: new store handle, new explorer, same inputs.
     let store2 = open_default(&root).expect("reopen store");
-    let mut warm =
-        Explorer::new(presets::dse_initial(), &kernels, cfg).with_store(store2);
+    let mut warm = Explorer::new(presets::dse_initial(), &kernels, cfg).with_store(store2);
     let warm_result = warm.run();
     assert!(
         warm.cache_stats().store_hits > 0,

@@ -54,7 +54,10 @@ fn workloads() -> Vec<(&'static str, Kernel)> {
         ("mvt", dsagen::workloads::polybench::mvt()),
         ("atax", dsagen::workloads::polybench::atax()),
         ("bicg", dsagen::workloads::polybench::bicg()),
-        ("mm16", dsagen::workloads::machsuite::gemm_kernel("mm16", 16)),
+        (
+            "mm16",
+            dsagen::workloads::machsuite::gemm_kernel("mm16", 16),
+        ),
         ("spmv-crs", dsagen::workloads::machsuite::spmv_crs()),
         ("pipe-split", dsagen::workloads::polybench::pipe_split()),
     ]
@@ -120,9 +123,7 @@ fn storm_matrix_terminates_typed_with_bounded_detection() {
                     &policy,
                     &Telemetry::disabled(),
                 )
-                .unwrap_or_else(|e| {
-                    panic!("{preset}/{kname} seed {seed:#x}: storm aborted: {e}")
-                });
+                .unwrap_or_else(|e| panic!("{preset}/{kname} seed {seed:#x}: storm aborted: {e}"));
                 let report = out.report();
                 for ev in &report.events {
                     assert!(
@@ -180,7 +181,10 @@ fn storm_replay_is_bit_identical() {
         };
         let first = run();
         let second = run();
-        assert_eq!(first, second, "{preset}/{kname} seed {seed:#x}: replay diverged");
+        assert_eq!(
+            first, second,
+            "{preset}/{kname} seed {seed:#x}: replay diverged"
+        );
     }
 }
 
@@ -253,11 +257,8 @@ fn degraded_telemetry_spans_are_emitted_when_the_ladder_bottoms_out() {
     let Some((compiled, _)) = build(&adg, &kernel) else {
         panic!("dot must map onto the 1x2 mesh");
     };
-    let faults = FaultSchedule::new(seeds()[0]).with(
-        200,
-        FaultLifetime::Permanent,
-        FaultKind::DeadPe,
-    );
+    let faults =
+        FaultSchedule::new(seeds()[0]).with(200, FaultLifetime::Permanent, FaultKind::DeadPe);
     let tel = Telemetry::in_memory().with_metrics(MetricsRegistry::enabled());
     let out = recover_with_degradation(
         &adg,
@@ -289,7 +290,9 @@ fn degraded_telemetry_spans_are_emitted_when_the_ladder_bottoms_out() {
         "missing recovery/degraded throughput event"
     );
     assert!(
-        events.iter().any(|e| e.cat == "recovery" && e.name == "rung"),
+        events
+            .iter()
+            .any(|e| e.cat == "recovery" && e.name == "rung"),
         "missing recovery rung attribution"
     );
     // The ladder's path searches reach the trace and the metrics: the
@@ -306,8 +309,14 @@ fn degraded_telemetry_spans_are_emitted_when_the_ladder_bottoms_out() {
             .any(|outer| searches.iter().any(|search| encloses(outer, search)));
         assert!(inside, "no sched/path_search span inside {cat}/{name}");
     }
-    let invocations = tel.metrics().snapshot().counter("scheduler.path_search.invocations");
-    assert!(invocations.unwrap_or(0) > 0, "recovery's searches are not counted");
+    let invocations = tel
+        .metrics()
+        .snapshot()
+        .counter("scheduler.path_search.invocations");
+    assert!(
+        invocations.unwrap_or(0) > 0,
+        "recovery's searches are not counted"
+    );
 }
 
 /// Whether span `inner` ran inside span `outer`: same thread, deeper, and
@@ -336,11 +345,8 @@ fn pipe_split_forms_two_live_domains_and_scoped_rollback_saves_replay() {
             continue;
         };
         mapped += 1;
-        let doms = dsagen::sim::RecoveryDomains::derive(
-            &adg,
-            &compiled.version,
-            &compiled.schedule,
-        );
+        let doms =
+            dsagen::sim::RecoveryDomains::derive(&adg, &compiled.version, &compiled.schedule);
         assert!(
             doms.len() >= 2,
             "{preset}: pipe-split stages collapsed into {} domain(s)",
@@ -366,7 +372,10 @@ fn pipe_split_forms_two_live_domains_and_scoped_rollback_saves_replay() {
             saved_total += report.replayed_cycles_saved();
         }
     }
-    assert!(mapped >= 2, "pipe-split must map on most presets, got {mapped}");
+    assert!(
+        mapped >= 2,
+        "pipe-split must map on most presets, got {mapped}"
+    );
     assert!(
         saved_total > 0,
         "domain-sliced rollback never engaged across the pipe-split sweep"

@@ -112,7 +112,13 @@ fn check_conservation(adg: &Adg, compiled: &dsagen::Compiled) -> SimTelemetry {
     assert_eq!(hw.taxonomy.config, hw.config_cycles);
     assert_eq!(
         hw.taxonomy.total(),
-        s.memory + s.operands + s.backpressure + s.ii + s.ctrl + hw.barrier_cycles + hw.config_cycles,
+        s.memory
+            + s.operands
+            + s.backpressure
+            + s.ii
+            + s.ctrl
+            + hw.barrier_cycles
+            + hw.config_cycles,
     );
 
     // Per-region tallies are exclusive per cycle, so they cannot exceed
@@ -171,7 +177,10 @@ fn conservation_laws_hold_across_presets_and_workloads() {
         }
     }
     assert!(ran >= 10, "only {ran}/15 preset x workload pairs ran");
-    assert!(with_pes >= 8, "only {with_pes}/{ran} runs produced PE counters");
+    assert!(
+        with_pes >= 8,
+        "only {with_pes}/{ran} runs produced PE counters"
+    );
 }
 
 /// Whether span `inner` ran inside span `outer`: same thread, deeper, and
@@ -208,9 +217,14 @@ fn instrumented_compile_is_invisible_and_produces_loadable_trace() {
     }
 
     // Each candidate's scheduling phase holds the path search it ran.
-    let searches: Vec<&Event> =
-        events.iter().filter(|e| e.cat == "sched" && e.name == "path_search").collect();
-    for phase in events.iter().filter(|e| e.cat == "phase" && e.name == "schedule") {
+    let searches: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.cat == "sched" && e.name == "path_search")
+        .collect();
+    for phase in events
+        .iter()
+        .filter(|e| e.cat == "phase" && e.name == "schedule")
+    {
         assert!(
             searches.iter().any(|search| encloses(phase, search)),
             "a phase/schedule span at {} us has no sched/path_search inside it",
@@ -295,7 +309,10 @@ fn dse_telemetry_is_invisible_and_timeline_folds_the_trace() {
     // The dse span and per-iteration events landed.
     let events = tel.events();
     assert!(events.iter().any(|e| e.cat == "phase" && e.name == "dse"));
-    let iters = events.iter().filter(|e| e.cat == "dse" && e.name == "iteration").count();
+    let iters = events
+        .iter()
+        .filter(|e| e.cat == "dse" && e.name == "iteration")
+        .count();
     let expected: usize = traced.shard_traces.iter().map(Vec::len).sum();
     assert_eq!(iters, expected, "one iteration event per trace record");
 
@@ -395,7 +412,10 @@ fn dse_metrics_and_recorder_are_invisible_and_merge_deterministically() {
     // Invisibility: identical traces and identical winner.
     assert_eq!(observed.trace, plain.trace);
     assert_eq!(observed.shard_traces, plain.shard_traces);
-    assert_eq!(observed.best.objective.to_bits(), plain.best.objective.to_bits());
+    assert_eq!(
+        observed.best.objective.to_bits(),
+        plain.best.objective.to_bits()
+    );
     assert_eq!(observed.best_adg, plain.best_adg);
 
     // The registry saw the exploration: per-shard counters were merged.
