@@ -36,12 +36,6 @@ impl BitWidth {
     pub const B32: BitWidth = BitWidth(32);
     /// 64-bit datapath.
     pub const B64: BitWidth = BitWidth(64);
-    /// 128-bit datapath (wide vector ports).
-    pub const B128: BitWidth = BitWidth(128);
-    /// 256-bit datapath (wide vector ports).
-    pub const B256: BitWidth = BitWidth(256);
-    /// 512-bit datapath (scratchpad lines).
-    pub const B512: BitWidth = BitWidth(512);
 
     /// Creates a width from a bit count.
     ///
@@ -90,7 +84,7 @@ impl BitWidth {
 
     /// How many lanes of `lane` fit in this width (0 when `lane` is wider).
     #[must_use]
-    pub fn lanes_of(self, lane: BitWidth) -> u16 {
+    pub(crate) fn lanes_of(self, lane: BitWidth) -> u16 {
         self.0 / lane.0
     }
 }
@@ -145,7 +139,7 @@ mod tests {
         assert_eq!(BitWidth::new(4).unwrap().bytes(), 1);
         assert_eq!(BitWidth::B8.bytes(), 1);
         assert_eq!(BitWidth::B64.bytes(), 8);
-        assert_eq!(BitWidth::B512.bytes(), 64);
+        assert_eq!(BitWidth::new(512).unwrap().bytes(), 64);
     }
 
     #[test]
@@ -158,7 +152,7 @@ mod tests {
 
     #[test]
     fn lane_arithmetic() {
-        assert_eq!(BitWidth::B512.lanes_of(BitWidth::B64), 8);
+        assert_eq!(BitWidth::new(512).unwrap().lanes_of(BitWidth::B64), 8);
         assert_eq!(BitWidth::B64.lanes_of(BitWidth::B8), 8);
         assert_eq!(BitWidth::B8.lanes_of(BitWidth::B64), 0);
     }
@@ -171,6 +165,6 @@ mod tests {
     #[test]
     fn ordering_follows_bit_count() {
         assert!(BitWidth::B8 < BitWidth::B16);
-        assert!(BitWidth::B512 > BitWidth::B64);
+        assert!(BitWidth::new(512).unwrap() > BitWidth::B64);
     }
 }

@@ -54,7 +54,7 @@ impl Sharing {
 
     /// Whether this is a shared (temporal) element.
     #[must_use]
-    pub fn is_shared(self) -> bool {
+    pub(crate) fn is_shared(self) -> bool {
         matches!(self, Sharing::Shared { .. })
     }
 }
@@ -197,7 +197,7 @@ impl SwitchSpec {
 
     /// Sets the timing model.
     #[must_use]
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
+    pub(crate) fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
         self.scheduling = scheduling;
         self
     }
@@ -340,13 +340,6 @@ impl MemControllers {
             coalescing: false,
         }
     }
-
-    /// Enables request coalescing.
-    #[must_use]
-    pub fn with_coalescing(mut self) -> Self {
-        self.coalescing = true;
-        self
-    }
 }
 
 /// A decoupled memory (§III-A "Memories").
@@ -409,13 +402,6 @@ impl MemSpec {
     #[must_use]
     pub fn with_controllers(mut self, controllers: MemControllers) -> Self {
         self.controllers = controllers;
-        self
-    }
-
-    /// Sets the number of concurrent streams.
-    #[must_use]
-    pub fn with_streams(mut self, num_streams: u8) -> Self {
-        self.num_streams = num_streams;
         self
     }
 }
@@ -533,7 +519,7 @@ impl NodeKind {
     /// convert dynamic arrivals into static departures; delay elements keep
     /// their configured model.
     #[must_use]
-    pub fn output_timing(&self) -> Scheduling {
+    pub(crate) fn output_timing(&self) -> Scheduling {
         match self {
             NodeKind::Pe(pe) => pe.scheduling,
             NodeKind::Switch(sw) => sw.scheduling,
@@ -547,7 +533,7 @@ impl NodeKind {
     /// and dynamic elements absorb dynamically-timed data; static elements
     /// require statically-timed arrivals.
     #[must_use]
-    pub fn input_tolerance(&self) -> Scheduling {
+    pub(crate) fn input_tolerance(&self) -> Scheduling {
         match self {
             NodeKind::Sync(_) | NodeKind::Memory(_) | NodeKind::Control(_) => Scheduling::Dynamic,
             NodeKind::Pe(pe) => pe.scheduling,

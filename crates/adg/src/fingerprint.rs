@@ -108,14 +108,6 @@ impl Hasher for StableHasher {
     }
 }
 
-/// Convenience: the stable 64-bit digest of any [`Hash`] value.
-#[must_use]
-pub fn stable_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = StableHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
 impl Adg {
     /// A stable 64-bit structural fingerprint of the whole graph.
     ///
@@ -192,6 +184,13 @@ mod tests {
     use crate::components::{CtrlSpec, MemSpec, PeSpec, Scheduling, Sharing, SwitchSpec};
     use crate::op::OpSet;
     use crate::presets;
+
+    /// Convenience: the stable 64-bit digest of any [`Hash`] value.
+    fn stable_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = StableHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
 
     fn tiny() -> Adg {
         let mut adg = Adg::new("tiny");

@@ -108,21 +108,10 @@ impl Adg {
         self.name = name.into();
     }
 
-    /// Rebuilds adjacency indices (needed after deserialization, where the
-    /// adjacency vectors are skipped).
-    pub fn rebuild_adjacency(&mut self) {
-        self.out_adj = vec![Vec::new(); self.nodes.len()];
-        self.in_adj = vec![Vec::new(); self.nodes.len()];
-        for e in self.edges.iter().flatten() {
-            self.out_adj[e.src.index()].push(e.id);
-            self.in_adj[e.dst.index()].push(e.id);
-        }
-    }
-
     // ---------------------------------------------------------------- nodes
 
     /// Adds a node of arbitrary kind and returns its id.
-    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
+    pub(crate) fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Some(Node {
             id,
@@ -135,7 +124,7 @@ impl Adg {
     }
 
     /// Adds a labeled node.
-    pub fn add_labeled(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
+    pub(crate) fn add_labeled(&mut self, kind: NodeKind, label: impl Into<String>) -> NodeId {
         let id = self.add_node(kind);
         self.nodes[id.index()].as_mut().expect("just added").label = Some(label.into());
         id
@@ -259,7 +248,7 @@ impl Adg {
     /// # Errors
     ///
     /// Returns [`AdgError::UnknownNode`] if either endpoint does not exist.
-    pub fn add_link_with_width(
+    pub(crate) fn add_link_with_width(
         &mut self,
         src: NodeId,
         dst: NodeId,
@@ -358,7 +347,7 @@ impl Adg {
     }
 
     /// Successor node ids (one entry per outgoing edge).
-    pub fn successors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn successors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_edges(id).map(|e| e.dst)
     }
 
@@ -411,7 +400,7 @@ impl Adg {
     /// every node; unreachable nodes get `None`. Used by the configuration
     /// path generator and DSE mutation locality.
     #[must_use]
-    pub fn undirected_distances(&self, from: NodeId) -> Vec<Option<u32>> {
+    pub(crate) fn undirected_distances(&self, from: NodeId) -> Vec<Option<u32>> {
         let mut dist = vec![None; self.nodes.len()];
         if self.node(from).is_none() {
             return dist;
@@ -537,7 +526,9 @@ impl Adg {
     /// Whether a *value* (datapath) edge from `src` to `dst` is legal under
     /// the execution-model composition rules the compiler enforces (§III-B):
     /// dynamically-timed outputs may not feed elements that require static
-    /// timing, except through sync elements.
+    /// timing, except through sync elements. The router checks every hop
+    /// of every route with this rule.
+    #[inline]
     #[must_use]
     pub fn value_edge_legal(&self, src: NodeId, dst: NodeId) -> bool {
         let (Ok(s), Ok(d)) = (self.kind(src), self.kind(dst)) else {
@@ -718,6 +709,46 @@ mod tests {
         assert!(!adg.value_edge_legal(dyn_pe, static_pe));
         // static PE → dynamic PE: legal (dynamic inputs tolerate anything).
         assert!(adg.value_edge_legal(static_pe, dyn_pe));
+
+        // Every ordered pair of nodes on two presets, against the rule
+        // written out by kind: dynamically-timed producers (dynamic PEs,
+        // switches and delays, memories, the control core) may not feed
+        // statically-timed consumers (static PEs, switches and delays).
+        let dynamic_producer = |k: &NodeKind| match k {
+            NodeKind::Pe(pe) => pe.scheduling == Scheduling::Dynamic,
+            NodeKind::Switch(sw) => sw.scheduling == Scheduling::Dynamic,
+            NodeKind::Delay(d) => d.scheduling == Scheduling::Dynamic,
+            NodeKind::Sync(_) => false,
+            NodeKind::Memory(_) | NodeKind::Control(_) => true,
+        };
+        let static_consumer = |k: &NodeKind| match k {
+            NodeKind::Pe(pe) => pe.scheduling == Scheduling::Static,
+            NodeKind::Switch(sw) => sw.scheduling == Scheduling::Static,
+            NodeKind::Delay(d) => d.scheduling == Scheduling::Static,
+            NodeKind::Sync(_) | NodeKind::Memory(_) | NodeKind::Control(_) => false,
+        };
+        let (mut legal, mut illegal) = (0usize, 0usize);
+        for adg in [crate::presets::softbrain(), crate::presets::spu()] {
+            for u in adg.nodes() {
+                for v in adg.nodes() {
+                    let expect = !(dynamic_producer(&u.kind) && static_consumer(&v.kind));
+                    assert_eq!(
+                        adg.value_edge_legal(u.id, v.id),
+                        expect,
+                        "{}: {:?} -> {:?}",
+                        adg.name(),
+                        u.kind,
+                        v.kind
+                    );
+                    if expect {
+                        legal += 1;
+                    } else {
+                        illegal += 1;
+                    }
+                }
+            }
+        }
+        assert!(legal > 0 && illegal > 0, "both outcomes occur");
     }
 
     #[test]

@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod bits;
 mod components;
@@ -60,7 +61,7 @@ pub use components::{
 };
 pub use error::AdgError;
 pub use features::FeatureSet;
-pub use fingerprint::{stable_hash_of, StableHasher};
+pub use fingerprint::StableHasher;
 pub use graph::{Adg, Edge, Node};
 pub use ids::{EdgeId, NodeId};
 pub use op::{OpSet, Opcode};

@@ -64,7 +64,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Total number of distinct opcodes.
-    pub const COUNT: usize = 33;
+    pub(crate) const COUNT: usize = 33;
 
     /// Every opcode, in discriminant order.
     pub const ALL: [Opcode; Opcode::COUNT] = [
@@ -126,7 +126,7 @@ impl Opcode {
     /// Whether this is a floating-point operation (distinct FU family for
     /// area/power modeling, §VII "for floating-point units…").
     #[must_use]
-    pub fn is_floating_point(self) -> bool {
+    pub(crate) fn is_floating_point(self) -> bool {
         use Opcode::*;
         matches!(
             self,
@@ -223,40 +223,6 @@ impl Opcode {
             Sigmoid => 1.0 / (1.0 + (-args[0]).exp()),
             Copy => args[0],
         }
-    }
-
-    /// Whether a decomposable FU for this opcode can be split into
-    /// power-of-two narrower lanes (§III-A "decomposable FUs").
-    ///
-    /// Fixed-point ALU-style ops decompose cleanly; dividers, square roots
-    /// and floating-point units do not (§VI: the generator "is not currently
-    /// able to reuse the alignment circuit of the floating-point divider").
-    #[must_use]
-    pub fn is_decomposable(self) -> bool {
-        use Opcode::*;
-        matches!(
-            self,
-            Add | Sub
-                | Mul
-                | Mac
-                | Abs
-                | Min
-                | Max
-                | And
-                | Or
-                | Xor
-                | Not
-                | Shl
-                | Shr
-                | CmpEq
-                | CmpNe
-                | CmpLt
-                | CmpLe
-                | CmpGt
-                | CmpGe
-                | Select
-                | Copy
-        )
     }
 }
 
@@ -423,6 +389,41 @@ impl fmt::Display for OpSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Opcode {
+        /// Whether a decomposable FU for this opcode can be split into
+        /// power-of-two narrower lanes (§III-A "decomposable FUs").
+        ///
+        /// Fixed-point ALU-style ops decompose cleanly; dividers, square roots
+        /// and floating-point units do not (§VI: the generator "is not currently
+        /// able to reuse the alignment circuit of the floating-point divider").
+        fn is_decomposable(self) -> bool {
+            use Opcode::*;
+            matches!(
+                self,
+                Add | Sub
+                    | Mul
+                    | Mac
+                    | Abs
+                    | Min
+                    | Max
+                    | And
+                    | Or
+                    | Xor
+                    | Not
+                    | Shl
+                    | Shr
+                    | CmpEq
+                    | CmpNe
+                    | CmpLt
+                    | CmpLe
+                    | CmpGt
+                    | CmpGe
+                    | Select
+                    | Copy
+            )
+        }
+    }
 
     #[test]
     fn all_opcodes_listed_once() {

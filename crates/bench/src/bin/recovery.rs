@@ -13,7 +13,7 @@
 //! * **permanent** — the same arrival, but the PE never comes back. Must
 //!   recover up the degradation ladder (port rungs → decommission →
 //!   degraded-mode reschedule), or fail with a typed
-//!   [`dsagen::RecoveryError`] (counted, never a panic).
+//!   [`RecoveryError`](dsagen_sim::RecoveryError) (counted, never a panic).
 //!
 //! Reported per pair: detection latency in cycles, mean time to repair
 //! (MTTR) in cycles, and end-to-end overhead versus the fault-free run;
@@ -30,7 +30,7 @@ use dsagen_adg::{presets, Adg};
 use dsagen_bench::envelope::Envelope;
 use dsagen_bench::rule;
 use dsagen_faults::{FaultKind, FaultLifetime, FaultSchedule};
-use dsagen_sim::{simulate, RecoveryAction, RecoveryPolicy, SimConfig};
+use dsagen_sim::{simulate, RecoveryAction, RecoveryPolicy, SimConfig, WATCHDOG_BOUND};
 use dsagen_telemetry::{log, Level, MetricsRegistry};
 use dsagen_workloads::{machsuite, polybench};
 
@@ -132,7 +132,7 @@ fn bench_one(
     assert!(
         rep.events
             .iter()
-            .all(|e| e.detection_latency <= policy.rt.watchdog_bound),
+            .all(|e| e.detection_latency <= WATCHDOG_BOUND),
         "{preset}/{}: blocking fault must be detected within the watchdog bound",
         kernel.name
     );

@@ -8,7 +8,8 @@
 //! exiting nonzero on violation, so CI can gate on it:
 //!
 //! * **Zero panics, zero aborts.** Every storm terminates in a typed
-//!   [`RecoveryOutcome`]; a [`RecoveryError`] is counted and fails the
+//!   [`RecoveryOutcome`](dsagen_sim::RecoveryOutcome); a
+//!   [`RecoveryError`](dsagen_sim::RecoveryError) is counted and fails the
 //!   run (the ladder must always find a rung that serves).
 //! * **Monotonic degradation.** For one pair per preset, throughput over
 //!   growing storm prefixes never improves beyond jitter tolerance.

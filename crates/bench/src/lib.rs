@@ -2,6 +2,7 @@
 //! tables and figures (see DESIGN.md §3 for the experiment index).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod artifact;
 pub mod envelope;

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use dsagen_adg::Adg;
 use dsagen_model::RegionPerf;
-use dsagen_sim::telemetry::RegionTally;
+use dsagen_sim::RegionTally;
 use dsagen_sim::{simulate_instrumented, SimConfig, SimReport, SimTelemetry, StallTaxonomy};
 use dsagen_telemetry::{escape_json, EventData, Telemetry};
 
@@ -94,7 +94,7 @@ impl std::fmt::Display for Bottleneck {
 /// cycles than it lost to any single stall cause, otherwise the largest
 /// exclusive stall cause.
 #[must_use]
-pub fn measured_dominant(tally: &RegionTally) -> (&'static str, u64) {
+pub(crate) fn measured_dominant(tally: &RegionTally) -> (&'static str, u64) {
     let candidates = [
         ("busy", tally.fired_cycles),
         ("operand-wait", tally.operands),

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub use dsagen_adg as adg;
 pub use dsagen_dfg as dfg;

@@ -51,18 +51,6 @@ pub struct CompiledRegion {
 }
 
 impl CompiledRegion {
-    /// Total bytes moved to/from memories (excludes forwarded and
-    /// control-core traffic).
-    #[must_use]
-    pub fn memory_bytes(&self) -> f64 {
-        self.in_streams
-            .iter()
-            .chain(&self.out_streams)
-            .filter(|s| s.source.is_memory())
-            .map(Stream::total_bytes)
-            .sum()
-    }
-
     /// Total stream commands the control core issues for this region.
     #[must_use]
     pub fn stream_commands(&self) -> u64 {
@@ -1474,7 +1462,16 @@ mod tests {
 
         let plain = compile_kernel(&kernel, &TransformConfig::fallback(), &features()).unwrap();
         assert_eq!(plain.forwarded_bytes, 0.0);
-        assert!(plain.regions[0].memory_bytes() > fwd.regions[0].memory_bytes());
+        // Bytes moved to/from memories (forwarded streams excluded).
+        let memory_bytes = |r: &CompiledRegion| -> f64 {
+            r.in_streams
+                .iter()
+                .chain(&r.out_streams)
+                .filter(|s| matches!(s.source, StreamSource::Memory(_)))
+                .map(|s| s.pattern.total_elems() * f64::from(s.elem_bytes))
+                .sum()
+        };
+        assert!(memory_bytes(&plain.regions[0]) > memory_bytes(&fwd.regions[0]));
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl DfgOp {
 
     /// Whether this node must be placed on a PE (as opposed to a port).
     #[must_use]
-    pub fn needs_pe(&self) -> bool {
+    pub(crate) fn needs_pe(&self) -> bool {
         self.required_opcode().is_some()
     }
 
@@ -158,7 +158,7 @@ impl Dfg {
     }
 
     /// Records a loop-carried recurrence.
-    pub fn add_recurrence(&mut self, rec: Recurrence) {
+    pub(crate) fn add_recurrence(&mut self, rec: Recurrence) {
         self.recurrences.push(rec);
     }
 
@@ -210,7 +210,7 @@ impl Dfg {
 
     /// Count of nodes that must occupy a PE.
     #[must_use]
-    pub fn pe_op_count(&self) -> usize {
+    pub(crate) fn pe_op_count(&self) -> usize {
         self.iter().filter(|(_, op)| op.needs_pe()).count()
     }
 
@@ -219,13 +219,6 @@ impl Dfg {
     #[must_use]
     pub fn inst_count(&self) -> usize {
         self.pe_op_count()
-    }
-
-    /// Whether the graph contains a stream-join node.
-    #[must_use]
-    pub fn has_stream_join(&self) -> bool {
-        self.iter()
-            .any(|(_, op)| matches!(op, DfgOp::StreamJoin { .. }))
     }
 
     /// The consumers of each node (adjacency, one entry per use).
@@ -238,18 +231,6 @@ impl Dfg {
             }
         }
         out
-    }
-
-    /// The length (in nodes) of the longest input→output path, a proxy for
-    /// pipeline depth.
-    #[must_use]
-    pub fn critical_path_len(&self) -> u32 {
-        let mut depth = vec![0u32; self.ops.len()];
-        for (id, op) in self.iter() {
-            let in_depth = op.operands().iter().map(|o| depth[o.0]).max().unwrap_or(0);
-            depth[id.0] = in_depth + op.latency();
-        }
-        depth.iter().copied().max().unwrap_or(0)
     }
 
     /// Input ports referenced by the graph, ascending.
@@ -284,7 +265,7 @@ impl Dfg {
 
     /// Feeds the graph's full content — every op (with an explicit variant
     /// tag), its width, and every recurrence — into `h` in id order.
-    pub fn hash_content<H: Hasher>(&self, h: &mut H) {
+    pub(crate) fn hash_content<H: Hasher>(&self, h: &mut H) {
         h.write_usize(self.ops.len());
         for (op, width) in &self.ops {
             op.hash_content(h);
@@ -318,7 +299,7 @@ impl DfgOp {
     /// Feeds this op's variant tag and fields into `h` — an explicit,
     /// stable encoding (independent of `#[derive(Hash)]` discriminant
     /// details) used by [`Dfg::content_hash`].
-    pub fn hash_content<H: Hasher>(&self, h: &mut H) {
+    pub(crate) fn hash_content<H: Hasher>(&self, h: &mut H) {
         match self {
             DfgOp::Input { port } => {
                 h.write_u8(0);
@@ -363,6 +344,14 @@ impl DfgOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dfg {
+        /// Whether the graph contains a stream-join node.
+        pub(crate) fn has_stream_join(&self) -> bool {
+            self.iter()
+                .any(|(_, op)| matches!(op, DfgOp::StreamJoin { .. }))
+        }
+    }
 
     fn mac_graph() -> Dfg {
         let mut g = Dfg::new();
@@ -428,13 +417,6 @@ mod tests {
         assert_eq!(cons[2], vec![OpId(3)]);
         assert_eq!(cons[3], vec![OpId(4)]);
         assert!(cons[4].is_empty());
-    }
-
-    #[test]
-    fn critical_path_includes_latency() {
-        let g = mac_graph();
-        // input(1) → mul(3) → accum(1) → output(1) = 6
-        assert_eq!(g.critical_path_len(), 6);
     }
 
     #[test]

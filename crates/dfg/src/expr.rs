@@ -118,19 +118,19 @@ impl AffineExpr {
     }
 
     /// All variables with nonzero coefficients, outermost first.
-    pub fn vars(&self) -> impl Iterator<Item = LoopVar> + '_ {
+    pub(crate) fn vars(&self) -> impl Iterator<Item = LoopVar> + '_ {
         self.terms.iter().map(|(v, _)| *v)
     }
 
     /// The deepest (innermost) loop variable the expression depends on.
     #[must_use]
-    pub fn innermost_var(&self) -> Option<LoopVar> {
+    pub(crate) fn innermost_var(&self) -> Option<LoopVar> {
         self.terms.iter().map(|(v, _)| *v).max()
     }
 
     /// Whether the expression is invariant in every loop (constant).
     #[must_use]
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         self.terms.is_empty()
     }
 
@@ -226,7 +226,7 @@ impl TripCount {
 
     /// Average trip count over `outer_trip` outer iterations.
     #[must_use]
-    pub fn average_over(&self, outer_trip: u64) -> f64 {
+    pub(crate) fn average_over(&self, outer_trip: u64) -> f64 {
         if outer_trip == 0 {
             return 0.0;
         }

@@ -58,6 +58,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod compile;
 #[allow(clippy::module_inception)]

@@ -82,7 +82,7 @@ impl Index {
 
     /// Whether this access is indirect.
     #[must_use]
-    pub fn is_indirect(&self) -> bool {
+    pub(crate) fn is_indirect(&self) -> bool {
         matches!(self, Index::Indirect { .. })
     }
 }
@@ -347,7 +347,7 @@ impl Region {
 
     /// Whether any access in the region is indirect.
     #[must_use]
-    pub fn has_indirect_access(&self) -> bool {
+    pub(crate) fn has_indirect_access(&self) -> bool {
         let expr_indirect = self.exprs.iter().any(|e| match e {
             SrcExpr::Load { index, .. } => index.is_indirect(),
             _ => false,
@@ -361,7 +361,7 @@ impl Region {
 
     /// Whether the region contains an in-place `Update` statement.
     #[must_use]
-    pub fn has_update(&self) -> bool {
+    pub(crate) fn has_update(&self) -> bool {
         self.stmts
             .iter()
             .any(|s| matches!(s, SrcStmt::Update { .. }))
@@ -598,26 +598,18 @@ pub struct KernelBuilder {
     name: String,
     arrays: Vec<ArrayDecl>,
     regions: Vec<Region>,
-    decoupled: bool,
 }
 
 impl KernelBuilder {
-    /// Starts a kernel (decoupled by default — the common annotated case).
+    /// Starts a kernel. Built kernels are decoupled (the common annotated
+    /// case).
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         KernelBuilder {
             name: name.into(),
             arrays: Vec::new(),
             regions: Vec::new(),
-            decoupled: true,
         }
-    }
-
-    /// Clears the `decouple` pragma (memory may alias; streams cannot be
-    /// hoisted across the region).
-    pub fn not_decoupled(&mut self) -> &mut Self {
-        self.decoupled = false;
-        self
     }
 
     /// Declares an array.
@@ -669,7 +661,7 @@ impl KernelBuilder {
             name: self.name,
             arrays: self.arrays,
             regions: self.regions,
-            decoupled: self.decoupled,
+            decoupled: true,
         };
         k.validate()?;
         Ok(k)
@@ -777,24 +769,6 @@ impl RegionBuilder {
         });
     }
 
-    /// Appends an indirect store statement.
-    pub fn store_indirect(
-        &mut self,
-        array: ArrayId,
-        index_array: ArrayId,
-        index_expr: AffineExpr,
-        value: ExprId,
-    ) {
-        self.region.stmts.push(SrcStmt::Store {
-            array,
-            index: Index::Indirect {
-                index_array,
-                index_expr,
-            },
-            value,
-        });
-    }
-
     /// Appends an in-place update `array[index] op= value`.
     pub fn update(&mut self, array: ArrayId, index: AffineExpr, op: Opcode, value: ExprId) {
         self.region.stmts.push(SrcStmt::Update {
@@ -838,6 +812,26 @@ mod tests {
 
     use super::*;
     use crate::TripCount;
+
+    impl RegionBuilder {
+        /// Appends an indirect store statement.
+        pub(crate) fn store_indirect(
+            &mut self,
+            array: ArrayId,
+            index_array: ArrayId,
+            index_expr: AffineExpr,
+            value: ExprId,
+        ) {
+            self.region.stmts.push(SrcStmt::Store {
+                array,
+                index: Index::Indirect {
+                    index_array,
+                    index_expr,
+                },
+                value,
+            });
+        }
+    }
 
     fn dot_kernel() -> Kernel {
         let mut k = KernelBuilder::new("dot");

@@ -27,14 +27,6 @@ pub enum StreamSource {
     ControlCore,
 }
 
-impl StreamSource {
-    /// Whether the stream touches a memory at all.
-    #[must_use]
-    pub fn is_memory(self) -> bool {
-        matches!(self, StreamSource::Memory(_))
-    }
-}
-
 /// Direction and semantics of a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StreamDir {
@@ -145,21 +137,9 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Total bytes moved by this stream.
-    #[must_use]
-    pub fn total_bytes(&self) -> f64 {
-        self.pattern.total_elems() * f64::from(self.elem_bytes)
-    }
-
-    /// Bytes needed per dataflow-graph firing.
-    #[must_use]
-    pub fn bytes_per_firing(&self) -> f64 {
-        f64::from(self.lanes) * f64::from(self.elem_bytes)
-    }
-
     /// Feeds the stream's full content into `h` with explicit variant tags
     /// and bit-exact floats — part of `CompiledKernel::content_hash`.
-    pub fn hash_content<H: std::hash::Hasher>(&self, h: &mut H) {
+    pub(crate) fn hash_content<H: std::hash::Hasher>(&self, h: &mut H) {
         h.write_usize(self.port);
         h.write_u8(match self.dir {
             StreamDir::Read => 0,
@@ -241,7 +221,6 @@ mod tests {
             source: StreamSource::Memory(MemClass::MainMemory),
             to_fabric: true,
         };
-        assert_eq!(s.total_bytes(), 2048.0);
-        assert_eq!(s.bytes_per_firing(), 32.0);
+        assert_eq!(s.pattern.total_elems() * f64::from(s.elem_bytes), 2048.0);
     }
 }

@@ -163,7 +163,7 @@ impl ScheduleCache {
     }
 
     /// Folds another cache's counters into this one (shard reduction).
-    pub fn absorb_stats(&mut self, other: &CacheStats) {
+    pub(crate) fn absorb_stats(&mut self, other: &CacheStats) {
         self.stats.absorb(other);
     }
 }

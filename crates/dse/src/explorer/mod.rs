@@ -37,6 +37,10 @@ use crate::mutate::mutate;
 mod evaluate;
 mod shard;
 
+/// Power budget in mW: a candidate drawing more is rejected like one over
+/// the area budget.
+const POWER_BUDGET_MW: f64 = 2000.0;
+
 /// Explorer tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DseConfig {
@@ -51,8 +55,6 @@ pub struct DseConfig {
     pub sched_iters: u32,
     /// Area budget in mm² (step 2a: mutations must not exceed it).
     pub area_budget_mm2: f64,
-    /// Power budget in mW.
-    pub power_budget_mw: f64,
     /// Maximum vectorization degree enumerated per kernel.
     pub max_unroll: u16,
     /// Use schedule *repair* across steps (true) or re-map every schedule
@@ -150,7 +152,6 @@ impl Default for DseConfig {
             patience: 60,
             sched_iters: 200,
             area_budget_mm2: 5.0,
-            power_budget_mw: 2000.0,
             max_unroll: 8,
             use_repair: true,
             use_cache: true,
@@ -195,15 +196,6 @@ pub struct RunControl {
 }
 
 impl RunControl {
-    /// Control with only a cancellation token.
-    #[must_use]
-    pub fn with_cancel(token: Arc<AtomicBool>) -> Self {
-        RunControl {
-            cancel: Some(token),
-            deadline: None,
-        }
-    }
-
     /// Control with only a deadline `budget` from now.
     #[must_use]
     pub fn with_deadline_in(budget: Duration) -> Self {
@@ -243,7 +235,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// seed unchanged (serial-compatibility invariant); later shards perturb
 /// it through splitmix64 so their searches diverge immediately.
 #[must_use]
-pub fn shard_seed(seed: u64, shard: usize) -> u64 {
+pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         seed
     } else {
@@ -798,7 +790,7 @@ impl Explorer {
 
     /// Whether `cost` exceeds the area or power budget.
     fn over_budget(&self, cost: &HwCost) -> bool {
-        cost.area_mm2 > self.cfg.area_budget_mm2 || cost.power_mw > self.cfg.power_budget_mw
+        cost.area_mm2 > self.cfg.area_budget_mm2 || cost.power_mw > POWER_BUDGET_MW
     }
 
     /// Why an evaluated-but-not-accepted candidate lost.

@@ -9,7 +9,7 @@ impl Explorer {
     /// Runs the exploration. With one (effective) shard this is the classic
     /// serial loop; with more, shards run as independent deterministic
     /// searches on up to [`DseConfig::threads`] worker threads and merge
-    /// through [`Explorer::reduce_shards`]. Either way the result depends
+    /// in shard index order. Either way the result depends
     /// only on `(seed, shards)` — never on thread count or scheduling.
     pub fn run(&mut self) -> DseResult {
         let shards = self.cfg.shards.max(1);

@@ -42,6 +42,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod cache;
 mod explorer;
@@ -50,8 +51,8 @@ mod timeline;
 
 pub use cache::{schedule_footprint, CacheEntry, CacheStats, ScheduleCache};
 pub use explorer::{
-    explore, shard_seed, DseConfig, DsePoint, DseResult, Explorer, IterRecord, RejectReason,
-    ReliabilityMode, RunControl, StopCause, TelemetrySnapshot,
+    explore, DseConfig, DsePoint, DseResult, Explorer, IterRecord, RejectReason, ReliabilityMode,
+    RunControl, StopCause, TelemetrySnapshot,
 };
 pub use mutate::{mutate, Mutation};
 pub use timeline::{DseTimeline, ShardSummary};

@@ -77,8 +77,8 @@ fn fold_shard(shard: usize, trace: &[IterRecord]) -> ShardSummary {
 
 impl DseTimeline {
     /// Builds the timeline from a finished run and the explorer's
-    /// end-of-run counter snapshot ([`Explorer::telemetry_snapshot`]
-    /// (crate::Explorer::telemetry_snapshot)).
+    /// end-of-run counter snapshot
+    /// ([`Explorer::telemetry_snapshot`](crate::Explorer::telemetry_snapshot)).
     #[must_use]
     pub fn from_result(result: &DseResult, snapshot: TelemetrySnapshot) -> Self {
         let mut rejections: BTreeMap<String, u64> = BTreeMap::new();

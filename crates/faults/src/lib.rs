@@ -18,9 +18,8 @@
 //! * [`inject`] — applies a plan to an [`Adg`], producing a degraded graph
 //!   that is **guaranteed to still pass [`Adg::validate`]** plus a
 //!   structured [`FaultReport`] of what was applied and what was skipped;
-//! * [`corrupt_stream`] (and [`corrupt_words`] / [`corrupt_frames`]) —
-//!   applies the config-plane faults of a plan to a stream of bitstream
-//!   words, so tests can drive the CRC/retry recovery paths of the
+//! * [`corrupt_frames`] — applies the config-plane faults of a plan to a
+//!   framed stream of bitstream words, so tests can drive the CRC/retry recovery paths of the
 //!   configuration-integrity subsystem deterministically.
 //!
 //! The guarantee is enforced by *validate-rollback*: each fault is applied
@@ -49,13 +48,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod schedule;
 mod storage;
 
-pub use schedule::{
-    FaultLifetime, FaultSchedule, StormConfig, TimedFault, RUNTIME_KINDS, STORM_KINDS,
-};
+pub use schedule::{FaultLifetime, FaultSchedule, StormConfig, TimedFault, RUNTIME_KINDS};
 pub use storage::{
     corrupt_record_bytes, kill_points, StorageFaultKind, StorageInjector, WriteFault,
 };
@@ -124,34 +122,13 @@ impl FaultKind {
     ];
 
     /// The config-plane fault kinds: they corrupt bitstream *words* in
-    /// flight (see [`corrupt_stream`]) rather than the ADG itself.
+    /// flight (see [`corrupt_frames`]) rather than the ADG itself.
     pub const CONFIG_PLANE: [FaultKind; 4] = [
         FaultKind::BitFlip,
         FaultKind::TruncatedStream,
         FaultKind::DuplicatedFrame,
         FaultKind::ReorderedFrame,
     ];
-
-    /// The port/lane-scoped fault kinds: damage below node granularity,
-    /// where repair can reroute around one port instead of decommissioning
-    /// the whole component. Listed separately from [`FaultKind::ALL`] so
-    /// existing seeded draws stay stable.
-    pub const PORT_LEVEL: [FaultKind; 3] = [
-        FaultKind::DeadPort,
-        FaultKind::StuckLane,
-        FaultKind::DegradedLink { capacity: 50 },
-    ];
-
-    /// Whether this kind scopes damage to a single port or lane (see
-    /// [`FaultKind::PORT_LEVEL`]). Payload-carrying kinds match on the
-    /// variant, not the payload.
-    #[must_use]
-    pub fn is_port_level(self) -> bool {
-        matches!(
-            self,
-            FaultKind::DeadPort | FaultKind::StuckLane | FaultKind::DegradedLink { .. }
-        )
-    }
 
     /// Whether this kind targets the configuration plane (bitstream words)
     /// instead of the hardware graph.
@@ -228,18 +205,6 @@ impl FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF417_5EED);
         let faults = (0..count)
             .map(|_| FaultKind::ALL[rng.gen_range(0..FaultKind::ALL.len())])
-            .collect();
-        FaultPlan { seed, faults }
-    }
-
-    /// A plan of `count` *config-plane* faults drawn uniformly from
-    /// [`FaultKind::CONFIG_PLANE`] using `seed` (the same seed also drives
-    /// target selection during [`corrupt_stream`]).
-    #[must_use]
-    pub fn random_config_plane(seed: u64, count: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC0F1_65EE);
-        let faults = (0..count)
-            .map(|_| FaultKind::CONFIG_PLANE[rng.gen_range(0..FaultKind::CONFIG_PLANE.len())])
             .collect();
         FaultPlan { seed, faults }
     }
@@ -335,18 +300,6 @@ impl FaultReport {
             .iter()
             .filter_map(|f| match f.target {
                 FaultTarget::Edge(e) => Some(e),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Word indices of every applied config-plane fault.
-    #[must_use]
-    pub fn faulted_words(&self) -> Vec<usize> {
-        self.applied
-            .iter()
-            .filter_map(|f| match f.target {
-                FaultTarget::Word(w) => Some(w),
                 _ => None,
             })
             .collect()
@@ -597,7 +550,7 @@ structurally — use a FaultSchedule and the runtime simulator"
 /// Deterministic: the same `(words, frame_len, plan.seed)` always produces
 /// the same corruption.
 #[must_use]
-pub fn corrupt_stream(
+pub(crate) fn corrupt_stream(
     words: &[u64],
     frame_len: usize,
     plan: &FaultPlan,
@@ -611,7 +564,7 @@ pub fn corrupt_stream(
 /// mirroring the returned [`FaultReport`]. Telemetry never changes the
 /// corruption itself.
 #[must_use]
-pub fn corrupt_stream_with_telemetry(
+pub(crate) fn corrupt_stream_with_telemetry(
     words: &[u64],
     frame_len: usize,
     plan: &FaultPlan,
@@ -637,14 +590,7 @@ pub fn corrupt_stream_with_telemetry(
     (stream, report)
 }
 
-/// [`corrupt_stream`] at word granularity (`frame_len = 1`): faults on a
-/// raw, unframed bitstream.
-#[must_use]
-pub fn corrupt_words(words: &[u64], plan: &FaultPlan) -> (Vec<u64>, FaultReport) {
-    corrupt_stream(words, 1, plan)
-}
-
-/// [`corrupt_stream`] at CRC-frame granularity (`frame_len = 2`, matching
+/// `corrupt_stream` at CRC-frame granularity (`frame_len = 2`, matching
 /// `dsagen_hwgen::FRAME_WORDS`): faults on the framed transport stream.
 #[must_use]
 pub fn corrupt_frames(words: &[u64], plan: &FaultPlan) -> (Vec<u64>, FaultReport) {
@@ -786,6 +732,60 @@ mod tests {
     use dsagen_adg::presets;
 
     use super::*;
+
+    impl FaultKind {
+        /// The port/lane-scoped fault kinds: damage below node granularity,
+        /// where repair can reroute around one port instead of decommissioning
+        /// the whole component. Listed separately from [`FaultKind::ALL`] so
+        /// existing seeded draws stay stable.
+        const PORT_LEVEL: [FaultKind; 3] = [
+            FaultKind::DeadPort,
+            FaultKind::StuckLane,
+            FaultKind::DegradedLink { capacity: 50 },
+        ];
+
+        /// Whether this kind scopes damage to a single port or lane (see
+        /// [`FaultKind::PORT_LEVEL`]). Payload-carrying kinds match on the
+        /// variant, not the payload.
+        fn is_port_level(self) -> bool {
+            matches!(
+                self,
+                FaultKind::DeadPort | FaultKind::StuckLane | FaultKind::DegradedLink { .. }
+            )
+        }
+    }
+
+    impl FaultPlan {
+        /// A plan of `count` *config-plane* faults drawn uniformly from
+        /// [`FaultKind::CONFIG_PLANE`] using `seed` (the same seed also drives
+        /// target selection during [`corrupt_stream`]).
+        fn random_config_plane(seed: u64, count: usize) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0F1_65EE);
+            let faults = (0..count)
+                .map(|_| FaultKind::CONFIG_PLANE[rng.gen_range(0..FaultKind::CONFIG_PLANE.len())])
+                .collect();
+            FaultPlan { seed, faults }
+        }
+    }
+
+    impl FaultReport {
+        /// Word indices of every applied config-plane fault.
+        fn faulted_words(&self) -> Vec<usize> {
+            self.applied
+                .iter()
+                .filter_map(|f| match f.target {
+                    FaultTarget::Word(w) => Some(w),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    /// [`corrupt_stream`] at word granularity (`frame_len = 1`): faults on a
+    /// raw, unframed bitstream.
+    fn corrupt_words(words: &[u64], plan: &FaultPlan) -> (Vec<u64>, FaultReport) {
+        corrupt_stream(words, 1, plan)
+    }
 
     fn all_presets() -> Vec<Adg> {
         vec![

@@ -1,7 +1,7 @@
 //! Temporal fault schedules: *when* a fault strikes and *how long* it
-//! lives, layered on the structural damage model of [`FaultPlan`].
+//! lives, layered on the structural damage model of [`FaultPlan`](crate::FaultPlan).
 //!
-//! [`FaultPlan`] describes damage that exists before anything runs — the
+//! [`FaultPlan`](crate::FaultPlan) describes damage that exists before anything runs — the
 //! pre-silicon / pre-compilation view used by `inject`. A deployed
 //! accelerator also degrades *mid-execution*: a PE burns out after a
 //! million cycles, a link flakes intermittently under thermal stress, a
@@ -13,10 +13,7 @@
 //! The schedule itself is hardware-agnostic — victims are resolved
 //! deterministically against a concrete (ADG, schedule) pair by the
 //! runtime simulator (`dsagen_sim::runtime`), using [`FaultSchedule::seed`]
-//! so the same schedule always strikes the same hardware. The
-//! [`FaultSchedule::structural_plan`] view projects the permanent faults
-//! back onto a plain [`FaultPlan`] for tools that only understand static
-//! damage.
+//! so the same schedule always strikes the same hardware.
 //!
 //! Determinism contract: every function here is a pure function of the
 //! seed — the same `(seed, count, horizon)` always yields the same
@@ -28,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{FaultKind, FaultPlan};
+use crate::FaultKind;
 
 /// How long a runtime fault stays active after its arrival cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,12 +66,6 @@ impl FaultLifetime {
             }
             FaultLifetime::Permanent => true,
         }
-    }
-
-    /// Whether the fault never clears on its own.
-    #[must_use]
-    pub fn is_permanent(self) -> bool {
-        matches!(self, FaultLifetime::Permanent)
     }
 }
 
@@ -138,7 +129,7 @@ pub const RUNTIME_KINDS: [FaultKind; 3] = [
 /// [`FaultKind::DegradedLink`]) that exercise the repair ladder's
 /// port-mask rungs. Kept separate from [`RUNTIME_KINDS`] so existing
 /// seeded [`FaultSchedule::random`] draws stay stable.
-pub const STORM_KINDS: [FaultKind; 6] = [
+pub(crate) const STORM_KINDS: [FaultKind; 6] = [
     FaultKind::DeadPe,
     FaultKind::SeveredLink,
     FaultKind::StuckSwitch,
@@ -169,7 +160,7 @@ pub struct StormConfig {
     /// Whether lifetimes escalate from transient toward permanent as the
     /// storm progresses (false: uniform mix like [`FaultSchedule::random`]).
     pub escalate: bool,
-    /// Whether to draw kinds from [`STORM_KINDS`] (true) or only the
+    /// Whether to draw kinds from `STORM_KINDS` (true) or only the
     /// node/link kinds of [`RUNTIME_KINDS`] (false).
     pub port_faults: bool,
 }
@@ -354,23 +345,6 @@ impl FaultSchedule {
     pub fn first_arrival(&self) -> Option<u64> {
         self.faults.iter().map(|f| f.arrival).min()
     }
-
-    /// Projects the *permanent* faults onto a plain [`FaultPlan`] — the
-    /// static damage an offline tool (e.g. `inject`) would see once every
-    /// permanent fault has arrived. Transient and intermittent faults
-    /// have no static projection.
-    #[must_use]
-    pub fn structural_plan(&self) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed,
-            faults: self
-                .faults
-                .iter()
-                .filter(|f| f.lifetime.is_permanent())
-                .map(|f| f.kind)
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for FaultSchedule {
@@ -386,6 +360,31 @@ impl fmt::Display for FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultLifetime {
+        /// Whether the fault never clears on its own.
+        fn is_permanent(self) -> bool {
+            matches!(self, FaultLifetime::Permanent)
+        }
+    }
+
+    impl FaultSchedule {
+        /// Projects the *permanent* faults onto a plain `FaultPlan` — the
+        /// static damage an offline tool (e.g. `inject`) would see once every
+        /// permanent fault has arrived. Transient and intermittent faults
+        /// have no static projection.
+        fn structural_plan(&self) -> crate::FaultPlan {
+            crate::FaultPlan {
+                seed: self.seed,
+                faults: self
+                    .faults
+                    .iter()
+                    .filter(|f| f.lifetime.is_permanent())
+                    .map(|f| f.kind)
+                    .collect(),
+            }
+        }
+    }
 
     #[test]
     fn lifetimes_activate_correctly() {

@@ -474,7 +474,7 @@ impl Bitstream {
     /// by word index (headers included). Lets config-path delivery map a
     /// lost or corrupted word back to the node it was configuring.
     #[must_use]
-    pub fn word_owners(&self) -> Vec<NodeId> {
+    pub(crate) fn word_owners(&self) -> Vec<NodeId> {
         let mut owners = Vec::new();
         for (node, cfg) in &self.configs {
             let payload = cfg.instrs.len() + cfg.routes.len() + usize::from(cfg.sync.is_some());
@@ -504,7 +504,7 @@ impl Bitstream {
 
     /// Opcode the discriminant decodes to, if valid.
     #[must_use]
-    pub fn opcode_of(discriminant: u8) -> Option<Opcode> {
+    pub(crate) fn opcode_of(discriminant: u8) -> Option<Opcode> {
         Opcode::ALL.into_iter().find(|op| *op as u8 == discriminant)
     }
 }
@@ -567,18 +567,6 @@ impl DecodedConfig {
         ops.sort_by_key(|op| *op as u8);
         ops.dedup();
         ops
-    }
-
-    /// Total decoded instruction slots.
-    #[must_use]
-    pub fn instr_count(&self) -> usize {
-        self.nodes.values().map(|n| n.instrs.len()).sum()
-    }
-
-    /// Total decoded switch routes.
-    #[must_use]
-    pub fn route_count(&self) -> usize {
-        self.nodes.values().map(|n| n.routes.len()).sum()
     }
 }
 
@@ -927,13 +915,14 @@ mod tests {
         let problem = Problem::new(&adg, &ck);
         let bs = Bitstream::encode(&problem, &sched);
         let decoded = Bitstream::decode(&bs.to_words()).expect("decodes");
-        assert_eq!(decoded.instr_count(), 2);
+        let instrs: usize = decoded.nodes.values().map(|n| n.instrs.len()).sum();
+        assert_eq!(instrs, 2);
         let ops = decoded.opcodes();
         assert!(
             ops.contains(&Opcode::Mul) && ops.contains(&Opcode::Add),
             "{ops:?}"
         );
-        assert!(decoded.route_count() > 0);
+        assert!(decoded.nodes.values().any(|n| !n.routes.is_empty()));
         // Classes line up with payload content.
         for node in decoded.nodes.values() {
             if !node.instrs.is_empty() {
@@ -987,7 +976,8 @@ mod tests {
         let vc = verify_round_trip(&problem, &sched).expect("identity holds");
         assert!(vc.matches(&sched));
         assert_eq!(vc.word_count(), vc.bitstream().word_count());
-        assert_eq!(vc.decoded().instr_count(), 2);
+        let instrs: usize = vc.decoded().nodes.values().map(|n| n.instrs.len()).sum();
+        assert_eq!(instrs, 2);
         // A different schedule does not match the token.
         let mut other = sched.clone();
         other.placement.push(None);

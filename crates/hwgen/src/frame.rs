@@ -28,7 +28,7 @@ use dsagen_adg::NodeId;
 use crate::bitstream::{Bitstream, BitstreamError};
 
 /// Reflected IEEE 802.3 CRC32 polynomial.
-pub const CRC32_POLY: u32 = 0xEDB8_8320;
+pub(crate) const CRC32_POLY: u32 = 0xEDB8_8320;
 
 /// Byte-indexed CRC32 lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -102,7 +102,7 @@ impl Frame {
     ///
     /// [`FrameError::CrcMismatch`] when the stored CRC disagrees with the
     /// recomputed one — any single-bit flip in either word lands here.
-    pub fn unpack(words: [u64; 2]) -> Result<Frame, FrameError> {
+    pub(crate) fn unpack(words: [u64; 2]) -> Result<Frame, FrameError> {
         let payload = words[0];
         let seq = (words[1] >> 32) as u32;
         let stored = words[1] as u32;
@@ -300,7 +300,7 @@ impl std::error::Error for ChunkError {}
 /// (schedules + config words); anything past this is a corrupt header,
 /// not a real chunk — rejecting it keeps a flipped length bit from
 /// allocating gigabytes.
-pub const MAX_CHUNK_LEN: usize = 1 << 24;
+pub(crate) const MAX_CHUNK_LEN: usize = 1 << 24;
 
 /// Frames one byte chunk for persistent storage:
 /// `[len: u32 LE][crc32(payload): u32 LE][payload]`. The same CRC32
@@ -384,21 +384,20 @@ impl fmt::Display for SessionState {
     }
 }
 
-/// Retry/backoff tunables for a [`ProgrammingSession`].
+/// Backoff charge (cycles) before retransmission round `r` (from 1) is
+/// `BACKOFF_BASE << (r - 1)`.
+const BACKOFF_BASE: u32 = 4;
+
+/// Retry tunables for a [`ProgrammingSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Retransmission rounds after the initial attempt.
     pub max_retries: u32,
-    /// Backoff charge (cycles) before retry `r` is `backoff_base << r`.
-    pub backoff_base: u32,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig {
-            max_retries: 3,
-            backoff_base: 4,
-        }
+        SessionConfig { max_retries: 3 }
     }
 }
 
@@ -556,7 +555,7 @@ impl ProgrammingSession {
                 break;
             }
             if round > 0 {
-                backoff_cycles += u64::from(self.cfg.backoff_base) << (round - 1).min(31);
+                backoff_cycles += u64::from(BACKOFF_BASE) << (round - 1).min(31);
             }
             attempts += 1;
             let mut framed = Vec::with_capacity(pending.len() * FRAME_WORDS);
@@ -762,10 +761,7 @@ mod tests {
     #[test]
     fn hostile_channel_degrades_gracefully() {
         let bs = bitstream();
-        let cfg = SessionConfig {
-            max_retries: 2,
-            backoff_base: 4,
-        };
+        let cfg = SessionConfig { max_retries: 2 };
         let mut session = ProgrammingSession::new(&bs, cfg);
         // The first frame is corrupted on *every* attempt: its word can
         // never be delivered, and the owning node must be reported.

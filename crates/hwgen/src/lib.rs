@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod bitstream;
 mod config_path;
@@ -29,7 +30,6 @@ pub use config_path::{
 };
 pub use frame::{
     crc32, deframe_words, frame_chunk, frame_words, unframe_chunk, ChunkError, Frame, FrameError,
-    ProgrammingSession, SessionConfig, SessionError, SessionReport, SessionState, CRC32_POLY,
-    FRAME_WORDS, MAX_CHUNK_LEN,
+    ProgrammingSession, SessionConfig, SessionError, SessionReport, SessionState, FRAME_WORDS,
 };
 pub use rtl::emit_verilog;

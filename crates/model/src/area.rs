@@ -17,7 +17,7 @@ use dsagen_adg::{Adg, NodeId, NodeKind, OpSet, Opcode};
 use serde::{Deserialize, Serialize};
 
 /// Number of features in a component's feature vector.
-pub const N_FEATURES: usize = 14;
+pub(crate) const N_FEATURES: usize = 14;
 
 /// An area/power estimate in physical units.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -52,7 +52,7 @@ impl HwCost {
 /// (the paper samples "number of I/O links, data width, register file size
 /// etc.", §V-C).
 #[must_use]
-pub fn component_features(adg: &Adg, id: NodeId) -> [f64; N_FEATURES] {
+pub(crate) fn component_features(adg: &Adg, id: NodeId) -> [f64; N_FEATURES] {
     let mut f = [0.0; N_FEATURES];
     f[0] = 1.0; // intercept
     let Ok(kind) = adg.kind(id) else { return f };
@@ -150,7 +150,7 @@ fn fu_counts(ops: OpSet) -> (f64, f64, f64, f64) {
 /// nonlinearities and ±3% deterministic noise — the stand-in for a
 /// Synopsys DC run on the module.
 #[must_use]
-pub fn synthesize_component(adg: &Adg, id: NodeId) -> HwCost {
+pub(crate) fn synthesize_component(adg: &Adg, id: NodeId) -> HwCost {
     let f = component_features(adg, id);
     let Ok(kind) = adg.kind(id) else {
         return HwCost::default();
@@ -206,7 +206,7 @@ pub fn synthesize_component(adg: &Adg, id: NodeId) -> HwCost {
 /// meet timing for the whole fabric" beyond per-component synthesis
 /// (§VIII-B Model Validation). This is why the regression estimate lands
 /// 4–7% *below* synthesis.
-pub const FABRIC_OVERHEAD: f64 = 0.055;
+pub(crate) const FABRIC_OVERHEAD: f64 = 0.055;
 
 /// The "synthesis" result for a whole ADG: per-component ground truth plus
 /// the fabric-level overhead.

@@ -6,7 +6,7 @@
 //!   memory bandwidth, recurrences, instruction multiplexing, and the
 //!   control core.
 //! * [`AreaPowerModel`] is the regression model of §V-C, fitted on a
-//!   sampled per-component dataset of [`synthesize_component`] — our
+//!   sampled per-component dataset of `synthesize_component` — our
 //!   synthetic stand-in for Synopsys DC at UMC 28 nm (see DESIGN.md for the
 //!   substitution rationale). [`synthesize_adg`] plays the role of
 //!   full-fabric synthesis for Fig 15's model validation.
@@ -29,15 +29,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod area;
 mod perf;
 mod regress;
 pub mod scaled;
 
-pub use area::{
-    component_features, synthesize_adg, synthesize_component, HwCost, FABRIC_OVERHEAD, N_FEATURES,
-};
+pub use area::{synthesize_adg, HwCost};
 pub use perf::{PerfEstimate, PerfModel, RegionPerf};
 pub use regress::AreaPowerModel;
 

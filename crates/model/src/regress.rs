@@ -34,7 +34,7 @@ impl AreaPowerModel {
 
     /// Estimated cost of one component.
     #[must_use]
-    pub fn estimate_component(&self, adg: &Adg, id: NodeId) -> HwCost {
+    pub(crate) fn estimate_component(&self, adg: &Adg, id: NodeId) -> HwCost {
         if let Ok(dsagen_adg::NodeKind::Control(ctrl)) = adg.kind(id) {
             // Fixed blocks are carried over directly (not regressed).
             return if ctrl.is_programmable() {

@@ -46,7 +46,7 @@ mod schedule;
 mod scheduler;
 
 pub use mask::{CapabilityMask, MaskError};
-pub use objective::{evaluate, Evaluation, RegionEval, Weights, MEM_ROUNDTRIP};
+pub use objective::{evaluate, Evaluation, RegionEval, Weights};
 pub use problem::{Entity, EntityKind, Problem, VirtEdge};
 pub use route::route;
 pub use schedule::Schedule;

@@ -76,13 +76,6 @@ impl CapabilityMask {
         self
     }
 
-    /// Masks one input port of `node` (builder style).
-    #[must_use]
-    pub fn with_port(mut self, node: NodeId, port: usize) -> Self {
-        self.ports.insert((node, port));
-        self
-    }
-
     /// Masks a whole node (builder style).
     #[must_use]
     pub fn with_node(mut self, node: NodeId) -> Self {
@@ -97,7 +90,7 @@ impl CapabilityMask {
     }
 
     /// Human-readable labels for every masked capability, for
-    /// `RecoveryOutcome::Degraded { masked_resources }` and telemetry.
+    /// `RecoveryReport::masked_resources` and telemetry.
     #[must_use]
     pub fn describe(&self, adg: &Adg) -> Vec<String> {
         let mut out = Vec::new();
@@ -183,11 +176,18 @@ mod tests {
         compile_kernel, AffineExpr, CompiledKernel, KernelBuilder, MemClass, TransformConfig,
         TripCount,
     };
-
     use dsagen_telemetry::Telemetry;
 
     use super::*;
     use crate::{evaluate, schedule, Problem, ScheduleResult, SchedulerConfig, Start, Weights};
+
+    impl CapabilityMask {
+        /// Masks one input port of `node` (builder style).
+        fn with_port(mut self, node: NodeId, port: usize) -> Self {
+            self.ports.insert((node, port));
+            self
+        }
+    }
 
     fn fresh(adg: &Adg, kernel: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
         schedule(adg, kernel, &Start::Empty, cfg, &Telemetry::disabled())

@@ -13,7 +13,7 @@ use crate::{Entity, EntityKind, Problem, Schedule};
 
 /// Extra cycles modeling a memory round trip, used for recurrences that
 /// cycle through a memory (read-modify-write hazards).
-pub const MEM_ROUNDTRIP: f64 = 16.0;
+pub(crate) const MEM_ROUNDTRIP: f64 = 16.0;
 
 /// Objective weights, ordered by the paper's priorities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +59,7 @@ pub struct RegionEval {
     /// instructions (1.0 = fully pipelined).
     pub max_ii: f64,
     /// Unabsorbed operand-arrival mismatch (cycles); throughput loss is
-    /// proportional to this imbalance (§III-B, [64]).
+    /// proportional to this imbalance (§III-B, \[64\]).
     pub mismatch_excess: f64,
     /// Longest input-port → output-port path in cycles.
     pub crit_path: f64,

@@ -283,7 +283,7 @@ impl<'a> Problem<'a> {
     /// on `edges` alone, so it is found once here rather than per
     /// evaluation. Entities on a dependence cycle are left out.
     #[must_use]
-    pub fn timing_order(&self) -> &[usize] {
+    pub(crate) fn timing_order(&self) -> &[usize] {
         &self.timing_order
     }
 

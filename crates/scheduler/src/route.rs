@@ -105,19 +105,6 @@ fn passable(kind: &NodeKind) -> bool {
     )
 }
 
-/// Whether a value may traverse the hop `u → v` under the execution-model
-/// composition rules (§III-B): dynamically-timed outputs may not feed
-/// elements requiring static timing, except through sync elements.
-fn hop_legal(adg: &Adg, u: NodeId, v: NodeId) -> bool {
-    let (Ok(su), Ok(sv)) = (adg.kind(u), adg.kind(v)) else {
-        return false;
-    };
-    match (su.output_timing(), sv.input_tolerance()) {
-        (Scheduling::Dynamic, Scheduling::Static) => matches!(su, NodeKind::Sync(_)),
-        _ => true,
-    }
-}
-
 /// Whether continuing from incoming edge `e_in` to outgoing edge `e_out`
 /// through their shared node is permitted by that node's routing matrix
 /// (switches only; other passables route freely).
@@ -153,7 +140,7 @@ pub(crate) fn path_legal(adg: &Adg, src: NodeId, path: &[EdgeId]) -> bool {
         let Some(e) = adg.edge(eid) else {
             return false;
         };
-        if e.src != cur || !hop_legal(adg, e.src, e.dst) {
+        if e.src != cur || !adg.value_edge_legal(e.src, e.dst) {
             return false;
         }
         if let Some(p) = prev {
@@ -186,8 +173,8 @@ pub(crate) fn path_legal(adg: &Adg, src: NodeId, path: &[EdgeId]) -> bool {
 /// Returns the route as a sequence of ADG edge ids, or `None` when no legal
 /// path exists. A route between co-located entities is the empty sequence.
 ///
-/// This is [`Router::route`] on a fresh router; the scheduler's search keeps
-/// one router for all its calls.
+/// Each call builds a fresh router; the scheduler's search keeps one router
+/// for all its calls.
 #[must_use]
 pub fn route(
     adg: &Adg,
@@ -372,7 +359,7 @@ impl<'a> Router<'a> {
             edge: edge.id(),
             dst: edge.dst,
             passable: adg.kind(edge.dst).is_ok_and(passable),
-            legal: hop_legal(adg, node, edge.dst),
+            legal: adg.value_edge_legal(node, edge.dst),
         }));
         let flat = NodeHops {
             start: start as u32,
@@ -403,7 +390,7 @@ impl<'a> Router<'a> {
             let next = bound[x.index()].saturating_add(1);
             for edge in adg.in_edges(x) {
                 let w = edge.src;
-                if bound[w.index()] == UNREACHABLE && hop_legal(adg, w, x) {
+                if bound[w.index()] == UNREACHABLE && adg.value_edge_legal(w, x) {
                     bound[w.index()] = next;
                     queue.push_back(w);
                 }
@@ -614,7 +601,7 @@ mod tests {
                     continue;
                 }
             }
-            if !hop_legal(adg, from, next) {
+            if !adg.value_edge_legal(from, next) {
                 continue;
             }
             let c = step_cost(edge.id());
@@ -647,7 +634,7 @@ mod tests {
                         continue;
                     }
                 }
-                if !hop_legal(adg, cur.dst, next) || !turn_legal(adg, edge, out.id()) {
+                if !adg.value_edge_legal(cur.dst, next) || !turn_legal(adg, edge, out.id()) {
                     continue;
                 }
                 let ncost = cost + step_cost(out.id());

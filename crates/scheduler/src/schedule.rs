@@ -31,19 +31,8 @@ impl Schedule {
         }
     }
 
-    /// Whether every entity is placed and every edge routed.
-    #[must_use]
-    pub fn is_complete(&self, problem: &Problem<'_>) -> bool {
-        self.placement.iter().all(Option::is_some)
-            && problem
-                .edges
-                .iter()
-                .enumerate()
-                .all(|(i, _)| self.routes.contains_key(&i))
-    }
-
     /// Unmaps entity `e`, dropping its placement and all incident routes.
-    pub fn unplace(&mut self, problem: &Problem<'_>, e: usize) {
+    pub(crate) fn unplace(&mut self, problem: &Problem<'_>, e: usize) {
         self.placement[e] = None;
         for i in problem.incident(e) {
             self.routes.remove(i);
@@ -57,7 +46,7 @@ impl Schedule {
     /// from the schedule").
     ///
     /// Returns how many entities were invalidated.
-    pub fn invalidate_removed(&mut self, problem: &Problem<'_>) -> usize {
+    pub(crate) fn invalidate_removed(&mut self, problem: &Problem<'_>) -> usize {
         // Resize if the problem shape changed (defensive; same kernel keeps
         // the same shape).
         if self.placement.len() != problem.entities.len() {
@@ -487,7 +476,9 @@ mod tests {
         let (ck, ()) = problem_fixture(&adg);
         let p = Problem::new(&adg, &ck);
         let s = Schedule::empty(&p);
-        assert!(!s.is_complete(&p));
+        assert_eq!(s.placement.len(), p.entities.len());
+        assert!(s.placement.iter().all(Option::is_none));
+        assert!(s.routes.is_empty());
     }
 
     #[test]

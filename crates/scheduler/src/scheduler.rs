@@ -17,6 +17,11 @@ use crate::route::Router;
 use crate::schedule::LinkTable;
 use crate::{Evaluation, Problem, Schedule, Weights};
 
+/// Congestion weight used during routing. Sharing a link is priced far
+/// above any detour the router could take (MAX_HOPS-bounded), so congestion
+/// is only accepted when no alternative path exists at all.
+const CONGESTION: f64 = 100.0;
+
 /// Tunables for the stochastic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
@@ -30,8 +35,6 @@ pub struct SchedulerConfig {
     pub patience: u32,
     /// RNG seed (every run is deterministic given the seed).
     pub seed: u64,
-    /// Congestion weight used during routing.
-    pub congestion: f64,
     /// Objective weights.
     pub weights: Weights,
 }
@@ -43,10 +46,6 @@ impl Default for SchedulerConfig {
             candidates: 6,
             patience: 30,
             seed: 0xD5A6E4,
-            // Sharing a link is priced far above any detour the router
-            // could take (MAX_HOPS-bounded), so congestion is only accepted
-            // when no alternative path exists at all.
-            congestion: 100.0,
             weights: Weights::default(),
         }
     }
@@ -651,7 +650,7 @@ impl Working<'_, '_> {
         };
         let links = &self.links;
         let usage = |link| links.others(link, e.src);
-        if let Some(path) = self.router.route(src, dst, usage, self.cfg.congestion) {
+        if let Some(path) = self.router.route(src, dst, usage, CONGESTION) {
             self.insert_route(i, path);
         }
     }

@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -176,12 +177,6 @@ impl Ticket {
     /// [`WorkerLost`] if the worker died before replying.
     pub fn wait(self) -> Result<CompileOutcome, WorkerLost> {
         self.rx.recv().map_err(|_| WorkerLost)
-    }
-
-    /// Non-blocking poll; `None` while the request is still in flight.
-    #[must_use]
-    pub fn try_wait(&self) -> Option<CompileOutcome> {
-        self.rx.try_recv().ok()
     }
 }
 

@@ -229,14 +229,6 @@ impl RecoveryDomains {
         self.footprints.get(domain).copied().unwrap_or(0)
     }
 
-    /// The largest domain footprint — the worst-case recovery scope of
-    /// this mapping, which the DSE reliability objective rewards keeping
-    /// small.
-    #[must_use]
-    pub fn max_footprint(&self) -> usize {
-        self.footprints.iter().copied().max().unwrap_or(0)
-    }
-
     /// The largest number of regions in one domain.
     #[must_use]
     pub fn max_domain_regions(&self) -> usize {
@@ -284,7 +276,7 @@ mod tests {
         assert_eq!(d.domain_of(0), Some(0));
         assert_eq!(d.regions_in(0), &[0]);
         assert_eq!(d.domain_of_regions(&[0]), Some(0));
-        assert!(d.max_footprint() > 0, "a placed region occupies hardware");
+        assert!(d.footprint(0) > 0, "a placed region occupies hardware");
         assert_eq!(d.max_domain_regions(), 1);
     }
 
@@ -326,7 +318,6 @@ mod tests {
             let dom = d.domain_of(ri).unwrap();
             assert!(d.regions_in(dom).contains(&ri));
         }
-        assert!(d.max_footprint() >= d.footprint(0).min(d.footprint(d.len() - 1)));
     }
 
     #[test]

@@ -48,13 +48,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod cosim;
-pub mod domains;
+mod domains;
 mod engine;
-pub mod recovery;
-pub mod runtime;
-pub mod telemetry;
+mod recovery;
+mod runtime;
+mod telemetry;
 
 pub use cosim::{simulate_functional, CoSimError, CoSimReport};
 pub use domains::RecoveryDomains;
@@ -63,8 +64,11 @@ pub use recovery::{
     run_with_degradation, run_with_recovery, RecoveryAction, RecoveryError, RecoveryEvent,
     RecoveryOutcome, RecoveryPolicy, RecoveryReport, RepairRung,
 };
-pub use runtime::{Detector, RuntimeConfig, RuntimeFault, RuntimeSim, SimCheckpoint, StepOutcome};
-pub use telemetry::{PeCounters, SimTelemetry, StallTaxonomy, StreamCounters};
+pub use runtime::{
+    RuntimeConfig, RuntimeFault, RuntimeSim, SimCheckpoint, StepOutcome, RESIDUE_INTERVAL,
+    WATCHDOG_BOUND,
+};
+pub use telemetry::{PeCounters, RegionTally, SimTelemetry, StallTaxonomy, StreamCounters};
 
 /// Why a simulation could not run: the schedule references hardware the
 /// (possibly fault-degraded) ADG no longer has, or the configuration was
@@ -141,7 +145,7 @@ impl std::error::Error for SimError {}
 /// [`SimError::UnverifiedConfig`] if the token does not match `schedule`,
 /// otherwise whatever [`simulate`] reports.
 #[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the token
-pub fn try_simulate_verified(
+pub(crate) fn try_simulate_verified(
     adg: &dsagen_adg::Adg,
     version: &dsagen_dfg::CompiledKernel,
     schedule: &dsagen_scheduler::Schedule,
@@ -207,17 +211,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Fabric occupancy of one region: firing cycles over its total
-    /// cycles (1.0 = perfectly pipelined, the paper's "activity ratio").
-    #[must_use]
-    pub fn occupancy(&self, region: usize) -> f64 {
-        let total = self.region_cycles.get(region).copied().unwrap_or(0);
-        if total == 0 {
-            return 0.0;
-        }
-        self.active_cycles.get(region).copied().unwrap_or(0) as f64 / total as f64
-    }
-
     /// Execution time in microseconds at `clock_ghz`.
     #[must_use]
     pub fn micros(&self, clock_ghz: f64) -> f64 {
@@ -367,7 +360,7 @@ mod tests {
         let (_, report, _) = run(&adg, &dot(2048), &TransformConfig::fallback());
         // A fully-pipelined dot should fire nearly every cycle of its
         // region's lifetime.
-        let occ = report.occupancy(0);
+        let occ = report.active_cycles[0] as f64 / report.region_cycles[0] as f64;
         assert!((0.5..=1.0).contains(&occ), "occupancy {occ}");
         assert_eq!(report.active_cycles[0], report.firings[0]);
     }

@@ -256,7 +256,7 @@ impl RecoveryEvent {
     /// Overhead charged against the run (replay + reprogram; detection
     /// latency cycles are already part of the engine timeline).
     #[must_use]
-    pub fn overhead_cycles(&self) -> u64 {
+    pub(crate) fn overhead_cycles(&self) -> u64 {
         self.replayed_cycles + self.reprogram_cycles
     }
 }
@@ -985,16 +985,11 @@ pub enum RecoveryOutcome {
     /// overhead).
     Recovered(RecoveryReport),
     /// At least one fault exhausted the structural rungs; the run
-    /// finished on a relaxed-objective mapping at reduced throughput.
-    Degraded {
-        /// Measured `fault_free_cycles / total_cycles`, in `(0, 1]`.
-        throughput_ratio: f64,
-        /// Capabilities the ladder took offline, in recovery order.
-        masked_resources: Vec<String>,
-        /// The full recovery report (with [`RecoveryReport::degraded`]
-        /// set).
-        report: RecoveryReport,
-    },
+    /// finished on a relaxed-objective mapping at reduced throughput. The
+    /// report has [`RecoveryReport::degraded`] set, its measured
+    /// [`RecoveryReport::throughput_ratio`] and the
+    /// [`RecoveryReport::masked_resources`] the ladder took offline.
+    Degraded(RecoveryReport),
 }
 
 impl RecoveryOutcome {
@@ -1002,15 +997,14 @@ impl RecoveryOutcome {
     #[must_use]
     pub fn report(&self) -> &RecoveryReport {
         match self {
-            RecoveryOutcome::Recovered(r) => r,
-            RecoveryOutcome::Degraded { report, .. } => report,
+            RecoveryOutcome::Recovered(r) | RecoveryOutcome::Degraded(r) => r,
         }
     }
 
     /// Whether the run finished in degraded mode.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        matches!(self, RecoveryOutcome::Degraded { .. })
+        matches!(self, RecoveryOutcome::Degraded(_))
     }
 
     /// Throughput relative to the fault-free run: the measured ratio for
@@ -1021,9 +1015,9 @@ impl RecoveryOutcome {
     pub fn throughput_ratio(&self) -> f64 {
         match self {
             RecoveryOutcome::Recovered(_) => 1.0,
-            RecoveryOutcome::Degraded {
-                throughput_ratio, ..
-            } => *throughput_ratio,
+            // `degraded` implies the ratio was measured; 0.0 would mean
+            // a zero-cycle baseline, which the measurement's clamp rules out.
+            RecoveryOutcome::Degraded(r) => r.throughput_ratio.unwrap_or(1.0),
         }
     }
 }
@@ -1034,16 +1028,12 @@ impl fmt::Display for RecoveryOutcome {
             RecoveryOutcome::Recovered(r) => {
                 write!(f, "recovered ({} recoveries)", r.recoveries())
             }
-            RecoveryOutcome::Degraded {
-                throughput_ratio,
-                masked_resources,
-                report,
-            } => write!(
+            RecoveryOutcome::Degraded(r) => write!(
                 f,
                 "degraded (throughput {:.2}, {} masked, {} recoveries)",
-                throughput_ratio,
-                masked_resources.len(),
-                report.recoveries()
+                self.throughput_ratio(),
+                r.masked_resources.len(),
+                r.recoveries()
             ),
         }
     }
@@ -1082,13 +1072,7 @@ pub fn run_with_degradation(
         tel,
     )?;
     Ok(if report.degraded {
-        RecoveryOutcome::Degraded {
-            // `degraded` implies the ratio was measured; 0.0 would mean
-            // a zero-cycle baseline, which `clamp` above rules out.
-            throughput_ratio: report.throughput_ratio.unwrap_or(1.0),
-            masked_resources: report.masked_resources.clone(),
-            report,
-        }
+        RecoveryOutcome::Degraded(report)
     } else {
         RecoveryOutcome::Recovered(report)
     })
@@ -1191,7 +1175,7 @@ mod tests {
             "{}",
             ev.action
         );
-        assert!(ev.detection_latency <= RecoveryPolicy::default().rt.watchdog_bound);
+        assert!(ev.detection_latency <= crate::WATCHDOG_BOUND);
         assert!(ev.reprogram_cycles > 0, "config replay must be charged");
         assert!(ev.mttr_cycles() > 0);
         // Functional outputs equal the fault-free run.
@@ -1395,20 +1379,16 @@ mod tests {
             &Telemetry::disabled(),
         )
         .unwrap_or_else(|e| panic!("degraded rung aborted: {e}"));
-        let RecoveryOutcome::Degraded {
-            throughput_ratio,
-            masked_resources: _,
-            report,
-        } = &out
-        else {
+        let RecoveryOutcome::Degraded(report) = &out else {
             panic!("expected a degraded finish, got {out}");
         };
+        let throughput_ratio = out.throughput_ratio();
         assert!(
-            *throughput_ratio > 0.0 && *throughput_ratio <= 1.0,
+            throughput_ratio > 0.0 && throughput_ratio <= 1.0,
             "ratio {throughput_ratio}"
         );
         assert!(report.degraded);
-        assert_eq!(report.throughput_ratio, Some(*throughput_ratio));
+        assert_eq!(report.throughput_ratio, Some(throughput_ratio));
         assert!(
             matches!(
                 report.events[0].action,
@@ -1417,7 +1397,6 @@ mod tests {
             "{}",
             report.events[0].action
         );
-        assert_eq!(out.throughput_ratio(), *throughput_ratio);
         assert!(out.is_degraded());
         assert_eq!(
             report.report.firings, plain.firings,

@@ -34,10 +34,10 @@
 //! * a **progress watchdog** per fault: counts *consecutive* cycles in
 //!   which an affected region was live (scheduled, not done, work left)
 //!   yet could not fire because of the fault. When the run reaches
-//!   [`RuntimeConfig::watchdog_bound`] the fault is detected — so
+//!   [`WATCHDOG_BOUND`] the fault is detected — so
 //!   detection latency for blocking faults is exactly the bound.
 //! * a **result-residue check** every
-//!   [`RuntimeConfig::residue_interval`] cycles (and once at the end of
+//!   [`RESIDUE_INTERVAL`] cycles (and once at the end of
 //!   the run): compares redundantly-computed residues against delivered
 //!   results, observable here as the engine's poisoned-firing counters.
 //!   Detection latency for corruption faults is at most the interval.
@@ -74,25 +74,29 @@ use crate::engine::{
 use crate::telemetry::SimTelemetry;
 use crate::{SimConfig, SimError, SimReport};
 
-/// Tunables for online detection and checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Consecutive blocked-while-live cycles before the progress watchdog
+/// raises a fault (the detection-latency bound for blocking faults).
+pub const WATCHDOG_BOUND: u64 = 64;
+
+/// Wall-cycle period of the result-residue check (the detection-latency
+/// bound for silent-corruption faults).
+pub const RESIDUE_INTERVAL: u64 = 256;
+
+/// Wall-cycle period of automatic checkpoints.
+const CHECKPOINT_INTERVAL: u64 = 256;
+
+/// How many periodic checkpoints the ring retains (a baseline taken at
+/// construction is always kept in addition).
+const CHECKPOINT_RING: usize = 8;
+
+/// Tunables for online detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeConfig {
-    /// Consecutive blocked-while-live cycles before the progress watchdog
-    /// raises a fault (the detection-latency bound for blocking faults).
-    pub watchdog_bound: u64,
-    /// Wall-cycle period of the result-residue check (the
-    /// detection-latency bound for silent-corruption faults).
-    pub residue_interval: u64,
-    /// Wall-cycle period of automatic checkpoints.
-    pub checkpoint_interval: u64,
-    /// How many periodic checkpoints the ring retains (a baseline taken
-    /// at construction is always kept in addition).
-    pub checkpoint_ring: usize,
     /// Run the result-residue check *every* cycle instead of only at
     /// interval boundaries and run end. The interval-boundary assumption
     /// models a residue unit that only publishes at checkpoint epochs;
     /// eager mode models one on the result bus, dropping corruption
-    /// detection latency from ≤ `residue_interval` to a few cycles at the
+    /// detection latency from ≤ [`RESIDUE_INTERVAL`] to a few cycles at the
     /// cost of checking each cycle. Detection latency never exceeds the
     /// non-eager bound (regression-tested).
     pub residue_eager: bool,
@@ -103,19 +107,6 @@ pub struct RuntimeConfig {
     /// untouched domains bit-for-bit against a fault-free run), not to
     /// drive it.
     pub record_traces: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            watchdog_bound: 64,
-            residue_interval: 256,
-            checkpoint_interval: 256,
-            checkpoint_ring: 8,
-            residue_eager: false,
-            record_traces: false,
-        }
-    }
 }
 
 /// Which online detector raised a [`RuntimeFault`].
@@ -208,12 +199,6 @@ impl SimCheckpoint {
     #[must_use]
     pub fn wall(&self) -> u64 {
         self.core.wall()
-    }
-
-    /// Completed firings per region at checkpoint time.
-    #[must_use]
-    pub fn completed_firings(&self) -> &[u64] {
-        self.core.firings()
     }
 }
 
@@ -457,18 +442,6 @@ impl RuntimeSim {
         self.core.wall()
     }
 
-    /// Total poisoned firings currently accounted in the engine state.
-    #[must_use]
-    pub fn poisoned_total(&self) -> u64 {
-        self.core.poisoned_total()
-    }
-
-    /// Faults not yet consumed by detection+recovery.
-    #[must_use]
-    pub fn pending_faults(&self) -> usize {
-        self.faults.iter().filter(|f| !f.consumed).count()
-    }
-
     /// Snapshots the current engine state.
     #[must_use]
     pub fn checkpoint(&self) -> SimCheckpoint {
@@ -519,7 +492,7 @@ impl RuntimeSim {
     /// genuinely happened, so the spliced regions' pre-rollback stalls
     /// remain accounted — a deliberate, documented accounting bias toward
     /// over-reporting stalls rather than losing them.
-    pub fn restore_scoped(&mut self, ckpt: &SimCheckpoint, regions: &[usize]) -> bool {
+    pub(crate) fn restore_scoped(&mut self, ckpt: &SimCheckpoint, regions: &[usize]) -> bool {
         let Some(group) = self.groups.get(self.core.group_idx()) else {
             return false;
         };
@@ -551,7 +524,7 @@ impl RuntimeSim {
     /// * blocking (watchdog-detected) — the state *now*: stalled cycles
     ///   corrupt nothing, so no work needs replaying beyond them.
     #[must_use]
-    pub fn rollback_target(&self, fault: &RuntimeFault) -> SimCheckpoint {
+    pub(crate) fn rollback_target(&self, fault: &RuntimeFault) -> SimCheckpoint {
         match fault.detector {
             Detector::Watchdog => self.checkpoint(),
             Detector::Residue => {
@@ -716,7 +689,7 @@ impl RuntimeSim {
                     }
                     if is_blocking(f.timed.kind) {
                         f.stall_run += 1;
-                        if f.stall_run >= self.rt.watchdog_bound && detected.is_none() {
+                        if f.stall_run >= WATCHDOG_BOUND && detected.is_none() {
                             detected = Some(fi);
                         }
                     }
@@ -734,20 +707,15 @@ impl RuntimeSim {
 
             // ---- residue check: every cycle in eager mode, else at
             // interval boundaries (and once at run end, above).
-            let residue_due = self.rt.residue_eager
-                || (self.rt.residue_interval > 0 && wall.is_multiple_of(self.rt.residue_interval));
-            if residue_due {
+            if self.rt.residue_eager || wall.is_multiple_of(RESIDUE_INTERVAL) {
                 if let Some(fault) = self.residue_check() {
                     return Some(StepOutcome::Detected(Box::new(fault)));
                 }
             }
 
             // ---- periodic checkpoint ring.
-            if self.rt.checkpoint_interval > 0
-                && wall.is_multiple_of(self.rt.checkpoint_interval)
-                && self.rt.checkpoint_ring > 0
-            {
-                if self.ring.len() == self.rt.checkpoint_ring {
+            if wall.is_multiple_of(CHECKPOINT_INTERVAL) {
+                if self.ring.len() == CHECKPOINT_RING {
                     self.ring.pop_front();
                 }
                 self.ring.push_back(self.checkpoint());
@@ -874,10 +842,21 @@ mod tests {
     };
     use dsagen_scheduler::SchedulerConfig;
 
-    use crate::tests::fresh;
-
     use super::*;
+    use crate::tests::fresh;
     use crate::{simulate, SimConfig};
+
+    impl RuntimeSim {
+        /// Total poisoned firings currently accounted in the engine state.
+        fn poisoned_total(&self) -> u64 {
+            self.core.poisoned_total()
+        }
+
+        /// Faults not yet consumed by detection+recovery.
+        fn pending_faults(&self) -> usize {
+            self.faults.iter().filter(|f| !f.consumed).count()
+        }
+    }
 
     fn dot(n: u64) -> dsagen_dfg::Kernel {
         let mut k = KernelBuilder::new("dot");
@@ -946,7 +925,7 @@ mod tests {
                 assert!(matches!(f.victim, FaultTarget::Node(_)), "{f}");
                 assert!(!f.regions.is_empty());
                 assert!(
-                    f.detection_latency() <= RuntimeConfig::default().watchdog_bound,
+                    f.detection_latency() <= WATCHDOG_BOUND,
                     "latency {} exceeds bound",
                     f.detection_latency()
                 );
@@ -968,7 +947,7 @@ mod tests {
                 assert_eq!(f.kind, FaultKind::StuckSwitch);
                 assert_eq!(f.detector, Detector::Residue);
                 assert!(
-                    f.detection_latency() <= RuntimeConfig::default().residue_interval,
+                    f.detection_latency() <= RESIDUE_INTERVAL,
                     "latency {} exceeds interval",
                     f.detection_latency()
                 );
@@ -1056,7 +1035,7 @@ mod tests {
                 assert_eq!(f.detector, Detector::Watchdog);
                 assert!(matches!(f.victim, FaultTarget::Edge(_)), "{f}");
                 assert!(
-                    f.detection_latency() <= RuntimeConfig::default().watchdog_bound,
+                    f.detection_latency() <= WATCHDOG_BOUND,
                     "latency {} exceeds bound",
                     f.detection_latency()
                 );
@@ -1077,7 +1056,7 @@ mod tests {
                 assert_eq!(f.detector, Detector::Residue);
                 assert!(matches!(f.victim, FaultTarget::Edge(_)), "{f}");
                 assert!(
-                    f.detection_latency() <= RuntimeConfig::default().residue_interval,
+                    f.detection_latency() <= RESIDUE_INTERVAL,
                     "latency {} exceeds interval",
                     f.detection_latency()
                 );
@@ -1159,7 +1138,7 @@ mod tests {
         let eager_latency = lat(true);
         // Regression: the documented bound holds in both modes, and eager
         // mode is never slower than interval mode.
-        assert!(interval_latency <= RuntimeConfig::default().residue_interval);
+        assert!(interval_latency <= RESIDUE_INTERVAL);
         assert!(
             eager_latency <= interval_latency,
             "{eager_latency} > {interval_latency}"

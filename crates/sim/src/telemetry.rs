@@ -331,19 +331,9 @@ pub struct SimTelemetry {
 }
 
 impl SimTelemetry {
-    /// Aggregate taxonomy restricted to one region's PEs.
-    #[must_use]
-    pub fn region_taxonomy(&self, region: usize) -> StallTaxonomy {
-        let mut t = StallTaxonomy::default();
-        for pe in self.pes.iter().filter(|p| p.region == region) {
-            t.absorb(&pe.stalls);
-        }
-        t
-    }
-
     /// Mean PE utilization over all mapped PEs.
     #[must_use]
-    pub fn mean_pe_utilization(&self) -> f64 {
+    pub(crate) fn mean_pe_utilization(&self) -> f64 {
         if self.pes.is_empty() {
             return 0.0;
         }
@@ -352,7 +342,7 @@ impl SimTelemetry {
 
     /// The whole-run dominant stall cause `(label, cycles)`.
     #[must_use]
-    pub fn dominant_stall(&self) -> (&'static str, u64) {
+    pub(crate) fn dominant_stall(&self) -> (&'static str, u64) {
         self.taxonomy.dominant()
     }
 

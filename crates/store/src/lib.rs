@@ -25,7 +25,7 @@
 //!
 //! # Trust nothing on load
 //!
-//! Records are length/CRC32-framed per section ([`record`]) and carry the
+//! Records are length/CRC32-framed per section and carry the
 //! schedule digest; [`ArtifactStore::get`] re-verifies all of it on every
 //! load. Anything wrong — torn bytes, bit rot, an alien file squatting at
 //! a content address — is *quarantined*: moved to `quarantine/`, logged,
@@ -43,8 +43,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod record;
+mod record;
 
 use std::fmt;
 use std::fs;
@@ -57,7 +58,7 @@ use dsagen_faults::{StorageInjector, WriteFault};
 use dsagen_scheduler::Schedule;
 use dsagen_telemetry::{log, Level, Telemetry};
 
-pub use record::{decode, encode, frame_boundaries, RecordError, MAGIC};
+pub use record::{decode, encode, frame_boundaries, RecordError};
 
 /// The content address of one artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,22 +80,6 @@ impl ArtifactKey {
             "{:016x}-{:016x}-{:016x}.art",
             self.adg_fp, self.kernel_hash, self.sched_seed
         )
-    }
-
-    /// Inverse of [`ArtifactKey::file_name`]; `None` for names that are
-    /// not well-formed entry addresses.
-    #[must_use]
-    pub fn from_file_name(name: &str) -> Option<ArtifactKey> {
-        let stem = name.strip_suffix(".art")?;
-        let mut parts = stem.splitn(3, '-');
-        let adg_fp = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let kernel_hash = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let sched_seed = u64::from_str_radix(parts.next()?, 16).ok()?;
-        Some(ArtifactKey {
-            adg_fp,
-            kernel_hash,
-            sched_seed,
-        })
     }
 }
 
@@ -163,7 +148,7 @@ impl RetryPolicy {
     /// first failure is `backoff_ms(1)`): `base * 2^(attempt-1)` capped at
     /// `max`, plus up to 50% deterministic jitter.
     #[must_use]
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_ms(&self, attempt: u32) -> u64 {
         let exp = self
             .base_backoff_ms
             .saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
@@ -303,7 +288,7 @@ fn io_err(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
 
 /// Stable metric/log label for a quarantine reason.
 #[must_use]
-pub fn quarantine_label(err: &RecordError) -> &'static str {
+pub(crate) fn quarantine_label(err: &RecordError) -> &'static str {
     match err {
         RecordError::BadMagic => "bad_magic",
         RecordError::Frame(_) => "frame",
@@ -633,6 +618,23 @@ pub fn artifact(
 mod tests {
     use super::*;
     use dsagen_faults::{corrupt_record_bytes, StorageFaultKind};
+
+    impl ArtifactKey {
+        /// Inverse of [`ArtifactKey::file_name`]; `None` for names that are
+        /// not well-formed entry addresses.
+        fn from_file_name(name: &str) -> Option<ArtifactKey> {
+            let stem = name.strip_suffix(".art")?;
+            let mut parts = stem.splitn(3, '-');
+            let adg_fp = u64::from_str_radix(parts.next()?, 16).ok()?;
+            let kernel_hash = u64::from_str_radix(parts.next()?, 16).ok()?;
+            let sched_seed = u64::from_str_radix(parts.next()?, 16).ok()?;
+            Some(ArtifactKey {
+                adg_fp,
+                kernel_hash,
+                sched_seed,
+            })
+        }
+    }
 
     fn sample(seed: u64) -> Artifact {
         // Reuse the record module's generator via a local copy: a small

@@ -30,7 +30,7 @@ use dsagen_scheduler::Schedule;
 use crate::{Artifact, ArtifactKey};
 
 /// Record magic: format name + version byte.
-pub const MAGIC: &[u8; 8] = b"DSAGART1";
+pub(crate) const MAGIC: &[u8; 8] = b"DSAGART1";
 
 /// Sentinel payload of the final (commit) chunk.
 const END_PAYLOAD: &[u8; 4] = b"END!";
@@ -44,7 +44,7 @@ const UNPLACED: u32 = u32::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RecordError {
-    /// The file does not start with [`MAGIC`] (alien file, or the header
+    /// The file does not start with the record magic (alien file, or the header
     /// itself was torn/corrupted).
     BadMagic,
     /// A chunk failed its length/CRC framing (torn write, truncation,

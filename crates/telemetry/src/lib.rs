@@ -9,9 +9,9 @@
 //! * [`Telemetry`] — a cheaply cloneable handle that is **zero-cost when
 //!   disabled**: every emission site first checks a single `Option`
 //!   discriminant (no allocation, no lock, no clock read) and only builds
-//!   the event when a sink is attached.
-//! * [`TelemetrySink`] — where events go: in-memory (tests, renderers),
-//!   streaming JSONL file, or any custom sink.
+//!   the event when the handle is enabled. An enabled handle
+//!   ([`Telemetry::in_memory`]) keeps its events in memory for
+//!   [`Telemetry::events`] and the exporters below.
 //! * [`Span`] — RAII phase timing with monotonic clocks; dropped spans
 //!   become Chrome `trace_event`-compatible *complete* events.
 //! * [`chrome_trace`] / [`jsonl`] — exporters: the former produces a JSON
@@ -23,15 +23,15 @@
 //! Three observability pillars build on the event layer (each zero-cost
 //! when disabled via the same one-branch `Option` pattern):
 //!
-//! * [`MetricsRegistry`] ([`metrics`]) — typed counters / gauges /
+//! * [`MetricsRegistry`] — typed counters / gauges /
 //!   log-linear histograms under a stable hierarchical name space,
 //!   accumulated per shard and merged deterministically.
-//! * [`profile`] ([`profiler`]) — a wall-time attribution tree folded
+//! * [`profile`] — a wall-time attribution tree folded
 //!   from recorded spans (the `--bin profile` flame report).
-//! * [`FlightRecorder`] ([`recorder`]) — a bounded ring of recent
+//! * [`FlightRecorder`] — a bounded ring of recent
 //!   structured events dumped as JSONL alongside terminal errors.
 //!
-//! A [`Telemetry`] handle carries all three: the event sink plus optional
+//! A [`Telemetry`] handle carries all three: the event buffer plus optional
 //! metrics/recorder sub-handles ([`Telemetry::with_metrics`],
 //! [`Telemetry::with_recorder`]), so the subsystems that already thread a
 //! handle get the whole layer without signature churn.
@@ -65,10 +65,11 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod metrics;
-pub mod profiler;
-pub mod recorder;
+mod metrics;
+mod profiler;
+mod recorder;
 
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use profiler::{profile, ProfileNode, ProfileReport};
@@ -76,7 +77,6 @@ pub use recorder::{FlightEvent, FlightRecorder};
 
 use std::fmt;
 use std::io::Write as _;
-use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -265,79 +265,17 @@ impl Event {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sinks
-// ---------------------------------------------------------------------------
-
-/// Where recorded events go. Implementations must be `Send`: the DSE
-/// executor emits from shard worker threads.
-pub trait TelemetrySink: Send {
-    /// Records one event.
-    fn record(&mut self, event: Event);
-    /// Flushes buffered output (no-op by default).
-    fn flush(&mut self) {}
-}
-
-/// Discards everything (useful as an explicit stand-in; a disabled
-/// [`Telemetry`] handle never even reaches its sink).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record(&mut self, _event: Event) {}
-}
-
-/// Streams each event as one JSON line to a writer.
-#[derive(Debug)]
-pub struct JsonlSink<W: std::io::Write + Send> {
-    writer: W,
-}
-
-impl<W: std::io::Write + Send> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
-    }
-}
-
-impl<W: std::io::Write + Send> TelemetrySink for JsonlSink<W> {
-    fn record(&mut self, event: Event) {
-        let _ = writeln!(self.writer, "{}", event.json());
-    }
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-enum SinkImpl {
-    Memory(Vec<Event>),
-    Boxed(Box<dyn TelemetrySink>),
-}
-
-impl fmt::Debug for SinkImpl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SinkImpl::Memory(v) => write!(f, "Memory({} events)", v.len()),
-            SinkImpl::Boxed(_) => write!(f, "Boxed(..)"),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     epoch: Instant,
-    sink: Mutex<SinkImpl>,
+    events: Mutex<Vec<Event>>,
 }
 
 impl Inner {
     fn record(&self, event: Event) {
-        let mut sink = match self.sink.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match &mut *sink {
-            SinkImpl::Memory(v) => v.push(event),
-            SinkImpl::Boxed(b) => b.record(event),
+        match self.events.lock() {
+            Ok(mut g) => g.push(event),
+            Err(poisoned) => poisoned.into_inner().push(event),
         }
     }
 }
@@ -351,7 +289,7 @@ impl Inner {
 /// A disabled handle ([`Telemetry::disabled`]) makes every emission site a
 /// single branch on an `Option` discriminant: the event-building closure is
 /// never called, nothing allocates, no clock is read, no lock is taken.
-/// Enabled handles share one sink behind a mutex, so shard worker threads
+/// Enabled handles share one event buffer behind a mutex, so shard worker threads
 /// can emit concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
@@ -378,33 +316,7 @@ impl Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                sink: Mutex::new(SinkImpl::Memory(Vec::new())),
-            })),
-            metrics: MetricsRegistry::disabled(),
-            recorder: FlightRecorder::disabled(),
-        }
-    }
-
-    /// A handle streaming JSONL rows to `path` (truncates an existing
-    /// file).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the file-creation error.
-    pub fn jsonl_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::with_sink(Box::new(JsonlSink::new(
-            std::io::BufWriter::new(file),
-        ))))
-    }
-
-    /// A handle feeding a custom sink.
-    #[must_use]
-    pub fn with_sink(sink: Box<dyn TelemetrySink>) -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Inner {
-                epoch: Instant::now(),
-                sink: Mutex::new(SinkImpl::Boxed(sink)),
+                events: Mutex::new(Vec::new()),
             })),
             metrics: MetricsRegistry::disabled(),
             recorder: FlightRecorder::disabled(),
@@ -412,8 +324,8 @@ impl Telemetry {
     }
 
     /// Attaches a metrics registry (builder style). The registry is
-    /// independent of the event sink: a handle can carry metrics with no
-    /// sink attached, and vice versa.
+    /// independent of the event buffer: a handle can carry metrics while
+    /// disabled, and vice versa.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = metrics;
@@ -443,7 +355,7 @@ impl Telemetry {
     }
 
     /// The handle a DSE shard worker accumulates into: shares this
-    /// handle's event sink and flight recorder, but gets a **fresh**
+    /// handle's event buffer and flight recorder, but gets a **fresh**
     /// metrics registry of the same enablement — the shard's counters are
     /// merged back in shard index order ([`MetricsRegistry::absorb`]) so
     /// the final snapshot is independent of thread scheduling.
@@ -456,7 +368,7 @@ impl Telemetry {
         }
     }
 
-    /// Whether a sink is attached. Emission sites may use this to skip
+    /// Whether the handle records events. Emission sites may use this to skip
     /// preparing expensive arguments; [`Telemetry::emit`] already
     /// short-circuits internally.
     #[inline]
@@ -505,33 +417,16 @@ impl Telemetry {
         }
     }
 
-    /// Snapshot of the events recorded so far. Empty unless the handle was
-    /// created with [`Telemetry::in_memory`].
+    /// Snapshot of the events recorded so far (empty for a disabled
+    /// handle).
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let sink = match inner.sink.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match &*sink {
-            SinkImpl::Memory(v) => v.clone(),
-            SinkImpl::Boxed(_) => Vec::new(),
-        }
-    }
-
-    /// Flushes the sink (file sinks buffer).
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            let mut sink = match inner.sink.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if let SinkImpl::Boxed(b) = &mut *sink {
-                b.flush();
-            }
+        match inner.events.lock() {
+            Ok(g) => g.clone(),
+            Err(poisoned) => poisoned.into_inner().clone(),
         }
     }
 }
@@ -716,7 +611,7 @@ impl Level {
 /// The active threshold, parsed once from `DSAGEN_LOG`
 /// (`error|warn|info|debug`, default `warn`).
 #[must_use]
-pub fn max_level() -> Level {
+fn max_level() -> Level {
     static LEVEL: OnceLock<Level> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         match std::env::var("DSAGEN_LOG")
@@ -830,20 +725,6 @@ mod tests {
         }
         assert!(out.contains("\"f\": 1.5"));
         assert!(out.contains("\"s\": \"hi\""));
-    }
-
-    #[test]
-    fn jsonl_file_sink_streams_rows() {
-        let path = std::env::temp_dir().join(format!(
-            "dsagen-telemetry-test-{}.jsonl",
-            std::process::id()
-        ));
-        let tel = Telemetry::jsonl_file(&path).expect("temp file");
-        tel.emit(|| EventData::new("sim", "counters").arg("cycles", 42u64));
-        tel.flush();
-        let content = std::fs::read_to_string(&path).expect("written");
-        let _ = std::fs::remove_file(&path);
-        assert!(content.contains("\"cycles\": 42"), "{content}");
     }
 
     #[test]

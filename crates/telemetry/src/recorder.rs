@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 /// Default ring capacity: enough to hold a whole recovery episode
 /// (detect → ladder → reprogram → resume) with surrounding context.
-pub const DEFAULT_CAPACITY: usize = 256;
+const DEFAULT_CAPACITY: usize = 256;
 
 /// One recorded flight event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +88,7 @@ impl FlightRecorder {
         FlightRecorder { inner: None }
     }
 
-    /// A live recorder with [`DEFAULT_CAPACITY`] slots.
+    /// A live recorder with 256 slots (`DEFAULT_CAPACITY`).
     #[must_use]
     pub fn enabled() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)

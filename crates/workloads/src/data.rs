@@ -38,19 +38,6 @@ pub fn sorted_keys(len: usize, match_ratio: f64, seed: u64) -> Vec<u64> {
     keys
 }
 
-/// CRS row lengths for a `rows`-row sparse matrix averaging `avg_nnz`
-/// nonzeros per row (clamped to ≥ 0).
-#[must_use]
-pub fn crs_row_lengths(rows: usize, avg_nnz: f64, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..rows)
-        .map(|_| {
-            let jitter = rng.gen_range(-1.5..1.5);
-            (avg_nnz + jitter).max(0.0).round() as u32
-        })
-        .collect()
-}
-
 /// Column indices for one sparse row of `nnz` entries over `cols` columns,
 /// strictly increasing.
 #[must_use]
@@ -114,13 +101,6 @@ mod tests {
         let matches = a.iter().filter(|k| b.binary_search(k).is_ok()).count();
         let ratio = matches as f64 / 768.0;
         assert!((0.1..0.7).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn crs_lengths_average_near_target() {
-        let lens = crs_row_lengths(464, 4.0, 3);
-        let avg = lens.iter().map(|x| f64::from(*x)).sum::<f64>() / lens.len() as f64;
-        assert!((avg - 4.0).abs() < 0.5, "avg {avg}");
     }
 
     #[test]

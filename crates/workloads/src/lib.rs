@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod data;
 pub mod dsp;
@@ -39,7 +40,11 @@ use dsagen_dfg::{ExprId, Kernel, RegionBuilder};
 /// # Panics
 ///
 /// Panics if `vals` is empty.
-pub fn reduce_tree(r: &mut RegionBuilder, op: dsagen_adg::Opcode, vals: Vec<ExprId>) -> ExprId {
+pub(crate) fn reduce_tree(
+    r: &mut RegionBuilder,
+    op: dsagen_adg::Opcode,
+    vals: Vec<ExprId>,
+) -> ExprId {
     assert!(!vals.is_empty(), "reduce_tree needs at least one value");
     let mut frontier = vals;
     while frontier.len() > 1 {

@@ -124,7 +124,7 @@ pub fn classifier() -> Kernel {
 /// computation but data-dependent memory access" (§VIII-B). The scatter is
 /// an indirect atomic update; resparsification is a predicated compaction.
 #[must_use]
-pub fn sparse_cnn() -> Kernel {
+pub(crate) fn sparse_cnn() -> Kernel {
     let (nnz_a, nnz_b, dense) = (256u64, 256u64, 4096u64);
     let mut k = KernelBuilder::new("sparse-cnn");
     let va = k.array("val_a", BitWidth::B64, nnz_a, MemClass::Scratchpad);
@@ -163,12 +163,6 @@ pub fn sparse_cnn() -> Kernel {
     k.build().expect("sparse-cnn is well-formed")
 }
 
-/// The DenseNN DSE suite.
-#[must_use]
-pub fn dense_suite() -> Vec<Kernel> {
-    vec![conv(), pool(), classifier()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +177,7 @@ mod tests {
 
     #[test]
     fn dense_suite_is_regular() {
-        for k in dense_suite() {
+        for k in [conv(), pool(), classifier()] {
             let i = KernelIdioms::analyze(&k);
             assert!(!i.has_indirect, "{}", k.name);
             assert!(!i.has_join, "{}", k.name);

@@ -29,7 +29,7 @@ pub fn join() -> Kernel {
 
 /// A join with configurable table size and key match ratio.
 #[must_use]
-pub fn join_sized(len: u64, match_ratio: f64) -> Kernel {
+pub(crate) fn join_sized(len: u64, match_ratio: f64) -> Kernel {
     let mut k = KernelBuilder::new("join");
     let k0 = k.array("key0", BitWidth::B64, len, MemClass::MainMemory);
     let v0 = k.array("val0", BitWidth::B64, len, MemClass::MainMemory);

@@ -218,10 +218,7 @@ fn zero_retry_budget_fails_loud_not_wrong() -> TestResult {
     let (name, kernel) = workloads().swap_remove(0);
     let bs = encode_workload(&kernel, seed)?;
     let plan = FaultPlan::new(seed).with(FaultKind::BitFlip);
-    let cfg = SessionConfig {
-        max_retries: 0,
-        ..SessionConfig::default()
-    };
+    let cfg = SessionConfig { max_retries: 0 };
     let mut session = ProgrammingSession::new(&bs, cfg);
     let report = session.program(|_, framed| corrupt_frames(framed, &plan).0);
     assert_eq!(
@@ -245,7 +242,9 @@ fn zero_retry_budget_fails_loud_not_wrong() -> TestResult {
 
 use dsagen::adg::Adg;
 use dsagen::faults::{FaultLifetime, FaultSchedule};
-use dsagen::sim::{simulate, RecoveryAction, RecoveryPolicy, SimConfig};
+use dsagen::sim::{
+    simulate, RecoveryAction, RecoveryPolicy, SimConfig, RESIDUE_INTERVAL, WATCHDOG_BOUND,
+};
 use dsagen::{compile, recover, CompileOptions, Compiled};
 
 fn rt_presets() -> Vec<(&'static str, Adg)> {
@@ -309,11 +308,11 @@ fn transient_runtime_pe_fault_recovers_on_every_preset() -> TestResult {
                 );
                 for ev in &rep.events {
                     assert!(
-                        ev.detection_latency <= policy.rt.watchdog_bound,
+                        ev.detection_latency <= WATCHDOG_BOUND,
                         "{pname}/{kname} seed={seed}: detection latency {} over the \
 watchdog bound {}",
                         ev.detection_latency,
-                        policy.rt.watchdog_bound
+                        WATCHDOG_BOUND
                     );
                 }
                 assert_eq!(
@@ -394,11 +393,11 @@ routed link must be detected"
                     );
                     for ev in &rep.events {
                         assert!(
-                            ev.detection_latency <= policy.rt.residue_interval,
+                            ev.detection_latency <= RESIDUE_INTERVAL,
                             "{pname}/{kname} seed={seed} eager={eager}: latency {} over \
 the residue bound {}",
                             ev.detection_latency,
-                            policy.rt.residue_interval
+                            RESIDUE_INTERVAL
                         );
                     }
                     cell[col] = rep.events.iter().map(|e| e.detection_latency).sum();

@@ -26,7 +26,7 @@ use dsagen::adg::presets;
 use dsagen::dfg::Kernel;
 use dsagen::faults::{FaultSchedule, StormConfig};
 use dsagen::prelude::*;
-use dsagen::sim::SimConfig;
+use dsagen::sim::{SimConfig, RESIDUE_INTERVAL, WATCHDOG_BOUND};
 use dsagen::telemetry::{Event, MetricsRegistry, Telemetry};
 
 /// Seeds for the soak matrix. `DSAGEN_SOAK_SEED=<u64>` narrows the run
@@ -98,14 +98,14 @@ fn storm_for(seed: u64, horizon: u64) -> FaultSchedule {
 
 /// The documented detection-latency ceiling: watchdog bound for blocking
 /// faults, two scrub intervals for silent corruption.
-fn detection_bound(policy: &RecoveryPolicy) -> u64 {
-    policy.rt.watchdog_bound.max(2 * policy.rt.residue_interval)
+fn detection_bound() -> u64 {
+    WATCHDOG_BOUND.max(2 * RESIDUE_INTERVAL)
 }
 
 #[test]
 fn storm_matrix_terminates_typed_with_bounded_detection() {
     let policy = RecoveryPolicy::default();
-    let bound = detection_bound(&policy);
+    let bound = detection_bound();
     let mut ran = 0usize;
     let mut degraded_runs = 0usize;
     for (preset, adg) in fixtures() {
