@@ -72,16 +72,6 @@ impl BitWidth {
         }
     }
 
-    /// Twice this width, or `None` above the 4096-bit ceiling.
-    #[must_use]
-    pub fn doubled(self) -> Option<BitWidth> {
-        if self.0 <= 2048 {
-            Some(BitWidth(self.0 * 2))
-        } else {
-            None
-        }
-    }
-
     /// How many lanes of `lane` fit in this width (0 when `lane` is wider).
     #[must_use]
     pub(crate) fn lanes_of(self, lane: BitWidth) -> u16 {
@@ -118,6 +108,17 @@ impl From<BitWidth> for u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BitWidth {
+        /// Twice this width, or `None` above the 4096-bit ceiling.
+        fn doubled(self) -> Option<BitWidth> {
+            if self.0 <= 2048 {
+                Some(BitWidth(self.0 * 2))
+            } else {
+                None
+            }
+        }
+    }
 
     #[test]
     fn constructs_powers_of_two() {

@@ -502,7 +502,7 @@ impl NodeKind {
 
     /// Datapath width of the node, if it has one.
     #[must_use]
-    pub fn bitwidth(&self) -> Option<BitWidth> {
+    pub(crate) fn bitwidth(&self) -> Option<BitWidth> {
         match self {
             NodeKind::Pe(pe) => Some(pe.bitwidth),
             NodeKind::Switch(sw) => Some(sw.bitwidth),

@@ -352,7 +352,7 @@ impl Adg {
     }
 
     /// Predecessor node ids (one entry per incoming edge).
-    pub fn predecessors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn predecessors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.in_edges(id).map(|e| e.src)
     }
 

@@ -299,14 +299,6 @@ impl OpSet {
         fresh
     }
 
-    /// Removes an opcode; returns whether it was present.
-    pub fn remove(&mut self, op: Opcode) -> bool {
-        let bit = 1u64 << (op as u8);
-        let present = self.0 & bit != 0;
-        self.0 &= !bit;
-        present
-    }
-
     /// Whether `op` is in the set.
     #[must_use]
     pub fn contains(self, op: Opcode) -> bool {
@@ -389,6 +381,16 @@ impl fmt::Display for OpSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OpSet {
+        /// Removes an opcode; returns whether it was present.
+        fn remove(&mut self, op: Opcode) -> bool {
+            let bit = 1u64 << (op as u8);
+            let present = self.0 & bit != 0;
+            self.0 &= !bit;
+            present
+        }
+    }
 
     impl Opcode {
         /// Whether a decomposable FU for this opcode can be split into

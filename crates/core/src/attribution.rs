@@ -35,7 +35,7 @@ pub enum Bottleneck {
 impl Bottleneck {
     /// Short label for tables and JSON.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Bottleneck::Compute => "compute",
             Bottleneck::Memory => "memory",
@@ -46,7 +46,7 @@ impl Bottleneck {
 
     /// The binding term of one modeled region.
     #[must_use]
-    pub fn of(perf: &RegionPerf) -> Bottleneck {
+    pub(crate) fn of(perf: &RegionPerf) -> Bottleneck {
         let terms = [
             (Bottleneck::Compute, perf.compute_cycles),
             (Bottleneck::Memory, perf.memory_cycles),
@@ -72,7 +72,7 @@ impl Bottleneck {
     /// * `Ctrl` — control-fed streams throttle the region
     ///   (`operand-wait` on the fabric side, `ctrl` at stream level).
     #[must_use]
-    pub fn explains(self, measured: &str) -> bool {
+    pub(crate) fn explains(self, measured: &str) -> bool {
         match self {
             Bottleneck::Compute => matches!(measured, "busy" | "ii" | "none"),
             Bottleneck::Memory => {
@@ -129,7 +129,7 @@ pub struct RegionAttribution {
     /// Cycles of the dominant state.
     pub measured_dominant_cycles: u64,
     /// Whether the measured symptom is one the predicted bottleneck
-    /// explains (see [`Bottleneck::explains`]).
+    /// explains.
     pub agrees: bool,
 }
 

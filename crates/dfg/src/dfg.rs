@@ -102,12 +102,6 @@ impl DfgOp {
     pub(crate) fn needs_pe(&self) -> bool {
         self.required_opcode().is_some()
     }
-
-    /// Pipeline latency of the node once placed (1 for non-compute nodes).
-    #[must_use]
-    pub fn latency(&self) -> u32 {
-        self.required_opcode().map_or(1, Opcode::latency)
-    }
 }
 
 /// A loop-carried dependence recorded for the performance model: its
@@ -146,7 +140,7 @@ impl Dfg {
     ///
     /// Panics if an operand id is not yet in the graph (construction is
     /// topological by contract).
-    pub fn push(&mut self, op: DfgOp, width: BitWidth) -> OpId {
+    pub(crate) fn push(&mut self, op: DfgOp, width: BitWidth) -> OpId {
         for operand in op.operands() {
             assert!(
                 operand.0 < self.ops.len(),
@@ -219,48 +213,6 @@ impl Dfg {
     #[must_use]
     pub fn inst_count(&self) -> usize {
         self.pe_op_count()
-    }
-
-    /// The consumers of each node (adjacency, one entry per use).
-    #[must_use]
-    pub fn consumers(&self) -> Vec<Vec<OpId>> {
-        let mut out = vec![Vec::new(); self.ops.len()];
-        for (id, op) in self.iter() {
-            for operand in op.operands() {
-                out[operand.0].push(id);
-            }
-        }
-        out
-    }
-
-    /// Input ports referenced by the graph, ascending.
-    #[must_use]
-    pub fn input_ports(&self) -> Vec<usize> {
-        let mut ports: Vec<usize> = self
-            .iter()
-            .filter_map(|(_, op)| match op {
-                DfgOp::Input { port } => Some(*port),
-                _ => None,
-            })
-            .collect();
-        ports.sort_unstable();
-        ports.dedup();
-        ports
-    }
-
-    /// Output ports referenced by the graph, ascending.
-    #[must_use]
-    pub fn output_ports(&self) -> Vec<usize> {
-        let mut ports: Vec<usize> = self
-            .iter()
-            .filter_map(|(_, op)| match op {
-                DfgOp::Output { port, .. } => Some(*port),
-                _ => None,
-            })
-            .collect();
-        ports.sort_unstable();
-        ports.dedup();
-        ports
     }
 
     /// Feeds the graph's full content — every op (with an explicit variant
@@ -344,6 +296,47 @@ impl DfgOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dfg {
+        /// The consumers of each node (adjacency, one entry per use).
+        fn consumers(&self) -> Vec<Vec<OpId>> {
+            let mut out = vec![Vec::new(); self.ops.len()];
+            for (id, op) in self.iter() {
+                for operand in op.operands() {
+                    out[operand.0].push(id);
+                }
+            }
+            out
+        }
+
+        /// Input ports referenced by the graph, ascending.
+        fn input_ports(&self) -> Vec<usize> {
+            let mut ports: Vec<usize> = self
+                .iter()
+                .filter_map(|(_, op)| match op {
+                    DfgOp::Input { port } => Some(*port),
+                    _ => None,
+                })
+                .collect();
+            ports.sort_unstable();
+            ports.dedup();
+            ports
+        }
+
+        /// Output ports referenced by the graph, ascending.
+        fn output_ports(&self) -> Vec<usize> {
+            let mut ports: Vec<usize> = self
+                .iter()
+                .filter_map(|(_, op)| match op {
+                    DfgOp::Output { port, .. } => Some(*port),
+                    _ => None,
+                })
+                .collect();
+            ports.sort_unstable();
+            ports.dedup();
+            ports
+        }
+    }
 
     impl Dfg {
         /// Whether the graph contains a stream-join node.

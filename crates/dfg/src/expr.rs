@@ -59,12 +59,6 @@ impl AffineExpr {
         }
     }
 
-    /// The zero expression.
-    #[must_use]
-    pub fn zero() -> Self {
-        AffineExpr::default()
-    }
-
     /// This expression scaled by `k`.
     #[must_use]
     pub fn scaled(mut self, k: i64) -> Self {
@@ -104,7 +98,7 @@ impl AffineExpr {
 
     /// The constant term.
     #[must_use]
-    pub fn base(&self) -> i64 {
+    pub(crate) fn base(&self) -> i64 {
         self.constant
     }
 
@@ -290,7 +284,7 @@ mod tests {
             .scaled(4)
             .plus(&AffineExpr::var(LoopVar(1)));
         assert_eq!(e.to_string(), "4*i0+i1");
-        assert_eq!(AffineExpr::zero().to_string(), "0");
+        assert_eq!(AffineExpr::default().to_string(), "0");
     }
 
     #[test]

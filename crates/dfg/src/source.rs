@@ -49,7 +49,7 @@ pub struct ArrayDecl {
 impl ArrayDecl {
     /// Total size in bytes.
     #[must_use]
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.len * u64::from(self.elem.bytes())
     }
 }
@@ -260,19 +260,8 @@ pub struct Region {
 impl Region {
     /// Number of loops.
     #[must_use]
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.loops.len()
-    }
-
-    /// The loop variable of the innermost loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region has no loops.
-    #[must_use]
-    pub fn innermost(&self) -> LoopVar {
-        assert!(!self.loops.is_empty(), "region has no loops");
-        LoopVar(self.loops.len() - 1)
     }
 
     /// The expression node for an id.
@@ -281,7 +270,7 @@ impl Region {
     ///
     /// Panics if `id` is out of range (ids are only minted by the builder).
     #[must_use]
-    pub fn expr(&self, id: ExprId) -> &SrcExpr {
+    pub(crate) fn expr(&self, id: ExprId) -> &SrcExpr {
         &self.exprs[id.0]
     }
 

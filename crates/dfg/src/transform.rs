@@ -56,20 +56,6 @@ impl TransformConfig {
             sub_word: false,
         }
     }
-
-    /// Everything enabled at the given unroll degree.
-    #[must_use]
-    pub fn full(unroll: u16) -> Self {
-        TransformConfig {
-            unroll,
-            stream_join: true,
-            indirect: true,
-            atomic_update: true,
-            forward: true,
-            window_ports: true,
-            sub_word: true,
-        }
-    }
 }
 
 impl Default for TransformConfig {

@@ -111,7 +111,7 @@ pub(crate) enum Tier {
 
 /// One memoized scheduling outcome.
 #[derive(Debug, Clone)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// The schedule the scheduler produced (possibly partial/illegal —
     /// kept either way so repair can start from it after a revert).
     pub schedule: Schedule,
@@ -135,7 +135,7 @@ pub struct ScheduleCache {
 impl ScheduleCache {
     /// The outcome memoized for `(adg_fp, kernel_hash)`, if any. Counts
     /// nothing: the explorer records whichever tier answered the lookup.
-    pub fn lookup(&self, adg_fp: u64, kernel_hash: u64) -> Option<&CacheEntry> {
+    pub(crate) fn lookup(&self, adg_fp: u64, kernel_hash: u64) -> Option<&CacheEntry> {
         self.entries.get(&(adg_fp, kernel_hash))
     }
 
@@ -151,14 +151,14 @@ impl ScheduleCache {
     }
 
     /// Inserts (or overwrites) the outcome for `(adg_fp, kernel_hash)`.
-    pub fn insert(&mut self, adg_fp: u64, kernel_hash: u64, entry: CacheEntry) {
+    pub(crate) fn insert(&mut self, adg_fp: u64, kernel_hash: u64, entry: CacheEntry) {
         self.stats.insertions += 1;
         self.entries.insert((adg_fp, kernel_hash), entry);
     }
 
     /// Hit/miss counters so far.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 

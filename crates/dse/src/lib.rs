@@ -49,7 +49,7 @@ mod explorer;
 mod mutate;
 mod timeline;
 
-pub use cache::{schedule_footprint, CacheEntry, CacheStats, ScheduleCache};
+pub use cache::{schedule_footprint, CacheStats, ScheduleCache};
 pub use explorer::{
     explore, DseConfig, DsePoint, DseResult, Explorer, IterRecord, RejectReason, ReliabilityMode,
     RunControl, StopCause, TelemetrySnapshot,

@@ -140,7 +140,7 @@ impl FaultKind {
     /// Which plane this kind attacks, as a telemetry label:
     /// `"structural"` (hardware graph) or `"config"` (bitstream words).
     #[must_use]
-    pub fn plane(self) -> &'static str {
+    pub(crate) fn plane(self) -> &'static str {
         if self.is_config_plane() {
             "config"
         } else {
@@ -207,12 +207,6 @@ impl FaultPlan {
             .map(|_| FaultKind::ALL[rng.gen_range(0..FaultKind::ALL.len())])
             .collect();
         FaultPlan { seed, faults }
-    }
-
-    /// Whether the plan contains no faults.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 

@@ -53,7 +53,7 @@ impl FaultLifetime {
     /// Whether a fault with this lifetime, arrived at `arrival`, is
     /// active at `cycle`.
     #[must_use]
-    pub fn active(self, arrival: u64, cycle: u64) -> bool {
+    pub(crate) fn active(self, arrival: u64, cycle: u64) -> bool {
         if cycle < arrival {
             return false;
         }

@@ -62,7 +62,7 @@ impl StorageFaultKind {
 
     /// Stable lowercase label (log lines, JSON rows, metrics names).
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StorageFaultKind::TornWrite => "torn-write",
             StorageFaultKind::TruncatedRecord => "truncated-record",
@@ -129,12 +129,6 @@ struct InjectorState {
 }
 
 impl StorageInjector {
-    /// An injector that never fires (production default).
-    #[must_use]
-    pub fn disabled() -> Self {
-        StorageInjector { inner: None }
-    }
-
     /// A seeded injector firing on roughly `write_fault_p` of write
     /// operations, splitting faulted ops between transient errors
     /// (probability `transient_p`, dealt as a burst of `transient_burst`
@@ -153,20 +147,6 @@ impl StorageInjector {
                 injected: AtomicU64::new(0),
             })),
         }
-    }
-
-    /// Whether this injector can fire at all.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Total faults fired so far.
-    #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |s| s.injected.load(Ordering::Relaxed))
     }
 
     /// The injector's verdict for a write of `record_len` bytes. Called
@@ -300,6 +280,25 @@ pub fn kill_points(len: usize, boundaries: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StorageInjector {
+        /// An injector that never fires (production default).
+        fn disabled() -> Self {
+            StorageInjector { inner: None }
+        }
+
+        /// Whether this injector can fire at all.
+        fn is_enabled(&self) -> bool {
+            self.inner.is_some()
+        }
+
+        /// Total faults fired so far.
+        fn injected(&self) -> u64 {
+            self.inner
+                .as_ref()
+                .map_or(0, |s| s.injected.load(Ordering::Relaxed))
+        }
+    }
 
     #[test]
     fn disabled_injector_is_always_clean() {

@@ -49,7 +49,7 @@ pub enum BitstreamError {
         tag: u8,
     },
     /// An instruction word carried an opcode discriminant that decodes to
-    /// no [`Opcode`] (only raised by [`Bitstream::decode`], which resolves
+    /// no [`Opcode`] (only raised by the full decode, which resolves
     /// opcodes; [`Bitstream::from_words`] keeps raw discriminants).
     UnknownOpcode {
         /// Index of the instruction word.
@@ -392,7 +392,7 @@ impl Bitstream {
     ///
     /// Any [`BitstreamError`], including [`BitstreamError::UnknownOpcode`]
     /// with word-index and node context.
-    pub fn decode(words: &[u64]) -> Result<DecodedConfig, BitstreamError> {
+    pub(crate) fn decode(words: &[u64]) -> Result<DecodedConfig, BitstreamError> {
         let mut nodes: BTreeMap<NodeId, DecodedNode> = BTreeMap::new();
         let mut i = 0usize;
         while i < words.len() {
@@ -511,7 +511,7 @@ impl Bitstream {
 
 /// Which class of component a decoded header addressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComponentClass {
+pub(crate) enum ComponentClass {
     /// A processing element (instruction slots).
     Pe,
     /// A switch (routing table).
@@ -523,7 +523,7 @@ pub enum ComponentClass {
 /// One fully decoded instruction slot: the raw discriminant resolved to a
 /// real [`Opcode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedInstr {
+pub(crate) struct DecodedInstr {
     /// The resolved opcode.
     pub opcode: Opcode,
     /// Input-port index per operand (0xFF = unrouted / constant).
@@ -536,7 +536,7 @@ pub struct DecodedInstr {
 
 /// One component's fully decoded configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodedNode {
+pub(crate) struct DecodedNode {
     /// What the header said this component is.
     pub class: ComponentClass,
     /// Decoded PE instruction slots (opcodes resolved).
@@ -550,25 +550,12 @@ pub struct DecodedNode {
 /// A machine-checked decode of a configuration word stream: per-node
 /// opcodes, routes, and stream parameters (see [`Bitstream::decode`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DecodedConfig {
+pub(crate) struct DecodedConfig {
     /// Decoded configuration per component, in node-id order.
     pub nodes: BTreeMap<NodeId, DecodedNode>,
 }
 
-impl DecodedConfig {
-    /// Every [`Opcode`] programmed anywhere in the fabric.
-    #[must_use]
-    pub fn opcodes(&self) -> Vec<Opcode> {
-        let mut ops: Vec<Opcode> = self
-            .nodes
-            .values()
-            .flat_map(|n| n.instrs.iter().map(|i| i.opcode))
-            .collect();
-        ops.sort_by_key(|op| *op as u8);
-        ops.dedup();
-        ops
-    }
-}
+impl DecodedConfig {}
 
 /// Why a bitstream round-trip verification failed: either the word stream
 /// would not decode at all, or encode∘decode was not the identity.
@@ -673,12 +660,6 @@ impl VerifiedConfig {
     #[must_use]
     pub fn bitstream(&self) -> &Bitstream {
         &self.bitstream
-    }
-
-    /// The fully decoded view (opcodes resolved).
-    #[must_use]
-    pub fn decoded(&self) -> &DecodedConfig {
-        &self.decoded
     }
 
     /// The verified word stream.
@@ -795,6 +776,27 @@ mod tests {
     use dsagen_telemetry::Telemetry;
 
     use super::*;
+
+    impl DecodedConfig {
+        /// Every [`Opcode`] programmed anywhere in the fabric.
+        fn opcodes(&self) -> Vec<Opcode> {
+            let mut ops: Vec<Opcode> = self
+                .nodes
+                .values()
+                .flat_map(|n| n.instrs.iter().map(|i| i.opcode))
+                .collect();
+            ops.sort_by_key(|op| *op as u8);
+            ops.dedup();
+            ops
+        }
+    }
+
+    impl VerifiedConfig {
+        /// The fully decoded view (opcodes resolved).
+        fn decoded(&self) -> &DecodedConfig {
+            &self.decoded
+        }
+    }
 
     fn scheduled() -> (dsagen_adg::Adg, dsagen_dfg::CompiledKernel, Schedule) {
         let adg = presets::softbrain();

@@ -51,13 +51,6 @@ impl ConfigPaths {
         nodes.div_ceil(paths.max(1))
     }
 
-    /// Overhead of the generated paths versus the ideal bound.
-    #[must_use]
-    pub fn overhead(&self, nodes: usize) -> f64 {
-        let ideal = Self::ideal(nodes, self.paths.len());
-        self.longest() as f64 / ideal.max(1) as f64
-    }
-
     /// Every covered node, across all paths (deduplicated).
     #[must_use]
     pub fn covered(&self) -> Vec<NodeId> {
@@ -1018,7 +1011,7 @@ mod tests {
         let n = adg.nodes().filter(|x| x.kind.is_configurable()).count();
         for p in [3usize, 6, 9] {
             let cp = generate_config_paths(&adg, p, 7);
-            let over = cp.overhead(n);
+            let over = cp.longest() as f64 / ConfigPaths::ideal(n, cp.paths.len()).max(1) as f64;
             assert!(over >= 1.0);
             assert!(over < 2.5, "p={p} overhead {over}");
         }

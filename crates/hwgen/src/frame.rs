@@ -91,7 +91,7 @@ impl Frame {
 
     /// Serializes to two transport words: `[payload, seq<<32 | crc]`.
     #[must_use]
-    pub fn pack(&self) -> [u64; 2] {
+    pub(crate) fn pack(&self) -> [u64; 2] {
         let crc = frame_crc(self.seq, self.payload);
         [self.payload, (u64::from(self.seq) << 32) | u64::from(crc)]
     }

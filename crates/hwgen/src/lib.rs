@@ -22,8 +22,7 @@ mod rtl;
 
 pub use bitstream::{
     schedule_digest, verify_round_trip, verify_round_trip_timed, Bitstream, BitstreamError,
-    ComponentClass, DecodedConfig, DecodedInstr, DecodedNode, InstrConfig, NodeConfig, RouteConfig,
-    SyncConfig, VerifiedConfig, VerifyError,
+    InstrConfig, NodeConfig, RouteConfig, SyncConfig, VerifiedConfig, VerifyError,
 };
 pub use config_path::{
     generate_config_paths, try_generate_config_paths, ConfigPathError, ConfigPaths,

@@ -31,7 +31,7 @@ pub struct HwCost {
 impl HwCost {
     /// Component-wise sum.
     #[must_use]
-    pub fn plus(self, other: HwCost) -> HwCost {
+    pub(crate) fn plus(self, other: HwCost) -> HwCost {
         HwCost {
             area_mm2: self.area_mm2 + other.area_mm2,
             power_mw: self.power_mw + other.power_mw,
@@ -40,7 +40,7 @@ impl HwCost {
 
     /// Scaled by a factor.
     #[must_use]
-    pub fn scaled(self, k: f64) -> HwCost {
+    pub(crate) fn scaled(self, k: f64) -> HwCost {
         HwCost {
             area_mm2: self.area_mm2 * k,
             power_mw: self.power_mw * k,

@@ -66,12 +66,6 @@ pub struct PerfEstimate {
 }
 
 impl PerfEstimate {
-    /// Execution time in microseconds at the model's clock.
-    #[must_use]
-    pub fn micros(&self, model: &PerfModel) -> f64 {
-        self.cycles / (model.clock_ghz * 1000.0)
-    }
-
     /// Throughput figure used in the DSE objective: instructions per cycle.
     #[must_use]
     pub fn perf(&self) -> f64 {

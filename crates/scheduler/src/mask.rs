@@ -83,12 +83,6 @@ impl CapabilityMask {
         self
     }
 
-    /// Whether the mask masks nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty() && self.ports.is_empty() && self.nodes.is_empty()
-    }
-
     /// Human-readable labels for every masked capability, for
     /// `RecoveryReport::masked_resources` and telemetry.
     #[must_use]

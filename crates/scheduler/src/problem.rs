@@ -274,7 +274,7 @@ impl<'a> Problem<'a> {
     /// would visit them in, which the scheduler's routing order (and so its
     /// schedules) depends on.
     #[must_use]
-    pub fn incident(&self, v: usize) -> &[usize] {
+    pub(crate) fn incident(&self, v: usize) -> &[usize] {
         &self.incident_edges[self.incident_start[v]..self.incident_start[v + 1]]
     }
 
@@ -317,7 +317,7 @@ impl<'a> Problem<'a> {
     /// search can pass through infeasible intermediate states (§IV-C "the
     /// routing and PE resources are allowed to be overutilized").
     #[must_use]
-    pub fn candidates(&self, e: &Entity) -> Vec<NodeId> {
+    pub(crate) fn candidates(&self, e: &Entity) -> Vec<NodeId> {
         match &e.kind {
             EntityKind::Op { .. } => self
                 .adg

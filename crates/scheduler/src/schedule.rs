@@ -24,7 +24,7 @@ pub struct Schedule {
 impl Schedule {
     /// An empty schedule shaped for `problem`.
     #[must_use]
-    pub fn empty(problem: &Problem<'_>) -> Self {
+    pub(crate) fn empty(problem: &Problem<'_>) -> Self {
         Schedule {
             placement: vec![None; problem.entities.len()],
             routes: BTreeMap::new(),

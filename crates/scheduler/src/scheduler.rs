@@ -69,14 +69,6 @@ pub enum RepairOutcome {
     },
 }
 
-impl RepairOutcome {
-    /// Whether anything from the previous schedule was lost.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, RepairOutcome::Degraded { .. })
-    }
-}
-
 /// The outcome of a scheduling run.
 #[derive(Debug, Clone)]
 pub struct ScheduleResult {
@@ -1069,7 +1061,7 @@ mod tests {
         };
         let repaired = repair_unscoped(&degraded, &ck, &first.schedule, &cfg, 1);
         assert!(repaired.is_legal(), "eval: {:?}", repaired.eval);
-        assert!(repaired.outcome.is_degraded());
+        assert!(matches!(repaired.outcome, RepairOutcome::Degraded { .. }));
         assert!(repaired.schedule.placement.iter().all(|p| *p != Some(dead)));
         // ≥ half the placements that survived the fault are reused.
         let placed = first.schedule.placement.iter().flatten().count();

@@ -366,7 +366,7 @@ impl Service {
 
     /// Current accounting snapshot (also available live, before drain).
     #[must_use]
-    pub fn report(&self) -> ServiceReport {
+    pub(crate) fn report(&self) -> ServiceReport {
         let s = &self.shared;
         ServiceReport {
             admitted: s.admitted.load(Ordering::Relaxed),

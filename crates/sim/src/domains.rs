@@ -63,8 +63,6 @@ pub struct RecoveryDomains {
     region_domain: Vec<usize>,
     /// Regions per domain, each sorted ascending.
     domains: Vec<Vec<usize>>,
-    /// Distinct fabric resources (nodes + links + memories) per domain.
-    footprints: Vec<usize>,
 }
 
 impl RecoveryDomains {
@@ -160,24 +158,9 @@ impl RecoveryDomains {
         for (ri, &d) in region_domain.iter().enumerate() {
             domains[d].push(ri);
         }
-        let footprints = domains
-            .iter()
-            .map(|regions| {
-                let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-                let mut edges: BTreeSet<EdgeId> = BTreeSet::new();
-                for &ri in regions {
-                    nodes.extend(&feet[ri].nodes);
-                    nodes.extend(&feet[ri].turns);
-                    nodes.extend(&feet[ri].mems);
-                    edges.extend(&feet[ri].edges);
-                }
-                nodes.len() + edges.len()
-            })
-            .collect();
         RecoveryDomains {
             region_domain,
             domains,
-            footprints,
         }
     }
 
@@ -220,13 +203,6 @@ impl RecoveryDomains {
     #[must_use]
     pub fn regions_in(&self, domain: usize) -> &[usize] {
         self.domains.get(domain).map_or(&[], Vec::as_slice)
-    }
-
-    /// Distinct fabric resources (nodes, links, and memories) in one
-    /// domain's footprint.
-    #[must_use]
-    pub fn footprint(&self, domain: usize) -> usize {
-        self.footprints.get(domain).copied().unwrap_or(0)
     }
 
     /// The largest number of regions in one domain.
@@ -276,7 +252,6 @@ mod tests {
         assert_eq!(d.domain_of(0), Some(0));
         assert_eq!(d.regions_in(0), &[0]);
         assert_eq!(d.domain_of_regions(&[0]), Some(0));
-        assert!(d.footprint(0) > 0, "a placed region occupies hardware");
         assert_eq!(d.max_domain_regions(), 1);
     }
 

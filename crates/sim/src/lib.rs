@@ -210,14 +210,6 @@ pub struct SimReport {
     pub stalls: StallBreakdown,
 }
 
-impl SimReport {
-    /// Execution time in microseconds at `clock_ghz`.
-    #[must_use]
-    pub fn micros(&self, clock_ghz: f64) -> f64 {
-        self.cycles as f64 / (clock_ghz * 1000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use dsagen_adg::{presets, BitWidth, Opcode};

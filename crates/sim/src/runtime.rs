@@ -71,7 +71,6 @@ use rand::{Rng, SeedableRng};
 use crate::engine::{
     control_spec, pipeline_groups, validate_schedule, Effect, EngineCore, EngineCtx, Tick,
 };
-use crate::telemetry::SimTelemetry;
 use crate::{SimConfig, SimError, SimReport};
 
 /// Consecutive blocked-while-live cycles before the progress watchdog
@@ -156,7 +155,7 @@ pub struct RuntimeFault {
 impl RuntimeFault {
     /// Cycles between the first observable effect and detection.
     #[must_use]
-    pub fn detection_latency(&self) -> u64 {
+    pub(crate) fn detection_latency(&self) -> u64 {
         self.detected_at
             .saturating_sub(self.first_effect.unwrap_or(self.arrival))
     }
@@ -221,8 +220,7 @@ struct ResolvedFault {
 /// A fault-aware, checkpointable simulation of one compiled kernel.
 ///
 /// Owns its hardware view (`Adg`, `Schedule`, `Evaluation`) so the
-/// recovery layer can swap in a repaired mapping mid-run via
-/// [`RuntimeSim::reprogram`].
+/// recovery layer can swap in a repaired mapping mid-run.
 #[derive(Debug)]
 pub struct RuntimeSim {
     adg: Adg,
@@ -549,7 +547,7 @@ impl RuntimeSim {
     ///
     /// Whatever [`crate::simulate`] would reject for the new pair —
     /// the repaired schedule must be valid on the repaired ADG.
-    pub fn reprogram(
+    pub(crate) fn reprogram(
         &mut self,
         adg: Adg,
         schedule: Schedule,
@@ -765,12 +763,6 @@ impl RuntimeSim {
         self.core.report(&self.kernel)
     }
 
-    /// Full hardware counters for the run so far.
-    #[must_use]
-    pub fn telemetry(&self) -> SimTelemetry {
-        self.core.telemetry(ctx!(self), &self.schedule)
-    }
-
     /// Per-region firing traces — `(pipeline group, group-local cycle)`
     /// per completed firing — when [`RuntimeConfig::record_traces`] is on,
     /// `None` otherwise. Traces roll back with the engine state on
@@ -782,19 +774,19 @@ impl RuntimeSim {
 
     /// The currently-programmed schedule.
     #[must_use]
-    pub fn schedule(&self) -> &Schedule {
+    pub(crate) fn schedule(&self) -> &Schedule {
         &self.schedule
     }
 
     /// The current hardware view (possibly repaired).
     #[must_use]
-    pub fn adg(&self) -> &Adg {
+    pub(crate) fn adg(&self) -> &Adg {
         &self.adg
     }
 
     /// The current evaluation.
     #[must_use]
-    pub fn eval(&self) -> &Evaluation {
+    pub(crate) fn eval(&self) -> &Evaluation {
         &self.eval
     }
 }

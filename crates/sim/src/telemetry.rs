@@ -96,17 +96,6 @@ impl StallTaxonomy {
         }
     }
 
-    /// Element-wise accumulation.
-    pub fn absorb(&mut self, other: &StallTaxonomy) {
-        self.backpressure += other.backpressure;
-        self.operand_wait += other.operand_wait;
-        self.memory += other.memory;
-        self.barrier += other.barrier;
-        self.config += other.config;
-        self.ii += other.ii;
-        self.ctrl += other.ctrl;
-    }
-
     /// One-line JSON object (hand-rendered; the vendored serde is a
     /// no-op).
     #[must_use]
@@ -413,7 +402,7 @@ impl SimTelemetry {
     /// Emits the counters as instant events into `tel` (one event per
     /// PE and per stream plus a summary). No-op when telemetry is
     /// disabled.
-    pub fn emit(&self, tel: &dsagen_telemetry::Telemetry) {
+    pub(crate) fn emit(&self, tel: &dsagen_telemetry::Telemetry) {
         if !tel.is_enabled() {
             return;
         }

@@ -546,12 +546,6 @@ impl ArtifactStore {
         inner.telemetry.recorder().dump_on_error("store-quarantine");
     }
 
-    /// Whether a committed (not necessarily valid) entry exists at `key`.
-    #[must_use]
-    pub fn contains(&self, key: ArtifactKey) -> bool {
-        self.inner.entries.join(key.file_name()).exists()
-    }
-
     /// Number of committed entries currently on disk.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -616,8 +610,16 @@ pub fn artifact(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use dsagen_faults::{corrupt_record_bytes, StorageFaultKind};
+
+    use super::*;
+
+    impl ArtifactStore {
+        /// Whether a committed (not necessarily valid) entry exists at `key`.
+        fn contains(&self, key: ArtifactKey) -> bool {
+            self.inner.entries.join(key.file_name()).exists()
+        }
+    }
 
     impl ArtifactKey {
         /// Inverse of [`ArtifactKey::file_name`]; `None` for names that are

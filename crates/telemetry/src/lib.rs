@@ -71,7 +71,7 @@ mod metrics;
 mod profiler;
 mod recorder;
 
-pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use profiler::{profile, ProfileNode, ProfileReport};
 pub use recorder::{FlightEvent, FlightRecorder};
 
@@ -239,7 +239,7 @@ impl Event {
     /// Renders the event as a single-line JSON object (the JSONL row
     /// format).
     #[must_use]
-    pub fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         let mut s = format!(
             "{{\"ts_us\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"tid\": {}",
             self.ts_us,

@@ -73,7 +73,7 @@ fn bucket_lower(idx: u32) -> u64 {
 
 /// Sparse log-linear histogram of `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+pub(crate) struct HistogramSnapshot {
     /// Number of recorded samples.
     pub count: u64,
     /// Sum of all samples.
@@ -121,7 +121,7 @@ impl HistogramSnapshot {
     /// bucket where the cumulative count crosses `q × count` (clamped to
     /// the observed min/max so estimates never leave the sample range).
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -138,7 +138,7 @@ impl HistogramSnapshot {
 
     /// Mean of the recorded samples (0.0 when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -149,7 +149,7 @@ impl HistogramSnapshot {
 
 /// One metric's merged value in a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     /// Monotonically accumulated count (merge: add).
     Counter(u64),
     /// Point-in-time measurement (merge: max — the only commuting choice).
@@ -210,42 +210,12 @@ impl MetricsSnapshot {
         self.metrics.is_empty()
     }
 
-    /// Number of distinct metric names.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// The merged value under `name`, if recorded.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.metrics.get(name)
-    }
-
     /// Counter value under `name` (`None` if absent or a different kind).
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.metrics.get(name) {
             Some(MetricValue::Counter(v)) => Some(*v),
             _ => None,
-        }
-    }
-
-    /// Iterates `(name, value)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges `other` into `self` (commuting per-kind operators; see
-    /// [`MetricValue`]).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, val) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                Some(slot) => slot.merge(val),
-                None => {
-                    self.metrics.insert(name.clone(), val.clone());
-                }
-            }
         }
     }
 
@@ -303,7 +273,7 @@ impl MetricsRegistry {
     /// A fresh, empty registry with the same enablement — what each DSE
     /// shard accumulates into before the deterministic merge.
     #[must_use]
-    pub fn fork(&self) -> Self {
+    pub(crate) fn fork(&self) -> Self {
         if self.is_enabled() {
             MetricsRegistry::enabled()
         } else {
@@ -416,6 +386,13 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetricsSnapshot {
+        /// The merged value under `name`, if recorded.
+        fn get(&self, name: &str) -> Option<&MetricValue> {
+            self.metrics.get(name)
+        }
+    }
 
     #[test]
     fn disabled_registry_records_nothing() {

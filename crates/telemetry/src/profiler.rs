@@ -59,12 +59,6 @@ impl ProfileNode {
         format!("{}/{}", self.cat, self.name)
     }
 
-    /// The direct child named `name`, if any.
-    #[must_use]
-    pub fn child(&self, name: &str) -> Option<&ProfileNode> {
-        self.children.iter().find(|c| c.name == name)
-    }
-
     /// Depth-first search for a descendant (or self) named `name`.
     #[must_use]
     pub fn find(&self, name: &str) -> Option<&ProfileNode> {
@@ -245,6 +239,13 @@ fn aggregate(raw: Vec<RawNode>) -> Vec<ProfileNode> {
 mod tests {
     use super::*;
     use crate::Telemetry;
+
+    impl ProfileNode {
+        /// The direct child named `name`, if any.
+        fn child(&self, name: &str) -> Option<&ProfileNode> {
+            self.children.iter().find(|c| c.name == name)
+        }
+    }
 
     #[test]
     fn empty_capture_profiles_to_nothing() {

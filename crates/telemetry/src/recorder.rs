@@ -57,7 +57,7 @@ pub struct FlightEvent {
 impl FlightEvent {
     /// One-line JSON rendering (the dump row format).
     #[must_use]
-    pub fn json(&self) -> String {
+    pub(crate) fn json(&self) -> String {
         format!(
             "{{\"seq\": {}, \"cat\": \"{}\", \"label\": \"{}\", \"detail\": \"{}\"}}",
             self.seq,
@@ -138,7 +138,7 @@ impl FlightRecorder {
 
     /// Number of events currently held (≤ capacity).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.inner {
             None => 0,
             Some(inner) => match inner.lock() {
