@@ -23,7 +23,7 @@ use std::collections::{BTreeSet, HashMap};
 use dsagen_adg::{Adg, EdgeId, NodeId};
 use dsagen_scheduler::Schedule;
 
-/// Hit/miss accounting for a [`ScheduleCache`].
+/// Hit/miss accounting for the explorer's schedule cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered wholesale from a memoized `(adg, kernel)` entry.
@@ -127,7 +127,7 @@ pub(crate) struct CacheEntry {
 /// Memoized scheduling outcomes keyed by
 /// `(Adg::fingerprint, CompiledKernel::content_hash)`.
 #[derive(Debug, Clone, Default)]
-pub struct ScheduleCache {
+pub(crate) struct ScheduleCache {
     entries: HashMap<(u64, u64), CacheEntry>,
     stats: CacheStats,
 }
@@ -174,7 +174,7 @@ impl ScheduleCache {
 /// even when the edge itself survives). Returns `None` when any part of
 /// the footprint no longer exists — the schedule cannot be rebased.
 #[must_use]
-pub fn schedule_footprint(adg: &Adg, schedule: &Schedule) -> Option<u64> {
+pub(crate) fn schedule_footprint(adg: &Adg, schedule: &Schedule) -> Option<u64> {
     let mut nodes: BTreeSet<NodeId> = schedule.placement.iter().copied().flatten().collect();
     let mut edges: BTreeSet<EdgeId> = BTreeSet::new();
     for path in schedule.routes.values() {

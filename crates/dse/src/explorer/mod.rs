@@ -60,7 +60,7 @@ pub struct DseConfig {
     /// Use schedule *repair* across steps (true) or re-map every schedule
     /// from scratch (false) — the Fig 11 comparison.
     pub use_repair: bool,
-    /// Memoize scheduling outcomes in a [`ScheduleCache`] (exact replay of
+    /// Memoize scheduling outcomes in a schedule cache (exact replay of
     /// revisited designs, footprint-based rebasing of untouched mappings).
     /// Disable to measure raw scheduling cost in ablations.
     pub use_cache: bool,

@@ -14,7 +14,7 @@
 //! only on `(seed, shards)` — never on thread scheduling.
 //!
 //! Each evaluation answers every kernel version from the first of four
-//! tiers that can: an exact replay from the [`ScheduleCache`] (keyed by
+//! tiers that can: an exact replay from the explorer's schedule cache (keyed by
 //! `(Adg::fingerprint, CompiledKernel::content_hash)`), a schedule an
 //! earlier process left in an attached artifact store
 //! ([`Explorer::with_store`]), a rebase of the previous schedule when the
@@ -49,7 +49,7 @@ mod explorer;
 mod mutate;
 mod timeline;
 
-pub use cache::{schedule_footprint, CacheStats, ScheduleCache};
+pub use cache::CacheStats;
 pub use explorer::{
     explore, DseConfig, DsePoint, DseResult, Explorer, IterRecord, RejectReason, ReliabilityMode,
     RunControl, StopCause, TelemetrySnapshot,

@@ -70,12 +70,12 @@ fn frame_crc(seq: u32, payload: u64) -> u32 {
 }
 
 /// Number of transport words per frame (payload word + guard word).
-pub const FRAME_WORDS: usize = 2;
+pub(crate) const FRAME_WORDS: usize = 2;
 
 /// One config-path delivery unit: a payload word guarded by a sequence
 /// number and a CRC32 over both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Frame {
+pub(crate) struct Frame {
     /// Word index within the bitstream this frame delivers.
     pub seq: u32,
     /// The configuration word.
@@ -85,7 +85,7 @@ pub struct Frame {
 impl Frame {
     /// Builds the frame for word `seq` of a stream.
     #[must_use]
-    pub fn new(seq: u32, payload: u64) -> Self {
+    pub(crate) fn new(seq: u32, payload: u64) -> Self {
         Frame { seq, payload }
     }
 

@@ -28,7 +28,7 @@ pub use config_path::{
     generate_config_paths, try_generate_config_paths, ConfigPathError, ConfigPaths,
 };
 pub use frame::{
-    crc32, deframe_words, frame_chunk, frame_words, unframe_chunk, ChunkError, Frame, FrameError,
-    ProgrammingSession, SessionConfig, SessionError, SessionReport, SessionState, FRAME_WORDS,
+    crc32, deframe_words, frame_chunk, frame_words, unframe_chunk, ChunkError, FrameError,
+    ProgrammingSession, SessionConfig, SessionError, SessionReport, SessionState,
 };
 pub use rtl::emit_verilog;

@@ -58,7 +58,8 @@ use dsagen_faults::{StorageInjector, WriteFault};
 use dsagen_scheduler::Schedule;
 use dsagen_telemetry::{log, Level, Telemetry};
 
-pub use record::{decode, encode, frame_boundaries, RecordError};
+use record::RecordError;
+pub use record::{encode, frame_boundaries};
 
 /// The content address of one artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -43,7 +43,7 @@ const UNPLACED: u32 = u32::MAX;
 /// absent, it never aborts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum RecordError {
+pub(crate) enum RecordError {
     /// The file does not start with the record magic (alien file, or the header
     /// itself was torn/corrupted).
     BadMagic,
@@ -240,7 +240,10 @@ pub fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
 ///
 /// A typed [`RecordError`] for every way the bytes can be wrong; decoding
 /// never panics on arbitrary input (property-tested).
-pub fn decode(bytes: &[u8], expected_key: Option<ArtifactKey>) -> Result<Artifact, RecordError> {
+pub(crate) fn decode(
+    bytes: &[u8],
+    expected_key: Option<ArtifactKey>,
+) -> Result<Artifact, RecordError> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(RecordError::BadMagic);
     }
