@@ -336,9 +336,7 @@ mod tests {
             ports.dedup();
             ports
         }
-    }
 
-    impl Dfg {
         /// Whether the graph contains a stream-join node.
         pub(crate) fn has_stream_join(&self) -> bool {
             self.iter()

@@ -19,8 +19,9 @@
 //!   that is **guaranteed to still pass [`Adg::validate`]** plus a
 //!   structured [`FaultReport`] of what was applied and what was skipped;
 //! * [`corrupt_frames`] — applies the config-plane faults of a plan to a
-//!   framed stream of bitstream words, so tests can drive the CRC/retry recovery paths of the
-//!   configuration-integrity subsystem deterministically.
+//!   framed stream of bitstream words, so tests can drive the CRC/retry
+//!   recovery paths of the configuration-integrity subsystem
+//!   deterministically.
 //!
 //! The guarantee is enforced by *validate-rollback*: each fault is applied
 //! to a scratch copy and kept only if the result still validates; a fault

@@ -834,8 +834,9 @@ mod tests {
     };
     use dsagen_scheduler::SchedulerConfig;
 
-    use super::*;
     use crate::tests::fresh;
+
+    use super::*;
     use crate::{simulate, SimConfig};
 
     impl RuntimeSim {

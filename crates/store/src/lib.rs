@@ -611,9 +611,8 @@ pub fn artifact(
 
 #[cfg(test)]
 mod tests {
-    use dsagen_faults::{corrupt_record_bytes, StorageFaultKind};
-
     use super::*;
+    use dsagen_faults::{corrupt_record_bytes, StorageFaultKind};
 
     impl ArtifactStore {
         /// Whether a committed (not necessarily valid) entry exists at `key`.

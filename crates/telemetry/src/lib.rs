@@ -289,8 +289,8 @@ impl Inner {
 /// A disabled handle ([`Telemetry::disabled`]) makes every emission site a
 /// single branch on an `Option` discriminant: the event-building closure is
 /// never called, nothing allocates, no clock is read, no lock is taken.
-/// Enabled handles share one event buffer behind a mutex, so shard worker threads
-/// can emit concurrently.
+/// Enabled handles share one event buffer behind a mutex, so shard worker
+/// threads can emit concurrently.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
