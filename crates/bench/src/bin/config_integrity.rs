@@ -4,8 +4,8 @@
 //! the accelerator programming path:
 //!
 //! 1. **Decode + verify throughput** — words/sec through the full
-//!    `verify_round_trip` gate (encode → decode → compare → re-encode →
-//!    bit-compare), the check the simulator and DSE now run before any
+//!    `verify_round_trip` gate (encode → serialize → decode → compare →
+//!    resolve opcodes), the check the simulator and DSE now run before any
 //!    schedule is trusted.
 //! 2. **CRC framing latency vs raw delivery** — ns/word to pack every
 //!    config word into a CRC32-guarded transport frame and validate it

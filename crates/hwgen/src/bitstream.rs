@@ -4,15 +4,17 @@
 //! encodes routing, a PE's encodes instruction opcodes, execution timing
 //! (static PEs), and instruction tags (shared PEs); a sync element's
 //! encodes delay/grouping. This module encodes a [`Schedule`] into 64-bit
-//! configuration words addressed to components, and decodes them back
-//! (roundtrip-tested).
+//! configuration words addressed to components, and decodes them back.
+//! One `const` table per word kind (header, instruction, route, sync) gives
+//! every field's shift and width; the encoder and the one decoder both walk
+//! it.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use dsagen_adg::{NodeId, NodeKind, Opcode};
-use dsagen_scheduler::{EntityKind, Problem, Schedule};
+use dsagen_adg::{NodeId, NodeKind, Opcode, Scheduling};
+use dsagen_scheduler::{EntityKind, Evaluation, Problem, Schedule};
 
 /// Why a word stream failed to parse back into a [`Bitstream`].
 ///
@@ -49,7 +51,7 @@ pub enum BitstreamError {
         tag: u8,
     },
     /// An instruction word carried an opcode discriminant that decodes to
-    /// no [`Opcode`] (only raised by the full decode, which resolves
+    /// no [`Opcode`] (only raised by [`verify_round_trip`], which resolves
     /// opcodes; [`Bitstream::from_words`] keeps raw discriminants).
     UnknownOpcode {
         /// Index of the instruction word.
@@ -138,6 +140,13 @@ pub struct NodeConfig {
     pub sync: Option<SyncConfig>,
 }
 
+impl NodeConfig {
+    /// Payload words this component's header announces.
+    fn payload_len(&self) -> usize {
+        self.instrs.len() + self.routes.len() + usize::from(self.sync.is_some())
+    }
+}
+
 /// A complete bitstream: per-component configuration words.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Bitstream {
@@ -145,9 +154,158 @@ pub struct Bitstream {
     pub configs: BTreeMap<NodeId, NodeConfig>,
 }
 
+/// One field of a configuration word: `width` bits starting at bit `shift`.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    /// Read only by the table test's failure messages.
+    #[cfg_attr(not(test), allow(dead_code))]
+    name: &'static str,
+    shift: u32,
+    width: u32,
+}
+
+impl Field {
+    const fn new(name: &'static str, shift: u32, width: u32) -> Field {
+        Field { name, shift, width }
+    }
+
+    /// The largest value the field holds.
+    fn max(self) -> u64 {
+        u64::MAX >> (64 - self.width)
+    }
+
+    fn get(self, word: u64) -> u64 {
+        (word >> self.shift) & self.max()
+    }
+
+    fn put(self, value: u64) -> u64 {
+        (value & self.max()) << self.shift
+    }
+}
+
+/// The layout of one word kind: its fields, and the value a payload word
+/// carries in [`PAYLOAD_TAG`] (a header carries none).
+struct Layout<const N: usize> {
+    fields: [Field; N],
+    tag: Option<u64>,
+}
+
+impl<const N: usize> Layout<N> {
+    fn pack(&self, values: [u64; N]) -> u64 {
+        let tag = self.tag.map_or(0, |t| PAYLOAD_TAG.put(t));
+        self.fields
+            .iter()
+            .zip(values)
+            .fold(tag, |word, (field, v)| word | field.put(v))
+    }
+
+    fn unpack(&self, word: u64) -> [u64; N] {
+        self.fields.map(|field| field.get(word))
+    }
+
+    /// Whether `word` is a payload word of this kind.
+    fn tags(&self, word: u64) -> bool {
+        self.tag == Some(PAYLOAD_TAG.get(word))
+    }
+}
+
+// The §VI word format: one table per word kind. `to_words` and
+// `from_words` both walk these tables; no other code knows a bit position.
+
+/// Bits 0–3 of every payload word: which payload kind it is.
+const PAYLOAD_TAG: Field = Field::new("payload_tag", 0, 4);
+
+/// A component header: destination node, component kind, payload words.
+const HEADER: Layout<3> = Layout {
+    fields: [
+        Field::new("node", 48, 16),
+        Field::new("kind", 45, 3),
+        Field::new("payload", 37, 8),
+    ],
+    tag: None,
+};
+
+/// A PE instruction slot ([`InstrConfig`]).
+const INSTR: Layout<6> = Layout {
+    fields: [
+        Field::new("opcode", 56, 8),
+        Field::new("operand0", 48, 8),
+        Field::new("operand1", 40, 8),
+        Field::new("operand2", 32, 8),
+        Field::new("delay", 24, 8),
+        Field::new("tag", 16, 8),
+    ],
+    tag: Some(1),
+};
+
+/// A switch route ([`RouteConfig`]).
+const ROUTE: Layout<2> = Layout {
+    fields: [Field::new("in_port", 56, 8), Field::new("out_port", 48, 8)],
+    tag: Some(2),
+};
+
+/// A sync-element configuration ([`SyncConfig`]).
+const SYNC: Layout<3> = Layout {
+    fields: [
+        Field::new("lanes", 56, 8),
+        Field::new("delay", 40, 16),
+        Field::new("group", 32, 8),
+    ],
+    tag: Some(3),
+};
+
+/// Values of the header's component-kind field.
 const KIND_PE: u64 = 1;
 const KIND_SWITCH: u64 = 2;
 const KIND_SYNC: u64 = 3;
+
+impl InstrConfig {
+    fn word(&self) -> u64 {
+        let [a, b, c] = self.operands;
+        INSTR.pack([self.opcode, a, b, c, self.delay, self.tag].map(u64::from))
+    }
+
+    fn from_word(word: u64) -> InstrConfig {
+        let [opcode, a, b, c, delay, tag] = INSTR.unpack(word).map(|v| v as u8);
+        InstrConfig {
+            opcode,
+            operands: [a, b, c],
+            delay,
+            tag,
+        }
+    }
+}
+
+impl RouteConfig {
+    fn word(&self) -> u64 {
+        ROUTE.pack([self.in_port, self.out_port].map(u64::from))
+    }
+
+    fn from_word(word: u64) -> RouteConfig {
+        let [in_port, out_port] = ROUTE.unpack(word).map(|v| v as u8);
+        RouteConfig { in_port, out_port }
+    }
+}
+
+impl SyncConfig {
+    fn word(&self) -> u64 {
+        SYNC.pack([self.lanes.into(), self.delay.into(), self.group.into()])
+    }
+
+    fn from_word(word: u64) -> SyncConfig {
+        let [lanes, delay, group] = SYNC.unpack(word);
+        SyncConfig {
+            lanes: lanes as u8,
+            delay: delay as u16,
+            group: group as u8,
+        }
+    }
+}
+
+/// Opcode the discriminant decodes to, if valid.
+fn opcode_of(discriminant: u8) -> Option<Opcode> {
+    Opcode::ALL.into_iter().find(|op| *op as u8 == discriminant)
+}
 
 impl Bitstream {
     /// Encodes a schedule into per-component configuration, programming
@@ -158,45 +316,23 @@ impl Bitstream {
     pub fn encode_with_timing(
         problem: &Problem<'_>,
         schedule: &Schedule,
-        eval: &dsagen_scheduler::Evaluation,
+        eval: &Evaluation,
     ) -> Bitstream {
-        let mut bs = Bitstream::encode(problem, schedule);
-        // Walk op entities again in the same order encode() did, so the
-        // i-th instruction of each node lines up with its config slot.
-        let mut slot_cursor: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (i, entity) in problem.entities.iter().enumerate() {
-            let Some(node) = schedule.placement[i] else {
-                continue;
-            };
-            if !matches!(entity.kind, EntityKind::Op { .. }) {
-                continue;
-            }
-            let slot = *slot_cursor.entry(node).and_modify(|s| *s += 1).or_insert(0);
-            let is_static = matches!(
-                problem.adg.kind(node),
-                Ok(NodeKind::Pe(pe)) if pe.scheduling == dsagen_adg::Scheduling::Static
-            );
-            if !is_static {
-                continue;
-            }
-            let delay = eval
-                .operand_spread
-                .get(i)
-                .copied()
-                .unwrap_or(0.0)
-                .clamp(0.0, 255.0) as u8;
-            if let Some(cfg) = bs.configs.get_mut(&node) {
-                if let Some(instr) = cfg.instrs.get_mut(slot) {
-                    instr.delay = delay;
-                }
-            }
-        }
-        bs
+        Bitstream::assemble(problem, schedule, Some(eval))
     }
 
     /// Encodes a schedule into per-component configuration.
     #[must_use]
     pub fn encode(problem: &Problem<'_>, schedule: &Schedule) -> Bitstream {
+        Bitstream::assemble(problem, schedule, None)
+    }
+
+    /// The one encoder walk; `timing` programs static-PE delays.
+    fn assemble(
+        problem: &Problem<'_>,
+        schedule: &Schedule,
+        timing: Option<&Evaluation>,
+    ) -> Bitstream {
         let adg = problem.adg;
         let mut configs: BTreeMap<NodeId, NodeConfig> = BTreeMap::new();
 
@@ -222,10 +358,21 @@ impl Bitstream {
                     }
                     let opcode = entity.opcode.map_or(0u8, |oc| oc as u8);
                     let tag = configs.get(&node).map_or(0, |c| c.instrs.len().min(255)) as u8;
+                    let delay = timing
+                        .filter(|_| {
+                            matches!(
+                                adg.kind(node),
+                                Ok(NodeKind::Pe(pe)) if pe.scheduling == Scheduling::Static
+                            )
+                        })
+                        .map_or(0, |eval| {
+                            let spread = eval.operand_spread.get(i).copied().unwrap_or(0.0);
+                            spread.clamp(0.0, 255.0) as u8
+                        });
                     configs.entry(node).or_default().instrs.push(InstrConfig {
                         opcode,
                         operands,
-                        delay: 0,
+                        delay,
                         tag,
                     });
                 }
@@ -280,9 +427,8 @@ impl Bitstream {
     /// non-relevant data to forward" (§VI).
     #[must_use]
     pub fn to_words(&self) -> Vec<u64> {
-        let mut words = Vec::new();
+        let mut words = Vec::with_capacity(self.word_count());
         for (node, cfg) in &self.configs {
-            let payload = cfg.instrs.len() + cfg.routes.len() + usize::from(cfg.sync.is_some());
             let kind = if !cfg.instrs.is_empty() {
                 KIND_PE
             } else if !cfg.routes.is_empty() {
@@ -290,36 +436,16 @@ impl Bitstream {
             } else {
                 KIND_SYNC
             };
-            words.push(
-                ((node.index() as u64) << 48) | (kind << 45) | ((payload as u64 & 0xFF) << 37),
-            );
-            for i in &cfg.instrs {
-                words.push(
-                    (u64::from(i.opcode) << 56)
-                        | (u64::from(i.operands[0]) << 48)
-                        | (u64::from(i.operands[1]) << 40)
-                        | (u64::from(i.operands[2]) << 32)
-                        | (u64::from(i.delay) << 24)
-                        | (u64::from(i.tag) << 16)
-                        | 0x1,
-                );
-            }
-            for r in &cfg.routes {
-                words.push((u64::from(r.in_port) << 56) | (u64::from(r.out_port) << 48) | 0x2);
-            }
-            if let Some(s) = cfg.sync {
-                words.push(
-                    (u64::from(s.lanes) << 56)
-                        | (u64::from(s.delay) << 40)
-                        | (u64::from(s.group) << 32)
-                        | 0x3,
-                );
-            }
+            words.push(HEADER.pack([node.index() as u64, kind, cfg.payload_len() as u64]));
+            words.extend(cfg.instrs.iter().map(InstrConfig::word));
+            words.extend(cfg.routes.iter().map(RouteConfig::word));
+            words.extend(cfg.sync.iter().map(SyncConfig::word));
         }
         words
     }
 
-    /// Parses words back into per-component configuration.
+    /// Parses words back into per-component configuration. Opcodes stay
+    /// raw discriminants.
     ///
     /// # Errors
     ///
@@ -330,17 +456,16 @@ impl Bitstream {
         let mut i = 0usize;
         while i < words.len() {
             let header_index = i;
-            let header = words[i];
+            let [node, kind, payload] = HEADER.unpack(words[i]);
             i += 1;
-            let node = NodeId::from_index((header >> 48) as usize);
-            let kind = ((header >> 45) & 0x7) as u8;
-            if !(1..=3).contains(&kind) {
+            let node = NodeId::from_index(node as usize);
+            if !(KIND_PE..=KIND_SYNC).contains(&kind) {
                 return Err(BitstreamError::UnknownComponentKind {
                     word_index: header_index,
-                    kind,
+                    kind: kind as u8,
                 });
             }
-            let payload = ((header >> 37) & 0xFF) as usize;
+            let payload = payload as usize;
             if i + payload > words.len() {
                 return Err(BitstreamError::TruncatedPayload {
                     word_index: header_index,
@@ -350,31 +475,18 @@ impl Bitstream {
                 });
             }
             let cfg = configs.entry(node).or_default();
-            for (off, w) in words[i..i + payload].iter().enumerate() {
-                match w & 0xF {
-                    0x1 => cfg.instrs.push(InstrConfig {
-                        opcode: (w >> 56) as u8,
-                        operands: [(w >> 48) as u8, (w >> 40) as u8, (w >> 32) as u8],
-                        delay: (w >> 24) as u8,
-                        tag: (w >> 16) as u8,
-                    }),
-                    0x2 => cfg.routes.push(RouteConfig {
-                        in_port: (w >> 56) as u8,
-                        out_port: (w >> 48) as u8,
-                    }),
-                    0x3 => {
-                        cfg.sync = Some(SyncConfig {
-                            lanes: (w >> 56) as u8,
-                            delay: ((w >> 40) & 0xFFFF) as u16,
-                            group: (w >> 32) as u8,
-                        });
-                    }
-                    tag => {
-                        return Err(BitstreamError::UnknownPayloadTag {
-                            word_index: i + off,
-                            tag: tag as u8,
-                        })
-                    }
+            for (off, &w) in words[i..i + payload].iter().enumerate() {
+                if INSTR.tags(w) {
+                    cfg.instrs.push(InstrConfig::from_word(w));
+                } else if ROUTE.tags(w) {
+                    cfg.routes.push(RouteConfig::from_word(w));
+                } else if SYNC.tags(w) {
+                    cfg.sync = Some(SyncConfig::from_word(w));
+                } else {
+                    return Err(BitstreamError::UnknownPayloadTag {
+                        word_index: i + off,
+                        tag: PAYLOAD_TAG.get(w) as u8,
+                    });
                 }
             }
             i += payload;
@@ -382,92 +494,24 @@ impl Bitstream {
         Ok(Bitstream { configs })
     }
 
-    /// Fully decodes a word stream into a [`DecodedConfig`]: per-node
-    /// resolved opcodes, routes, and stream/sync parameters.
-    ///
-    /// Stricter than [`Bitstream::from_words`]: every instruction word's
-    /// opcode discriminant must resolve to a real [`Opcode`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`BitstreamError`], including [`BitstreamError::UnknownOpcode`]
-    /// with word-index and node context.
-    pub(crate) fn decode(words: &[u64]) -> Result<DecodedConfig, BitstreamError> {
-        let mut nodes: BTreeMap<NodeId, DecodedNode> = BTreeMap::new();
-        let mut i = 0usize;
-        while i < words.len() {
-            let header_index = i;
-            let header = words[i];
-            i += 1;
-            let node = NodeId::from_index((header >> 48) as usize);
-            let kind = ((header >> 45) & 0x7) as u8;
-            let class = match kind {
-                1 => ComponentClass::Pe,
-                2 => ComponentClass::Switch,
-                3 => ComponentClass::Sync,
-                _ => {
-                    return Err(BitstreamError::UnknownComponentKind {
-                        word_index: header_index,
-                        kind,
-                    })
-                }
-            };
-            let payload = ((header >> 37) & 0xFF) as usize;
-            if i + payload > words.len() {
-                return Err(BitstreamError::TruncatedPayload {
-                    word_index: header_index,
-                    node,
-                    expected: payload,
-                    remaining: words.len() - i,
-                });
-            }
-            let entry = nodes.entry(node).or_insert_with(|| DecodedNode {
-                class,
-                instrs: Vec::new(),
-                routes: Vec::new(),
-                sync: None,
-            });
-            for (off, w) in words[i..i + payload].iter().enumerate() {
-                let word_index = i + off;
-                match w & 0xF {
-                    0x1 => {
-                        let discriminant = (w >> 56) as u8;
-                        let opcode = Bitstream::opcode_of(discriminant).ok_or(
-                            BitstreamError::UnknownOpcode {
-                                word_index,
-                                node,
-                                discriminant,
-                            },
-                        )?;
-                        entry.instrs.push(DecodedInstr {
-                            opcode,
-                            operands: [(w >> 48) as u8, (w >> 40) as u8, (w >> 32) as u8],
-                            delay: (w >> 24) as u8,
-                            tag: (w >> 16) as u8,
-                        });
-                    }
-                    0x2 => entry.routes.push(RouteConfig {
-                        in_port: (w >> 56) as u8,
-                        out_port: (w >> 48) as u8,
-                    }),
-                    0x3 => {
-                        entry.sync = Some(SyncConfig {
-                            lanes: (w >> 56) as u8,
-                            delay: ((w >> 40) & 0xFFFF) as u16,
-                            group: (w >> 32) as u8,
-                        });
-                    }
-                    tag => {
-                        return Err(BitstreamError::UnknownPayloadTag {
-                            word_index,
-                            tag: tag as u8,
-                        })
-                    }
+    /// The first instruction word whose opcode field resolves to no
+    /// [`Opcode`], located by its index in [`Bitstream::to_words`].
+    fn check_opcodes(&self) -> Result<(), BitstreamError> {
+        let mut header_index = 0;
+        for (&node, cfg) in &self.configs {
+            // Instruction words follow their header directly.
+            for (slot, instr) in cfg.instrs.iter().enumerate() {
+                if opcode_of(instr.opcode).is_none() {
+                    return Err(BitstreamError::UnknownOpcode {
+                        word_index: header_index + 1 + slot,
+                        node,
+                        discriminant: instr.opcode,
+                    });
                 }
             }
-            i += payload;
+            header_index += 1 + cfg.payload_len();
         }
-        Ok(DecodedConfig { nodes })
+        Ok(())
     }
 
     /// The owning component of every word [`Bitstream::to_words`] emits,
@@ -475,12 +519,9 @@ impl Bitstream {
     /// lost or corrupted word back to the node it was configuring.
     #[must_use]
     pub(crate) fn word_owners(&self) -> Vec<NodeId> {
-        let mut owners = Vec::new();
+        let mut owners = Vec::with_capacity(self.word_count());
         for (node, cfg) in &self.configs {
-            let payload = cfg.instrs.len() + cfg.routes.len() + usize::from(cfg.sync.is_some());
-            for _ in 0..=payload {
-                owners.push(*node);
-            }
+            owners.extend(std::iter::repeat_n(*node, 1 + cfg.payload_len()));
         }
         owners
     }
@@ -499,63 +540,9 @@ impl Bitstream {
     /// Total configuration words.
     #[must_use]
     pub fn word_count(&self) -> usize {
-        self.to_words().len()
-    }
-
-    /// Opcode the discriminant decodes to, if valid.
-    #[must_use]
-    pub(crate) fn opcode_of(discriminant: u8) -> Option<Opcode> {
-        Opcode::ALL.into_iter().find(|op| *op as u8 == discriminant)
+        self.configs.values().map(|cfg| 1 + cfg.payload_len()).sum()
     }
 }
-
-/// Which class of component a decoded header addressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ComponentClass {
-    /// A processing element (instruction slots).
-    Pe,
-    /// A switch (routing table).
-    Switch,
-    /// A synchronization element (stream parameters).
-    Sync,
-}
-
-/// One fully decoded instruction slot: the raw discriminant resolved to a
-/// real [`Opcode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DecodedInstr {
-    /// The resolved opcode.
-    pub opcode: Opcode,
-    /// Input-port index per operand (0xFF = unrouted / constant).
-    pub operands: [u8; 3],
-    /// Static-PE balancing delay.
-    pub delay: u8,
-    /// Instruction tag (shared PEs).
-    pub tag: u8,
-}
-
-/// One component's fully decoded configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct DecodedNode {
-    /// What the header said this component is.
-    pub class: ComponentClass,
-    /// Decoded PE instruction slots (opcodes resolved).
-    pub instrs: Vec<DecodedInstr>,
-    /// Switch routes.
-    pub routes: Vec<RouteConfig>,
-    /// Sync/stream parameters.
-    pub sync: Option<SyncConfig>,
-}
-
-/// A machine-checked decode of a configuration word stream: per-node
-/// opcodes, routes, and stream parameters (see [`Bitstream::decode`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct DecodedConfig {
-    /// Decoded configuration per component, in node-id order.
-    pub nodes: BTreeMap<NodeId, DecodedNode>,
-}
-
-impl DecodedConfig {}
 
 /// Why a bitstream round-trip verification failed: either the word stream
 /// would not decode at all, or encode∘decode was not the identity.
@@ -569,15 +556,6 @@ pub enum VerifyError {
         /// First component whose decoded config differs.
         node: NodeId,
     },
-    /// Re-encoding the decoded configuration was not bit-identical.
-    ReencodeMismatch {
-        /// First differing word index.
-        word_index: usize,
-        /// The originally emitted word.
-        expected: u64,
-        /// The re-encoded word.
-        got: u64,
-    },
 }
 
 impl fmt::Display for VerifyError {
@@ -585,16 +563,11 @@ impl fmt::Display for VerifyError {
         match self {
             VerifyError::Decode(e) => write!(f, "emitted words failed to decode: {e}"),
             VerifyError::ConfigMismatch { node } => {
-                write!(f, "decoded configuration of {node} disagrees with the encoder")
+                write!(
+                    f,
+                    "decoded configuration of {node} disagrees with the encoder"
+                )
             }
-            VerifyError::ReencodeMismatch {
-                word_index,
-                expected,
-                got,
-            } => write!(
-                f,
-                "re-encode diverges at word {word_index}: expected {expected:#018x}, got {got:#018x}"
-            ),
         }
     }
 }
@@ -603,7 +576,7 @@ impl std::error::Error for VerifyError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             VerifyError::Decode(e) => Some(e),
-            _ => None,
+            VerifyError::ConfigMismatch { .. } => None,
         }
     }
 }
@@ -650,7 +623,6 @@ pub fn schedule_digest(schedule: &Schedule) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedConfig {
     bitstream: Bitstream,
-    decoded: DecodedConfig,
     words: Vec<u64>,
     schedule_digest: u64,
 }
@@ -689,8 +661,8 @@ impl VerifiedConfig {
 
 /// Proves encode∘decode is the identity for `schedule` on `problem`:
 /// encodes the schedule, serializes to words, decodes the words, demands
-/// the decoded configuration equal the encoded one, re-encodes it and
-/// demands bit-identical words, and fully resolves every opcode.
+/// the decoded configuration equal the encoded one, and resolves every
+/// opcode.
 ///
 /// # Errors
 ///
@@ -701,8 +673,7 @@ pub fn verify_round_trip(
     problem: &Problem<'_>,
     schedule: &Schedule,
 ) -> Result<VerifiedConfig, VerifyError> {
-    let bitstream = Bitstream::encode(problem, schedule);
-    verify_bitstream(&bitstream, schedule)
+    verify_bitstream(Bitstream::encode(problem, schedule), schedule)
 }
 
 /// [`verify_round_trip`] for a timing-annotated encode (static-PE
@@ -714,21 +685,25 @@ pub fn verify_round_trip(
 pub fn verify_round_trip_timed(
     problem: &Problem<'_>,
     schedule: &Schedule,
-    eval: &dsagen_scheduler::Evaluation,
+    eval: &Evaluation,
 ) -> Result<VerifiedConfig, VerifyError> {
-    let bitstream = Bitstream::encode_with_timing(problem, schedule, eval);
-    verify_bitstream(&bitstream, schedule)
+    verify_bitstream(
+        Bitstream::encode_with_timing(problem, schedule, eval),
+        schedule,
+    )
 }
 
-/// Shared verification core: words → decode → compare → re-encode →
-/// compare → full opcode-resolving decode.
+/// Shared verification core: serialize once, decode once, compare, and
+/// resolve every opcode. Re-encoding the decode is not checked: `to_words`
+/// is a pure function of the [`Bitstream`], so once the decode equals it,
+/// re-encoding returns the same words.
 fn verify_bitstream(
-    bitstream: &Bitstream,
+    bitstream: Bitstream,
     schedule: &Schedule,
 ) -> Result<VerifiedConfig, VerifyError> {
     let words = bitstream.to_words();
     let round = Bitstream::from_words(&words)?;
-    if round != *bitstream {
+    if round != bitstream {
         let node = bitstream
             .configs
             .iter()
@@ -744,23 +719,9 @@ fn verify_bitstream(
             .unwrap_or_else(|| NodeId::from_index(0));
         return Err(VerifyError::ConfigMismatch { node });
     }
-    let reencoded = round.to_words();
-    if reencoded != words {
-        let word_index = words
-            .iter()
-            .zip(&reencoded)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| words.len().min(reencoded.len()));
-        return Err(VerifyError::ReencodeMismatch {
-            word_index,
-            expected: words.get(word_index).copied().unwrap_or(0),
-            got: reencoded.get(word_index).copied().unwrap_or(0),
-        });
-    }
-    let decoded = Bitstream::decode(&words)?;
+    bitstream.check_opcodes()?;
     Ok(VerifiedConfig {
-        bitstream: bitstream.clone(),
-        decoded,
+        bitstream,
         words,
         schedule_digest: schedule_digest(schedule),
     })
@@ -776,27 +737,6 @@ mod tests {
     use dsagen_telemetry::Telemetry;
 
     use super::*;
-
-    impl DecodedConfig {
-        /// Every [`Opcode`] programmed anywhere in the fabric.
-        fn opcodes(&self) -> Vec<Opcode> {
-            let mut ops: Vec<Opcode> = self
-                .nodes
-                .values()
-                .flat_map(|n| n.instrs.iter().map(|i| i.opcode))
-                .collect();
-            ops.sort_by_key(|op| *op as u8);
-            ops.dedup();
-            ops
-        }
-    }
-
-    impl VerifiedConfig {
-        /// The fully decoded view (opcodes resolved).
-        fn decoded(&self) -> &DecodedConfig {
-            &self.decoded
-        }
-    }
 
     fn scheduled() -> (dsagen_adg::Adg, dsagen_dfg::CompiledKernel, Schedule) {
         let adg = presets::softbrain();
@@ -869,9 +809,9 @@ mod tests {
     #[test]
     fn opcode_discriminants_roundtrip() {
         for op in Opcode::ALL {
-            assert_eq!(Bitstream::opcode_of(op as u8), Some(op));
+            assert_eq!(opcode_of(op as u8), Some(op));
         }
-        assert_eq!(Bitstream::opcode_of(200), None);
+        assert_eq!(opcode_of(200), None);
     }
 
     #[test]
@@ -915,21 +855,28 @@ mod tests {
     fn decode_resolves_every_opcode() {
         let (adg, ck, sched) = scheduled();
         let problem = Problem::new(&adg, &ck);
-        let bs = Bitstream::encode(&problem, &sched);
-        let decoded = Bitstream::decode(&bs.to_words()).expect("decodes");
-        let instrs: usize = decoded.nodes.values().map(|n| n.instrs.len()).sum();
-        assert_eq!(instrs, 2);
-        let ops = decoded.opcodes();
+        let words = Bitstream::encode(&problem, &sched).to_words();
+        let decoded = Bitstream::from_words(&words).expect("decodes");
+        decoded.check_opcodes().expect("every opcode resolves");
+        let ops: Vec<Opcode> = decoded
+            .configs
+            .values()
+            .flat_map(|c| c.instrs.iter().filter_map(|i| opcode_of(i.opcode)))
+            .collect();
+        assert_eq!(ops.len(), 2);
         assert!(
             ops.contains(&Opcode::Mul) && ops.contains(&Opcode::Add),
             "{ops:?}"
         );
-        assert!(decoded.nodes.values().any(|n| !n.routes.is_empty()));
-        // Classes line up with payload content.
-        for node in decoded.nodes.values() {
-            if !node.instrs.is_empty() {
-                assert_eq!(node.class, ComponentClass::Pe);
+        assert!(decoded.configs.values().any(|c| !c.routes.is_empty()));
+        // Header kinds line up with payload content.
+        let mut header_index = 0;
+        for cfg in decoded.configs.values() {
+            let [_, kind, _] = HEADER.unpack(words[header_index]);
+            if !cfg.instrs.is_empty() {
+                assert_eq!(kind, KIND_PE);
             }
+            header_index += 1 + cfg.payload_len();
         }
     }
 
@@ -942,10 +889,13 @@ mod tests {
         // discriminant, leaving the payload tag intact.
         let idx = words
             .iter()
-            .position(|w| w & 0xF == 0x1)
+            .position(|w| INSTR.tags(*w))
             .expect("an instruction word exists");
-        words[idx] = (words[idx] & !(0xFFu64 << 56)) | (0xEEu64 << 56);
-        match Bitstream::decode(&words) {
+        let opcode = INSTR.fields[0];
+        words[idx] = (words[idx] & !opcode.put(u64::MAX)) | opcode.put(0xEE);
+        // The decoder keeps raw discriminants; the opcode check rejects it.
+        let decoded = Bitstream::from_words(&words).expect("the frame still parses");
+        match decoded.check_opcodes() {
             Err(BitstreamError::UnknownOpcode {
                 word_index,
                 discriminant,
@@ -978,7 +928,13 @@ mod tests {
         let vc = verify_round_trip(&problem, &sched).expect("identity holds");
         assert!(vc.matches(&sched));
         assert_eq!(vc.word_count(), vc.bitstream().word_count());
-        let instrs: usize = vc.decoded().nodes.values().map(|n| n.instrs.len()).sum();
+        assert_eq!(vc.words(), vc.bitstream().to_words());
+        let instrs: usize = vc
+            .bitstream()
+            .configs
+            .values()
+            .map(|c| c.instrs.len())
+            .sum();
         assert_eq!(instrs, 2);
         // A different schedule does not match the token.
         let mut other = sched.clone();
@@ -1021,5 +977,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The table's own invariants for one word kind: every field is
+    /// non-empty and inside 64 bits, and no two fields (the payload tag
+    /// included) share a bit.
+    fn assert_disjoint<const N: usize>(kind: &str, layout: &Layout<N>) {
+        let tag = layout.tag.map(|t| {
+            assert!(t <= PAYLOAD_TAG.max(), "{kind}: tag {t} does not fit");
+            PAYLOAD_TAG
+        });
+        let mut used = 0u64;
+        for field in layout.fields.iter().chain(&tag) {
+            assert!(
+                field.width >= 1 && field.shift + field.width <= 64,
+                "{kind}.{} does not fit in 64 bits",
+                field.name
+            );
+            let bits = field.put(u64::MAX);
+            assert_eq!(used & bits, 0, "{kind}.{} overlaps a field", field.name);
+            used |= bits;
+        }
+    }
+
+    #[test]
+    fn word_tables_are_disjoint_and_fit_in_64_bits() {
+        assert_disjoint("header", &HEADER);
+        assert_disjoint("instruction", &INSTR);
+        assert_disjoint("route", &ROUTE);
+        assert_disjoint("sync", &SYNC);
+        let mut tags = [INSTR.tag, ROUTE.tag, SYNC.tag].map(Option::unwrap);
+        tags.sort_unstable();
+        assert!(
+            tags[0] > 0 && tags.windows(2).all(|w| w[0] < w[1]),
+            "{tags:?}"
+        );
+    }
+
+    /// Each field of one payload kind at its maximum, every other field
+    /// zero: the table reads the value back alone, and the word survives
+    /// `from_words` then `to_words` behind a header of `kind`.
+    fn assert_fields_round_trip<const N: usize>(layout: &Layout<N>, kind: u64) {
+        for (k, field) in layout.fields.iter().enumerate() {
+            let mut values = [0; N];
+            values[k] = field.max();
+            let word = layout.pack(values);
+            assert_eq!(layout.unpack(word), values, "{} at its maximum", field.name);
+            let words = [HEADER.pack([0, kind, 1]), word];
+            let decoded = Bitstream::from_words(&words).expect(field.name);
+            assert_eq!(decoded.to_words(), words, "{} at its maximum", field.name);
+        }
+    }
+
+    #[test]
+    fn every_field_at_its_maximum_round_trips_alone() {
+        assert_fields_round_trip(&INSTR, KIND_PE);
+        assert_fields_round_trip(&ROUTE, KIND_SWITCH);
+        assert_fields_round_trip(&SYNC, KIND_SYNC);
+        // Header fields: the node at its maximum on an empty component,
+        // the payload count at its maximum over zero route words, and the
+        // kind at its maximum is read whole and rejected.
+        let [node, kind, payload] = HEADER.fields;
+        let words = vec![HEADER.pack([node.max(), KIND_SYNC, 0])];
+        assert_eq!(Bitstream::from_words(&words).unwrap().to_words(), words);
+        let mut words = vec![HEADER.pack([0, KIND_SWITCH, payload.max()])];
+        words.extend((0..payload.max()).map(|_| ROUTE.pack([0, 0])));
+        assert_eq!(Bitstream::from_words(&words).unwrap().to_words(), words);
+        assert_eq!(
+            Bitstream::from_words(&[HEADER.pack([0, kind.max(), 0])]),
+            Err(BitstreamError::UnknownComponentKind {
+                word_index: 0,
+                kind: kind.max() as u8,
+            })
+        );
     }
 }

@@ -918,11 +918,17 @@ mod tests {
         );
     }
 
+    /// Seeds per (preset, path count) and mutation chains per start
+    /// fabric: a debug build checks a slice, a release build (CI's
+    /// `cargo test --release -p dsagen-hwgen --lib config_path`) all of them.
+    const ORACLE_SEEDS: u64 = if cfg!(debug_assertions) { 3 } else { 20 };
+    const ORACLE_CHAINS: u64 = if cfg!(debug_assertions) { 1 } else { 4 };
+
     #[test]
     fn dense_generator_matches_reference_on_presets() {
         for adg in all_presets() {
             for p in 1..=8 {
-                for i in 0..20u64 {
+                for i in 0..ORACLE_SEEDS {
                     assert_matches_reference(&adg, p, i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 }
             }
@@ -934,7 +940,7 @@ mod tests {
         let used = OpSet::integer_alu().union(OpSet::floating_point());
         let mut checked = 0;
         for start in [presets::dse_initial(), presets::softbrain(), presets::spu()] {
-            for chain in 0..4u64 {
+            for chain in 0..ORACLE_CHAINS {
                 let mut adg = start.clone();
                 let mut rng = StdRng::seed_from_u64(chain);
                 for step in 0..40u64 {
@@ -946,7 +952,10 @@ mod tests {
                 }
             }
         }
-        assert!(checked >= 300, "only {checked} mutated fabrics");
+        assert!(
+            checked >= 75 * ORACLE_CHAINS,
+            "only {checked} mutated fabrics"
+        );
     }
 
     #[test]

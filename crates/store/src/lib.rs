@@ -73,8 +73,9 @@ pub struct ArtifactKey {
 }
 
 impl ArtifactKey {
-    /// The entry's file name: three fixed-width hex fields, so the
-    /// address is parseable back out of a directory listing.
+    /// The entry's file name: the three fields as fixed-width hex, joined
+    /// by `-`, with the `.art` suffix [`ArtifactStore::len`] counts. The
+    /// store looks entries up by this name and never parses it back.
     #[must_use]
     pub fn file_name(&self) -> String {
         format!(
