@@ -1,12 +1,12 @@
-//! Typed loading of committed benchmark baseline artifacts.
+//! Typed loading of a committed benchmark baseline artifact.
 //!
-//! CI gates (`bench_compare`, `bench_trajectory`) read committed
-//! `BENCH_*.json` files that may be missing (a brand-new benchmark whose
-//! baseline was never committed), empty (a botched redirect), or partial
-//! (a truncated or hand-edited document). Each of those used to surface
-//! as an opaque I/O or parser string; [`load_artifact`] classifies them
-//! into a [`BaselineError`] whose message says *what to do about it*, so
-//! a red CI run is diagnosable from its last line.
+//! `bench_compare` reads the committed `BENCH_telemetry_overhead.json`,
+//! which may be missing (a baseline never committed), empty (a botched
+//! redirect), or partial (a truncated or hand-edited document). Each of
+//! those used to surface as an opaque I/O or parser string;
+//! [`load_artifact`] classifies them into a [`BaselineError`] whose
+//! message says *what to do about it*, so a red CI run is diagnosable
+//! from its last line.
 
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -1,14 +1,12 @@
 //! Common metrics envelope for `BENCH_*.json` artifacts.
 //!
-//! Every bench binary wraps its JSON payload in one shared envelope so the
-//! comparator, the trajectory appender, and CI tooling can read any
-//! artifact the same way: a schema version, the bench name, a small
-//! key/value metadata block (preset, seed, knobs), the run's
+//! `telemetry_overhead` wraps its JSON payload in this envelope, and
+//! `bench_compare` reads it back: a schema version, the bench name, a
+//! small key/value metadata block (rep counts, the gate), the run's
 //! [`MetricsSnapshot`], and the bench's own document under `payload`.
 //!
-//! Old pre-envelope artifacts are still readable: [`payload`] unwraps an
-//! enveloped document and passes a bare one through unchanged, so gates
-//! written against the payload shape tolerate both generations.
+//! Pre-envelope artifacts are still readable: [`payload`] unwraps an
+//! enveloped document and passes a bare one through unchanged.
 
 use std::fmt::Write as _;
 
@@ -20,10 +18,9 @@ use crate::json::JsonValue;
 /// breaking changes to the envelope's own keys.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// One metadata value: rendered as a JSON string or number.
+/// One metadata value: rendered as a JSON number.
 #[derive(Debug, Clone, PartialEq)]
 enum MetaValue {
-    Str(String),
     Int(u64),
     Num(f64),
 }
@@ -47,15 +44,8 @@ impl Envelope {
         }
     }
 
-    /// Adds a string metadata entry (document order is preserved).
-    #[must_use]
-    pub fn meta(mut self, key: &str, value: &str) -> Self {
-        self.meta
-            .push((key.to_string(), MetaValue::Str(value.to_string())));
-        self
-    }
-
-    /// Adds an integer metadata entry (seeds, rep counts).
+    /// Adds an integer metadata entry (seeds, rep counts); document order
+    /// is preserved.
     #[must_use]
     pub fn meta_int(mut self, key: &str, value: u64) -> Self {
         self.meta.push((key.to_string(), MetaValue::Int(value)));
@@ -90,9 +80,6 @@ impl Envelope {
             }
             let _ = write!(s, "\"{}\": ", escape_json(key));
             match value {
-                MetaValue::Str(v) => {
-                    let _ = write!(s, "\"{}\"", escape_json(v));
-                }
                 MetaValue::Int(v) => {
                     let _ = write!(s, "{v}");
                 }
@@ -111,8 +98,8 @@ impl Envelope {
 
 /// Unwraps an enveloped artifact to its payload; a pre-envelope (bare)
 /// document passes through unchanged. Every comparator gate reads through
-/// this, which is what keeps old committed baselines comparable against
-/// new enveloped candidates.
+/// this, which keeps a bare baseline comparable against an enveloped
+/// candidate.
 #[must_use]
 pub fn payload(doc: &JsonValue) -> &JsonValue {
     match (doc.get("schema_version"), doc.get("payload")) {
@@ -138,8 +125,7 @@ mod tests {
     fn wrap_then_parse_round_trips() {
         let reg = MetricsRegistry::enabled();
         reg.add("dse.iterations", 7);
-        let text = Envelope::new("soak")
-            .meta("preset", "softbrain")
+        let text = Envelope::new("telemetry_overhead")
             .meta_int("seed", 0xC0DE)
             .meta_num("tolerance", 0.25)
             .metrics(reg.snapshot())
@@ -149,12 +135,8 @@ mod tests {
             doc.get("schema_version").and_then(JsonValue::as_f64),
             Some(SCHEMA_VERSION as f64)
         );
-        assert_eq!(bench_name(&doc), Some("soak"));
+        assert_eq!(bench_name(&doc), Some("telemetry_overhead"));
         let meta = doc.get("meta").expect("meta block");
-        assert_eq!(
-            meta.get("preset").and_then(JsonValue::as_str),
-            Some("softbrain")
-        );
         assert_eq!(meta.get("seed").and_then(JsonValue::as_f64), Some(49374.0));
         let metrics = doc.get("metrics").expect("metrics block");
         assert_eq!(

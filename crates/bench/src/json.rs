@@ -1,7 +1,7 @@
-//! Minimal JSON reader for the bench comparator.
+//! Minimal JSON reader for `bench_compare` and the frozen benchmark.
 //!
-//! The vendored `serde` is a stub, and the BENCH artifacts are written by
-//! hand-formatted emitters in this same crate — so reading them back gets
+//! The vendored `serde` is a stub, so reading back the `BENCH_*.json`
+//! artifact and the benchmark's run records, spec and Chrome traces gets
 //! a deliberately small recursive-descent parser instead of a dependency.
 //! It accepts the full JSON grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null) and nothing else.

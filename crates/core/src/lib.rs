@@ -65,8 +65,6 @@ pub use dsagen_store as store;
 pub use dsagen_telemetry as telemetry;
 pub use dsagen_workloads as workloads;
 
-pub mod attribution;
-
 use std::error::Error;
 use std::fmt;
 
@@ -78,7 +76,6 @@ use dsagen_scheduler::{schedule, Evaluation, Problem, Schedule, SchedulerConfig,
 
 /// Commonly used items for `use dsagen::prelude::*`.
 pub mod prelude {
-    pub use crate::attribution::{attribute, Attribution};
     pub use crate::{
         compile, compile_traced, generate, recover, recover_with_degradation, CompileError,
         CompileOptions, Compiled, Hardware,

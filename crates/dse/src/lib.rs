@@ -47,7 +47,6 @@
 mod cache;
 mod explorer;
 mod mutate;
-mod timeline;
 
 pub use cache::CacheStats;
 pub use explorer::{
@@ -55,4 +54,3 @@ pub use explorer::{
     RunControl, StopCause, TelemetrySnapshot,
 };
 pub use mutate::{mutate, Mutation};
-pub use timeline::{DseTimeline, ShardSummary};

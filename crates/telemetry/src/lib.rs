@@ -27,7 +27,7 @@
 //!   log-linear histograms under a stable hierarchical name space,
 //!   accumulated per shard and merged deterministically.
 //! * [`profile`] — a wall-time attribution tree folded
-//!   from recorded spans (the `--bin profile` flame report).
+//!   from recorded spans (the benchmark's per-workload layer tables).
 //! * [`FlightRecorder`] — a bounded ring of recent
 //!   structured events dumped as JSONL alongside terminal errors.
 //!

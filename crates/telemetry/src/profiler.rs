@@ -8,11 +8,9 @@
 //! node carries both **total** time (its whole subtree) and **self** time
 //! (total minus child totals — the share spent in that phase's own code).
 //!
-//! The `--bin profile` flame report in `dsagen-bench` is built on this:
-//! it runs a DSE with fine-grained scheduler/engine spans enabled and
-//! attributes the run's wall time to path search vs. engine vs.
-//! encode/verify, the quantified baseline the ROADMAP's hot-loop rewrite
-//! is gated against.
+//! The frozen benchmark's per-workload layer tables are built on this,
+//! and a workspace test gates a fixed-seed DSE on it: the named children
+//! of the `phase/dse` span must explain at least 95% of its wall time.
 //!
 //! ```
 //! use dsagen_telemetry::{profile, Telemetry};

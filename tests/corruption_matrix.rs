@@ -68,15 +68,19 @@ fn workloads() -> Vec<(&'static str, Kernel)> {
 
 /// Workloads for the runtime-fault matrix: same breadth (≥5 kernels),
 /// but the large gemm is shrunk so the cycle-accurate replay stays fast
-/// in debug builds.
+/// in debug builds; a release build adds the full-size one.
 fn rt_workloads() -> Vec<(&'static str, Kernel)> {
-    vec![
+    let mut kernels = vec![
         ("mvt", polybench::mvt()),
         ("mm16", machsuite::gemm_kernel("mm16", 16)),
         ("atax", polybench::atax()),
         ("bicg", polybench::bicg()),
         ("spmv-crs", machsuite::spmv_crs()),
-    ]
+    ];
+    if !cfg!(debug_assertions) {
+        kernels.push(("mm", machsuite::mm()));
+    }
+    kernels
 }
 
 /// Encodes one scheduled workload to its configuration bitstream.

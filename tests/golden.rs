@@ -478,20 +478,13 @@ fn recovery_row(
     result: &Result<dsagen::sim::RecoveryReport, dsagen::sim::RecoveryError>,
 ) -> String {
     match result {
-        Ok(r) => {
-            let rungs: Vec<String> = r
-                .rung_histogram()
-                .iter()
-                .map(|(rung, n)| format!("{rung}:{n}"))
-                .collect();
-            format!(
-                "{what} total_cycles={} recoveries={} mttr_bits={:016x} rungs=[{}]",
-                r.total_cycles,
-                r.recoveries(),
-                r.mttr_cycles().to_bits(),
-                rungs.join(","),
-            )
-        }
+        Ok(r) => format!(
+            "{what} total_cycles={} recoveries={} mttr_bits={:016x} rungs=[{}]",
+            r.total_cycles,
+            r.recoveries(),
+            r.mttr_cycles().to_bits(),
+            rungs_text(&r.rung_histogram()),
+        ),
         Err(e) => format!("{what} error={e}"),
     }
 }
@@ -795,4 +788,351 @@ fn dse_digest_table() -> String {
 #[test]
 fn dse_digests_match_golden() {
     check_golden("dse_digests.txt", &dse_digest_table());
+}
+
+/// Compares a debug build's sample of the rows of snapshot `name` against
+/// the file a release build blesses: every sampled row must appear in it
+/// verbatim. On a miss it prints the sampled row beside the snapshot row
+/// that shares its longest prefix.
+fn check_golden_sample(name: &str, actual: &str) {
+    assert!(
+        !update_mode(),
+        "bless {name} from a release build: a debug build computes only a sample of its rows"
+    );
+    let path = golden_dir().join(name);
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+    for row in actual.lines() {
+        if expected.lines().any(|line| line == row) {
+            continue;
+        }
+        let shared = |line: &&str| {
+            line.bytes()
+                .zip(row.bytes())
+                .take_while(|(a, b)| a == b)
+                .count()
+        };
+        let nearest = expected.lines().max_by_key(shared).unwrap_or("");
+        panic!(
+            "golden mismatch in {name}: a sampled row is not in the snapshot\n - {nearest}\n + {row}\n\
+(re-bless with UPDATE_GOLDEN=1 cargo test --release -p dsagen --test golden)"
+        );
+    }
+}
+
+/// `{label}:{count}` pairs of a rung histogram.
+fn rungs_text(rungs: &std::collections::BTreeMap<&'static str, usize>) -> String {
+    rungs
+        .iter()
+        .map(|(rung, n)| format!("{rung}:{n}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// One (preset, kernel) pair of the fault sweeps below: compiled at the
+/// default options and simulated fault-free once, or `None` when the
+/// kernel does not map.
+struct SweepCase {
+    adg: dsagen::adg::Adg,
+    kernel: dsagen::dfg::Kernel,
+    mapped: Option<(Compiled, dsagen::sim::SimReport)>,
+}
+
+/// The fault sweeps' cases: `softbrain`, `spu` and `revel`, each with
+/// mvt, atax, bicg, mm, spmv-crs and the two-domain pipe-split.
+/// `sampled` keeps the kernels a debug build can afford (atax, spmv-crs
+/// and pipe-split).
+fn sweep_cases(sampled: bool) -> Vec<SweepCase> {
+    use dsagen::adg::presets;
+    use dsagen::workloads::{machsuite, polybench};
+
+    let mut cases = Vec::new();
+    for adg in [presets::softbrain(), presets::spu(), presets::revel()] {
+        for kernel in [
+            polybench::mvt(),
+            polybench::atax(),
+            polybench::bicg(),
+            machsuite::mm(),
+            machsuite::spmv_crs(),
+            polybench::pipe_split(),
+        ] {
+            if sampled
+                && !["poly-atax", "spmv-crs", "poly-pipe-split"].contains(&kernel.name.as_str())
+            {
+                continue;
+            }
+            let mapped = dsagen::compile(&adg, &kernel, &CompileOptions::default())
+                .ok()
+                .and_then(|c| {
+                    let plain = dsagen::sim::simulate(
+                        &adg,
+                        &c.version,
+                        &c.schedule,
+                        &c.eval,
+                        c.config_path_len,
+                        &dsagen::sim::SimConfig::default(),
+                    )
+                    .ok()?;
+                    Some((c, plain))
+                });
+            cases.push(SweepCase {
+                adg: adg.clone(),
+                kernel,
+                mapped,
+            });
+        }
+    }
+    cases
+}
+
+/// Soak rows: every case under two seeded multi-fault storms sized to its
+/// fault-free run, driven through the degradation ladder; then, unless
+/// `sampled`, per preset the mean MTTR, the mean throughput ratio, the
+/// rung histogram and the full-reschedule count.
+fn soak_rows(out: &mut String, cases: &[SweepCase], sampled: bool) {
+    use dsagen::faults::StormConfig;
+    use dsagen::telemetry::Telemetry;
+
+    let policy = RecoveryPolicy::default();
+    let cfg = dsagen::sim::SimConfig::default();
+    for preset in cases.chunk_by(|a, b| a.adg.name() == b.adg.name()) {
+        let (mut storms, mut degraded, mut mttr_sum, mut ratio_sum) = (0usize, 0usize, 0.0, 0.0);
+        let mut rungs = std::collections::BTreeMap::new();
+        for case in preset {
+            let what = format!("soak {} {}", case.adg.name(), case.kernel.name);
+            let Some((c, plain)) = &case.mapped else {
+                let _ = writeln!(out, "{what} unmapped");
+                continue;
+            };
+            for seed in [0x50ACu64, 77] {
+                let storm = FaultSchedule::storm(
+                    seed,
+                    &StormConfig {
+                        horizon: plain.cycles.max(256),
+                        ..StormConfig::default()
+                    },
+                );
+                let run = dsagen::recover_with_degradation(
+                    &case.adg,
+                    c,
+                    &cfg,
+                    &storm,
+                    &policy,
+                    &Telemetry::disabled(),
+                )
+                .unwrap_or_else(|e| panic!("{what} seed {seed:#x}: storm aborted: {e}"));
+                let report = run.report();
+                let _ = writeln!(
+                    out,
+                    "{what} seed={seed:#x} storm={} events={} mttr={:?} ratio={:?} degraded={} \
+rungs=[{}]",
+                    storm.len(),
+                    report.events.len(),
+                    report.mttr_cycles(),
+                    run.throughput_ratio(),
+                    run.is_degraded(),
+                    rungs_text(&report.rung_histogram()),
+                );
+                storms += 1;
+                degraded += usize::from(run.is_degraded());
+                mttr_sum += report.mttr_cycles();
+                ratio_sum += run.throughput_ratio();
+                for (rung, n) in report.rung_histogram() {
+                    *rungs.entry(rung).or_insert(0) += n;
+                }
+            }
+        }
+        if sampled {
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "soak {} storms={storms} degraded={degraded} mean_mttr={:?} mean_ratio={:?} \
+rungs=[{}] full_reschedules={}",
+            preset[0].adg.name(),
+            mttr_sum / storms.max(1) as f64,
+            ratio_sum / storms.max(1) as f64,
+            rungs_text(&rungs),
+            rungs.get("full-reschedule").copied().unwrap_or(0),
+        );
+    }
+}
+
+/// Recovery rows: every case but pipe-split under one dead PE arriving a
+/// third of the way into the fault-free run, once transient (clearing
+/// after 4096 cycles) and once permanent, each with its MTTR, whether it
+/// recovered and its throughput ratio.
+fn recovery_rows(out: &mut String, cases: &[SweepCase]) {
+    use dsagen::faults::FaultKind;
+    use dsagen::telemetry::Telemetry;
+
+    let policy = RecoveryPolicy::default();
+    let cfg = dsagen::sim::SimConfig::default();
+    for case in cases.iter().filter(|c| c.kernel.name != "poly-pipe-split") {
+        let what = format!("recovery {} {}", case.adg.name(), case.kernel.name);
+        let Some((c, plain)) = &case.mapped else {
+            let _ = writeln!(out, "{what} unmapped");
+            continue;
+        };
+        let arrival = (plain.cycles / 3).max(1);
+        for (label, lifetime) in [
+            ("transient", FaultLifetime::Transient { duration: 4096 }),
+            ("permanent", FaultLifetime::Permanent),
+        ] {
+            let faults = FaultSchedule::new(0x5EC0_7E3A).with(arrival, lifetime, FaultKind::DeadPe);
+            let row =
+                match dsagen::recover(&case.adg, c, &cfg, &faults, &policy, &Telemetry::disabled())
+                {
+                    Ok(r) => format!(
+                        "recovered=true mttr={:?} ratio={:?} rungs=[{}]",
+                        r.mttr_cycles(),
+                        r.throughput_ratio.unwrap_or(1.0),
+                        rungs_text(&r.rung_histogram()),
+                    ),
+                    Err(e) => format!("recovered=false error={e}"),
+                };
+            let _ = writeln!(out, "{what} cycles={} {label} {row}", plain.cycles);
+        }
+    }
+}
+
+/// Configuration-plane rows: each configuration delivered over a channel
+/// that flips one bit on the first round, with the programming attempts
+/// and CRC failures it took to verify.
+fn config_integrity_rows(out: &mut String) {
+    use dsagen::adg::presets;
+    use dsagen::dfg::{compile_kernel, TransformConfig};
+    use dsagen::faults::{corrupt_frames, FaultKind, FaultPlan};
+    use dsagen::hwgen::{Bitstream, ProgrammingSession, SessionConfig};
+    use dsagen::scheduler::{schedule, Problem, Start};
+    use dsagen::telemetry::Telemetry;
+    use dsagen::workloads::{machsuite, polybench};
+
+    const SEED: u64 = 0xC0DE;
+    let fixtures = [
+        (presets::softbrain(), polybench::mvt()),
+        (presets::softbrain(), machsuite::mm()),
+        (presets::revel(), polybench::mvt()),
+    ];
+    for (adg, kernel) in &fixtures {
+        let ck = compile_kernel(kernel, &TransformConfig::fallback(), &adg.features())
+            .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, adg.name()));
+        let cfg = SchedulerConfig {
+            max_iters: 60,
+            seed: SEED,
+            ..SchedulerConfig::default()
+        };
+        let s = schedule(adg, &ck, &Start::Empty, &cfg, &Telemetry::disabled())
+            .expect("an empty start pins nothing");
+        let bs = Bitstream::encode(&Problem::new(adg, &ck), &s.schedule);
+        let plan = FaultPlan::new(SEED).with(FaultKind::BitFlip);
+        let report =
+            ProgrammingSession::new(&bs, SessionConfig::default()).program(|round, framed| {
+                if round == 0 {
+                    corrupt_frames(framed, &plan).0
+                } else {
+                    framed.to_vec()
+                }
+            });
+        let _ = writeln!(
+            out,
+            "config-integrity {} {} words={} verified={} recovery_attempts={} crc_failures={}",
+            adg.name(),
+            kernel.name,
+            bs.to_words().len(),
+            report.is_verified(),
+            report.attempts,
+            report.crc_failures,
+        );
+    }
+}
+
+/// The service row: two request seeds for each of `mm` and `centro-fir`
+/// served cold against an empty on-disk store, then again by a fresh
+/// service over the reopened store; the artifacts the cold pass persisted
+/// and the requests both passes completed.
+fn service_row(out: &mut String) {
+    use dsagen::dse::DseConfig;
+    use dsagen::service::{CompileRequest, Service, ServiceConfig};
+    use dsagen::telemetry::Telemetry;
+
+    use dsagen::workloads::{suite_kernels, Suite};
+
+    let kernels: Vec<dsagen::dfg::Kernel> = suite_kernels(Suite::MachSuite)
+        .into_iter()
+        .chain(suite_kernels(Suite::Dsp))
+        .filter(|k| k.name == "mm" || k.name == "centro-fir")
+        .collect();
+    let root = std::env::temp_dir().join(format!("dsagen-golden-service-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut persisted = 0;
+    let mut completed = 0;
+    for _pass in ["cold", "warm"] {
+        let store = dsagen::store::open_default(&root).expect("open a scratch store");
+        let svc = Service::start(
+            ServiceConfig {
+                workers: 2,
+                queue_depth: 8,
+                default_deadline_ms: None,
+            },
+            Some(store.clone()),
+            Telemetry::disabled(),
+        );
+        let mut tickets = Vec::new();
+        for kernel in &kernels {
+            for s in 0..2u64 {
+                let seed = 0x5E47 ^ (s << 8);
+                let request = CompileRequest {
+                    tenant: format!("{}-{seed:x}", kernel.name),
+                    adg: dsagen::adg::presets::dse_initial(),
+                    kernels: vec![kernel.clone()],
+                    dse: DseConfig {
+                        seed,
+                        max_iters: 3,
+                        patience: 3,
+                        sched_iters: 40,
+                        max_unroll: 1,
+                        shards: 1,
+                        threads: 1,
+                        ..DseConfig::default()
+                    },
+                    deadline_ms: None,
+                    cancel: None,
+                };
+                tickets.push(svc.submit(request).expect("a depth-8 queue admits 4"));
+            }
+        }
+        for t in tickets {
+            t.wait().expect("worker replies");
+        }
+        completed += svc.drain().completed;
+        if persisted == 0 {
+            persisted = store.len();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = writeln!(out, "service persisted={persisted} completed={completed}");
+}
+
+/// Pins the fault-recovery and service outcomes exactly: soak storms,
+/// single-fault recovery, configuration-plane retries and the service's
+/// persisted and completed counts. A release build computes every row;
+/// a debug build computes a sample and checks it against the same file.
+fn recovery_digest_table(sampled: bool) -> String {
+    let mut out = String::new();
+    let cases = sweep_cases(sampled);
+    soak_rows(&mut out, &cases, sampled);
+    recovery_rows(&mut out, &cases);
+    config_integrity_rows(&mut out);
+    service_row(&mut out);
+    out
+}
+
+#[test]
+fn recovery_digests_match_golden() {
+    if cfg!(debug_assertions) {
+        check_golden_sample("recovery_digests.txt", &recovery_digest_table(true));
+    } else {
+        check_golden("recovery_digests.txt", &recovery_digest_table(false));
+    }
 }

@@ -9,7 +9,8 @@
 //! * `FlightRecorder::dump_on_error` firing on shed storms and store
 //!   quarantines (a dump lands in `$DSAGEN_FLIGHT_DIR`);
 //! * `store.quarantine.*` metrics snapshots identical at 1 and 4 reader
-//!   threads.
+//!   threads;
+//! * a service warm-starting from a reopened store, and shedding a burst.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -480,5 +481,83 @@ fn explorer_warm_starts_from_a_reopened_store() {
         "store tier must not change the explored outcome"
     );
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The service end to end: requests served cold persist artifacts, a fresh
+/// service over the reopened store serves the same requests from them, and
+/// a burst against one worker with a depth-1 queue sheds typed.
+#[test]
+fn service_warm_starts_from_a_reopened_store_and_sheds_a_burst() {
+    let root = tmp("service-warm");
+    let _ = std::fs::remove_dir_all(&root);
+    let kernels: Vec<Kernel> = suite_kernels(Suite::MachSuite)
+        .into_iter()
+        .chain(suite_kernels(Suite::Dsp))
+        .filter(|k| k.name == "mm" || k.name == "centro-fir")
+        .collect();
+    let request = |kernel: &Kernel, seed: u64| CompileRequest {
+        tenant: format!("{}-{seed:x}", kernel.name),
+        adg: presets::dse_initial(),
+        kernels: vec![kernel.clone()],
+        dse: DseConfig {
+            seed,
+            max_iters: 3,
+            patience: 3,
+            sched_iters: 40,
+            max_unroll: 1,
+            shards: 1,
+            threads: 1,
+            ..DseConfig::default()
+        },
+        deadline_ms: None,
+        cancel: None,
+    };
+    let config = |workers, queue_depth| ServiceConfig {
+        workers,
+        queue_depth,
+        default_deadline_ms: None,
+    };
+
+    let mut store_hits = Vec::new();
+    for _pass in ["cold", "warm"] {
+        let store = open_default(&root).expect("open store");
+        let svc = Service::start(config(2, 8), Some(store.clone()), Telemetry::disabled());
+        let tickets: Vec<_> = kernels
+            .iter()
+            .flat_map(|k| [0u64, 1].map(|s| request(k, 0x5E47 ^ (s << 8))))
+            .map(|req| svc.submit(req).expect("a depth-8 queue admits 4"))
+            .collect();
+        let mut hits = 0;
+        for t in tickets {
+            let outcome = t.wait().expect("worker replies");
+            assert!(outcome.stopped.is_none(), "no deadline or cancel set");
+            hits += outcome.cache.store_hits;
+        }
+        assert_eq!(svc.drain().completed, 4);
+        assert!(!store.is_empty(), "the cold pass must persist artifacts");
+        store_hits.push(hits);
+    }
+    assert!(
+        store_hits[1] > 0,
+        "the warm pass must hit the store tier: {store_hits:?}"
+    );
+
+    let store = open_default(&root).expect("reopen store");
+    let svc = Service::start(config(1, 1), Some(store), Telemetry::disabled());
+    let mut tickets = Vec::new();
+    let mut shed = 0;
+    for i in 0..6 {
+        match svc.submit(request(&kernels[i % kernels.len()], 0x5E47)) {
+            Ok(t) => tickets.push(t),
+            Err(Rejected::QueueFull { .. }) => shed += 1,
+            Err(other) => panic!("expected QueueFull, got {other}"),
+        }
+    }
+    for t in tickets {
+        t.wait().expect("an admitted request completes");
+    }
+    assert!(shed > 0, "a burst against a depth-1 queue must shed");
+    assert_eq!(svc.drain().shed, shed, "the service counts what it shed");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -49,8 +49,10 @@ fn fixtures() -> Vec<(&'static str, Adg)> {
     ]
 }
 
+/// The soak kernels. A release build adds the full-size gemm, which a
+/// debug build cannot replay under storms in affordable time.
 fn workloads() -> Vec<(&'static str, Kernel)> {
-    vec![
+    let mut kernels = vec![
         ("mvt", dsagen::workloads::polybench::mvt()),
         ("atax", dsagen::workloads::polybench::atax()),
         ("bicg", dsagen::workloads::polybench::bicg()),
@@ -60,7 +62,11 @@ fn workloads() -> Vec<(&'static str, Kernel)> {
         ),
         ("spmv-crs", dsagen::workloads::machsuite::spmv_crs()),
         ("pipe-split", dsagen::workloads::polybench::pipe_split()),
-    ]
+    ];
+    if !cfg!(debug_assertions) {
+        kernels.push(("mm", dsagen::workloads::machsuite::mm()));
+    }
+    kernels
 }
 
 /// Compiles `kernel` onto `adg`; `None` when the kernel does not map.
@@ -188,15 +194,22 @@ fn storm_replay_is_bit_identical() {
     }
 }
 
+/// Each prefix is a full cycle-accurate replay, so a debug build sweeps
+/// `softbrain` only and a release build every preset.
 #[test]
 fn degradation_is_monotonic_over_storm_prefixes() {
     let policy = RecoveryPolicy::default();
-    let (_, adg) = &fixtures()[0];
-    let (kname, kernel) = &workloads()[0];
-    let (compiled, plain_firings) = build(adg, kernel).expect("softbrain/mvt maps");
-    // One seed (the sharded one under DSAGEN_SOAK_SEED): each prefix is
-    // a full cycle-accurate replay, so the sweep is kept narrow.
-    {
+    let presets = fixtures();
+    let presets = if cfg!(debug_assertions) {
+        &presets[..1]
+    } else {
+        &presets[..]
+    };
+    for (preset, adg) in presets {
+        let (kname, kernel) = &workloads()[0];
+        let (compiled, plain_firings) =
+            build(adg, kernel).unwrap_or_else(|| panic!("{preset}/{kname} maps"));
+        // One seed (the sharded one under DSAGEN_SOAK_SEED).
         let seed = seeds()[0];
         let storm = storm_for(seed, compiled.perf.cycles as u64);
         let mut prev_ratio = f64::INFINITY;
@@ -210,15 +223,18 @@ fn degradation_is_monotonic_over_storm_prefixes() {
                 &policy,
                 &Telemetry::disabled(),
             )
-            .unwrap_or_else(|e| panic!("{kname} seed {seed:#x} prefix {k}: {e}"));
+            .unwrap_or_else(|e| panic!("{preset}/{kname} seed {seed:#x} prefix {k}: {e}"));
             let total: u64 = out.report().report.firings.iter().sum();
-            assert_eq!(total, plain_firings, "{kname} seed {seed:#x} prefix {k}");
+            assert_eq!(
+                total, plain_firings,
+                "{preset}/{kname} seed {seed:#x} prefix {k}"
+            );
             let ratio = out.throughput_ratio();
             // More faults can only slow the fabric down. Repair is a
             // stochastic search, so allow a small jitter tolerance.
             assert!(
                 ratio <= prev_ratio + 0.10,
-                "{kname} seed {seed:#x}: prefix {k} ratio {ratio:.3} improved past \
+                "{preset}/{kname} seed {seed:#x}: prefix {k} ratio {ratio:.3} improved past \
 {prev_ratio:.3}"
             );
             prev_ratio = ratio.min(prev_ratio);

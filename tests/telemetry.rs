@@ -244,41 +244,8 @@ fn instrumented_compile_is_invisible_and_produces_loadable_trace() {
 }
 
 #[test]
-fn attribution_report_joins_model_and_simulation() {
-    let adg = dsagen::adg::presets::softbrain();
-    let opts = quick_opts();
-    let tel = Telemetry::in_memory();
-    let mut rows = Vec::new();
-    for kernel in [
-        dsagen::workloads::polybench::mvt(),
-        dsagen::workloads::machsuite::mm(),
-    ] {
-        let compiled = dsagen::compile_traced(&adg, &kernel, &opts, &tel).expect("compiles");
-        rows.push(
-            attribute(&adg, &kernel.name, &compiled, &SimConfig::default(), &tel)
-                .expect("healthy fabric simulates"),
-        );
-    }
-    for row in &rows {
-        assert!(row.measured_cycles > 0);
-        assert!(row.error.is_finite());
-        assert!(!row.regions.is_empty());
-        assert!((0.0..=1.0).contains(&row.agreement_rate()));
-        // The JSON artifact is balanced.
-        let json = row.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-    let table = dsagen::attribution::attribution_table(&rows);
-    assert!(table.contains("mvt"), "{table}");
-    assert!(table.contains("mm"), "{table}");
-    assert!(table.contains("err%"), "{table}");
-    // Attribution events were emitted alongside the phase spans.
-    assert!(tel.events().iter().any(|e| e.cat == "attribution"));
-}
-
-#[test]
-fn dse_telemetry_is_invisible_and_timeline_folds_the_trace() {
-    use dsagen::dse::{DseConfig, DseTimeline, Explorer};
+fn dse_telemetry_is_invisible() {
+    use dsagen::dse::{DseConfig, Explorer};
     let kernels = vec![
         dsagen::workloads::polybench::mvt(),
         dsagen::workloads::dsp::fir16(),
@@ -315,21 +282,46 @@ fn dse_telemetry_is_invisible_and_timeline_folds_the_trace() {
         .count();
     let expected: usize = traced.shard_traces.iter().map(Vec::len).sum();
     assert_eq!(iters, expected, "one iteration event per trace record");
+}
 
-    // The timeline folds the trace: totals agree with the records.
-    let timeline = DseTimeline::from_result(&traced, ex.telemetry_snapshot());
-    assert_eq!(timeline.iters, traced.trace.len());
-    assert_eq!(
-        timeline.accepted,
-        traced.trace.iter().filter(|r| r.accepted).count()
+/// A fixed-seed exploration folded by `profile`: the `phase/dse` span
+/// holds a `sched/path_search` bucket, and its named child buckets cover
+/// at least 95% of it, so no phase of the explorer runs outside a span.
+#[test]
+fn profile_attributes_the_dse_span_to_named_buckets() {
+    use dsagen::dse::{DseConfig, Explorer};
+    let kernels = vec![
+        dsagen::workloads::polybench::mvt(),
+        dsagen::workloads::machsuite::mm(),
+    ];
+    let cfg = DseConfig {
+        seed: 0x9806,
+        shards: 2,
+        threads: 1,
+        max_iters: 16,
+        patience: 16,
+        sched_iters: 60,
+        max_unroll: 4,
+        ..DseConfig::default()
+    };
+    let tel = Telemetry::in_memory();
+    Explorer::new(dsagen::adg::presets::dse_initial(), &kernels, cfg)
+        .with_telemetry(tel.clone())
+        .run();
+    let report = dsagen::telemetry::profile(&tel.events());
+    let flame = report.flame();
+    let dse = report.find("dse").expect("a phase/dse span");
+    assert_eq!(dse.key(), "phase/dse");
+    assert!(
+        dse.children.iter().any(|c| c.key() == "sched/path_search"),
+        "no sched/path_search bucket under phase/dse:\n{flame}"
     );
-    assert_eq!(timeline.shards.len(), traced.shard_traces.len());
-    let rendered = timeline.render();
-    assert!(rendered.contains("DSE timeline"), "{rendered}");
-    assert!(rendered.contains("shard"), "{rendered}");
-    let json = timeline.to_json();
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert!(json.contains("\"shards\":["), "{json}");
+    let named: u64 = dse.children.iter().map(|c| c.total_us).sum();
+    assert!(
+        named as f64 >= 0.95 * dse.total_us as f64,
+        "named buckets cover {named} of {} us of phase/dse:\n{flame}",
+        dse.total_us
+    );
 }
 
 #[test]
