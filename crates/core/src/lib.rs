@@ -348,12 +348,11 @@ pub fn recover(
     )
 }
 
-/// [`recover`] with the degradation ladder's typed outcome: distinguishes
+/// [`recover`] with the recovery ladder's typed outcome: distinguishes
 /// a full-fidelity [`dsagen_sim::RecoveryOutcome::Recovered`] finish from
 /// a [`dsagen_sim::RecoveryOutcome::Degraded`] one (structural repair
 /// exhausted; the run finished on the surviving fabric at a measured
-/// fraction of fault-free throughput). Convenience wrapper over
-/// [`dsagen_sim::run_with_degradation`].
+/// fraction of fault-free throughput).
 ///
 /// # Errors
 ///
@@ -367,17 +366,7 @@ pub fn recover_with_degradation(
     policy: &dsagen_sim::RecoveryPolicy,
     tel: &dsagen_telemetry::Telemetry,
 ) -> Result<dsagen_sim::RecoveryOutcome, dsagen_sim::RecoveryError> {
-    dsagen_sim::run_with_degradation(
-        adg,
-        &compiled.version,
-        &compiled.schedule,
-        &compiled.eval,
-        compiled.config_path_len,
-        cfg,
-        faults,
-        policy,
-        tel,
-    )
+    recover(adg, compiled, cfg, faults, policy, tel).map(dsagen_sim::RecoveryOutcome::from)
 }
 
 #[cfg(test)]

@@ -422,7 +422,7 @@ impl Explorer {
             repair_attempts: 2,
             ..dsagen_sim::RecoveryPolicy::default()
         };
-        let raw = match dsagen_sim::run_with_degradation(
+        let raw = match dsagen_sim::run_with_recovery(
             adg,
             version,
             sched,
@@ -436,8 +436,7 @@ impl Explorer {
             // A degraded-mode finish is scored by what actually survives
             // — the measured throughput fraction — rather than the blunt
             // `failure_factor` the fail-stop path used to charge.
-            Ok(out) => {
-                let rep = out.report();
+            Ok(rep) => {
                 if rep.total_cycles > 0 {
                     (fault_free.cycles as f64 / rep.total_cycles as f64).clamp(0.0, 1.0)
                 } else {

@@ -728,28 +728,6 @@ mod tests {
 
     use super::*;
 
-    impl FaultKind {
-        /// The port/lane-scoped fault kinds: damage below node granularity,
-        /// where repair can reroute around one port instead of decommissioning
-        /// the whole component. Listed separately from [`FaultKind::ALL`] so
-        /// existing seeded draws stay stable.
-        const PORT_LEVEL: [FaultKind; 3] = [
-            FaultKind::DeadPort,
-            FaultKind::StuckLane,
-            FaultKind::DegradedLink { capacity: 50 },
-        ];
-
-        /// Whether this kind scopes damage to a single port or lane (see
-        /// [`FaultKind::PORT_LEVEL`]). Payload-carrying kinds match on the
-        /// variant, not the payload.
-        fn is_port_level(self) -> bool {
-            matches!(
-                self,
-                FaultKind::DeadPort | FaultKind::StuckLane | FaultKind::DegradedLink { .. }
-            )
-        }
-    }
-
     impl FaultPlan {
         /// A plan of `count` *config-plane* faults drawn uniformly from
         /// [`FaultKind::CONFIG_PLANE`] using `seed` (the same seed also drives
@@ -913,20 +891,6 @@ mod tests {
             degraded.in_edges(victim.dst).count() >= 1,
             "dead-port must prefer nodes with surviving ports"
         );
-    }
-
-    #[test]
-    fn port_level_kinds_are_partitioned() {
-        for kind in FaultKind::PORT_LEVEL {
-            assert!(kind.is_port_level(), "{kind} misclassified");
-            assert!(!kind.is_config_plane(), "{kind} misclassified");
-            assert_eq!(kind.plane(), "structural");
-        }
-        for kind in FaultKind::ALL.iter().chain(&FaultKind::CONFIG_PLANE) {
-            assert!(!kind.is_port_level(), "{kind} misclassified");
-        }
-        // Payload does not affect classification.
-        assert!(FaultKind::DegradedLink { capacity: 3 }.is_port_level());
     }
 
     #[test]

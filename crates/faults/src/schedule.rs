@@ -15,6 +15,12 @@
 //! runtime simulator (`dsagen_sim::runtime`), using [`FaultSchedule::seed`]
 //! so the same schedule always strikes the same hardware.
 //!
+//! Two generators build schedules: [`FaultSchedule::random`] draws the
+//! node/link [`RUNTIME_KINDS`] with a uniform lifetime mix, and
+//! [`FaultSchedule::storm`] draws bursts of correlated faults that also
+//! include the port-level kinds, with lifetimes escalating from transient
+//! toward permanent across the storm.
+//!
 //! Determinism contract: every function here is a pure function of the
 //! seed — the same `(seed, count, horizon)` always yields the same
 //! schedule, which is what makes recovery experiments reproducible.
@@ -126,8 +132,8 @@ pub const RUNTIME_KINDS: [FaultKind; 3] = [
 /// The fault kinds a [`FaultSchedule::storm`] draw can produce: the
 /// node/link kinds of [`RUNTIME_KINDS`] plus the port/lane-scoped kinds
 /// ([`FaultKind::DeadPort`], [`FaultKind::StuckLane`],
-/// [`FaultKind::DegradedLink`]) that exercise the repair ladder's
-/// port-mask rungs. Kept separate from [`RUNTIME_KINDS`] so existing
+/// [`FaultKind::DegradedLink`]) that exercise the recovery ladder's
+/// port-reroute rung. Kept separate from [`RUNTIME_KINDS`] so existing
 /// seeded [`FaultSchedule::random`] draws stay stable.
 pub(crate) const STORM_KINDS: [FaultKind; 6] = [
     FaultKind::DeadPe,
@@ -144,9 +150,9 @@ pub(crate) const STORM_KINDS: [FaultKind; 6] = [
 /// cluster within [`StormConfig::spread`] cycles of a shared burst center
 /// (correlated neighbors — one thermal event or voltage droop taking out
 /// several elements at once). Burst centers are spaced evenly across the
-/// horizon with seed-derived jitter. With [`StormConfig::escalate`] set,
-/// early bursts lean transient and later bursts lean permanent, modelling
-/// progressive wear-out.
+/// horizon with seed-derived jitter. Lifetimes escalate: early bursts lean
+/// transient and later bursts lean permanent, modelling progressive
+/// wear-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StormConfig {
     /// Number of bursts spread across the horizon.
@@ -157,12 +163,6 @@ pub struct StormConfig {
     pub horizon: u64,
     /// Maximum cycles between a burst's center and its members' arrivals.
     pub spread: u64,
-    /// Whether lifetimes escalate from transient toward permanent as the
-    /// storm progresses (false: uniform mix like [`FaultSchedule::random`]).
-    pub escalate: bool,
-    /// Whether to draw kinds from `STORM_KINDS` (true) or only the
-    /// node/link kinds of [`RUNTIME_KINDS`] (false).
-    pub port_faults: bool,
 }
 
 impl Default for StormConfig {
@@ -172,8 +172,6 @@ impl Default for StormConfig {
             burst_size: 2,
             horizon: 4096,
             spread: 32,
-            escalate: true,
-            port_faults: true,
         }
     }
 }
@@ -243,7 +241,7 @@ impl FaultSchedule {
     }
 
     /// A seeded multi-fault storm shaped by `cfg`: bursts of correlated
-    /// arrivals with (optionally) escalating permanence. Deterministic in
+    /// arrivals with escalating permanence. Deterministic in
     /// `(seed, cfg)`, and **prefix-stable**: truncating the fault list to
     /// its first `k` entries yields exactly the first `k` faults every
     /// richer storm from the same `(seed, cfg)` starts with — which is
@@ -254,11 +252,6 @@ impl FaultSchedule {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5707_A11E_D5A6_E401u64);
         let bursts = cfg.bursts.max(1);
         let horizon = cfg.horizon.max(2);
-        let kinds: &[FaultKind] = if cfg.port_faults {
-            &STORM_KINDS
-        } else {
-            &RUNTIME_KINDS
-        };
         let mut faults = Vec::with_capacity(bursts * cfg.burst_size);
         for b in 0..bursts {
             // Centers spaced evenly, jittered by up to half a slot.
@@ -272,40 +265,27 @@ impl FaultSchedule {
                 1.0
             };
             for _ in 0..cfg.burst_size {
-                let mut kind = kinds[rng.gen_range(0..kinds.len())];
+                let mut kind = STORM_KINDS[rng.gen_range(0..STORM_KINDS.len())];
                 if let FaultKind::DegradedLink { .. } = kind {
                     kind = FaultKind::DegradedLink {
                         capacity: rng.gen_range(30..90u8),
                     };
                 }
                 let arrival = (center + rng.gen_range(0..cfg.spread.max(1))).max(1);
-                let lifetime = if cfg.escalate {
-                    // Early bursts clear on their own; late bursts are
-                    // wear-out: permanently broken hardware.
-                    let roll = rng.gen_range(0.0..1.0f64);
-                    if roll < 1.0 - progress {
-                        FaultLifetime::Transient {
-                            duration: rng.gen_range(16..512u64),
-                        }
-                    } else if roll < 1.0 - progress / 2.0 {
-                        FaultLifetime::Intermittent {
-                            period: rng.gen_range(64..512u64),
-                            duty: rng.gen_range(8..64u64),
-                        }
-                    } else {
-                        FaultLifetime::Permanent
+                // Early bursts clear on their own; late bursts are
+                // wear-out: permanently broken hardware.
+                let roll = rng.gen_range(0.0..1.0f64);
+                let lifetime = if roll < 1.0 - progress {
+                    FaultLifetime::Transient {
+                        duration: rng.gen_range(16..512u64),
+                    }
+                } else if roll < 1.0 - progress / 2.0 {
+                    FaultLifetime::Intermittent {
+                        period: rng.gen_range(64..512u64),
+                        duty: rng.gen_range(8..64u64),
                     }
                 } else {
-                    match rng.gen_range(0..3u8) {
-                        0 => FaultLifetime::Transient {
-                            duration: rng.gen_range(16..512u64),
-                        },
-                        1 => FaultLifetime::Intermittent {
-                            period: rng.gen_range(64..512u64),
-                            duty: rng.gen_range(8..64u64),
-                        },
-                        _ => FaultLifetime::Permanent,
-                    }
+                    FaultLifetime::Permanent
                 };
                 faults.push(TimedFault {
                     arrival,
@@ -368,24 +348,6 @@ mod tests {
         }
     }
 
-    impl FaultSchedule {
-        /// Projects the *permanent* faults onto a plain `FaultPlan` — the
-        /// static damage an offline tool (e.g. `inject`) would see once every
-        /// permanent fault has arrived. Transient and intermittent faults
-        /// have no static projection.
-        fn structural_plan(&self) -> crate::FaultPlan {
-            crate::FaultPlan {
-                seed: self.seed,
-                faults: self
-                    .faults
-                    .iter()
-                    .filter(|f| f.lifetime.is_permanent())
-                    .map(|f| f.kind)
-                    .collect(),
-            }
-        }
-    }
-
     #[test]
     fn lifetimes_activate_correctly() {
         let t = FaultLifetime::Transient { duration: 10 };
@@ -431,21 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn structural_plan_keeps_only_permanent_faults() {
-        let s = FaultSchedule::new(7)
-            .with(10, FaultLifetime::Permanent, FaultKind::DeadPe)
-            .with(
-                20,
-                FaultLifetime::Transient { duration: 5 },
-                FaultKind::SeveredLink,
-            )
-            .with(30, FaultLifetime::Permanent, FaultKind::StuckSwitch);
-        let plan = s.structural_plan();
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.faults, vec![FaultKind::DeadPe, FaultKind::StuckSwitch]);
-    }
-
-    #[test]
     fn storm_is_reproducible_bounded_and_prefix_stable() {
         let cfg = StormConfig::default();
         let a = FaultSchedule::storm(0xBADC_0FFE, &cfg);
@@ -485,7 +432,6 @@ mod tests {
             burst_size: 3,
             horizon: 8192,
             spread: 16,
-            ..StormConfig::default()
         };
         let s = FaultSchedule::storm(7, &cfg);
         for burst in s.faults.chunks(cfg.burst_size) {
@@ -500,7 +446,6 @@ mod tests {
         let cfg = StormConfig {
             bursts: 8,
             burst_size: 4,
-            escalate: true,
             ..StormConfig::default()
         };
         // Across seeds, the last burst must be more permanent than the
@@ -527,18 +472,6 @@ mod tests {
             last > first,
             "escalation missing: first={first} last={last}"
         );
-    }
-
-    #[test]
-    fn storm_without_port_faults_stays_node_scoped() {
-        let cfg = StormConfig {
-            port_faults: false,
-            ..StormConfig::default()
-        };
-        let s = FaultSchedule::storm(3, &cfg);
-        for f in &s.faults {
-            assert!(RUNTIME_KINDS.contains(&f.kind), "{f}");
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! scheduler* for design-space exploration and fault recovery: placements
 //! referencing deleted hardware are dropped, the remainder is kept, and the
 //! same iteration loop finishes the job — far cheaper than re-mapping from
-//! scratch when the ADG changed incrementally. A [`Scope`] pins every
+//! scratch when the ADG changed incrementally. A repair's scope pins every
 //! region outside it, which is how a recovery rung repairs one
 //! fault-isolation domain; a [`CapabilityMask`] builds the degraded fabric
 //! such a repair runs on.
@@ -52,5 +52,5 @@ pub use route::route;
 pub use schedule::Schedule;
 pub use scheduler::{
     schedule, schedule_instrumented, RepairOutcome, ScheduleError, ScheduleResult, SchedulerConfig,
-    Scope, Start,
+    Start,
 };

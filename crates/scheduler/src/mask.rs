@@ -1,19 +1,11 @@
-//! Capability masks: quarantine damaged hardware at sub-node granularity.
+//! Capability masks: quarantine damaged hardware below whole-fabric
+//! granularity.
 //!
-//! PR 5's recovery path was all-or-nothing — any permanent fault
-//! decommissioned the whole victim node or link. A capability mask lets
-//! repair express *"this node works except input port 2"*: masked edges,
-//! ports, and nodes are removed from a scratch copy of the ADG and a
-//! [`crate::Start::Repair`] runs against that, so the scheduler reroutes
-//! around exactly the damage and nothing more. Masks compose the
-//! degradation ladder's structural rungs (port → node) used by
-//! `dsagen_sim::recovery`:
-//!
-//! 1. mask the afflicted **port** only (cheap repair, everything else on
-//!    the node keeps serving);
-//! 2. same mask, escalated repair budget;
-//! 3. decommission the whole **node** — the pre-existing fail-stop
-//!    behaviour, now the *last* structural rung instead of the only one.
+//! A mask names links and nodes to take offline. [`CapabilityMask::apply`]
+//! removes them from a scratch copy of the ADG, and a [`crate::Start::Repair`]
+//! runs against that copy, so the scheduler reroutes around exactly the
+//! damage and nothing more. The recovery ladder in `dsagen_sim::recovery`
+//! masks the afflicted link first, then its whole node.
 //!
 //! A mask is data, not policy: [`CapabilityMask::apply`] either yields a
 //! still-valid degraded ADG or a typed [`MaskError`], so a rung whose
@@ -25,17 +17,12 @@ use std::fmt;
 
 use dsagen_adg::{Adg, EdgeId, NodeId};
 
-/// A set of hardware capabilities to take offline, at three granularities:
-/// whole nodes, whole edges, and single input ports (a `(node, port)` pair
-/// — masked by removing the one edge occupying that port slot).
+/// A set of hardware capabilities to take offline, at two granularities:
+/// single links (a dead port is the one link occupying it) and whole nodes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapabilityMask {
     /// Edges to remove outright.
     pub edges: BTreeSet<EdgeId>,
-    /// Input ports to remove, as `(owner node, input port index)`. The
-    /// port index is the edge's position in the owner's input adjacency
-    /// (`Adg::input_port_of`).
-    pub ports: BTreeSet<(NodeId, usize)>,
     /// Nodes to decommission entirely (with all their links).
     pub nodes: BTreeSet<NodeId>,
 }
@@ -43,7 +30,7 @@ pub struct CapabilityMask {
 /// Why a mask could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaskError {
-    /// A masked element does not exist (or a port index is out of range).
+    /// A masked element does not exist.
     Missing(String),
     /// Removing the masked elements broke graph validity — the mask is
     /// structurally infeasible on this fabric (for example masking the
@@ -88,9 +75,6 @@ impl CapabilityMask {
     #[must_use]
     pub fn describe(&self, adg: &Adg) -> Vec<String> {
         let mut out = Vec::new();
-        for &(node, port) in &self.ports {
-            out.push(format!("port {port} of {node}"));
-        }
         for &edge in &self.edges {
             match adg.edge(edge) {
                 Some(e) => out.push(format!("link {} -> {}", e.src, e.dst)),
@@ -107,8 +91,8 @@ impl CapabilityMask {
         out
     }
 
-    /// Applies the mask to a scratch copy of `adg`: removes masked ports'
-    /// edges, masked edges, then masked nodes, and validates the result.
+    /// Applies the mask to a scratch copy of `adg`: removes masked edges,
+    /// then masked nodes, and validates the result.
     ///
     /// Errors are typed so the degradation ladder can treat an infeasible
     /// rung as "escalate", never as a panic: [`MaskError::Missing`] when a
@@ -116,50 +100,17 @@ impl CapabilityMask {
     /// masked fabric no longer validates.
     pub fn apply(&self, adg: &Adg) -> Result<Adg, MaskError> {
         let mut out = adg.clone();
-        // Ports first: indices are positions in the *current* input
-        // adjacency, so resolve them against the untouched graph.
-        for &(node, port) in &self.ports {
-            let eid = adg
-                .in_edges(node)
-                .nth(port)
-                .map(dsagen_adg::Edge::id)
-                .ok_or_else(|| MaskError::Missing(format!("port {port} of {node}")))?;
-            if out.edge(eid).is_some() {
-                out.remove_edge(eid)
-                    .map_err(|e| MaskError::Missing(e.to_string()))?;
-            }
-        }
         for &edge in &self.edges {
-            if adg.edge(edge).is_none() {
-                return Err(MaskError::Missing(format!("edge {edge}")));
-            }
-            if out.edge(edge).is_some() {
-                out.remove_edge(edge)
-                    .map_err(|e| MaskError::Missing(e.to_string()))?;
-            }
+            out.remove_edge(edge)
+                .map_err(|_| MaskError::Missing(format!("edge {edge}")))?;
         }
         for &node in &self.nodes {
-            if adg.node(node).is_none() {
-                return Err(MaskError::Missing(format!("node {node}")));
-            }
             out.remove_node(node)
-                .map_err(|e| MaskError::Missing(e.to_string()))?;
+                .map_err(|_| MaskError::Missing(format!("node {node}")))?;
         }
         out.validate()
             .map_err(|e| MaskError::Invalid(e.to_string()))?;
         Ok(out)
-    }
-}
-
-impl fmt::Display for CapabilityMask {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "mask({} port(s), {} edge(s), {} node(s))",
-            self.ports.len(),
-            self.edges.len(),
-            self.nodes.len()
-        )
     }
 }
 
@@ -174,14 +125,6 @@ mod tests {
 
     use super::*;
     use crate::{evaluate, schedule, Problem, ScheduleResult, SchedulerConfig, Start, Weights};
-
-    impl CapabilityMask {
-        /// Masks one input port of `node` (builder style).
-        fn with_port(mut self, node: NodeId, port: usize) -> Self {
-            self.ports.insert((node, port));
-            self
-        }
-    }
 
     fn fresh(adg: &Adg, kernel: &CompiledKernel, cfg: &SchedulerConfig) -> ScheduleResult {
         schedule(adg, kernel, &Start::Empty, cfg, &Telemetry::disabled())
@@ -219,18 +162,15 @@ mod tests {
     #[test]
     fn port_mask_removes_exactly_that_edge() {
         let adg = presets::softbrain();
-        // Find a node with >1 input ports whose port-0 edge is removable.
+        // A dead port is the one link occupying it: find a node with more
+        // than one input whose link can be masked.
         let victim = adg
             .nodes()
+            .filter(|n| adg.in_edges(n.id()).count() > 1)
             .flat_map(|n| adg.in_edges(n.id()).map(move |e| (n.id(), e.id())))
-            .filter(|(n, _)| adg.in_edges(*n).count() > 1)
             .find_map(|(n, eid)| {
-                let port = adg.input_port_of(eid).unwrap();
-                CapabilityMask::new()
-                    .with_port(n, port)
-                    .apply(&adg)
-                    .ok()
-                    .map(|m| (n, eid, m))
+                let masked = CapabilityMask::new().with_edge(eid).apply(&adg).ok()?;
+                Some((n, eid, masked))
             });
         let (node, eid, masked) = victim.expect("some port must be maskable");
         assert!(masked.edge(eid).is_none(), "masked port's edge survives");
@@ -263,7 +203,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MaskError::Missing(_)), "{err}");
         let err = CapabilityMask::new()
-            .with_port(bogus_node, 0)
+            .with_edge(dsagen_adg::EdgeId::from_index(99_999))
             .apply(&adg)
             .unwrap_err();
         assert!(matches!(err, MaskError::Missing(_)), "{err}");
@@ -290,24 +230,20 @@ mod tests {
         let base = fresh(&adg, &kernel, &cfg);
         assert!(base.is_legal(), "baseline must schedule");
 
-        // Pick a maskable (node, port) pair.
-        let (node, port) = adg
+        // Pick a link into a multi-input node where both the link and its
+        // owner mask.
+        let (node, eid) = adg
             .nodes()
+            .filter(|n| adg.in_edges(n.id()).count() > 1)
             .flat_map(|n| adg.in_edges(n.id()).map(move |e| (n.id(), e.id())))
-            .filter(|(n, _)| adg.in_edges(*n).count() > 1)
-            .find_map(|(n, eid)| {
-                let port = adg.input_port_of(eid)?;
-                CapabilityMask::new().with_port(n, port).apply(&adg).ok()?;
-                CapabilityMask::new().with_node(n).apply(&adg).ok()?;
-                Some((n, port))
+            .find(|&(n, eid)| {
+                CapabilityMask::new().with_edge(eid).apply(&adg).is_ok()
+                    && CapabilityMask::new().with_node(n).apply(&adg).is_ok()
             })
             .expect("softbrain has a maskable port whose node also masks");
 
         let node_masked = CapabilityMask::new().with_node(node).apply(&adg).unwrap();
-        let port_masked = CapabilityMask::new()
-            .with_port(node, port)
-            .apply(&adg)
-            .unwrap();
+        let port_masked = CapabilityMask::new().with_edge(eid).apply(&adg).unwrap();
         let under_node = fresh(&node_masked, &kernel, &cfg);
         if under_node.is_legal() {
             // Evaluate the node-masked schedule against the port-masked

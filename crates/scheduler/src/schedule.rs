@@ -31,14 +31,6 @@ impl Schedule {
         }
     }
 
-    /// Unmaps entity `e`, dropping its placement and all incident routes.
-    pub(crate) fn unplace(&mut self, problem: &Problem<'_>, e: usize) {
-        self.placement[e] = None;
-        for i in problem.incident(e) {
-            self.routes.remove(i);
-        }
-    }
-
     /// Drops every placement and route that references hardware no longer
     /// present (or no longer compatible) in `problem.adg` — the first step
     /// of schedule repair after a DSE mutation (§V-A: "any aspect of the
@@ -374,6 +366,16 @@ mod tests {
     };
 
     use super::*;
+
+    impl Schedule {
+        /// Unmaps entity `e`, dropping its placement and all incident routes.
+        fn unplace(&mut self, problem: &Problem<'_>, e: usize) {
+            self.placement[e] = None;
+            for i in problem.incident(e) {
+                self.routes.remove(i);
+            }
+        }
+    }
 
     fn problem_fixture(adg: &Adg) -> (dsagen_dfg::CompiledKernel, ()) {
         let mut k = KernelBuilder::new("dot");

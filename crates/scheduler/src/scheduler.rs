@@ -111,27 +111,14 @@ pub enum Start<'a> {
     Repair {
         /// The schedule to start from.
         previous: &'a Schedule,
-        /// The part of the kernel that may move; `None` moves every entity.
-        scope: Option<Scope<'a>>,
+        /// The regions whose entities may move, every placement and route
+        /// outside them pinned bit-identically; `None` moves every entity.
+        /// A recovery rung repairs one fault-isolation domain this way, and
+        /// with every region in scope it is the same search as `None`.
+        scope: Option<&'a BTreeSet<usize>>,
         /// Total search attempts, at least one.
         max_attempts: u32,
     },
-}
-
-/// The part of a kernel a repair may move: the entities of `regions`, with
-/// every placement and route outside them pinned bit-identically. This is
-/// the scheduling half of the recovery ladder's rungs: the afflicted
-/// fault-isolation domain is re-placed while untouched domains keep their
-/// assignments (and therefore their timing). With every region in scope and
-/// `from_scratch` off it is the same search as an unscoped repair.
-#[derive(Debug, Clone, Copy)]
-pub struct Scope<'a> {
-    /// Regions whose entities may move.
-    pub regions: &'a BTreeSet<usize>,
-    /// Drop the scope's placements and routes entirely before the search,
-    /// giving the packer maximum freedom inside it; without it the repair
-    /// is incremental (only hardware invalidated by the fabric is redone).
-    pub from_scratch: bool,
 }
 
 /// Why [`schedule`] returned no schedule at all — distinct from an illegal
@@ -217,22 +204,18 @@ pub fn schedule(
     }
     let mut initial = previous.clone();
     let (dropped, rerouted) = invalidate(&problem, &mut initial);
-    let from_scratch = scope.is_some_and(|scope| scope.from_scratch);
     let mut allowed = vec![true; problem.entities.len()];
-    if let Some(scope) = scope {
+    if let Some(regions) = scope {
         // The pins must have survived the fabric: if invalidation touched
         // anything outside the scope, the repair cannot hold its contract.
-        if !initial.agrees_outside(&problem, previous, scope.regions) {
+        if !initial.agrees_outside(&problem, previous, regions) {
             return Err(ScheduleError::PinsBroken);
         }
-        for (i, entity) in problem.entities.iter().enumerate() {
-            allowed[i] = scope.regions.contains(&entity.region());
-            if allowed[i] && from_scratch {
-                initial.unplace(&problem, i);
-            }
+        for (allowed, entity) in allowed.iter_mut().zip(&problem.entities) {
+            *allowed = regions.contains(&entity.region());
         }
     }
-    let outcome = if dropped == 0 && rerouted == 0 && !from_scratch {
+    let outcome = if dropped == 0 && rerouted == 0 {
         RepairOutcome::Clean
     } else {
         RepairOutcome::Degraded { dropped, rerouted }
@@ -938,13 +921,9 @@ mod tests {
         let before = invocations();
         let nothing = std::collections::BTreeSet::new();
         let cfg = SchedulerConfig::default();
-        let scope = Some(Scope {
-            regions: &nothing,
-            from_scratch: false,
-        });
         let start = Start::Repair {
             previous: &first.schedule,
-            scope,
+            scope: Some(&nothing),
             max_attempts: 1,
         };
         let result =

@@ -28,7 +28,7 @@
 //! The partition is what lets recovery bound its blast radius: rollback
 //! can be sliced to the afflicted domain
 //! ([`crate::runtime::RuntimeSim::restore_scoped`]), repair can pin every
-//! other domain's placements (a [`dsagen_scheduler::Scope`]), and
+//! other domain's placements (the `scope` of a [`dsagen_scheduler::Start::Repair`]), and
 //! the DSE can reward designs whose largest domain — the worst-case
 //! recovery scope — stays small.
 

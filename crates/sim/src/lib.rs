@@ -61,8 +61,8 @@ pub use cosim::{simulate_functional, CoSimError, CoSimReport};
 pub use domains::RecoveryDomains;
 pub use engine::{simulate, simulate_instrumented};
 pub use recovery::{
-    run_with_degradation, run_with_recovery, RecoveryAction, RecoveryError, RecoveryEvent,
-    RecoveryOutcome, RecoveryPolicy, RecoveryReport, RepairRung,
+    run_with_recovery, RecoveryAction, RecoveryError, RecoveryEvent, RecoveryOutcome,
+    RecoveryPolicy, RecoveryReport, RepairRung,
 };
 pub use runtime::{
     RuntimeConfig, RuntimeFault, RuntimeSim, SimCheckpoint, StepOutcome, RESIDUE_INTERVAL,

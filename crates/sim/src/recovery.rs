@@ -8,12 +8,10 @@
 //!    ([`RuntimeSim::rollback_target`]): the current state for blocking
 //!    faults (stalls corrupt nothing), the newest pre-corruption
 //!    checkpoint for residue-detected faults.
-//! 2. **Repair** — for permanent/intermittent faults the victim is
-//!    masked out of a scratch ADG ([`CapabilityMask::apply`]) and the
-//!    schedule repaired around it by [`dsagen_scheduler::schedule`] from a
-//!    [`Start::Repair`], reporting its path searches into the run's
-//!    telemetry handle; transient faults skip this step (the hardware is
-//!    healthy again by resume).
+//! 2. **Repair** — permanent and intermittent faults climb the recovery
+//!    ladder below; transient faults skip this step (the hardware is
+//!    healthy again by resume), which the report records as
+//!    `rollback-only`.
 //! 3. **Verify** — the (repaired or original) configuration is proven by
 //!    [`verify_round_trip_timed`] before it is allowed near the fabric.
 //! 4. **Reprogram** — the verified bitstream is replayed through a
@@ -28,36 +26,31 @@
 //! to the fault-free run for recovered faults) plus one
 //! [`RecoveryEvent`] per intervention and the total overhead in cycles.
 //! Every failure mode is a typed [`RecoveryError`];
-//! [`RecoveryError::Unrecoverable`] means even the degraded-mode rung
-//! failed — nothing in this module panics.
+//! [`RecoveryError::Unrecoverable`] means even degraded mode failed —
+//! nothing in this module panics.
 //!
-//! # The degradation ladder
+//! # The recovery ladder
 //!
-//! Step 2 is not all-or-nothing: structural repair climbs a ladder of
-//! [`RepairRung`]s from least to most destructive, and when every
-//! structural rung fails the run continues in *degraded mode* instead of
-//! aborting:
+//! Repair is one list of rungs, built from the fault's victim and walked
+//! in order until a rung yields a legal mapping. Each rung masks damage on
+//! a scratch copy of the fabric ([`CapabilityMask::apply`]); a rung whose
+//! mask breaks the fabric or whose search stays illegal escalates to the
+//! next instead of aborting:
 //!
-//! 1. [`RepairRung::PortReroute`] — mask only the afflicted port/link
-//!    (capability mask) and reroute around it with the base repair
-//!    budget; the victim's owner keeps serving on its other ports.
-//! 2. [`RepairRung::PortMask`] — same mask, full escalation budget.
-//! 3. [`RepairRung::NodeDecommission`] — remove the whole owning node,
-//!    the pre-ladder fail-stop behaviour.
-//! 4. [`RepairRung::PartialReplace`] — re-place the afflicted *recovery
-//!    domain* from scratch (the whole kernel when it forms a single
-//!    domain) with normal objectives, over the same quarantine masks the
-//!    degraded rung would use — minus the fabric-as-is fallback, which
-//!    stays exclusive to degraded mode. A from-scratch placement explores
-//!    mappings incremental repair cannot reach, at full fidelity.
-//! 5. **Degraded mode** — re-schedule the kernel from scratch on the
-//!    surviving fabric with relaxed objectives (II and timing-mismatch
-//!    pressure dropped, so a slower-but-feasible mapping wins), resume
-//!    from the checkpoint ring, and finish at reduced throughput. The
-//!    run returns `Ok` with [`RecoveryReport::degraded`] set and a
-//!    measured [`RecoveryReport::throughput_ratio`]; callers that want
-//!    the distinction typed use [`run_with_degradation`], which wraps
-//!    the report in [`RecoveryOutcome`].
+//! 1. [`RepairRung::PortReroute`] (edge victims) — mask only the afflicted
+//!    link and repair the running schedule around it from a
+//!    [`Start::Repair`] with [`RecoveryPolicy::repair_attempts`]
+//!    attempts; the link's endpoint keeps serving on its other ports.
+//! 2. [`RepairRung::NodeDecommission`] — remove the whole owning node,
+//!    same search.
+//! 3. **Degraded mode** — re-schedule the kernel from [`Start::Empty`]
+//!    with relaxed objectives (II and timing-mismatch pressure dropped, so
+//!    a slower-but-feasible mapping wins) over the quarantine candidates
+//!    most to least protective: the owning node, then the link, then the
+//!    fabric as-is. The run finishes at reduced throughput and returns
+//!    `Ok` with [`RecoveryReport::degraded`] set and a measured
+//!    [`RecoveryReport::throughput_ratio`]; [`RecoveryOutcome::from`]
+//!    types the distinction.
 //!
 //! # Blast-radius containment
 //!
@@ -85,14 +78,17 @@ use dsagen_hwgen::{
     SessionError, SessionState,
 };
 use dsagen_scheduler::{
-    CapabilityMask, Evaluation, Problem, RepairOutcome, Schedule, SchedulerConfig, Scope, Start,
-    Weights,
+    CapabilityMask, Evaluation, Problem, RepairOutcome, Schedule, ScheduleResult, SchedulerConfig,
+    Start, Weights,
 };
-use dsagen_telemetry::Telemetry;
+use dsagen_telemetry::{Span, Telemetry};
 
 use crate::domains::RecoveryDomains;
 use crate::runtime::{RuntimeConfig, RuntimeFault, RuntimeSim, StepOutcome};
 use crate::{SimConfig, SimError, SimReport};
+
+/// Parallel configuration paths regenerated after a repair.
+const CONFIG_PATHS: usize = 4;
 
 /// Tunables for the recovery flow.
 #[derive(Debug, Clone)]
@@ -101,15 +97,11 @@ pub struct RecoveryPolicy {
     pub rt: RuntimeConfig,
     /// Scheduler configuration used for online repair.
     pub scheduler: SchedulerConfig,
-    /// Retry/backoff tunables for reprogramming.
-    pub session: SessionConfig,
     /// Maximum recoveries before [`RecoveryError::BudgetExhausted`].
     pub max_recoveries: usize,
-    /// Escalation attempts (`max_attempts` of [`Start::Repair`]) for every
-    /// rung but the first, which runs one.
+    /// Search attempts (`max_attempts` of [`Start::Repair`]) per
+    /// structural rung.
     pub repair_attempts: u32,
-    /// Parallel configuration paths regenerated after a repair.
-    pub config_paths: usize,
 }
 
 impl Default for RecoveryPolicy {
@@ -117,43 +109,39 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             rt: RuntimeConfig::default(),
             scheduler: SchedulerConfig::default(),
-            session: SessionConfig::default(),
             max_recoveries: 8,
             repair_attempts: 4,
-            config_paths: 4,
         }
     }
 }
 
-/// One structural rung of the degradation ladder, least to most
+/// One structural rung of the recovery ladder, least to most
 /// destructive. Which rung actually repaired a fault is recorded in
 /// [`RecoveryAction::Repaired`] so soak runs can attribute every
 /// recovery to its granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairRung {
-    /// Only the afflicted port/link is masked; repair reroutes around it
-    /// with the base budget. The victim's owner keeps all other ports.
+    /// Only the afflicted link is masked and the schedule rerouted around
+    /// it; the link's endpoint keeps all its other ports.
     PortReroute,
-    /// Same port mask, full escalation budget.
-    PortMask,
-    /// The whole owning node is decommissioned — the pre-ladder
-    /// fail-stop behaviour.
+    /// The whole owning node is decommissioned with all its links.
     NodeDecommission,
-    /// From-scratch re-placement of the afflicted recovery domain (the
-    /// whole kernel when it forms a single domain) with *normal*
-    /// objectives, over the victim's quarantine masks. The last
-    /// full-fidelity rung before the degraded-mode reschedule.
-    PartialReplace,
+}
+
+impl RepairRung {
+    /// The rung's stable name, shared by `Display`, rung histograms and
+    /// telemetry.
+    fn name(self) -> &'static str {
+        match self {
+            RepairRung::PortReroute => "port-reroute",
+            RepairRung::NodeDecommission => "node-decommission",
+        }
+    }
 }
 
 impl fmt::Display for RepairRung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RepairRung::PortReroute => "port-reroute",
-            RepairRung::PortMask => "port-mask",
-            RepairRung::NodeDecommission => "node-decommission",
-            RepairRung::PartialReplace => "partial-replace",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -185,18 +173,13 @@ pub enum RecoveryAction {
 
 impl RecoveryAction {
     /// Stable label for rung histograms: `"rollback-only"`, the rung's
-    /// display name for structural repairs, `"full-reschedule"` for the
-    /// degraded-mode rung.
+    /// display name for structural repairs, `"full-reschedule"` for
+    /// degraded mode.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
             RecoveryAction::RollbackOnly => "rollback-only",
-            RecoveryAction::Repaired { rung, .. } => match rung {
-                RepairRung::PortReroute => "port-reroute",
-                RepairRung::PortMask => "port-mask",
-                RepairRung::NodeDecommission => "node-decommission",
-                RepairRung::PartialReplace => "partial-replace",
-            },
+            RecoveryAction::Repaired { rung, .. } => rung.name(),
             RecoveryAction::DegradedReschedule { .. } => "full-reschedule",
         }
     }
@@ -205,7 +188,7 @@ impl RecoveryAction {
 impl fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoveryAction::RollbackOnly => f.write_str("rollback-only"),
+            RecoveryAction::RollbackOnly => f.write_str(self.label()),
             RecoveryAction::Repaired {
                 outcome,
                 iterations,
@@ -251,13 +234,6 @@ impl RecoveryEvent {
     #[must_use]
     pub fn mttr_cycles(&self) -> u64 {
         self.detection_latency + self.replayed_cycles + self.reprogram_cycles
-    }
-
-    /// Overhead charged against the run (replay + reprogram; detection
-    /// latency cycles are already part of the engine timeline).
-    #[must_use]
-    pub(crate) fn overhead_cycles(&self) -> u64 {
-        self.replayed_cycles + self.reprogram_cycles
     }
 }
 
@@ -352,8 +328,7 @@ pub struct RecoveryReport {
     /// computed for degraded runs; `None` otherwise.
     pub throughput_ratio: Option<f64>,
     /// Human-readable labels of every capability taken offline by the
-    /// ladder (masked ports, severed links, decommissioned nodes), in
-    /// recovery order.
+    /// ladder (masked links, decommissioned nodes), in recovery order.
     pub masked_resources: Vec<String>,
     /// Per-region firing traces of the surviving timeline —
     /// `(pipeline group, group-local cycle)` per completed firing — when
@@ -401,15 +376,6 @@ impl RecoveryReport {
             .sum::<f64>()
             / self.events.len() as f64
     }
-
-    /// Relative overhead versus a fault-free run of `fault_free_cycles`.
-    #[must_use]
-    pub fn overhead_vs(&self, fault_free_cycles: u64) -> f64 {
-        if fault_free_cycles == 0 {
-            return 0.0;
-        }
-        (self.total_cycles as f64 / fault_free_cycles as f64) - 1.0
-    }
 }
 
 /// Runs `schedule` on `adg` under `faults`, recovering every detected
@@ -445,9 +411,6 @@ pub fn run_with_recovery(
         policy.rt,
         faults,
     )?;
-    // The orchestrator's evolving view of the (possibly degraded,
-    // possibly repaired) hardware.
-    let mut adg_now = adg.clone();
     let mut cpl_now = config_path_len;
     let mut events: Vec<RecoveryEvent> = Vec::new();
     let mut overhead: u64 = 0;
@@ -465,372 +428,170 @@ pub fn run_with_recovery(
             let _tick_span = tel.span("sim", "tick_loop");
             sim.run_until_event()
         };
-        match outcome {
-            StepOutcome::Finished => break,
-            StepOutcome::Detected(fault) => {
-                let fault = *fault;
-                // Resolve the blast radius: a single victim's affected
-                // regions always share one domain by construction.
-                let domain = domains.domain_of_regions(&fault.regions);
-                let afflicted: std::collections::BTreeSet<usize> = domain
-                    .map(|d| domains.regions_in(d).iter().copied().collect())
-                    .unwrap_or_default();
-                // Scoped recovery only pays off (and only differs) when
-                // other domains exist to protect.
-                let scoped = !afflicted.is_empty() && afflicted.len() < domains.region_count();
-                if events.len() >= policy.max_recoveries {
-                    span.arg("outcome", "budget-exhausted");
-                    span.end();
-                    tel.recorder().record("recovery", || {
-                        (
-                            "budget_exhausted".to_string(),
-                            format!("recoveries={}", events.len()),
-                        )
-                    });
-                    let _ = tel.recorder().dump_on_error("recovery_budget_exhausted");
-                    return Err(RecoveryError::BudgetExhausted {
-                        recoveries: events.len(),
-                    });
-                }
-                tel.emit(|| {
-                    dsagen_telemetry::EventData::new("recovery", "detect")
-                        .arg("kind", fault.kind.to_string())
-                        .arg("victim", fault.victim.to_string())
-                        .arg("detector", fault.detector.to_string())
-                        .arg("detected_at", fault.detected_at)
-                        .arg("latency", fault.detection_latency())
-                        .arg(
-                            "domain",
-                            domain.map_or_else(|| "none".to_string(), |d| d.to_string()),
-                        )
-                });
-                tel.metrics().add("recovery.faults_detected", 1);
-                tel.recorder().record("recovery", || {
-                    (
-                        "detect".to_string(),
-                        format!(
-                            "kind={} victim={} at={}",
-                            fault.kind, fault.victim, fault.detected_at
-                        ),
-                    )
-                });
-
-                // 1. Checkpoint: pick the rollback target before anything
-                //    mutates the simulation.
-                let ckpt = sim.rollback_target(&fault);
-                let replayed = fault.detected_at.saturating_sub(ckpt.wall());
-
-                // 2. Repair (permanent/intermittent only): climb the
-                //    degradation ladder — port mask, escalated port
-                //    mask, node decommission, then degraded-mode
-                //    reschedule. Each structural rung masks damage on a
-                //    scratch fabric; an infeasible rung escalates
-                //    instead of aborting.
-                let needs_repair = !matches!(fault.lifetime, FaultLifetime::Transient { .. });
-                let (action, sched_now, eval_now) = if needs_repair {
-                    let mut rspan = tel.span("recovery", "repair");
-                    // Rungs 1–3 repair incrementally under the policy's
-                    // scheduler. When other domains exist, a rung repairs
-                    // only the afflicted domain with every other domain's
-                    // placements and routes pinned; single-domain kernels
-                    // take the exact whole-kernel path. Rung 4, partial
-                    // re-placement, re-places the afflicted domain (or the
-                    // whole kernel when it is one domain) from scratch with
-                    // *normal* objectives over the victim's quarantine
-                    // masks. No fabric-as-is fallback here — that
-                    // concession stays exclusive to the degraded rung below.
-                    let replace_regions: BTreeSet<usize> = if scoped {
-                        afflicted.clone()
-                    } else {
-                        (0..domains.region_count()).collect()
-                    };
-                    let replace_cfg = partial_replace_config(&policy.scheduler);
-                    let structural = ladder(&adg_now, &fault).into_iter().map(|(rung, mask)| {
-                        let attempts = match rung {
-                            RepairRung::PortReroute => 1,
-                            _ => policy.repair_attempts,
-                        };
-                        let scope = scoped.then_some(Scope {
-                            regions: &afflicted,
-                            from_scratch: false,
-                        });
-                        (rung, mask, scope, attempts, &policy.scheduler)
-                    });
-                    let partial = partial_masks(&adg_now, &fault).into_iter().map(|mask| {
-                        let scope = Scope {
-                            regions: &replace_regions,
-                            from_scratch: true,
-                        };
-                        let attempts = policy.repair_attempts;
-                        (
-                            RepairRung::PartialReplace,
-                            mask,
-                            Some(scope),
-                            attempts,
-                            &replace_cfg,
-                        )
-                    });
-                    let mut chosen = None;
-                    for (rung, mask, scope, max_attempts, rung_cfg) in structural.chain(partial) {
-                        // A mask that breaks graph validity, or a scoped
-                        // repair whose pins broke, fails the rung.
-                        let start = Start::Repair {
-                            previous: sim.schedule(),
-                            scope,
-                            max_attempts,
-                        };
-                        let attempt = mask.apply(&adg_now).ok().and_then(|masked| {
-                            let res =
-                                dsagen_scheduler::schedule(&masked, kernel, &start, rung_cfg, tel)
-                                    .ok()?;
-                            Some((res, masked))
-                        });
-                        let legal = attempt.as_ref().is_some_and(|(res, _)| res.is_legal());
-                        tel.emit(|| {
-                            dsagen_telemetry::EventData::new("recovery", "rung")
-                                .arg("rung", rung.to_string())
-                                .arg("legal", legal)
-                                .arg("scoped", scoped)
-                        });
-                        tel.metrics()
-                            .add(&format!("recovery.rung.{rung}.attempts"), 1);
-                        tel.recorder().record("recovery", || {
-                            (
-                                "rung".to_string(),
-                                format!("rung={rung} legal={legal} scoped={scoped}"),
-                            )
-                        });
-                        let Some((res, masked_adg)) = attempt.filter(|_| legal) else {
-                            continue;
-                        };
-                        // Containment proof: a scoped repair must leave
-                        // every pinned domain bit-identical.
-                        if scoped
-                            && !res.schedule.agrees_outside(
-                                &Problem::new(&adg_now, kernel),
-                                sim.schedule(),
-                                &afflicted,
-                            )
-                        {
-                            continue;
-                        }
-                        chosen = Some((res, masked_adg, mask, rung));
-                        break;
-                    }
-                    match chosen {
-                        Some((res, masked_adg, mask, rung)) => {
-                            rspan.arg("rung", rung.to_string());
-                            rspan.arg("iterations", u64::from(res.iterations));
-                            rspan.arg("legal", true);
-                            rspan.end();
-                            tel.metrics()
-                                .add(&format!("recovery.rung.{rung}.chosen"), 1);
-                            masked_resources.extend(mask.describe(&adg_now));
-                            adg_now = masked_adg;
-                            (
-                                RecoveryAction::Repaired {
-                                    outcome: res.outcome,
-                                    iterations: res.iterations,
-                                    rung,
-                                },
-                                Some(res.schedule),
-                                Some(res.eval),
-                            )
-                        }
-                        None => {
-                            // Final rung: degraded mode. Quarantine as
-                            // much of the victim as still validates and
-                            // re-schedule from scratch with relaxed
-                            // objectives — a slower-but-feasible mapping
-                            // beats an abort.
-                            rspan.arg("legal", false);
-                            rspan.end();
-                            let mut dspan = tel.span("recovery/degraded", "reschedule");
-                            let relaxed = relaxed_config(&policy.scheduler);
-                            let mut found = None;
-                            let mut spent: u64 = 0;
-                            for (degraded_adg, mask_desc) in quarantine_candidates(&adg_now, &fault)
-                            {
-                                let Ok(res) = dsagen_scheduler::schedule(
-                                    &degraded_adg,
-                                    kernel,
-                                    &Start::Empty,
-                                    &relaxed,
-                                    tel,
-                                ) else {
-                                    continue; // an empty start pins nothing
-                                };
-                                spent += u64::from(res.iterations);
-                                if res.is_legal() {
-                                    found = Some((res, degraded_adg, mask_desc));
-                                    break;
-                                }
-                            }
-                            dspan.arg("iterations", spent);
-                            dspan.arg("legal", found.is_some());
-                            dspan.end();
-                            let Some((res, degraded_adg, mask_desc)) = found else {
-                                span.arg("outcome", "unrecoverable");
-                                span.end();
-                                tel.recorder().record("recovery", || {
-                                    (
-                                        "unrecoverable".to_string(),
-                                        format!(
-                                            "kind={} victim={} iterations_spent={spent}",
-                                            fault.kind, fault.victim
-                                        ),
-                                    )
-                                });
-                                let _ = tel.recorder().dump_on_error("recovery_unrecoverable");
-                                return Err(RecoveryError::Unrecoverable {
-                                    fault: Box::new(fault),
-                                    reason: format!(
-                                        "every ladder rung failed; no quarantine of the \
-surviving fabric reschedules legally ({spent} iterations spent)"
-                                    ),
-                                });
-                            };
-                            degraded = true;
-                            masked_resources.extend(mask_desc);
-                            adg_now = degraded_adg;
-                            tel.metrics().add("recovery.rung.degraded.chosen", 1);
-                            tel.recorder().record("recovery", || {
-                                (
-                                    "degraded_entered".to_string(),
-                                    format!("kind={} victim={}", fault.kind, fault.victim),
-                                )
-                            });
-                            tel.emit(|| {
-                                dsagen_telemetry::EventData::new("recovery/degraded", "entered")
-                                    .arg("fault", fault.kind.to_string())
-                                    .arg("victim", fault.victim.to_string())
-                            });
-                            (
-                                RecoveryAction::DegradedReschedule {
-                                    iterations: res.iterations,
-                                },
-                                Some(res.schedule),
-                                Some(res.eval),
-                            )
-                        }
-                    }
-                } else {
-                    (RecoveryAction::RollbackOnly, None, None)
-                };
-
-                // 3. Verify the configuration that will be (re)loaded.
-                let target_schedule = sched_now.as_ref().unwrap_or_else(|| sim.schedule());
-                let target_eval = eval_now.as_ref().unwrap_or_else(|| sim.eval());
-                let problem = Problem::new(&adg_now, kernel);
-                let verified = match verify_round_trip_timed(&problem, target_schedule, target_eval)
-                {
-                    Ok(v) => v,
-                    Err(e) => {
-                        span.arg("outcome", "verify-failed");
-                        span.end();
-                        tel.recorder().record("recovery", || {
-                            ("verify_failed".to_string(), format!("error={e}"))
-                        });
-                        let _ = tel.recorder().dump_on_error("recovery_verify");
-                        return Err(RecoveryError::Verify {
-                            fault: Box::new(fault),
-                            reason: e.to_string(),
-                        });
-                    }
-                };
-
-                // 4. Reprogram through the CRC-framed session.
-                let mut session = ProgrammingSession::new(verified.bitstream(), policy.session);
-                let srep = session.program(|_, frames| frames.to_vec());
-                if srep.state != SessionState::Verified {
-                    span.arg("outcome", "reprogram-failed");
-                    span.end();
-                    tel.recorder().record("recovery", || {
-                        (
-                            "reprogram_failed".to_string(),
-                            format!("state={:?}", srep.state),
-                        )
-                    });
-                    let _ = tel.recorder().dump_on_error("recovery_reprogram");
-                    return Err(RecoveryError::Reprogram {
-                        fault: Box::new(fault),
-                        error: srep
-                            .error
-                            .unwrap_or(SessionError::Undelivered { missing_words: 0 }),
-                    });
-                }
-                if needs_repair {
-                    let _paths_span = tel.span("hwgen", "config_paths");
-                    cpl_now = generate_config_paths(
-                        &adg_now,
-                        policy.config_paths.max(1),
-                        policy.scheduler.seed,
-                    )
-                    .longest() as u32;
-                }
-                let reprogram_cycles = srep.frames_sent + srep.backoff_cycles + u64::from(cpl_now);
-
-                // 5. Resume from the checkpoint on the (new) mapping.
-                //    When other domains exist and there is work to
-                //    replay, try a domain-sliced rollback first: only the
-                //    afflicted domain rewinds, the rest keep their
-                //    progress and the replay they were spared is
-                //    accounted as saved.
-                let afflicted_vec: Vec<usize> = afflicted.iter().copied().collect();
-                let (replayed_cycles, replayed_cycles_saved) =
-                    if scoped && replayed > 0 && sim.restore_scoped(&ckpt, &afflicted_vec) {
-                        (0, replayed)
-                    } else {
-                        sim.restore(&ckpt);
-                        (replayed, 0)
-                    };
-                if let (Some(s), Some(e)) = (sched_now, eval_now) {
-                    sim.reprogram(adg_now.clone(), s, e, cpl_now)?;
-                    domains = RecoveryDomains::derive(sim.adg(), kernel, sim.schedule());
-                }
-
-                let event = RecoveryEvent {
-                    detection_latency: fault.detection_latency(),
-                    fault,
-                    action,
-                    replayed_cycles,
-                    replayed_cycles_saved,
-                    domain,
-                    reprogram_cycles,
-                };
-                overhead += event.overhead_cycles();
-                {
-                    let m = tel.metrics();
-                    if m.is_enabled() {
-                        m.add("recovery.recoveries", 1);
-                        m.add("recovery.replayed_cycles", event.replayed_cycles);
-                        m.add(
-                            "recovery.replayed_cycles_saved",
-                            event.replayed_cycles_saved,
-                        );
-                        m.observe("recovery.mttr_cycles", event.mttr_cycles());
-                    }
-                }
-                tel.recorder().record("recovery", || {
-                    (
-                        "resume".to_string(),
-                        format!(
-                            "action={} replayed={} saved={}",
-                            event.action, event.replayed_cycles, event.replayed_cycles_saved
-                        ),
-                    )
-                });
-                tel.emit(|| {
-                    dsagen_telemetry::EventData::new("recovery", "resume")
-                        .arg("action", event.action.to_string())
-                        .arg("replayed_cycles", event.replayed_cycles)
-                        .arg("replayed_cycles_saved", event.replayed_cycles_saved)
-                        .arg("reprogram_cycles", event.reprogram_cycles)
-                        .arg("mttr_cycles", event.mttr_cycles())
-                });
-                events.push(event);
-            }
+        let StepOutcome::Detected(fault) = outcome else {
+            break;
+        };
+        let fault = *fault;
+        // Resolve the blast radius: a single victim's affected regions
+        // always share one domain by construction.
+        let domain = domains.domain_of_regions(&fault.regions);
+        let afflicted: &[usize] = domain.map_or(&[], |d| domains.regions_in(d));
+        // Scoped recovery only pays off (and only differs) when other
+        // domains exist to protect.
+        let scoped = !afflicted.is_empty() && afflicted.len() < domains.region_count();
+        if events.len() >= policy.max_recoveries {
+            let err = RecoveryError::BudgetExhausted {
+                recoveries: events.len(),
+            };
+            return Err(fail(span, tel, err));
         }
+        tel.emit(|| {
+            dsagen_telemetry::EventData::new("recovery", "detect")
+                .arg("kind", fault.kind.to_string())
+                .arg("victim", fault.victim.to_string())
+                .arg("detector", fault.detector.to_string())
+                .arg("detected_at", fault.detected_at)
+                .arg("latency", fault.detection_latency())
+                .arg(
+                    "domain",
+                    domain.map_or_else(|| "none".to_string(), |d| d.to_string()),
+                )
+        });
+        tel.metrics().add("recovery.faults_detected", 1);
+        tel.recorder().record("recovery", || {
+            (
+                "detect".to_string(),
+                format!(
+                    "kind={} victim={} at={}",
+                    fault.kind, fault.victim, fault.detected_at
+                ),
+            )
+        });
+
+        // 1. Checkpoint: pick the rollback target before anything mutates
+        //    the simulation.
+        let ckpt = sim.rollback_target(&fault);
+        let replayed = fault.detected_at.saturating_sub(ckpt.wall());
+
+        // 2. Repair (permanent/intermittent only): climb the ladder.
+        let served = if matches!(fault.lifetime, FaultLifetime::Transient { .. }) {
+            None
+        } else {
+            let scope: BTreeSet<usize> = afflicted.iter().copied().collect();
+            match climb(&sim, kernel, &fault, scoped.then_some(&scope), policy, tel) {
+                Ok(served) => Some(served),
+                Err(spent) => {
+                    let err = RecoveryError::Unrecoverable {
+                        fault: Box::new(fault),
+                        reason: format!(
+                            "every ladder rung failed; no quarantine of the surviving fabric \
+reschedules legally ({spent} iterations spent)"
+                        ),
+                    };
+                    return Err(fail(span, tel, err));
+                }
+            }
+        };
+        if let Some(served) = &served {
+            degraded |= matches!(served.action, RecoveryAction::DegradedReschedule { .. });
+            masked_resources.extend(served.mask.describe(sim.adg()));
+        }
+
+        // 3. Verify the configuration that will be (re)loaded.
+        let (fabric, target_schedule, target_eval) = match &served {
+            Some(s) => (&s.fabric, &s.result.schedule, &s.result.eval),
+            None => (sim.adg(), sim.schedule(), sim.eval()),
+        };
+        let problem = Problem::new(fabric, kernel);
+        let verified = match verify_round_trip_timed(&problem, target_schedule, target_eval) {
+            Ok(v) => v,
+            Err(e) => {
+                let err = RecoveryError::Verify {
+                    fault: Box::new(fault),
+                    reason: e.to_string(),
+                };
+                return Err(fail(span, tel, err));
+            }
+        };
+
+        // 4. Reprogram through the CRC-framed session.
+        let mut session = ProgrammingSession::new(verified.bitstream(), SessionConfig::default());
+        let srep = session.program(|_, frames| frames.to_vec());
+        if srep.state != SessionState::Verified {
+            let err = RecoveryError::Reprogram {
+                fault: Box::new(fault),
+                error: srep
+                    .error
+                    .unwrap_or(SessionError::Undelivered { missing_words: 0 }),
+            };
+            return Err(fail(span, tel, err));
+        }
+        if served.is_some() {
+            let _paths_span = tel.span("hwgen", "config_paths");
+            cpl_now =
+                generate_config_paths(fabric, CONFIG_PATHS, policy.scheduler.seed).longest() as u32;
+        }
+        let reprogram_cycles = srep.frames_sent + srep.backoff_cycles + u64::from(cpl_now);
+
+        // 5. Resume from the checkpoint on the (new) mapping. When other
+        //    domains exist and there is work to replay, try a
+        //    domain-sliced rollback first: only the afflicted domain
+        //    rewinds, the rest keep their progress and the replay they
+        //    were spared is accounted as saved.
+        let (replayed_cycles, replayed_cycles_saved) =
+            if scoped && replayed > 0 && sim.restore_scoped(&ckpt, afflicted) {
+                (0, replayed)
+            } else {
+                sim.restore(&ckpt);
+                (replayed, 0)
+            };
+        let action = match served {
+            Some(s) => {
+                sim.reprogram(s.fabric, s.result.schedule, s.result.eval)?;
+                domains = RecoveryDomains::derive(sim.adg(), kernel, sim.schedule());
+                s.action
+            }
+            None => RecoveryAction::RollbackOnly,
+        };
+
+        let event = RecoveryEvent {
+            detection_latency: fault.detection_latency(),
+            fault,
+            action,
+            replayed_cycles,
+            replayed_cycles_saved,
+            domain,
+            reprogram_cycles,
+        };
+        // Detection latency is already on the engine timeline; replay and
+        // reprogramming are charged on top of it.
+        overhead += event.replayed_cycles + event.reprogram_cycles;
+        let m = tel.metrics();
+        m.add("recovery.recoveries", 1);
+        m.add("recovery.replayed_cycles", event.replayed_cycles);
+        m.add(
+            "recovery.replayed_cycles_saved",
+            event.replayed_cycles_saved,
+        );
+        m.observe("recovery.mttr_cycles", event.mttr_cycles());
+        tel.recorder().record("recovery", || {
+            (
+                "resume".to_string(),
+                format!(
+                    "action={} replayed={} saved={}",
+                    event.action, event.replayed_cycles, event.replayed_cycles_saved
+                ),
+            )
+        });
+        tel.emit(|| {
+            dsagen_telemetry::EventData::new("recovery", "resume")
+                .arg("action", event.action.to_string())
+                .arg("replayed_cycles", event.replayed_cycles)
+                .arg("replayed_cycles_saved", event.replayed_cycles_saved)
+                .arg("reprogram_cycles", event.reprogram_cycles)
+                .arg("mttr_cycles", event.mttr_cycles())
+        });
+        events.push(event);
     }
 
     let report = sim.report();
@@ -873,95 +634,216 @@ surviving fabric reschedules legally ({spent} iterations spent)"
     })
 }
 
-/// The structural rungs to try for `fault`, least to most destructive.
-/// Edge-victim faults (severed links, dead ports, stuck lanes, degraded
-/// links) get the port rungs first; node victims go straight to
-/// decommission. A `Word` victim has no hardware to mask (it can only
-/// reach here defensively) and yields no structural rungs.
-fn ladder(adg: &Adg, fault: &RuntimeFault) -> Vec<(RepairRung, CapabilityMask)> {
-    match fault.victim {
-        FaultTarget::Edge(e) => {
-            let mut rungs = vec![
-                (RepairRung::PortReroute, CapabilityMask::new().with_edge(e)),
-                (RepairRung::PortMask, CapabilityMask::new().with_edge(e)),
-            ];
-            if let Some(edge) = adg.edge(e) {
-                rungs.push((
-                    RepairRung::NodeDecommission,
-                    CapabilityMask::new().with_node(edge.dst),
-                ));
-            }
-            rungs
+/// Ends a run on a terminal error: the run span records the outcome, the
+/// flight recorder the error (dumped when a dump directory is set), and
+/// the typed error is handed back for the caller to return.
+fn fail(mut span: Span, tel: &Telemetry, err: RecoveryError) -> RecoveryError {
+    let (outcome, dump) = match &err {
+        RecoveryError::BudgetExhausted { .. } => ("budget-exhausted", "recovery_budget_exhausted"),
+        RecoveryError::Unrecoverable { .. } => ("unrecoverable", "recovery_unrecoverable"),
+        RecoveryError::Verify { .. } => ("verify-failed", "recovery_verify"),
+        RecoveryError::Reprogram { .. } => ("reprogram-failed", "recovery_reprogram"),
+        RecoveryError::Sim(_) => ("sim-error", "recovery_sim"),
+    };
+    span.arg("outcome", outcome);
+    span.end();
+    tel.recorder()
+        .record("recovery", || (outcome.replace('-', "_"), err.to_string()));
+    let _ = tel.recorder().dump_on_error(dump);
+    err
+}
+
+/// What a ladder entry searches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Incremental repair of the running mapping at a structural rung.
+    Repair(RepairRung),
+    /// Degraded mode: a relaxed reschedule from scratch.
+    Degraded,
+}
+
+/// One entry of the recovery ladder: the hardware to take offline and the
+/// search to run on what is left.
+#[derive(Debug, Clone, PartialEq)]
+struct Rung {
+    step: Step,
+    mask: CapabilityMask,
+}
+
+/// The recovery ladder for a fault on `victim`, least to most
+/// destructive. `port-reroute` masks an edge victim's link and
+/// `node-decommission` its owning node (the victim itself for node
+/// victims); degraded mode then tries the same node, the same link and
+/// finally the fabric as-is. A `Word` victim has no hardware to mask, so
+/// only the fabric-as-is entry serves it.
+fn ladder(adg: &Adg, victim: FaultTarget) -> Vec<Rung> {
+    let (link, node) = match victim {
+        FaultTarget::Edge(e) => (Some(e), adg.edge(e).map(|edge| edge.dst)),
+        FaultTarget::Node(n) => (None, Some(n)),
+        FaultTarget::Word(_) => (None, None),
+    };
+    let link = link.map(|e| CapabilityMask::new().with_edge(e));
+    let node = node.map(|n| CapabilityMask::new().with_node(n));
+    [
+        (Step::Repair(RepairRung::PortReroute), link.clone()),
+        (Step::Repair(RepairRung::NodeDecommission), node.clone()),
+        (Step::Degraded, node),
+        (Step::Degraded, link),
+        (Step::Degraded, Some(CapabilityMask::new())),
+    ]
+    .into_iter()
+    .filter_map(|(step, mask)| Some(Rung { step, mask: mask? }))
+    .collect()
+}
+
+/// The ladder entry that served a fault: its action, its mask, the masked
+/// fabric and the legal mapping found on it.
+struct Served {
+    action: RecoveryAction,
+    mask: CapabilityMask,
+    fabric: Adg,
+    result: ScheduleResult,
+}
+
+/// Walks [`ladder`] for `fault` and returns the first entry whose search
+/// is legal. Structural rungs repair the running schedule from
+/// [`Start::Repair`] under the policy's scheduler; with a `scope` they move
+/// only the afflicted domain and must leave every other one bit-identical.
+/// Degraded-mode entries reschedule from [`Start::Empty`] under
+/// [`relaxed_config`]. `Err` carries the iterations degraded mode spent
+/// when no entry served.
+fn climb(
+    sim: &RuntimeSim,
+    kernel: &CompiledKernel,
+    fault: &RuntimeFault,
+    scope: Option<&BTreeSet<usize>>,
+    policy: &RecoveryPolicy,
+    tel: &Telemetry,
+) -> Result<Served, u64> {
+    let adg = sim.adg();
+    let relaxed = relaxed_config(&policy.scheduler);
+    let mut span = tel.span("recovery", "repair");
+    let mut degraded = false;
+    let mut spent: u64 = 0;
+    for Rung { step, mask } in ladder(adg, fault.victim) {
+        if step == Step::Degraded && !degraded {
+            // Every structural rung failed: a slower-but-feasible mapping
+            // beats an abort.
+            span.arg("legal", false);
+            span.end();
+            span = tel.span("recovery/degraded", "reschedule");
+            degraded = true;
         }
-        FaultTarget::Node(n) => vec![(
-            RepairRung::NodeDecommission,
-            CapabilityMask::new().with_node(n),
-        )],
-        FaultTarget::Word(_) => Vec::new(),
-    }
-}
-
-/// Quarantine masks for the partial-replace rung, most to least
-/// protective: the owning node for node victims; the owning node then
-/// just the link for edge victims. Unlike [`quarantine_candidates`] there
-/// is deliberately no fabric-as-is entry — partial replacement is a
-/// full-fidelity rung, so it must place *around* the damage, never on it.
-fn partial_masks(adg: &Adg, fault: &RuntimeFault) -> Vec<CapabilityMask> {
-    match fault.victim {
-        FaultTarget::Node(n) => vec![CapabilityMask::new().with_node(n)],
-        FaultTarget::Edge(e) => {
-            let mut m = Vec::new();
-            if let Some(edge) = adg.edge(e) {
-                m.push(CapabilityMask::new().with_node(edge.dst));
+        let masked = mask.apply(adg);
+        let found = match step {
+            Step::Repair(rung) => {
+                let start = Start::Repair {
+                    previous: sim.schedule(),
+                    scope,
+                    max_attempts: policy.repair_attempts,
+                };
+                // A scoped repair whose pins broke fails the rung.
+                let res = masked.as_ref().ok().and_then(|fabric| {
+                    dsagen_scheduler::schedule(fabric, kernel, &start, &policy.scheduler, tel).ok()
+                });
+                let legal = res.as_ref().is_some_and(ScheduleResult::is_legal);
+                let scoped = scope.is_some();
+                tel.emit(|| {
+                    dsagen_telemetry::EventData::new("recovery", "rung")
+                        .arg("rung", rung.to_string())
+                        .arg("legal", legal)
+                        .arg("scoped", scoped)
+                });
+                tel.metrics()
+                    .add(&format!("recovery.rung.{rung}.attempts"), 1);
+                tel.recorder().record("recovery", || {
+                    (
+                        "rung".to_string(),
+                        format!("rung={rung} legal={legal} scoped={scoped}"),
+                    )
+                });
+                // Containment proof: a scoped repair must leave every
+                // pinned domain bit-identical.
+                res.filter(|res| {
+                    legal
+                        && scope.is_none_or(|regions| {
+                            res.schedule.agrees_outside(
+                                &Problem::new(adg, kernel),
+                                sim.schedule(),
+                                regions,
+                            )
+                        })
+                })
             }
-            m.push(CapabilityMask::new().with_edge(e));
-            m
-        }
-        FaultTarget::Word(_) => Vec::new(),
+            Step::Degraded => masked.as_ref().ok().and_then(|fabric| {
+                // An empty start pins nothing, so it cannot fail.
+                let res = dsagen_scheduler::schedule(fabric, kernel, &Start::Empty, &relaxed, tel)
+                    .ok()?;
+                spent += u64::from(res.iterations);
+                res.is_legal().then_some(res)
+            }),
+        };
+        let (Some(result), Ok(fabric)) = (found, masked) else {
+            continue;
+        };
+        let action = match step {
+            Step::Repair(rung) => {
+                span.arg("rung", rung.to_string());
+                span.arg("iterations", u64::from(result.iterations));
+                span.arg("legal", true);
+                span.end();
+                tel.metrics()
+                    .add(&format!("recovery.rung.{rung}.chosen"), 1);
+                RecoveryAction::Repaired {
+                    outcome: result.outcome,
+                    iterations: result.iterations,
+                    rung,
+                }
+            }
+            Step::Degraded => {
+                span.arg("iterations", spent);
+                span.arg("legal", true);
+                span.end();
+                tel.metrics().add("recovery.rung.degraded.chosen", 1);
+                tel.recorder().record("recovery", || {
+                    (
+                        "degraded_entered".to_string(),
+                        format!("kind={} victim={}", fault.kind, fault.victim),
+                    )
+                });
+                tel.emit(|| {
+                    dsagen_telemetry::EventData::new("recovery/degraded", "entered")
+                        .arg("fault", fault.kind.to_string())
+                        .arg("victim", fault.victim.to_string())
+                });
+                RecoveryAction::DegradedReschedule {
+                    iterations: result.iterations,
+                }
+            }
+        };
+        return Ok(Served {
+            action,
+            mask,
+            fabric,
+            result,
+        });
     }
-}
-
-/// For the degraded-mode rung: every quarantine the fabric can
-/// structurally afford, most to least protective — whole node if it
-/// validates, then just the link, and finally the fabric as-is (the
-/// fault's effects have been consumed, so an unmasked reschedule still
-/// models a reconfigured-but-bruised fabric). The degraded rung tries
-/// these in order and keeps the first one that reschedules legally, so
-/// an over-eager quarantine can never turn into an avoidable abort.
-fn quarantine_candidates(adg: &Adg, fault: &RuntimeFault) -> Vec<(Adg, Vec<String>)> {
-    let mut out: Vec<_> = partial_masks(adg, fault)
-        .into_iter()
-        .filter_map(|mask| Some((mask.apply(adg).ok()?, mask.describe(adg))))
-        .collect();
-    out.push((adg.clone(), Vec::new()));
-    out
-}
-
-/// Scheduler configuration for the partial-replace rung: the *same*
-/// full-fidelity objectives as online repair, but with the degraded
-/// rung's floored iteration budget and a distinct seed. Partial
-/// re-placement starts from scratch inside the afflicted domain, so the
-/// deliberately-skinny incremental-repair budget is the wrong size for
-/// it — and every success here is a full-throughput finish that the
-/// relaxed rung below would have served at reduced throughput.
-fn partial_replace_config(base: &SchedulerConfig) -> SchedulerConfig {
-    SchedulerConfig {
-        max_iters: base.max_iters.saturating_mul(4).clamp(512, 4096),
-        seed: base.seed ^ 0x9A27_71A1,
-        ..*base
-    }
+    // The ladder always ends in degraded mode, so `span` is its span here.
+    span.arg("iterations", spent);
+    span.arg("legal", false);
+    Err(spent)
 }
 
 /// Scheduler configuration for the degraded-mode reschedule: feasibility
 /// over performance. II and timing-mismatch pressure are dropped (a
 /// high-II, throttled mapping is acceptable), route-length pressure is
-/// zeroed, and the iteration budget is raised — the degraded rung runs
+/// zeroed, and the iteration budget is raised — degraded mode runs
 /// once, so spending more search there is cheap insurance against an
 /// avoidable abort.
 fn relaxed_config(base: &SchedulerConfig) -> SchedulerConfig {
     SchedulerConfig {
-        // Floor the budget: the degraded rung is the last resort, so it
-        // must not inherit a deliberately-skinny online-repair budget.
+        // Floor the budget: degraded mode is the last resort, so it must
+        // not inherit a deliberately-skinny online-repair budget.
         max_iters: base.max_iters.saturating_mul(4).clamp(512, 4096),
         seed: base.seed ^ 0xDE6A_ADED,
         weights: Weights {
@@ -975,9 +857,10 @@ fn relaxed_config(base: &SchedulerConfig) -> SchedulerConfig {
     }
 }
 
-/// The typed outcome of [`run_with_degradation`]: either full-fidelity
-/// recovery or a degraded-mode finish, never a panic and never an abort
-/// while any rung of the ladder can still serve.
+/// A [`RecoveryReport`] with the recovered/degraded distinction typed
+/// (`RecoveryOutcome::from(report)`): either full-fidelity recovery or a
+/// degraded-mode finish, never a panic and never an abort while any rung
+/// of the ladder can still serve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryOutcome {
     /// Every detected fault was recovered at full fidelity: outputs and
@@ -990,6 +873,16 @@ pub enum RecoveryOutcome {
     /// [`RecoveryReport::throughput_ratio`] and the
     /// [`RecoveryReport::masked_resources`] the ladder took offline.
     Degraded(RecoveryReport),
+}
+
+impl From<RecoveryReport> for RecoveryOutcome {
+    fn from(report: RecoveryReport) -> Self {
+        if report.degraded {
+            RecoveryOutcome::Degraded(report)
+        } else {
+            RecoveryOutcome::Recovered(report)
+        }
+    }
 }
 
 impl RecoveryOutcome {
@@ -1008,9 +901,8 @@ impl RecoveryOutcome {
     }
 
     /// Throughput relative to the fault-free run: the measured ratio for
-    /// degraded runs, `1.0` for full-fidelity recoveries (recovery
-    /// overhead is reported separately via
-    /// [`RecoveryReport::overhead_vs`]).
+    /// degraded runs, `1.0` for full-fidelity recoveries (their recovery
+    /// overhead is in [`RecoveryReport::total_cycles`]).
     #[must_use]
     pub fn throughput_ratio(&self) -> f64 {
         match self {
@@ -1037,45 +929,6 @@ impl fmt::Display for RecoveryOutcome {
             ),
         }
     }
-}
-
-/// [`run_with_recovery`] with the degraded/recovered distinction typed:
-/// wraps the report in a [`RecoveryOutcome`] so callers (the DSE
-/// reliability mode, the soak harness) can score degraded throughput
-/// without re-deriving it.
-///
-/// # Errors
-///
-/// Exactly [`run_with_recovery`]'s: every terminal failure mode is a
-/// typed [`RecoveryError`]; never panics.
-#[allow(clippy::too_many_arguments)] // mirrors `run_with_recovery`
-pub fn run_with_degradation(
-    adg: &Adg,
-    kernel: &CompiledKernel,
-    schedule: &Schedule,
-    eval: &Evaluation,
-    config_path_len: u32,
-    cfg: &SimConfig,
-    faults: &FaultSchedule,
-    policy: &RecoveryPolicy,
-    tel: &Telemetry,
-) -> Result<RecoveryOutcome, RecoveryError> {
-    let report = run_with_recovery(
-        adg,
-        kernel,
-        schedule,
-        eval,
-        config_path_len,
-        cfg,
-        faults,
-        policy,
-        tel,
-    )?;
-    Ok(if report.degraded {
-        RecoveryOutcome::Degraded(report)
-    } else {
-        RecoveryOutcome::Recovered(report)
-    })
 }
 
 #[cfg(test)]
@@ -1152,7 +1005,6 @@ mod tests {
         assert_eq!(rep.report, plain);
         assert_eq!(rep.total_cycles, plain.cycles);
         assert_eq!(rep.mttr_cycles(), 0.0);
-        assert_eq!(rep.overhead_vs(plain.cycles), 0.0);
     }
 
     #[test]
@@ -1181,7 +1033,6 @@ mod tests {
         // Functional outputs equal the fault-free run.
         assert_eq!(rep.report.firings, plain.firings);
         assert!(rep.total_cycles > plain.cycles, "overhead must be visible");
-        assert!(rep.overhead_vs(plain.cycles) > 0.0);
         // Telemetry: detection and resume events under recovery/*.
         let events = tel.events();
         assert!(events
@@ -1366,18 +1217,13 @@ mod tests {
             dsagen_faults::FaultLifetime::Permanent,
             FaultKind::DeadPe,
         );
-        let (adg, ck, sch, ev) = &fx;
-        let out = run_with_degradation(
-            adg,
-            ck,
-            sch,
-            ev,
-            0,
-            &SimConfig::default(),
+        let out = recover(
+            &fx,
             &faults,
             &RecoveryPolicy::default(),
             &Telemetry::disabled(),
         )
+        .map(RecoveryOutcome::from)
         .unwrap_or_else(|e| panic!("degraded rung aborted: {e}"));
         let RecoveryOutcome::Degraded(report) = &out else {
             panic!("expected a degraded finish, got {out}");
@@ -1412,22 +1258,57 @@ mod tests {
             dsagen_faults::FaultLifetime::Permanent,
             FaultKind::SeveredLink,
         );
-        let (adg, ck, sch, ev) = &fx;
         let run = || {
-            run_with_degradation(
-                adg,
-                ck,
-                sch,
-                ev,
-                0,
-                &SimConfig::default(),
+            recover(
+                &fx,
                 &faults,
                 &RecoveryPolicy::default(),
                 &Telemetry::disabled(),
             )
+            .map(RecoveryOutcome::from)
             .unwrap()
         };
         assert_eq!(run(), run(), "replay must be bit-identical");
+    }
+
+    #[test]
+    fn ladder_lists_the_rungs_for_each_victim_kind() {
+        let adg = presets::softbrain();
+        let edge = *adg.edges().next().expect("softbrain has links");
+        let node = edge.dst;
+        let link = CapabilityMask::new().with_edge(edge.id());
+        let owner = CapabilityMask::new().with_node(node);
+        let as_is = CapabilityMask::new();
+        let rung = |step, mask: &CapabilityMask| Rung {
+            step,
+            mask: mask.clone(),
+        };
+        let port = Step::Repair(RepairRung::PortReroute);
+        let decommission = Step::Repair(RepairRung::NodeDecommission);
+        let table = [
+            (
+                FaultTarget::Edge(edge.id()),
+                vec![
+                    rung(port, &link),
+                    rung(decommission, &owner),
+                    rung(Step::Degraded, &owner),
+                    rung(Step::Degraded, &link),
+                    rung(Step::Degraded, &as_is),
+                ],
+            ),
+            (
+                FaultTarget::Node(node),
+                vec![
+                    rung(decommission, &owner),
+                    rung(Step::Degraded, &owner),
+                    rung(Step::Degraded, &as_is),
+                ],
+            ),
+            (FaultTarget::Word(3), vec![rung(Step::Degraded, &as_is)]),
+        ];
+        for (victim, rungs) in table {
+            assert_eq!(ladder(&adg, victim), rungs, "{victim}");
+        }
     }
 
     #[test]

@@ -54,8 +54,9 @@
 //!
 //! Detected faults are **consumed**: the recovery flow (diagnose →
 //! repair → reprogram) takes long enough in real time that a transient
-//! has cleared by resume, and a permanent victim is decommissioned from
-//! the ADG so the repaired schedule no longer exercises it. Consumption
+//! has cleared by resume, and a permanent victim's link or node is masked
+//! out of the ADG so the repaired schedule no longer exercises it
+//! ([`RuntimeSim::reprogram`] swaps that mapping in). Consumption
 //! survives rollback — faults live in physical time, not simulated time.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -64,7 +65,7 @@ use std::fmt;
 use dsagen_adg::{Adg, CtrlSpec, EdgeId, NodeId, NodeKind};
 use dsagen_dfg::CompiledKernel;
 use dsagen_faults::{FaultKind, FaultLifetime, FaultSchedule, FaultTarget, TimedFault};
-use dsagen_scheduler::{Entity, EntityKind, Evaluation, Problem, Schedule};
+use dsagen_scheduler::{Entity, Evaluation, Problem, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,14 +92,6 @@ const CHECKPOINT_RING: usize = 8;
 /// Tunables for online detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeConfig {
-    /// Run the result-residue check *every* cycle instead of only at
-    /// interval boundaries and run end. The interval-boundary assumption
-    /// models a residue unit that only publishes at checkpoint epochs;
-    /// eager mode models one on the result bus, dropping corruption
-    /// detection latency from ≤ [`RESIDUE_INTERVAL`] to a few cycles at the
-    /// cost of checking each cycle. Detection latency never exceeds the
-    /// non-eager bound (regression-tested).
-    pub residue_eager: bool,
     /// Record a per-region firing trace: for every completed firing, the
     /// `(pipeline group, group-local cycle)` at which it fired. Off by
     /// default — traces grow with the firing count and exist to *audit*
@@ -401,7 +394,7 @@ impl RuntimeSim {
                 for (e, placed) in self.schedule.placement.iter().enumerate() {
                     if *placed == Some(*node) {
                         if let Some(ent) = problem.entities.get(e) {
-                            regions.insert(entity_region(ent));
+                            regions.insert(ent.region());
                         }
                     }
                 }
@@ -552,7 +545,6 @@ impl RuntimeSim {
         adg: Adg,
         schedule: Schedule,
         eval: Evaluation,
-        config_path_len: u32,
     ) -> Result<(), SimError> {
         validate_schedule(&adg, &schedule)?;
         self.adg = adg;
@@ -561,7 +553,6 @@ impl RuntimeSim {
         let problem = Problem::new(&self.adg, &self.kernel);
         self.stream_mems = self.schedule.stream_memories(&problem);
         self.ctrl = control_spec(&self.adg);
-        let _ = config_path_len; // config-load charge is the orchestrator's
         let ctx = ctx!(self);
         self.core.rebind(ctx);
         for i in 0..self.faults.len() {
@@ -703,9 +694,9 @@ impl RuntimeSim {
                 )));
             }
 
-            // ---- residue check: every cycle in eager mode, else at
-            // interval boundaries (and once at run end, above).
-            if self.rt.residue_eager || wall.is_multiple_of(RESIDUE_INTERVAL) {
+            // ---- residue check at interval boundaries (and once at run
+            // end, above).
+            if wall.is_multiple_of(RESIDUE_INTERVAL) {
                 if let Some(fault) = self.residue_check() {
                     return Some(StepOutcome::Detected(Box::new(fault)));
                 }
@@ -808,22 +799,13 @@ fn pick<T: Copy>(rng: &mut StdRng, set: &BTreeSet<T>) -> Option<T> {
     set.iter().nth(i).copied()
 }
 
-/// Region an entity belongs to.
-fn entity_region(ent: &Entity) -> usize {
-    match ent.kind {
-        EntityKind::Op { region, .. }
-        | EntityKind::InPort { region, .. }
-        | EntityKind::OutPort { region, .. } => region,
-    }
-}
-
 /// Region of the virtual edge `idx`'s source entity.
 fn route_region(problem: &Problem<'_>, idx: usize) -> Option<usize> {
     problem
         .edges
         .get(idx)
         .and_then(|v| problem.entities.get(v.src))
-        .map(entity_region)
+        .map(Entity::region)
 }
 
 #[cfg(test)]
@@ -1107,39 +1089,18 @@ mod tests {
     }
 
     #[test]
-    fn eager_residue_detects_faster_and_within_the_documented_bound() {
+    fn residue_detects_within_the_documented_bound() {
         let (adg, ck, sch, ev) = fixture(4096);
         let faults =
             FaultSchedule::new(9).with(100, FaultLifetime::Permanent, FaultKind::StuckSwitch);
-        let lat = |eager: bool| {
-            let rt = RuntimeConfig {
-                residue_eager: eager,
-                ..RuntimeConfig::default()
-            };
-            let mut sim =
-                RuntimeSim::new(&adg, &ck, &sch, &ev, 0, SimConfig::default(), rt, &faults)
-                    .unwrap();
-            match sim.run_until_event() {
-                StepOutcome::Detected(f) => {
-                    assert_eq!(f.detector, Detector::Residue);
-                    f.detection_latency()
-                }
-                other => panic!("expected detection, got {other:?}"),
+        let mut sim = runtime(&adg, &ck, &sch, &ev, &faults);
+        match sim.run_until_event() {
+            StepOutcome::Detected(f) => {
+                assert_eq!(f.detector, Detector::Residue);
+                assert!(f.detection_latency() <= RESIDUE_INTERVAL, "{f}");
             }
-        };
-        let interval_latency = lat(false);
-        let eager_latency = lat(true);
-        // Regression: the documented bound holds in both modes, and eager
-        // mode is never slower than interval mode.
-        assert!(interval_latency <= RESIDUE_INTERVAL);
-        assert!(
-            eager_latency <= interval_latency,
-            "{eager_latency} > {interval_latency}"
-        );
-        assert!(
-            eager_latency <= 2,
-            "eager residue must detect within a couple of cycles, got {eager_latency}"
-        );
+            other => panic!("expected detection, got {other:?}"),
+        }
     }
 
     #[test]

@@ -333,28 +333,15 @@ watchdog bound {}",
     Ok(())
 }
 
-/// The `residue_eager` column of the runtime matrix: every cell is run
-/// against a transient stuck lane — *silent* corruption, the residue
-/// detector's fault class — twice, with the residue check at interval
-/// boundaries (the default) and on every cycle (`residue_eager`).
-///
-/// Contract for the column:
-///
-/// - **Both modes recover.** Detected, rolled back past the corruption
-///   onset, and the final firings equal the fault-free run.
-/// - **Eager is never slower.** Per cell, the eager detection latency is
-///   bounded by the interval-mode latency, and both respect the
-///   documented `residue_interval` bound.
-/// - **Eager is measurably faster.** Across the matrix the mean latency
-///   must drop — the detection side of the latency-vs-throughput
-///   tradeoff `residue_eager` buys (the check runs every cycle instead
-///   of once per epoch). The measured means are printed for DESIGN.md.
+/// The residue column of the runtime matrix: every cell is run against a
+/// transient stuck lane — *silent* corruption, the residue detector's
+/// fault class. Each is detected within the documented
+/// [`RESIDUE_INTERVAL`] bound, rolled back past the corruption onset, and
+/// finishes with the fault-free run's firings.
 #[test]
-fn residue_eager_column_detects_silent_corruption_faster() -> TestResult {
+fn residue_column_recovers_silent_corruption_within_the_interval() -> TestResult {
     let tel = dsagen::telemetry::Telemetry::disabled();
-    let mut lat = [0u64; 2]; // [interval, eager] latency sums
-    let mut cells = 0u64;
-    let mut strictly_faster = 0u64;
+    let policy = RecoveryPolicy::default();
     for seed in seeds() {
         for (pname, adg) in rt_presets() {
             for (kname, kernel) in rt_workloads() {
@@ -374,62 +361,28 @@ fn residue_eager_column_detects_silent_corruption_faster() -> TestResult {
                     FaultLifetime::Transient { duration: 1024 },
                     FaultKind::StuckLane,
                 );
-                let mut cell = [0u64; 2];
-                for (col, eager) in [(0usize, false), (1usize, true)] {
-                    let policy = RecoveryPolicy {
-                        rt: dsagen::sim::RuntimeConfig {
-                            residue_eager: eager,
-                            ..dsagen::sim::RuntimeConfig::default()
-                        },
-                        ..RecoveryPolicy::default()
-                    };
-                    let rep = recover(&adg, &compiled, &cfg, &faults, &policy, &tel)
-                        .map_err(|e| format!("{pname}/{kname} seed={seed} eager={eager}: {e}"))?;
-                    assert_eq!(
-                        rep.report.firings, plain.firings,
-                        "{pname}/{kname} seed={seed} eager={eager}: silent corruption \
-must be rolled back, not delivered"
-                    );
-                    assert!(
-                        !rep.events.is_empty(),
-                        "{pname}/{kname} seed={seed} eager={eager}: a stuck lane on a \
-routed link must be detected"
-                    );
-                    for ev in &rep.events {
-                        assert!(
-                            ev.detection_latency <= RESIDUE_INTERVAL,
-                            "{pname}/{kname} seed={seed} eager={eager}: latency {} over \
-the residue bound {}",
-                            ev.detection_latency,
-                            RESIDUE_INTERVAL
-                        );
-                    }
-                    cell[col] = rep.events.iter().map(|e| e.detection_latency).sum();
-                }
-                assert!(
-                    cell[1] <= cell[0],
-                    "{pname}/{kname} seed={seed}: eager detection ({}) slower than \
-interval-mode ({})",
-                    cell[1],
-                    cell[0]
+                let rep = recover(&adg, &compiled, &cfg, &faults, &policy, &tel)
+                    .map_err(|e| format!("{pname}/{kname} seed={seed}: {e}"))?;
+                assert_eq!(
+                    rep.report.firings, plain.firings,
+                    "{pname}/{kname} seed={seed}: silent corruption must be rolled back, \
+not delivered"
                 );
-                lat[0] += cell[0];
-                lat[1] += cell[1];
-                strictly_faster += u64::from(cell[1] < cell[0]);
-                cells += 1;
+                assert!(
+                    !rep.events.is_empty(),
+                    "{pname}/{kname} seed={seed}: a stuck lane on a routed link must be detected"
+                );
+                for ev in &rep.events {
+                    assert!(
+                        ev.detection_latency <= RESIDUE_INTERVAL,
+                        "{pname}/{kname} seed={seed}: latency {} over the residue bound {}",
+                        ev.detection_latency,
+                        RESIDUE_INTERVAL
+                    );
+                }
             }
         }
     }
-    println!(
-        "residue column: mean detection latency interval={:.1} eager={:.1} cycles \
-over {cells} cells ({strictly_faster} strictly faster)",
-        lat[0] as f64 / cells as f64,
-        lat[1] as f64 / cells as f64,
-    );
-    assert!(
-        strictly_faster > 0,
-        "eager residue checking never beat interval mode anywhere in the matrix"
-    );
     Ok(())
 }
 

@@ -203,16 +203,16 @@ fn digest_row(
 /// three fabrics under two seeds from an empty start, and for each legal one
 /// the repair of that schedule after one placed PE is removed — plus, on
 /// multi-region kernels, a repair scoped to region 0 alone on that same
-/// fabric, incrementally and from scratch (the recovery ladder's rungs). The
-/// rows keep the labels of the functions they were first pinned through
-/// (`repair`, `repair_regions`), so the table's bytes do not move. The
+/// fabric (the recovery ladder's scoped rungs). The rows keep the labels of
+/// the functions they were first pinned through (`repair`,
+/// `repair_regions … incremental`), so the table's bytes do not move. The
 /// bitstream snapshots above pin two mappings; this pins the search itself,
 /// so a change to the scheduler's loop, RNG draw order or incumbent rule
 /// shows as the first (fabric, kernel, seed) it moves.
 fn schedule_digest_table() -> String {
     use dsagen::adg::presets;
     use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::scheduler::{schedule, Problem, Scope, Start};
+    use dsagen::scheduler::{schedule, Problem, Start};
     use dsagen::telemetry::Telemetry;
 
     let mut out = String::new();
@@ -265,31 +265,25 @@ fn schedule_digest_table() -> String {
                     continue;
                 }
                 let regions = std::collections::BTreeSet::from([0]);
-                for (from_scratch, mode) in [(false, "incremental"), (true, "from-scratch")] {
-                    let what = format!("repair_regions {{0}} {mode} without {removed}");
-                    let scope = Some(Scope {
-                        regions: &regions,
-                        from_scratch,
-                    });
-                    let start = Start::Repair {
-                        previous: &first.schedule,
-                        scope,
-                        max_attempts: 2,
-                    };
-                    let row = match schedule(&faulted, &ck, &start, &cfg, &Telemetry::disabled()) {
-                        Ok(scoped) => format!(
-                            "{} outcome={:?}",
-                            digest_row(&adg, w.name, seed, &what, &scoped),
-                            scoped.outcome,
-                        ),
-                        Err(_) => format!(
-                            "{} {} seed={seed} {what} pinned-invalid",
-                            adg.name(),
-                            w.name
-                        ),
-                    };
-                    let _ = writeln!(out, "{row}");
-                }
+                let what = format!("repair_regions {{0}} incremental without {removed}");
+                let start = Start::Repair {
+                    previous: &first.schedule,
+                    scope: Some(&regions),
+                    max_attempts: 2,
+                };
+                let row = match schedule(&faulted, &ck, &start, &cfg, &Telemetry::disabled()) {
+                    Ok(scoped) => format!(
+                        "{} outcome={:?}",
+                        digest_row(&adg, w.name, seed, &what, &scoped),
+                        scoped.outcome,
+                    ),
+                    Err(_) => format!(
+                        "{} {} seed={seed} {what} pinned-invalid",
+                        adg.name(),
+                        w.name
+                    ),
+                };
+                let _ = writeln!(out, "{row}");
             }
         }
     }

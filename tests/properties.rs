@@ -383,13 +383,17 @@ proptest! {
 
     /// Whole-kernel repair is scoped repair whose scope is every region:
     /// one search loop, one incumbent rule, so on the same faulted fabric
-    /// and seed the two starts return the same mapping.
+    /// and seed the two starts return the same mapping. And escalation's
+    /// first attempt is a one-attempt repair: whenever `max_attempts: 1`
+    /// is legal, `max_attempts: 2` returns the same mapping — which is why
+    /// the recovery ladder needs one port rung, not a cheap one and an
+    /// escalated one.
     #[test]
     fn repair_over_every_region_is_whole_kernel_repair(seed in any::<u64>(), count in 1usize..4) {
         use dsagen::dfg::{compile_kernel, TransformConfig};
         use dsagen::faults::{inject, FaultPlan};
         use dsagen::hwgen::schedule_digest;
-        use dsagen::scheduler::{schedule, SchedulerConfig, Scope, Start};
+        use dsagen::scheduler::{schedule, SchedulerConfig, Start};
 
         let adg = presets::softbrain();
         let kernel = dsagen::workloads::polybench::mvt();
@@ -403,13 +407,18 @@ proptest! {
         let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 2 };
         let whole = schedule(&faulty, &ck, &start, &cfg, &tel).unwrap();
         let every_region = (0..ck.regions.len()).collect();
-        let scope = Some(Scope { regions: &every_region, from_scratch: false });
-        let start = Start::Repair { previous: &first.schedule, scope, max_attempts: 2 };
+        let start = Start::Repair { previous: &first.schedule, scope: Some(&every_region), max_attempts: 2 };
         let scoped = schedule(&faulty, &ck, &start, &cfg, &tel)
             .expect("with every region in scope nothing is pinned");
         prop_assert_eq!(schedule_digest(&whole.schedule), schedule_digest(&scoped.schedule));
         prop_assert_eq!(whole.iterations, scoped.iterations);
         prop_assert_eq!(whole.outcome, scoped.outcome);
+
+        let start = Start::Repair { previous: &first.schedule, scope: None, max_attempts: 1 };
+        let once = schedule(&faulty, &ck, &start, &cfg, &tel).unwrap();
+        if once.is_legal() {
+            prop_assert_eq!(schedule_digest(&once.schedule), schedule_digest(&whole.schedule));
+        }
     }
 }
 
@@ -741,136 +750,6 @@ proptest! {
     }
 }
 
-/// Partial re-placement is a *refinement* of node decommission, the way
-/// port masking refines it one rung earlier (see
-/// `port_mask_repair_refines_node_decommission`): wherever whole-kernel
-/// repair after decommissioning a link's endpoint finds a legal schedule,
-/// the partial-replace rung — which masks only the link and re-places
-/// only the afflicted recovery domain from scratch, every other domain
-/// pinned — must also find one, and its result must leave the pinned
-/// domains bit-identical. The finer rung never trades away repairability
-/// for containment.
-#[test]
-fn partial_replacement_refines_node_decommission() {
-    use std::collections::{BTreeMap, BTreeSet};
-
-    use dsagen::adg::EdgeId;
-    use dsagen::dfg::{compile_kernel, TransformConfig};
-    use dsagen::scheduler::{
-        schedule, CapabilityMask, Entity, Problem, SchedulerConfig, Scope, Start,
-    };
-    use dsagen::sim::RecoveryDomains;
-
-    let mut exercised = 0usize;
-    'search: for adg in [presets::softbrain(), presets::revel(), presets::spu()] {
-        let kernel = dsagen::workloads::polybench::mvt();
-        let ck = compile_kernel(&kernel, &TransformConfig::fallback(), &adg.features())
-            .expect("mvt compiles");
-        for seed in 0u64..6 {
-            let cfg = SchedulerConfig {
-                max_iters: 120,
-                seed,
-                ..SchedulerConfig::default()
-            };
-            let s = fresh(&adg, &ck, &cfg);
-            if !s.is_legal() {
-                continue;
-            }
-            let domains = RecoveryDomains::derive(&adg, &ck, &s.schedule);
-            if domains.len() < 2 {
-                continue;
-            }
-            // Routed links used by exactly one (proper-subset) domain:
-            // the fault class whose blast radius the partition bounds.
-            let problem = Problem::new(&adg, &ck);
-            let mut edge_regions: BTreeMap<EdgeId, BTreeSet<usize>> = BTreeMap::new();
-            for (idx, path) in &s.schedule.routes {
-                let Some(ri) = problem
-                    .edges
-                    .get(*idx)
-                    .and_then(|v| problem.entities.get(v.src))
-                    .map(Entity::region)
-                else {
-                    continue;
-                };
-                for eid in path {
-                    edge_regions.entry(*eid).or_default().insert(ri);
-                }
-            }
-            for (eid, regions) in &edge_regions {
-                let rvec: Vec<usize> = regions.iter().copied().collect();
-                let Some(dom) = domains.domain_of_regions(&rvec) else {
-                    continue;
-                };
-                let afflicted: BTreeSet<usize> = domains.regions_in(dom).iter().copied().collect();
-                if afflicted.len() >= domains.region_count() {
-                    continue;
-                }
-                let Some(dst) = adg.edge(*eid).map(|e| e.dst) else {
-                    continue;
-                };
-                let node_mask = CapabilityMask::new().with_node(dst);
-                let edge_mask = CapabilityMask::new().with_edge(*eid);
-                if node_mask.apply(&adg).is_err() || edge_mask.apply(&adg).is_err() {
-                    continue;
-                }
-                // Coarse rung: decommission the endpoint, repair the
-                // whole kernel. Skip candidates it cannot handle — the
-                // refinement claim is about where it *succeeds*.
-                let coarse_adg = node_mask.apply(&adg).expect("validated");
-                let start = Start::Repair {
-                    previous: &s.schedule,
-                    scope: None,
-                    max_attempts: 4,
-                };
-                let coarse = schedule(&coarse_adg, &ck, &start, &cfg, &Telemetry::disabled())
-                    .expect("an unscoped start pins nothing");
-                if !coarse.is_legal() {
-                    continue;
-                }
-                // Fine rung: mask only the link, re-place only the
-                // afflicted domain from scratch with the others pinned.
-                let pr_cfg = SchedulerConfig {
-                    max_iters: 800,
-                    ..cfg
-                };
-                let fine_adg = edge_mask.apply(&adg).expect("validated");
-                let scope = Some(Scope {
-                    regions: &afflicted,
-                    from_scratch: true,
-                });
-                let start = Start::Repair {
-                    previous: &s.schedule,
-                    scope,
-                    max_attempts: 4,
-                };
-                let fine = schedule(&fine_adg, &ck, &start, &pr_cfg, &Telemetry::disabled())
-                    .expect("pins hold: the masked link is used only inside the scope");
-                assert!(
-                    fine.is_legal(),
-                    "{}: decommission of {dst:?} repairs, so partial re-placement of \
-domain {dom} around {eid:?} must too (eval: {:?})",
-                    adg.name(),
-                    fine.eval
-                );
-                assert!(
-                    fine.schedule
-                        .agrees_outside(&problem, &s.schedule, &afflicted),
-                    "{}: partial re-placement must leave pinned domains bit-identical",
-                    adg.name()
-                );
-                exercised += 1;
-                continue 'search;
-            }
-        }
-    }
-    assert!(
-        exercised > 0,
-        "no (preset, seed) produced a multi-domain mapping with a decommission-repairable \
-single-domain link — the refinement claim was never exercised"
-    );
-}
-
 /// The search scores its schedules against a link table it keeps in step
 /// with every route edit; public `evaluate` builds that table from the bare
 /// schedule. Whatever entry point produced a result, the evaluation it
@@ -883,7 +762,7 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
     use dsagen::dfg::{compile_kernel, TransformConfig};
     use dsagen::scheduler::{
         evaluate, schedule, EntityKind, Problem, ScheduleError, ScheduleResult, SchedulerConfig,
-        Scope, Start,
+        Start,
     };
 
     let mut scoped = 0usize;
@@ -945,18 +824,14 @@ fn returned_evaluation_is_the_public_evaluation_of_the_returned_schedule() {
                     &schedule(&faulted, &ck, &start, &cfg, &tel).unwrap(),
                 );
                 let regions = BTreeSet::from([0]);
-                let scope = Some(Scope {
-                    regions: &regions,
-                    from_scratch: true,
-                });
                 let start = Start::Repair {
                     previous: &first.schedule,
-                    scope,
+                    scope: Some(&regions),
                     max_attempts: 2,
                 };
                 match schedule(&faulted, &ck, &start, &cfg, &tel) {
                     Ok(result) => {
-                        agrees(&faulted, "scoped repair from scratch", &result);
+                        agrees(&faulted, "scoped repair", &result);
                         scoped += 1;
                     }
                     Err(ScheduleError::PinsBroken) => {}
@@ -1013,7 +888,7 @@ proptest! {
             return Ok(());
         }
 
-        let rt = RuntimeConfig { record_traces: true, ..RuntimeConfig::default() };
+        let rt = RuntimeConfig { record_traces: true };
         let sim_cfg = SimConfig::default();
         let plain = simulate(adg, &ck, &s.schedule, &s.eval, 4, &sim_cfg)
             .map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
@@ -1091,7 +966,8 @@ proptest! {
         use dsagen::adg::{PeSpec, Scheduling, Sharing};
         use dsagen::faults::{FaultKind, FaultLifetime, FaultSchedule};
         use dsagen::sim::{
-            run_with_degradation, simulate, RecoveryAction, RecoveryPolicy, SimConfig,
+            run_with_recovery, simulate, RecoveryAction, RecoveryOutcome, RecoveryPolicy,
+            SimConfig,
         };
         use dsagen::dfg::{
             compile_kernel, AffineExpr, KernelBuilder, MemClass, TransformConfig, TripCount,
@@ -1136,9 +1012,10 @@ proptest! {
         let policy = RecoveryPolicy::default();
         let tel = dsagen::telemetry::Telemetry::disabled();
         let run = || {
-            run_with_degradation(
+            run_with_recovery(
                 &adg, &ck, &s.schedule, &s.eval, 0, &sim_cfg, &faults, &policy, &tel,
             )
+            .map(RecoveryOutcome::from)
         };
         let out = run().map_err(|e| proptest::test_runner::TestCaseError::fail(e.to_string()))?;
         let report = out.report();
